@@ -23,7 +23,7 @@ from .linalg import (
     kron_all,
     permute_subsystems,
 )
-from .sweeps import SweepResult
+from .sweeps import SweepResult, grid_sweep
 from .tripartite import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 VARIANTS = ("h1", "h2", "h3")
@@ -256,8 +256,8 @@ def dicke_sweep(
 ) -> SweepResult:
     """Grid sweep over (kappa, lam_tilde) for one variant template.
 
-    Rows follow lexicographic grid order.  Per-point failures are recorded in
-    the status column instead of aborting the sweep.
+    Rows follow lexicographic grid order.  An invalid parameter aborts the
+    sweep; numerical failures at one point are recorded in its status column.
     """
     kappas = [float(k) for k in kappa_grid]
     tildes = [float(t) for t in lam_tilde_grid]
@@ -265,37 +265,27 @@ def dicke_sweep(
         raise ValueError("grids must be non-empty")
     if kappas != sorted(kappas) or tildes != sorted(tildes):
         raise ValueError("grids must be monotone non-decreasing")
+    # every point's config is built before any point runs, so an invalid
+    # parameter aborts the sweep instead of becoming an error row
+    configs = [dataclasses.replace(cfg, kappa=k, lam_tilde=t) for k in kappas for t in tildes]
 
-    rows = []
-    for kappa in kappas:
-        for tilde in tildes:
-            point_cfg = dataclasses.replace(cfg, kappa=kappa, lam_tilde=tilde)
-            row = {
-                "variant": cfg.variant,
-                "kappa": kappa,
-                "lam_tilde": tilde,
-                "nmax_used": cfg.n_max,
-                "ground_energy": float("nan"),
-                "gap": float("nan"),
-                "concurrence": float("nan"),
-                "degenerate": False,
-                "status": "ok",
-            }
-            try:
-                point = dicke_ground_point(
-                    point_cfg,
-                    convergence_tol=convergence_tol,
-                    n_max_limit=n_max_limit,
-                )
-                row.update(
-                    nmax_used=point.nmax_used,
-                    ground_energy=point.ground_energy,
-                    gap=point.gap,
-                    concurrence=point.concurrence.value,
-                    degenerate=point.concurrence.degenerate_ground,
-                    status="ok" if point.converged else "fock_unconverged",
-                )
-            except Exception as exc:  # per-point isolation is the contract here
-                row["status"] = f"error: {exc}"
-            rows.append(row)
-    return SweepResult(schema=DICKE_SWEEP_SCHEMA, rows=tuple(rows))
+    def evaluate(point: dict) -> dict:
+        ground = dicke_ground_point(
+            dataclasses.replace(cfg, kappa=point["kappa"], lam_tilde=point["lam_tilde"]),
+            convergence_tol=convergence_tol,
+            n_max_limit=n_max_limit,
+        )
+        return {
+            "nmax_used": ground.nmax_used,
+            "ground_energy": ground.ground_energy,
+            "gap": ground.gap,
+            "concurrence": ground.concurrence.value,
+            "degenerate": ground.concurrence.degenerate_ground,
+            "status": "ok" if ground.converged else "fock_unconverged",
+        }
+
+    points = (
+        {"variant": c.variant, "kappa": c.kappa, "lam_tilde": c.lam_tilde, "nmax_used": cfg.n_max}
+        for c in configs
+    )
+    return grid_sweep(DICKE_SWEEP_SCHEMA, points, evaluate)

@@ -8,7 +8,7 @@ onto the whole degenerate subspace and flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +65,18 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value=value, tilde_lambdas=_readonly(lam))
 
 
+def ground_level_density(dec, dims, keep) -> DensityMatrix:
+    """Reduced density matrix of the ground level of an EigenDecomposition.
+
+    A degenerate ground level is the equal mixture over its whole subspace.
+    """
+    group = dec.ground_group
+    if len(group) == 1:
+        return reduced_density(dec.eigenvectors[:, 0], dims, keep)
+    mixed = sum(reduced_density(dec.eigenvectors[:, k], dims, keep).matrix for k in group)
+    return DensityMatrix(mixed / len(group))
+
+
 def ground_concurrence_from_decomposition(
     dec, dims, pair: tuple[int, int]
 ) -> ConcurrenceResult:
@@ -73,19 +85,8 @@ def ground_concurrence_from_decomposition(
     i, j = pair
     if dims[i] != 2 or dims[j] != 2:
         raise DimensionError(f"kept subsystems must be qubits, dims={dims}, pair={pair}")
-
-    group = dec.ground_group
-    if len(group) == 1:
-        rho = reduced_density(dec.eigenvectors[:, 0], dims, pair)
-        return concurrence(rho)
-
-    mixed = np.zeros((4, 4), dtype=np.complex128)
-    for k in group:
-        mixed += reduced_density(dec.eigenvectors[:, k], dims, pair).matrix
-    res = concurrence(DensityMatrix(mixed / len(group)))
-    return ConcurrenceResult(
-        value=res.value, tilde_lambdas=res.tilde_lambdas, degenerate_ground=True
-    )
+    res = concurrence(ground_level_density(dec, dims, pair))
+    return replace(res, degenerate_ground=len(dec.ground_group) > 1)
 
 
 def ground_state_pair_concurrence(

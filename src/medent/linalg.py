@@ -216,11 +216,22 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_einsum(tensor_row: str, n: int, keep: tuple[int, ...]) -> str:
+def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> DensityMatrix:
+    """Contract the row and column indices of every subsystem not in ``keep``.
+
+    ``separator`` "" reads one operator tensor (rows then columns), "," a ket
+    tensor and its bra.
+    """
+    keep = tuple(sorted(set(int(k) for k in keep)))
+    n = len(dims)
+    if not keep or any(k < 0 or k >= n for k in keep):
+        raise DimensionError(f"keep={keep} is not a non-empty subset of 0..{n - 1}")
     row = [chr(ord("a") + k) for k in range(n)]
     col = [row[k] if k not in keep else chr(ord("a") + n + k) for k in range(n)]
     out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    return "".join(row) + tensor_row + "".join(col) + "->" + out
+    reduced = np.einsum("".join(row) + separator + "".join(col) + "->" + out, *tensors)
+    d = prod(dims[k] for k in keep)
+    return DensityMatrix(reduced.reshape(d, d))
 
 
 def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
@@ -230,39 +241,19 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
     set of subsystem indices retained (in ascending tensor order).
     """
     dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    n = len(dims)
     if prod(dims) != rho.dim:
         raise DimensionError(f"prod({dims}) != {rho.dim}")
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise DimensionError(f"keep={keep} is not a non-empty subset of 0..{n - 1}")
-
-    t = rho.matrix.reshape(*dims, *dims)
-    sub = _trace_einsum("", n, keep)
-    reduced = np.einsum(sub, t)
-    d = prod(dims[k] for k in keep)
-    return DensityMatrix(reduced.reshape(d, d))
+    return _trace_out(dims, keep, "", rho.matrix.reshape(*dims, *dims))
 
 
 def reduced_density(state: np.ndarray, dims, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state, without forming the projector."""
     dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    n = len(dims)
     psi = np.asarray(state, dtype=np.complex128).reshape(-1)
     if psi.size != prod(dims):
         raise DimensionError(f"state size {psi.size} != prod({dims})")
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise DimensionError(f"keep={keep} is not a non-empty subset of 0..{n - 1}")
-
     t = psi.reshape(dims)
-    row = [chr(ord("a") + k) for k in range(n)]
-    col = [row[k] if k not in keep else chr(ord("a") + n + k) for k in range(n)]
-    out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    sub = "".join(row) + "," + "".join(col) + "->" + out
-    reduced = np.einsum(sub, t, t.conj())
-    d = prod(dims[k] for k in keep)
-    return DensityMatrix(reduced.reshape(d, d))
+    return _trace_out(dims, keep, ",", t, t.conj())
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import ground_concurrence_from_decomposition
-from .linalg import eigh
+from .linalg import NumericalError, eigh
 from .tripartite import IsingParams, build_ising
 
 # column name -> python type, shared by every sweep/report schema
@@ -120,6 +120,35 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     return linspace_grid(start, stop, count)
 
 
+# what a failed point may raise: numerical contract failures, invalid
+# dimensions or density matrices (ValueError), and LAPACK failures raised by
+# numpy directly; anything else is a programming error and aborts the sweep
+POINT_ERRORS = (NumericalError, ValueError, np.linalg.LinAlgError)
+
+# result columns of a point whose evaluation failed, by column type
+_UNEVALUATED = {float: float("nan"), bool: False}
+
+
+def grid_sweep(schema, points, evaluate) -> SweepResult:
+    """One row per grid point, in the order ``points`` yields them.
+
+    Each point is a dict of the row's leading columns; ``evaluate(point)``
+    returns the remaining ones (``status`` defaults to "ok").  A point whose
+    evaluation raises one of ``POINT_ERRORS`` keeps NaN results and
+    ``degenerate`` False, and its status reads "error: <message>".
+    """
+    rows = []
+    for point in points:
+        row = {c: _UNEVALUATED.get(COLUMN_TYPES.get(c)) for c in schema}
+        row.update(point, status="ok")
+        try:
+            row.update(evaluate(point))
+        except POINT_ERRORS as exc:
+            row["status"] = f"error: {exc}"
+        rows.append(row)
+    return SweepResult(schema=tuple(schema), rows=tuple(rows))
+
+
 ISING_SWEEP_SCHEMA = (
     "delta",
     "lambda",
@@ -138,29 +167,16 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
     if not deltas or not lams:
         raise ValueError("grids must be non-empty")
 
-    rows = []
-    for delta in deltas:
-        for lam in lams:
-            row = {
-                "delta": delta,
-                "lambda": lam,
-                "ground_energy": float("nan"),
-                "gap": float("nan"),
-                "concurrence": float("nan"),
-                "degenerate": False,
-                "status": "ok",
-            }
-            try:
-                h = build_ising(IsingParams(j_coupling=j_coupling, delta=delta, lam=lam))
-                dec = eigh(h)
-                conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
-                row.update(
-                    ground_energy=dec.ground_energy,
-                    gap=dec.gap(),
-                    concurrence=conc.value,
-                    degenerate=conc.degenerate_ground,
-                )
-            except Exception as exc:
-                row["status"] = f"error: {exc}"
-            rows.append(row)
-    return SweepResult(schema=ISING_SWEEP_SCHEMA, rows=tuple(rows))
+    def evaluate(point: dict) -> dict:
+        params = IsingParams(j_coupling=j_coupling, delta=point["delta"], lam=point["lambda"])
+        dec = eigh(build_ising(params))
+        conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
+        return {
+            "ground_energy": dec.ground_energy,
+            "gap": dec.gap(),
+            "concurrence": conc.value,
+            "degenerate": conc.degenerate_ground,
+        }
+
+    points = ({"delta": d, "lambda": lam} for d in deltas for lam in lams)
+    return grid_sweep(ISING_SWEEP_SCHEMA, points, evaluate)

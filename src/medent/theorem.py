@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence, ground_concurrence_from_decomposition
+from .entanglement import concurrence, ground_level_density
 from .linalg import (
     DensityMatrix,
     DimensionError,
+    EigenDecomposition,
     HermitianOperator,
+    SchmidtDecomposition,
     eigh,
     frobenius_norm,
     kron_all,
@@ -35,6 +37,7 @@ PURITY_PURE_ATOL = 1e-10   # counterexample predicate: rho_B purity >= 1 - this
 PURITY_EXTRACT_ATOL = 1e-8  # factorization verdict threshold
 SCHMIDT_RANK_TOL = 1e-7
 FAMILY_ENERGY_RTOL = 1e-9
+FAMILY_SAMPLES = 4  # random coefficient vectors per family check
 
 
 def is_exchange_symmetric(h: HermitianOperator, dims, pair: tuple[int, int] = (0, 2)) -> bool:
@@ -69,12 +72,46 @@ class EigenstateAnalysis:
     fully_factorized: bool
 
 
-def _extract_pure_ac(psi: np.ndarray, dims) -> np.ndarray:
-    """Outer-pair state vector of an eigenstate whose middle reduction is pure."""
-    rho_ac = reduced_density(psi, dims, (0, 2))
-    w, v = np.linalg.eigh(rho_ac.matrix)
-    omega = v[:, -1]
-    return omega / np.linalg.norm(omega)
+def _top_eigenvector(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvector of the largest eigenvalue: the state of a pure ``rho``."""
+    return np.linalg.eigh(rho.matrix)[1][:, -1]
+
+
+def _outer_schmidt(rho_ac: DensityMatrix, dims) -> SchmidtDecomposition:
+    """Schmidt decomposition of the outer pair's state, given its pure reduction."""
+    omega = _top_eigenvector(rho_ac)
+    return schmidt(omega / np.linalg.norm(omega), (dims[0], dims[2]))
+
+
+def _analyze_decomposition(dec: EigenDecomposition, dims) -> list[tuple]:
+    """Per-eigenstate analyses of ``dec``, each paired with its middle reduction
+    and, when that is pure, the outer pair's Schmidt decomposition (else None)."""
+    d_a, d_b, d_c = dims
+    out = []
+    for i in range(dec.dim):
+        psi = dec.eigenvectors[:, i]
+        rho_b = reduced_density(psi, dims, (1,))
+        rho_ac = reduced_density(psi, dims, (0, 2))
+        p_b = purity(rho_b)
+        conc = concurrence(rho_ac).value if d_a == 2 and d_c == 2 else None
+
+        sd = rank = None
+        if p_b >= 1.0 - PURITY_EXTRACT_ATOL:
+            sd = _outer_schmidt(rho_ac, dims)
+            rank = sd.rank(SCHMIDT_RANK_TOL)
+
+        analysis = EigenstateAnalysis(
+            index=i,
+            energy=float(dec.eigenvalues[i]),
+            is_degenerate=dec.is_degenerate(i),
+            purity_b=p_b,
+            purity_ac=purity(rho_ac),
+            schmidt_rank_ac=rank,
+            ac_concurrence=conc,
+            fully_factorized=(rank == 1),
+        )
+        out.append((analysis, rho_b, sd))
+    return out
 
 
 def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis, ...]:
@@ -85,41 +122,13 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
     theorem-based conclusions should not be drawn.
     """
     dims = tuple(int(d) for d in dims)
-    d_a, d_b, d_c = dims
     if not is_exchange_symmetric(h, dims):
         warnings.warn(
             "operator is not exchange-symmetric; factorization-theorem checks "
             "do not apply to this spectrum",
             stacklevel=2,
         )
-
-    dec = eigh(h)
-    out = []
-    for i in range(dec.dim):
-        psi = dec.eigenvectors[:, i]
-        p_b = purity(reduced_density(psi, dims, (1,)))
-        rho_ac = reduced_density(psi, dims, (0, 2))
-        p_ac = purity(rho_ac)
-        conc = concurrence(rho_ac).value if d_a == 2 and d_c == 2 else None
-
-        rank = None
-        if p_b >= 1.0 - PURITY_EXTRACT_ATOL:
-            omega = _extract_pure_ac(psi, dims)
-            rank = schmidt(omega, (d_a, d_c)).rank(SCHMIDT_RANK_TOL)
-
-        out.append(
-            EigenstateAnalysis(
-                index=i,
-                energy=float(dec.eigenvalues[i]),
-                is_degenerate=dec.is_degenerate(i),
-                purity_b=p_b,
-                purity_ac=p_ac,
-                schmidt_rank_ac=rank,
-                ac_concurrence=conc,
-                fully_factorized=(rank == 1),
-            )
-        )
-    return tuple(out)
+    return tuple(analysis for analysis, _, _ in _analyze_decomposition(eigh(h), dims))
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -190,30 +199,19 @@ class FamilyCheck:
     observed over sampled coefficient vectors.
     """
 
-    eigenstate_index: int
     rank: int
     spread: float
     passed: bool
 
 
-def degenerate_family_check(
-    h: HermitianOperator, psi: np.ndarray, dims, rng: np.random.Generator, samples: int = 4
+def _family_check(
+    h: HermitianOperator, rho_b: DensityMatrix, sd: SchmidtDecomposition, rng, samples: int
 ) -> FamilyCheck | None:
-    """Run the family energy check if ``psi`` qualifies (pure middle, rank >= 2)."""
-    dims = tuple(int(d) for d in dims)
-    d_a, d_b, d_c = dims
-    if purity(reduced_density(psi, dims, (1,))) < 1.0 - PURITY_EXTRACT_ATOL:
-        return None
-    omega = _extract_pure_ac(psi, dims)
-    sd = schmidt(omega, (d_a, d_c))
+    """Family energy check for a pure middle ``rho_b``; None below outer Schmidt rank 2."""
     rank = sd.rank(SCHMIDT_RANK_TOL)
     if rank < 2:
         return None
-
-    rho_b = reduced_density(psi, dims, (1,))
-    wb, vb = np.linalg.eigh(rho_b.matrix)
-    beta = vb[:, -1]
-
+    beta = _top_eigenvector(rho_b)
     energies = []
     coeff_sets = [np.eye(rank)[k] for k in range(rank)]
     coeff_sets += [
@@ -233,11 +231,24 @@ def degenerate_family_check(
     spread = max(energies) - min(energies)
     scale = max(1.0, frobenius_norm(h.matrix))
     return FamilyCheck(
-        eigenstate_index=-1,
-        rank=rank,
-        spread=spread,
-        passed=bool(spread <= FAMILY_ENERGY_RTOL * scale),
+        rank=rank, spread=spread, passed=bool(spread <= FAMILY_ENERGY_RTOL * scale)
     )
+
+
+def degenerate_family_check(
+    h: HermitianOperator,
+    psi: np.ndarray,
+    dims,
+    rng: np.random.Generator,
+    samples: int = FAMILY_SAMPLES,
+) -> FamilyCheck | None:
+    """Run the family energy check if ``psi`` qualifies (pure middle, rank >= 2)."""
+    dims = tuple(int(d) for d in dims)
+    rho_b = reduced_density(psi, dims, (1,))
+    if purity(rho_b) < 1.0 - PURITY_EXTRACT_ATOL:
+        return None
+    sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
+    return _family_check(h, rho_b, sd, rng, samples)
 
 
 @dataclass(frozen=True)
@@ -302,28 +313,18 @@ def theorem_fuzz(
         n_ce = 0
         n_fam = 0
         fam_ok = True
-        dec = eigh(h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            analyses = analyze_eigenstates(h, dims)
-        for a in analyses:
-            if (
-                not a.is_degenerate
-                and a.purity_b >= 1.0 - PURITY_PURE_ATOL
-                and a.schmidt_rank_ac is not None
-                and a.schmidt_rank_ac >= 2
-            ):
+        for a, rho_b, sd in _analyze_decomposition(eigh(h), dims):
+            if a.schmidt_rank_ac is None or a.schmidt_rank_ac < 2:
+                continue
+            if not a.is_degenerate and a.purity_b >= 1.0 - PURITY_PURE_ATOL:
                 n_ce += 1
                 counterexamples.append(
                     Counterexample(t, a.index, a.energy, a.purity_b, a.schmidt_rank_ac)
                 )
-            if a.schmidt_rank_ac is not None and a.schmidt_rank_ac >= 2:
-                check = degenerate_family_check(h, dec.eigenvectors[:, a.index], dims, rng)
-                if check is not None:
-                    check = FamilyCheck(a.index, check.rank, check.spread, check.passed)
-                    family_checks.append(check)
-                    n_fam += 1
-                    fam_ok = fam_ok and check.passed
+            check = _family_check(h, rho_b, sd, rng, FAMILY_SAMPLES)
+            family_checks.append(check)
+            n_fam += 1
+            fam_ok = fam_ok and check.passed
         records.append(TrialRecord(t, True, n_ce, n_fam, fam_ok))
 
     return TheoremFuzzReport(
@@ -367,25 +368,17 @@ def corollary_check(
         raise ValueError("corollary_check requires an exchange-symmetric operator")
 
     dec = eigh(h)
-    group = dec.ground_group
-    conc = ground_concurrence_from_decomposition(dec, dims, (0, 2))
-
-    if len(group) == 1:
-        rho_ac = reduced_density(dec.eigenvectors[:, 0], dims, (0, 2))
-        p_ac = purity(rho_ac)
-        mixed_ok = conc.value <= concurrence_floor or p_ac < 1.0 - purity_margin
-        maximal_ok = conc.value <= 1.0 - purity_margin
-    else:
-        mixed = np.zeros((4, 4), dtype=np.complex128)
-        for k in group:
-            mixed += reduced_density(dec.eigenvectors[:, k], dims, (0, 2)).matrix
-        p_ac = purity(DensityMatrix(mixed / len(group)))
-        mixed_ok = True
-        maximal_ok = True
+    degenerate = len(dec.ground_group) > 1
+    rho_ac = ground_level_density(dec, dims, (0, 2))
+    conc = concurrence(rho_ac).value
+    p_ac = purity(rho_ac)
+    # a degenerate ground level passes both corollaries by definition
+    mixed_ok = degenerate or conc <= concurrence_floor or p_ac < 1.0 - purity_margin
+    maximal_ok = degenerate or conc <= 1.0 - purity_margin
 
     return CorollaryReport(
-        ground_degenerate=len(group) > 1,
-        ground_concurrence=conc.value,
+        ground_degenerate=degenerate,
+        ground_concurrence=conc,
         ground_purity_ac=p_ac,
         mixed_if_entangled_ok=mixed_ok,
         maximal_implies_degenerate_ok=maximal_ok,

@@ -225,6 +225,13 @@ def test_sweep_rejects_bad_grids():
         dicke_sweep(cfg, [1.0, 0.5], [1.0])
 
 
+def test_sweep_rejects_invalid_parameters_before_any_point():
+    # a negative coupling is a configuration error of the sweep, not an error row
+    cfg = DickeConfig(variant="h1", kappa=0.0, n_max=8)
+    with pytest.raises(ValueError, match="non-negative"):
+        dicke_sweep(cfg, [-0.5, 0.5], [1.0])
+
+
 def test_sweep_flags_unconverged_points():
     cfg = DickeConfig(variant="h2", kappa=0.0, n_max=1)
     sweep = dicke_sweep(cfg, [1.2], [1.0], n_max_limit=2)

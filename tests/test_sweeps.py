@@ -6,8 +6,10 @@ import pytest
 from medent.entanglement import ground_state_ac_concurrence
 from medent.linalg import eigh
 from medent.sweeps import (
+    ISING_SWEEP_SCHEMA,
     SweepResult,
     format_value,
+    grid_sweep,
     ising_sweep,
     linspace_grid,
     parse_grid_spec,
@@ -95,3 +97,21 @@ def test_csv_bytes_deterministic(tmp_path):
     result.write_csv(p1)
     ising_sweep([0.2], [0.3, 0.9]).write_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_point_is_flagged_not_raised():
+    # a negative outer field is rejected when the point's Hamiltonian is built
+    result = ising_sweep([-0.1], [1.0])
+    (row,) = result.rows
+    assert (row["delta"], row["lambda"]) == (-0.1, 1.0)
+    assert row["status"].startswith("error: ")
+    assert all(math.isnan(row[c]) for c in ("ground_energy", "gap", "concurrence"))
+    assert row["degenerate"] is False
+
+
+def test_grid_sweep_propagates_programming_errors():
+    def evaluate(point):
+        raise TypeError("bug in the evaluator")
+
+    with pytest.raises(TypeError, match="bug in the evaluator"):
+        grid_sweep(ISING_SWEEP_SCHEMA, [{"delta": 0.1, "lambda": 1.0}], evaluate)
