@@ -121,8 +121,24 @@ def _load_config_args(path: str) -> list[str]:
                 if value.lower() == "true":
                     tokens.append(flag)
             else:
-                tokens.extend([flag, value])
+                tokens.append(f"{flag}={value}")
     return tokens
+
+
+# sweep grid flags: their spec may start with "-" (a negative start)
+GRID_FLAGS = ("--delta-grid", "--lambda-grid", "--kappa-grid", "--lam-tilde-grid")
+
+
+def _attach_grid_specs(argv: list[str]) -> list[str]:
+    """Join each grid flag and its spec into ``--flag=spec``, so that argparse
+    does not read a spec such as -1:1:3 as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in GRID_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _inject_config(argv: list[str]) -> list[str]:
@@ -330,7 +346,7 @@ def main(argv=None) -> int:
 
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid_specs(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

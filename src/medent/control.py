@@ -15,6 +15,7 @@ import numpy as np
 
 from .entanglement import ground_state_ac_concurrence
 from .linalg import HermitianOperator, NumericalError
+from .sweeps import POINT_ERRORS
 
 log = logging.getLogger(__name__)
 
@@ -97,9 +98,10 @@ class _Budget:
 def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationResult:
     """Multi-start Nelder-Mead search, restarting until the budget is spent.
 
-    Failed objective evaluations are logged and discarded (the point is
-    treated as arbitrarily bad).  The returned best value is re-verified by a
-    final evaluation at the best controls, and any claim of essentially
+    Objective evaluations that fail with one of ``sweeps.POINT_ERRORS`` are
+    logged and discarded (the point is treated as arbitrarily bad); any other
+    exception is a bug and propagates.  The returned best value is re-verified
+    by a final evaluation at the best controls, and any claim of essentially
     maximal concurrence on a non-degenerate ground level is rejected as an
     implementation-bug alarm.
     """
@@ -118,7 +120,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
         budget_state.used += 1
         try:
             res = ground_state_ac_concurrence(problem.model(x), problem.dims)
-        except Exception as exc:
+        except POINT_ERRORS as exc:
             log.warning("objective failed at %s: %s", x, exc)
             return -np.inf
         any_success = True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .linalg import (
     EigenDecomposition,
     HermitianOperator,
     SchmidtDecomposition,
+    _readonly,
     eigh,
     frobenius_norm,
     kron_all,
@@ -83,34 +85,18 @@ def _outer_schmidt(rho_ac: DensityMatrix, dims) -> SchmidtDecomposition:
     return schmidt(omega / np.linalg.norm(omega), (dims[0], dims[2]))
 
 
-def _analyze_decomposition(dec: EigenDecomposition, dims) -> list[tuple]:
-    """Per-eigenstate analyses of ``dec``, each paired with its middle reduction
-    and, when that is pure, the outer pair's Schmidt decomposition (else None)."""
-    d_a, d_b, d_c = dims
+def _middle_reductions(dec: EigenDecomposition, dims) -> list[tuple]:
+    """Per eigenstate of ``dec``: its middle reduction, that reduction's purity
+    and, when it is pure, the outer pair's Schmidt decomposition (else None)."""
     out = []
     for i in range(dec.dim):
         psi = dec.eigenvectors[:, i]
         rho_b = reduced_density(psi, dims, (1,))
-        rho_ac = reduced_density(psi, dims, (0, 2))
         p_b = purity(rho_b)
-        conc = concurrence(rho_ac).value if d_a == 2 and d_c == 2 else None
-
-        sd = rank = None
+        sd = None
         if p_b >= 1.0 - PURITY_EXTRACT_ATOL:
-            sd = _outer_schmidt(rho_ac, dims)
-            rank = sd.rank(SCHMIDT_RANK_TOL)
-
-        analysis = EigenstateAnalysis(
-            index=i,
-            energy=float(dec.eigenvalues[i]),
-            is_degenerate=dec.is_degenerate(i),
-            purity_b=p_b,
-            purity_ac=purity(rho_ac),
-            schmidt_rank_ac=rank,
-            ac_concurrence=conc,
-            fully_factorized=(rank == 1),
-        )
-        out.append((analysis, rho_b, sd))
+            sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
+        out.append((rho_b, p_b, sd))
     return out
 
 
@@ -128,7 +114,22 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
             "do not apply to this spectrum",
             stacklevel=2,
         )
-    return tuple(analysis for analysis, _, _ in _analyze_decomposition(eigh(h), dims))
+    dec = eigh(h)
+    out = []
+    for i, (_, p_b, sd) in enumerate(_middle_reductions(dec, dims)):
+        rho_ac = reduced_density(dec.eigenvectors[:, i], dims, (0, 2))
+        rank = None if sd is None else sd.rank(SCHMIDT_RANK_TOL)
+        out.append(EigenstateAnalysis(
+            index=i,
+            energy=float(dec.eigenvalues[i]),
+            is_degenerate=dec.is_degenerate(i),
+            purity_b=p_b,
+            purity_ac=purity(rho_ac),
+            schmidt_rank_ac=rank,
+            ac_concurrence=concurrence(rho_ac).value if dims[0] == dims[2] == 2 else None,
+            fully_factorized=(rank == 1),
+        ))
+    return tuple(out)
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -150,6 +151,29 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
+@lru_cache(maxsize=4)
+def _operator_stacks(d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only coupling terms on qubit x (d_b) x qubit, each stack in draw
+    order: Pauli x basis x 1 (left), 1 x basis x Pauli (independent right)
+    and 1 x basis x 1 (mediator-local)."""
+    basis_b = hermitian_basis(d_b)
+    eye = np.eye(2, dtype=np.complex128)
+    return tuple(_readonly(np.array(terms)) for terms in (
+        [kron_all(sig, g, eye) for sig in PAULI for g in basis_b],
+        [kron_all(eye, g, sig) for g in basis_b for sig in PAULI],
+        [kron_all(eye, g, eye) for g in basis_b],
+    ))
+
+
+def _random_combination(rng: np.random.Generator, stack: np.ndarray) -> np.ndarray:
+    """sum_k c_k stack[k] with standard-normal c_k, added term by term in stack
+    order: one contraction would round differently and change the bits of H."""
+    m = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for c, op in zip(rng.standard_normal(len(stack)), stack):
+        m += c * op
+    return m
+
+
 def random_symmetric_hamiltonian(
     d_b: int, rng: np.random.Generator, *, break_symmetry: bool = False
 ) -> HermitianOperator:
@@ -161,32 +185,14 @@ def random_symmetric_hamiltonian(
     With ``break_symmetry`` the right coupling is drawn independently instead
     of mirrored, leaving the exchange symmetry violated almost surely.
     """
-    dims = (2, d_b, 2)
-    basis_b = hermitian_basis(d_b)
-    eye_b = np.eye(d_b, dtype=np.complex128)
-    eye_c = np.eye(2, dtype=np.complex128)
-
-    def random_coupling_left() -> np.ndarray:
-        m = np.zeros((4 * d_b, 4 * d_b), dtype=np.complex128)
-        for sig in PAULI:
-            for g in basis_b:
-                m += rng.standard_normal() * kron_all(sig, g, eye_c)
-        return m
-
-    h_ab = random_coupling_left()
+    left, right, local = _operator_stacks(d_b)
+    h_ab = _random_combination(rng, left)
     if break_symmetry:
-        h_bc = np.zeros_like(h_ab)
-        for g in basis_b:
-            for sig in PAULI:
-                h_bc += rng.standard_normal() * kron_all(eye_c, g, sig)
+        h_bc = _random_combination(rng, right)
     else:
-        s = swap_operator(dims, 0, 2)
+        s = swap_operator((2, d_b, 2), 0, 2)
         h_bc = s @ h_ab @ s
-
-    h_b = np.zeros((d_b, d_b), dtype=np.complex128)
-    for g in basis_b:
-        h_b += rng.standard_normal() * g
-    return HermitianOperator(h_ab + h_bc + kron_all(eye_c, h_b, eye_c))
+    return HermitianOperator(h_ab + h_bc + _random_combination(rng, local))
 
 
 @dataclass(frozen=True)
@@ -212,23 +218,16 @@ def _family_check(
     if rank < 2:
         return None
     beta = _top_eigenvector(rho_b)
-    energies = []
-    coeff_sets = [np.eye(rank)[k] for k in range(rank)]
-    coeff_sets += [
+    coeffs = np.vstack([np.eye(rank)] + [
         rng.standard_normal(rank) + 1j * rng.standard_normal(rank) for _ in range(samples)
-    ]
-    for coeffs in coeff_sets:
-        state = np.zeros(h.dim, dtype=np.complex128)
-        for j in range(rank):
-            state += coeffs[j] * kron_all(
-                sd.basis_left[:, j].reshape(-1, 1),
-                beta.reshape(-1, 1),
-                sd.basis_right[:, j].reshape(-1, 1),
-            ).reshape(-1)
-        state /= np.linalg.norm(state)
-        energies.append(float(np.real(np.vdot(state, h.matrix @ state))))
+    ])
+    states = np.einsum(
+        "kj,aj,b,cj->kabc", coeffs, sd.basis_left[:, :rank], beta, sd.basis_right[:, :rank]
+    ).reshape(len(coeffs), h.dim)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    energies = np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real
 
-    spread = max(energies) - min(energies)
+    spread = float(energies.max() - energies.min())
     scale = max(1.0, frobenius_norm(h.matrix))
     return FamilyCheck(
         rank=rank, spread=spread, passed=bool(spread <= FAMILY_ENERGY_RTOL * scale)
@@ -313,14 +312,14 @@ def theorem_fuzz(
         n_ce = 0
         n_fam = 0
         fam_ok = True
-        for a, rho_b, sd in _analyze_decomposition(eigh(h), dims):
-            if a.schmidt_rank_ac is None or a.schmidt_rank_ac < 2:
+        dec = eigh(h)
+        for i, (rho_b, p_b, sd) in enumerate(_middle_reductions(dec, dims)):
+            rank = 0 if sd is None else sd.rank(SCHMIDT_RANK_TOL)
+            if rank < 2:
                 continue
-            if not a.is_degenerate and a.purity_b >= 1.0 - PURITY_PURE_ATOL:
+            if not dec.is_degenerate(i) and p_b >= 1.0 - PURITY_PURE_ATOL:
                 n_ce += 1
-                counterexamples.append(
-                    Counterexample(t, a.index, a.energy, a.purity_b, a.schmidt_rank_ac)
-                )
+                counterexamples.append(Counterexample(t, i, float(dec.eigenvalues[i]), p_b, rank))
             check = _family_check(h, rho_b, sd, rng, FAMILY_SAMPLES)
             family_checks.append(check)
             n_fam += 1

@@ -65,6 +65,22 @@ def test_sweep_ising_csv(tmp_path, capsys):
     assert all(row["status"] == "ok" for row in result.rows)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_negative_grid_spec(tmp_path, capsys, source):
+    out_path = tmp_path / "ising.csv"
+    if source == "flag":
+        argv = ["sweep", "--model", "ising", "--lambda-grid", "-1:1:3"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("model = ising\nlambda_grid = -1:1:3\n")
+        argv = ["sweep", "--config", str(config)]
+    code, _, _ = run(capsys, *argv, "--delta-grid", "-0.5:0.5:2", "--out", str(out_path))
+    assert code == 0
+    result = SweepResult.read_csv(out_path)
+    assert result.column("delta") == [-0.5, -0.5, -0.5, 0.5, 0.5, 0.5]
+    assert result.column("lambda") == [-1.0, 0.0, 1.0] * 2
+
+
 def test_sweep_rerun_byte_identical(tmp_path, capsys):
     args = [
         "sweep", "--model", "ising", "--out", None,

@@ -99,7 +99,7 @@ def test_failed_evaluations_are_discarded():
     def flaky_model(x):
         calls["n"] += 1
         if x[0] > 2.0:
-            raise RuntimeError("synthetic failure region")
+            raise NumericalError("synthetic failure region")
         return build_ising(IsingParams(delta=0.1, lam=float(x[0])))
 
     problem = ControlProblem(
@@ -114,12 +114,23 @@ def test_failed_evaluations_are_discarded():
 
 def test_all_failures_raises_numerical_error():
     def broken_model(x):
-        raise RuntimeError("always down")
+        raise NumericalError("always down")
 
     problem = ControlProblem(
         model=broken_model, control_dim=1, bounds=((0.0, 1.0),), dims=(2, 2, 2)
     )
     with pytest.raises(NumericalError):
+        optimize(problem, budget=20, seed=0)
+
+
+def test_programming_error_propagates():
+    def buggy_model(x):
+        raise TypeError("not a numerical failure")
+
+    problem = ControlProblem(
+        model=buggy_model, control_dim=1, bounds=((0.0, 1.0),), dims=(2, 2, 2)
+    )
+    with pytest.raises(TypeError):
         optimize(problem, budget=20, seed=0)
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from medent.dicke import DickeConfig, dicke_mediator_form
-from medent.linalg import HermitianOperator, eigh, kron_all, swap_operator
+from medent.linalg import HermitianOperator, eigh, kron_all, reduced_density, swap_operator
 from medent.theorem import (
+    SCHMIDT_RANK_TOL,
+    _outer_schmidt,
+    _top_eigenvector,
     analyze_eigenstates,
     corollary_check,
     degenerate_family_check,
@@ -14,7 +17,13 @@ from medent.theorem import (
     random_symmetric_hamiltonian,
     theorem_fuzz,
 )
-from medent.tripartite import IsingParams, PauliCoefficients, build_ising, build_pauli_hamiltonian
+from medent.tripartite import (
+    PAULI,
+    IsingParams,
+    PauliCoefficients,
+    build_ising,
+    build_pauli_hamiltonian,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -87,6 +96,14 @@ def test_ghz_projector_ground_state():
     assert ground.purity_b == pytest.approx(0.5, abs=1e-10)
     assert ground.schmidt_rank_ac is None
     assert not ground.fully_factorized
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_outer_and_middle_purities_agree(d_b):
+    # a pure tripartite state's B and AC reductions share their nonzero spectrum
+    h = random_symmetric_hamiltonian(d_b, np.random.default_rng(d_b))
+    for a in analyze_eigenstates(h, (2, d_b, 2)):
+        assert abs(a.purity_ac - a.purity_b) <= 1e-12
 
 
 def test_asymmetric_operator_warns():
@@ -184,6 +201,52 @@ def test_family_energy_equality_on_dark_state():
     assert check.spread <= 1e-9 * max(1.0, np.linalg.norm(h.matrix))
 
 
+def family_spread_reference(h, psi, dims, rng, samples):
+    """Rank and energy spread of psi's family, one state and one kron_all per term."""
+    beta = _top_eigenvector(reduced_density(psi, dims, (1,)))
+    sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
+    rank = sd.rank(SCHMIDT_RANK_TOL)
+    coeff_sets = [np.eye(rank)[k] for k in range(rank)]
+    coeff_sets += [
+        rng.standard_normal(rank) + 1j * rng.standard_normal(rank) for _ in range(samples)
+    ]
+    energies = []
+    for coeffs in coeff_sets:
+        state = sum(
+            coeffs[j]
+            * kron_all(sd.basis_left[:, [j]], beta.reshape(-1, 1), sd.basis_right[:, [j]])[:, 0]
+            for j in range(rank)
+        )
+        state = state / np.linalg.norm(state)
+        energies.append(np.vdot(state, h.matrix @ state).real)
+    return rank, max(energies) - min(energies)
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_family_check_matches_per_state_reference(d_b):
+    dims = (2, d_b, 2)
+    gen = np.random.default_rng(10 + d_b)
+    h = random_symmetric_hamiltonian(d_b, gen)
+    dec = eigh(h)
+    # the dark states (spread ~0) and random pure-middle states off the family (spread O(1))
+    states = [dec.eigenvectors[:, a.index] for a in analyze_eigenstates(h, dims)
+              if (a.schmidt_rank_ac or 0) >= 2]
+    for _ in range(3):
+        phi = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+        beta = gen.standard_normal(d_b) + 1j * gen.standard_normal(d_b)
+        psi = np.einsum("ac,b->abc", phi, beta).reshape(-1)
+        states.append(psi / np.linalg.norm(psi))
+    assert len(states) == d_b + 3
+    tol = 1e-12 * np.linalg.norm(h.matrix)
+    for psi in states:
+        fast_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        check = degenerate_family_check(h, psi, dims, fast_rng)
+        rank, spread = family_spread_reference(h, psi, dims, ref_rng, 4)
+        assert check.rank == rank == 2
+        assert abs(check.spread - spread) <= tol
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_family_check_skips_product_states():
     rng = np.random.default_rng(5)
     h = build_ising(IsingParams(delta=0.0, lam=0.5))
@@ -201,25 +264,25 @@ def test_fuzz_reports_are_deterministic():
     assert r1.trial_records == r2.trial_records
 
 
-@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_fuzz_finds_only_swap_odd_counterexamples(d_b):
     report = theorem_fuzz(10, d_b, 42)
-    # the dark sector exists in every symmetric trial
-    assert len(report.counterexamples) > 0
+    # closed form: the swap-odd sector singlet_AC x mediator holds exactly d_b
+    # eigenstates, each a counterexample, and nothing else is reported
+    assert report.skipped_asymmetric == 0
+    assert [r.counterexamples for r in report.trial_records] == [d_b] * 10
     assert all(ce.purity_b >= 1 - 1e-10 for ce in report.counterexamples)
     assert all(ce.schmidt_rank_ac == 2 for ce in report.counterexamples)
     # family Rayleigh-quotient equality holds wherever triggered
     assert all(f.passed for f in report.family_checks)
-    # verify the swap-odd signature on one reported case
-    ce = report.counterexamples[0]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=42, spawn_key=(ce.trial,))
-    )
-    h = random_symmetric_hamiltonian(d_b, rng)
-    dec = eigh(h)
     s = swap_operator((2, d_b, 2), 0, 2)
-    psi = dec.eigenvectors[:, ce.eigenstate_index]
-    assert float(np.real(np.vdot(psi, s @ psi))) == pytest.approx(-1.0, abs=1e-9)
+    for ce in report.counterexamples:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=42, spawn_key=(ce.trial,))
+        )
+        dec = eigh(random_symmetric_hamiltonian(d_b, rng))
+        psi = dec.eigenvectors[:, ce.eigenstate_index]
+        assert float(np.real(np.vdot(psi, s @ psi))) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_fuzz_break_symmetry_skips_checks():
@@ -242,6 +305,38 @@ def test_hermitian_basis_spans():
             assert np.allclose(g, g.conj().T)
         flat = np.array([g.reshape(-1) for g in basis])
         assert np.linalg.matrix_rank(flat) == d * d
+
+
+def per_term_symmetric_hamiltonian(d_b, rng, break_symmetry):
+    """Reference assembly: one kron_all and one scalar draw per term."""
+    basis_b = hermitian_basis(d_b)
+    h_ab = np.zeros((4 * d_b, 4 * d_b), dtype=complex)
+    for sig in PAULI:
+        for g in basis_b:
+            h_ab += rng.standard_normal() * kron_all(sig, g, I2)
+    if break_symmetry:
+        h_bc = np.zeros_like(h_ab)
+        for g in basis_b:
+            for sig in PAULI:
+                h_bc += rng.standard_normal() * kron_all(I2, g, sig)
+    else:
+        s = swap_operator((2, d_b, 2), 0, 2)
+        h_bc = s @ h_ab @ s
+    h_b = np.zeros((d_b, d_b), dtype=complex)
+    for g in basis_b:
+        h_b += rng.standard_normal() * g
+    return HermitianOperator(h_ab + h_bc + kron_all(I2, h_b, I2))
+
+
+@pytest.mark.parametrize("break_symmetry", [False, True])
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_random_hamiltonian_matches_per_term_assembly(d_b, break_symmetry):
+    for seed in range(5):
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = random_symmetric_hamiltonian(d_b, fast_rng, break_symmetry=break_symmetry)
+        ref = per_term_symmetric_hamiltonian(d_b, ref_rng, break_symmetry)
+        assert fast.matrix.tobytes() == ref.matrix.tobytes()
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_random_hamiltonian_is_symmetric_and_mediated():
