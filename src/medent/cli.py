@@ -35,13 +35,19 @@ def _fmt(x: float) -> str:
     return format_value(float(x))
 
 
-def _add_ising_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """Model constants shared by every command that builds a Hamiltonian."""
     p.add_argument("--j", type=float, default=1.0, help="coupling strength J")
+    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--omega-a", type=float, default=1.0)
+    p.add_argument("--omega-f", type=float, default=1.0)
+
+
+def _add_point_flags(p: argparse.ArgumentParser) -> None:
+    """Model constants plus the parameters of one Ising or Dicke point."""
+    _add_model_flags(p)
     p.add_argument("--delta", type=float, default=0.0, help="outer-site field parameter")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="middle-site control")
-
-
-def _add_dicke_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", default="h1", choices=("h1", "h2", "h3"))
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--lam-tilde", type=float, default=1.0)
@@ -49,9 +55,6 @@ def _add_dicke_flags(p: argparse.ArgumentParser) -> None:
         "--quad-lam", type=float, default=None,
         help="quadratic coefficient override (defaults to kappa^2 / omega_a)",
     )
-    p.add_argument("--nmax", type=int, default=40)
-    p.add_argument("--omega-a", type=float, default=1.0)
-    p.add_argument("--omega-f", type=float, default=1.0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="print sorted eigenvalues and degeneracy groups")
     sp.add_argument("--config", default=None, help="key=value defaults file")
     sp.add_argument("--model", required=True, choices=("ising", "dicke"))
-    _add_ising_flags(sp)
-    _add_dicke_flags(sp)
+    _add_point_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     sw = sub.add_parser("sweep", help="grid sweep to CSV")
@@ -71,13 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.add_argument("--delta-grid", default="0.01:2:25", help="start:stop:count")
     sw.add_argument("--lambda-grid", default="0:3:31", help="start:stop:count")
-    sw.add_argument("--j", type=float, default=1.0)
     sw.add_argument("--variants", default="h1,h2,h3", help="comma-separated dicke variants")
     sw.add_argument("--kappa-grid", default="0:1.2:25", help="start:stop:count")
     sw.add_argument("--lam-tilde-grid", default="1:1:1", help="start:stop:count")
-    sw.add_argument("--nmax", type=int, default=40)
-    sw.add_argument("--omega-a", type=float, default=1.0)
-    sw.add_argument("--omega-f", type=float, default=1.0)
+    _add_model_flags(sw)
     sw.add_argument("--tol", type=float, default=1e-6, help="Fock convergence tolerance")
     sw.set_defaults(func=cmd_sweep)
 
@@ -98,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     op.add_argument("--lower", type=float, default=0.0, help="control lower bound")
     op.add_argument("--upper", type=float, default=3.0, help="control upper bound")
     op.add_argument("--trace-out", default=None, help="optional evaluation-trace CSV")
-    _add_ising_flags(op)
-    _add_dicke_flags(op)
+    _add_point_flags(op)
     op.set_defaults(func=cmd_optimize)
 
     return parser

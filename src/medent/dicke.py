@@ -178,8 +178,8 @@ class DickeGroundPoint:
     gap: float
     concurrence: ConcurrenceResult
     nmax_used: int
-    converged: bool | None
-    convergence_delta: float | None
+    converged: bool
+    convergence_delta: float
 
 
 def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
@@ -193,7 +193,6 @@ def dicke_ground_point(
     *,
     convergence_tol: float = CONVERGENCE_TOL,
     n_max_limit: int = N_MAX_LIMIT,
-    verify_convergence: bool = True,
 ) -> DickeGroundPoint:
     """Evaluate one point, doubling the Fock cutoff until the concurrence settles.
 
@@ -202,9 +201,6 @@ def dicke_ground_point(
     with ``converged=False`` rather than silently accepted.
     """
     energy, gap, conc = _evaluate(cfg)
-    if not verify_convergence:
-        return DickeGroundPoint(cfg, energy, gap, conc, cfg.n_max, None, None)
-
     n = cfg.n_max
     while True:
         doubled = cfg.with_n_max(2 * n)
@@ -225,7 +221,7 @@ def dicke_ground_point(
 def dicke_ground_concurrence(cfg: DickeConfig, **kwargs) -> ConcurrenceResult:
     """Atom-atom concurrence of the ground level, with Fock-cutoff verification."""
     point = dicke_ground_point(cfg, **kwargs)
-    if point.converged is False:
+    if not point.converged:
         raise FockConvergenceError(
             f"concurrence still changes by {point.convergence_delta:.3e} at "
             f"n_max = {point.nmax_used}"

@@ -137,16 +137,20 @@ class EigenDecomposition:
         raise IndexError(index)
 
 
+def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the unit phase that turns its largest-magnitude entry real
+    positive (1 for a zero column)."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # np.hypot rounds like the scalar abs() of a complex number; array np.abs does not
+    mag = np.hypot(pivots.real, pivots.imag)
+    nonzero = mag > 0
+    return np.where(nonzero, pivots.conj() / np.where(nonzero, mag, 1.0), 1.0)
+
+
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    out = np.array(vectors, dtype=np.complex128)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    v = np.asarray(vectors, dtype=np.complex128)
+    return v * _pivot_phases(v)
 
 
 def degeneracy_groups(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -298,13 +302,9 @@ def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     u, s, vh = np.linalg.svd(v.reshape(dl, dr), full_matrices=False)
     # phase convention: left vectors real-positive at their largest entry,
     # compensating phases absorbed into the right vectors
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        pivot = u[k, j]
-        if abs(pivot) > 0:
-            ph = pivot.conjugate() / abs(pivot)
-            u[:, j] *= ph
-            vh[j, :] *= ph.conjugate()
+    ph = _pivot_phases(u)
+    u *= ph
+    vh *= ph.conj()[:, None]
     return SchmidtDecomposition(
         coefficients=_readonly(s.astype(float)),
         basis_left=_readonly(u),

@@ -37,8 +37,6 @@ COLUMN_TYPES: dict[str, type] = {
     "evaluation": int,
     "value": float,
     "control_0": float,
-    "control_1": float,
-    "control_2": float,
 }
 
 

@@ -18,9 +18,7 @@ import numpy as np
 
 from .entanglement import concurrence, ground_level_density
 from .linalg import (
-    DensityMatrix,
     DimensionError,
-    EigenDecomposition,
     HermitianOperator,
     SchmidtDecomposition,
     _readonly,
@@ -74,30 +72,15 @@ class EigenstateAnalysis:
     fully_factorized: bool
 
 
-def _top_eigenvector(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue: the state of a pure ``rho``."""
-    return np.linalg.eigh(rho.matrix)[1][:, -1]
-
-
-def _outer_schmidt(rho_ac: DensityMatrix, dims) -> SchmidtDecomposition:
-    """Schmidt decomposition of the outer pair's state, given its pure reduction."""
-    omega = _top_eigenvector(rho_ac)
-    return schmidt(omega / np.linalg.norm(omega), (dims[0], dims[2]))
-
-
-def _middle_reductions(dec: EigenDecomposition, dims) -> list[tuple]:
-    """Per eigenstate of ``dec``: its middle reduction, that reduction's purity
-    and, when it is pure, the outer pair's Schmidt decomposition (else None)."""
-    out = []
-    for i in range(dec.dim):
-        psi = dec.eigenvectors[:, i]
-        rho_b = reduced_density(psi, dims, (1,))
-        p_b = purity(rho_b)
-        sd = None
-        if p_b >= 1.0 - PURITY_EXTRACT_ATOL:
-            sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
-        out.append((rho_b, p_b, sd))
-    return out
+def _middle_split(psi, dims) -> tuple[float, np.ndarray | None, SchmidtDecomposition | None]:
+    """Purity of psi's middle reduction and, if pure, the mediator state beta and the
+    outer pair's Schmidt decomposition: then psi = omega_AC x beta, so beta and omega
+    are the top singular vectors of psi split as mediator | outer pair."""
+    p_b = purity(reduced_density(psi, dims, (1,)))
+    if p_b < 1.0 - PURITY_EXTRACT_ATOL:
+        return p_b, None, None
+    split = schmidt(np.swapaxes(np.reshape(psi, dims), 0, 1), (dims[1], dims[0] * dims[2]))
+    return p_b, split.basis_left[:, 0], schmidt(split.basis_right[:, 0], (dims[0], dims[2]))
 
 
 def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis, ...]:
@@ -116,8 +99,9 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
         )
     dec = eigh(h)
     out = []
-    for i, (_, p_b, sd) in enumerate(_middle_reductions(dec, dims)):
-        rho_ac = reduced_density(dec.eigenvectors[:, i], dims, (0, 2))
+    for i, psi in enumerate(dec.eigenvectors.T):
+        p_b, _, sd = _middle_split(psi, dims)
+        rho_ac = reduced_density(psi, dims, (0, 2))
         rank = None if sd is None else sd.rank(SCHMIDT_RANK_TOL)
         out.append(EigenstateAnalysis(
             index=i,
@@ -211,13 +195,12 @@ class FamilyCheck:
 
 
 def _family_check(
-    h: HermitianOperator, rho_b: DensityMatrix, sd: SchmidtDecomposition, rng, samples: int
+    h: HermitianOperator, beta: np.ndarray, sd: SchmidtDecomposition, rng, samples: int
 ) -> FamilyCheck | None:
-    """Family energy check for a pure middle ``rho_b``; None below outer Schmidt rank 2."""
+    """Family energy check for mediator state ``beta``; None below outer Schmidt rank 2."""
     rank = sd.rank(SCHMIDT_RANK_TOL)
     if rank < 2:
         return None
-    beta = _top_eigenvector(rho_b)
     coeffs = np.vstack([np.eye(rank)] + [
         rng.standard_normal(rank) + 1j * rng.standard_normal(rank) for _ in range(samples)
     ])
@@ -242,12 +225,8 @@ def degenerate_family_check(
     samples: int = FAMILY_SAMPLES,
 ) -> FamilyCheck | None:
     """Run the family energy check if ``psi`` qualifies (pure middle, rank >= 2)."""
-    dims = tuple(int(d) for d in dims)
-    rho_b = reduced_density(psi, dims, (1,))
-    if purity(rho_b) < 1.0 - PURITY_EXTRACT_ATOL:
-        return None
-    sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
-    return _family_check(h, rho_b, sd, rng, samples)
+    _, beta, sd = _middle_split(psi, tuple(int(d) for d in dims))
+    return None if sd is None else _family_check(h, beta, sd, rng, samples)
 
 
 @dataclass(frozen=True)
@@ -313,14 +292,15 @@ def theorem_fuzz(
         n_fam = 0
         fam_ok = True
         dec = eigh(h)
-        for i, (rho_b, p_b, sd) in enumerate(_middle_reductions(dec, dims)):
+        for i, psi in enumerate(dec.eigenvectors.T):
+            p_b, beta, sd = _middle_split(psi, dims)
             rank = 0 if sd is None else sd.rank(SCHMIDT_RANK_TOL)
             if rank < 2:
                 continue
             if not dec.is_degenerate(i) and p_b >= 1.0 - PURITY_PURE_ATOL:
                 n_ce += 1
                 counterexamples.append(Counterexample(t, i, float(dec.eigenvalues[i]), p_b, rank))
-            check = _family_check(h, rho_b, sd, rng, FAMILY_SAMPLES)
+            check = _family_check(h, beta, sd, rng, FAMILY_SAMPLES)
             family_checks.append(check)
             n_fam += 1
             fam_ok = fam_ok and check.passed

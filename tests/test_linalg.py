@@ -6,6 +6,7 @@ from medent.linalg import (
     DimensionError,
     HermitianOperator,
     eigh,
+    fix_phases,
     kron,
     kron_all,
     partial_trace,
@@ -111,6 +112,28 @@ def test_eigh_deterministic_and_phase_fixed():
         col = d1.eigenvectors[:, j]
         pivot = col[int(np.argmax(np.abs(col)))]
         assert pivot.real > 0 and abs(pivot.imag) < 1e-14
+
+
+def scalar_fix_phases(vectors):
+    """Reference: one column at a time, pivot magnitude from the scalar abs()."""
+    out = np.array(vectors, dtype=np.complex128)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if abs(pivot) > 0:
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def test_fix_phases_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in [*range(2, 65), 100, 164, 323, 324]:
+        real = rng.standard_normal((n, n))
+        for m in (real, real + 1j * rng.standard_normal((n, n))):
+            assert fix_phases(m).tobytes() == scalar_fix_phases(m).tobytes()
+    with_zero = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    with_zero[:, 1] = 0.0
+    assert fix_phases(with_zero).tobytes() == scalar_fix_phases(with_zero).tobytes()
 
 
 def test_degeneracy_grouping():

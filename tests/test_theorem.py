@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from medent.dicke import DickeConfig, dicke_mediator_form
-from medent.linalg import HermitianOperator, eigh, kron_all, reduced_density, swap_operator
+from medent.linalg import (
+    HermitianOperator,
+    eigh,
+    kron_all,
+    reduced_density,
+    schmidt,
+    swap_operator,
+)
 from medent.theorem import (
+    PURITY_PURE_ATOL,
     SCHMIDT_RANK_TOL,
-    _outer_schmidt,
-    _top_eigenvector,
+    _middle_split,
     analyze_eigenstates,
     corollary_check,
     degenerate_family_check,
@@ -202,9 +209,11 @@ def test_family_energy_equality_on_dark_state():
 
 
 def family_spread_reference(h, psi, dims, rng, samples):
-    """Rank and energy spread of psi's family, one state and one kron_all per term."""
-    beta = _top_eigenvector(reduced_density(psi, dims, (1,)))
-    sd = _outer_schmidt(reduced_density(psi, dims, (0, 2)), dims)
+    """Rank and energy spread of psi's family, one state and one kron_all per term;
+    beta and omega are the top eigenvectors of the middle and outer reductions."""
+    beta = np.linalg.eigh(reduced_density(psi, dims, (1,)).matrix)[1][:, -1]
+    omega = np.linalg.eigh(reduced_density(psi, dims, (0, 2)).matrix)[1][:, -1]
+    sd = schmidt(omega / np.linalg.norm(omega), (dims[0], dims[2]))
     rank = sd.rank(SCHMIDT_RANK_TOL)
     coeff_sets = [np.eye(rank)[k] for k in range(rank)]
     coeff_sets += [
@@ -283,6 +292,25 @@ def test_fuzz_finds_only_swap_odd_counterexamples(d_b):
         dec = eigh(random_symmetric_hamiltonian(d_b, rng))
         psi = dec.eigenvectors[:, ce.eigenstate_index]
         assert float(np.real(np.vdot(psi, s @ psi))) == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_pure_middle_eigenstates_are_omega_times_beta(d_b):
+    # a pure middle reduction means psi = omega_AC x beta, read off one Schmidt split
+    dims = (2, d_b, 2)
+    checked = 0
+    for t in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(t,)))
+        dec = eigh(random_symmetric_hamiltonian(d_b, rng))
+        for psi in dec.eigenvectors.T:
+            p_b, beta, sd = _middle_split(psi, dims)
+            if p_b < 1.0 - PURITY_PURE_ATOL:
+                continue
+            omega = sd.reconstruct().reshape(2, 2)
+            product = np.einsum("ac,b->abc", omega, beta).reshape(-1)
+            assert abs(abs(np.vdot(psi, product)) - 1.0) <= 1e-12
+            checked += 1
+    assert checked >= 5 * d_b
 
 
 def test_fuzz_break_symmetry_skips_checks():
