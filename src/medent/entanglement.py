@@ -16,9 +16,12 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
+    _density_stack,
+    _lapack_stack,
+    _raise_any,
     _readonly,
+    _trace_out,
     eigh,
-    reduced_density,
 )
 from .tripartite import SIGMA_2
 
@@ -40,29 +43,79 @@ class ConcurrenceResult:
     degenerate_ground: bool = False
 
 
-def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Wootters concurrence of every density matrix in an (n, 4, 4) stack.
+
+    The matrices must already have passed the ``DensityMatrix`` checks.
+    Returns the values (n,), the tilde lambdas (n, 4) and, per matrix, the
+    LAPACK failure or None; if LAPACK fails on the stack, the matrices are
+    solved one at a time.
 
     The spin-flip spectrum is obtained from the Hermitian similarity partner
     sqrt(rho) (s2 x s2) rho* (s2 x s2) sqrt(rho), which shares eigenvalues
     with the textbook non-Hermitian product but stays in Hermitian-solver
     territory.
     """
-    if rho.dim != 4:
-        raise DimensionError(f"concurrence needs a 4x4 density matrix, got dim {rho.dim}")
-    m = rho.matrix
-    w, v = np.linalg.eigh(m)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    partner = sqrt_rho @ _SPIN_FLIP @ m.conj() @ _SPIN_FLIP @ sqrt_rho
-    lam = np.linalg.eigvalsh(partner)
+    errors = [None] * len(rho)
+    w, v = _lapack_stack(np.linalg.eigh, rho, errors)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    partner = sqrt_rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP @ sqrt_rho
+    lam = _lapack_stack(np.linalg.eigvalsh, partner, errors)
     # the square root amplifies solver noise near zero (sqrt(1e-17) ~ 3e-9),
     # so eigenvalues below the relative noise floor are treated as exact zeros
-    floor = 100 * np.finfo(float).eps * max(float(lam[-1]), 0.0)
-    lam = np.where(lam < floor, 0.0, lam)
-    lam = np.sqrt(np.clip(lam, 0.0, None))[::-1]
-    value = float(lam[0] - lam[1] - lam[2] - lam[3])
-    value = min(max(value, 0.0), 1.0)
-    return ConcurrenceResult(value=value, tilde_lambdas=_readonly(lam))
+    floor = 100 * np.finfo(float).eps * np.maximum(lam[:, -1], 0.0)
+    lam = np.where(lam < floor[:, np.newaxis], 0.0, lam)
+    lam = np.sqrt(np.clip(lam, 0.0, None))[:, ::-1]
+    value = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+    return value, lam, errors
+
+
+def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
+    """Wootters concurrence of a two-qubit density matrix (see ``concurrence_stack``)."""
+    if rho.dim != 4:
+        raise DimensionError(f"concurrence needs a 4x4 density matrix, got dim {rho.dim}")
+    values, lams, errors = concurrence_stack(rho.matrix[np.newaxis])
+    _raise_any(errors)
+    return ConcurrenceResult(value=float(values[0]), tilde_lambdas=_readonly(lams[0]))
+
+
+def ground_level_density_stack(
+    vectors: np.ndarray, ground_sizes: np.ndarray, dims, keep
+) -> tuple[np.ndarray, list]:
+    """Reduced density matrices of the ground levels of a stack of eigenbases.
+
+    ``vectors`` is (n, D, D) with eigenvectors as columns in ascending energy
+    and ``ground_sizes[i]`` the size of basis i's ground group.  A ground
+    group of one gives that state's reduction, a degenerate one the equal
+    mixture of its members' reductions.  The reductions are one einsum over
+    the stack; each is checked as a ``DensityMatrix``, and so is each mixture.
+    Returns the matrices and, per basis, the first failed check or None.
+    """
+    dims = tuple(int(d) for d in dims)
+    n, k = len(vectors), int(ground_sizes.max())
+    states = vectors[:, :, :k].swapaxes(1, 2).reshape(n, k, *dims)
+    reduced = _trace_out(dims, keep, ",", states, states.conj())
+    d = reduced.shape[-1]
+    members, member_errors = _density_stack(reduced.reshape(n * k, d, d))
+    members = members.reshape(n, k, d, d)
+    errors = [
+        next((e for e in member_errors[i * k:i * k + size] if e is not None), None)
+        for i, size in enumerate(ground_sizes)
+    ]
+    rho = members[:, 0].copy()
+    deg = np.flatnonzero(ground_sizes > 1)
+    if deg.size:
+        sizes = ground_sizes[deg, np.newaxis, np.newaxis]
+        mixed = np.zeros((deg.size, d, d), dtype=np.complex128)
+        for j in range(k):
+            # +0 past the end of a smaller group leaves the sum's bits as they are
+            mixed += np.where(j < sizes, members[deg, j], 0)
+        mixed, mixed_errors = _density_stack(mixed / sizes)
+        rho[deg] = mixed
+        for i, err in zip(deg, mixed_errors):
+            if errors[i] is None:
+                errors[i] = err
+    return rho, errors
 
 
 def ground_level_density(dec, dims, keep) -> DensityMatrix:
@@ -70,11 +123,11 @@ def ground_level_density(dec, dims, keep) -> DensityMatrix:
 
     A degenerate ground level is the equal mixture over its whole subspace.
     """
-    group = dec.ground_group
-    if len(group) == 1:
-        return reduced_density(dec.eigenvectors[:, 0], dims, keep)
-    mixed = sum(reduced_density(dec.eigenvectors[:, k], dims, keep).matrix for k in group)
-    return DensityMatrix(mixed / len(group))
+    rho, errors = ground_level_density_stack(
+        dec.eigenvectors[np.newaxis], np.array([len(dec.ground_group)]), dims, keep
+    )
+    _raise_any(errors)
+    return DensityMatrix(rho[0])
 
 
 def ground_concurrence_from_decomposition(

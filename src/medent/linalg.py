@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,98 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _square_stack(entries) -> np.ndarray:
+    """``entries`` as a stack of one complex matrix; it must be square."""
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"operator must be square, got {m.shape}")
+    return m[np.newaxis]
+
+
+def _flag(errors: list, values: np.ndarray, failed, make) -> None:
+    """Record ``make(values[i])`` for each matrix i with no earlier failure
+    whose value satisfies ``failed``."""
+    for i, value in enumerate(values.tolist()):
+        if errors[i] is None and failed(value):
+            errors[i] = make(value)
+
+
+def _flag_scaled(errors: list, values: np.ndarray, rtol: float, m: np.ndarray, make) -> None:
+    """Record ``make(value, tolerance)`` for each matrix i with no earlier
+    failure whose value exceeds rtol * max(||m[i]||_F, 1)."""
+    for i, value in enumerate(values.tolist()):
+        # the tolerance is never below rtol, so the norm is needed only above it
+        if errors[i] is None and value > rtol:
+            tol = rtol * max(frobenius_norm(m[i]), 1.0)
+            if value > tol:
+                errors[i] = make(value, tol)
+
+
+def _raise_any(errors) -> None:
+    for e in errors:
+        if e is not None:
+            raise e
+
+
+def _lapack_stack(solve, stack: np.ndarray, errors: list, wrap=lambda exc: exc):
+    """``solve`` on a whole (n, d, d) stack in one call.
+
+    If LAPACK fails on the stack, each matrix is solved on its own: one that
+    fails again gets ``wrap(exc)`` recorded in ``errors`` and the result of a
+    zero matrix in place of its own.
+    """
+    try:
+        return solve(stack)
+    except np.linalg.LinAlgError:
+        pass
+    results = []
+    for i, m in enumerate(stack):
+        try:
+            results.append(solve(m))
+        except np.linalg.LinAlgError as exc:
+            if errors[i] is None:
+                errors[i] = wrap(exc)
+            results.append(solve(np.zeros_like(m)))
+    if isinstance(results[0], tuple):
+        return tuple(np.stack(parts) for parts in zip(*results))
+    return np.stack(results)
+
+
+def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
+    """The Hermitian part of every matrix in an (n, d, d) complex stack, with
+    per-matrix contract failures.
+
+    A matrix fails with ValueError if it has a NaN or Inf entry (it then comes
+    back as zeros) or if max|M - M^dag| exceeds HERMITICITY_RTOL *
+    max(||M||_F, 1).  ``errors[i]`` is None for a matrix that passed.
+    """
+    n = len(m)
+    errors = [None] * n
+    if not np.isfinite(m.view(np.float64)).all():
+        finite = np.isfinite(m.view(np.float64).reshape(n, -1)).all(axis=1)
+        _flag(errors, ~finite, bool, lambda _: ValueError("matrix contains NaN or Inf entries"))
+        m = np.where(finite[:, np.newaxis, np.newaxis], m, 0)
+    mh = m.conj().swapaxes(1, 2)
+    defect = np.abs(m - mh).reshape(n, -1).max(axis=1)
+    _flag_scaled(errors, defect, HERMITICITY_RTOL, m, lambda dv, tol: ValueError(
+        f"matrix is not Hermitian: max|M - M^dag| = {dv:.3e} (tolerance {tol:.3e})"
+    ))
+    return (m + mh) / 2, errors
+
+
+def _density_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
+    """``_hermitian_stack`` plus the density-matrix contract per matrix: unit
+    trace within TRACE_ATOL and no eigenvalue below -PSD_ATOL (ValueError)."""
+    m, errors = _hermitian_stack(m)
+    _flag(errors, np.trace(m, axis1=1, axis2=2).real, lambda tr: abs(tr - 1.0) > TRACE_ATOL,
+          lambda tr: ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}"))
+    _flag(errors, _lapack_stack(np.linalg.eigvalsh, m, errors)[:, 0], lambda low: low < -PSD_ATOL,
+          lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
+    return m, errors
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A square complex matrix verified to be Hermitian at construction."""
@@ -60,17 +153,9 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"operator must be square, got {m.shape}")
-        scale = max(frobenius_norm(m), 1.0)
-        defect = np.abs(m - m.conj().T).max()
-        if defect > HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
-                f"(tolerance {HERMITICITY_RTOL * scale:.3e})"
-            )
-        object.__setattr__(self, "matrix", _readonly((m + m.conj().T) / 2))
+        m, errors = _hermitian_stack(_square_stack(self.matrix))
+        _raise_any(errors)
+        object.__setattr__(self, "matrix", _readonly(m[0]))
 
     @property
     def dim(self) -> int:
@@ -84,15 +169,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        op = HermitianOperator(self.matrix)
-        m = op.matrix
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}")
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -PSD_ATOL:
-            raise ValueError(f"negative eigenvalue {evals[0]:.3e} below -{PSD_ATOL}")
-        object.__setattr__(self, "matrix", m)
+        m, errors = _density_stack(_square_stack(self.matrix))
+        _raise_any(errors)
+        object.__setattr__(self, "matrix", _readonly(m[0]))
 
     @property
     def dim(self) -> int:
@@ -138,9 +217,12 @@ class EigenDecomposition:
 
 
 def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
-    """Per column, the unit phase that turns its largest-magnitude entry real
-    positive (1 for a zero column)."""
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    """Per column of a matrix or of each matrix in an (n, d, k) stack, the unit
+    phase that turns its largest-magnitude entry real positive (1 for a zero
+    column)."""
+    rows = np.argmax(np.abs(vectors), axis=-2)
+    stack = (np.arange(len(vectors))[:, np.newaxis],) if vectors.ndim == 3 else ()
+    pivots = vectors[(*stack, rows, np.arange(vectors.shape[-1]))]
     # np.hypot rounds like the scalar abs() of a complex number; array np.abs does not
     mag = np.hypot(pivots.real, pivots.imag)
     nonzero = mag > 0
@@ -148,16 +230,22 @@ def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column (of each matrix in a stack) so its largest-magnitude
+    entry is real positive."""
     v = np.asarray(vectors, dtype=np.complex128)
-    return v * _pivot_phases(v)
+    return v * _pivot_phases(v)[..., np.newaxis, :]
+
+
+def _degeneracy_tol(w: np.ndarray):
+    """Largest spread within one degeneracy group, per sorted spectrum (last axis)."""
+    return DEGENERACY_RTOL * np.maximum(1.0, w[..., -1] - w[..., 0])
 
 
 def degeneracy_groups(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Partition sorted eigenvalues into groups of bounded spread."""
     w = np.asarray(eigenvalues, dtype=float)
     n = w.shape[0]
-    tol = DEGENERACY_RTOL * max(1.0, float(w[-1] - w[0]))
+    tol = _degeneracy_tol(w)
     groups = []
     start = 0
     while start < n:
@@ -169,6 +257,65 @@ def degeneracy_groups(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
+class EigenStack(NamedTuple):
+    """Eigendecompositions of a stack of n Hermitian d x d matrices.
+
+    Per matrix: ascending eigenvalues (n, d), phase-fixed eigenvectors as
+    columns (n, d, d), the size of the ground group and the gap above it under
+    the ``degeneracy_groups`` rule, and ``errors[i]``, the contract failure of
+    matrix i (None if it passed).  The entries of a failed matrix carry no
+    meaning.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    ground_sizes: np.ndarray
+    gaps: np.ndarray
+    errors: tuple
+
+
+def _nonconvergence(exc: np.linalg.LinAlgError) -> NumericalError:
+    err = NumericalError(f"eigensolver failed to converge: {exc}")
+    err.__cause__ = exc
+    return err
+
+
+def _eigh_hermitian(m: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """One LAPACK call over a stack of Hermitian matrices, then the phase
+    convention and the orthonormality and residual contracts per matrix."""
+    n, d = m.shape[0], m.shape[-1]
+    w, v = _lapack_stack(np.linalg.eigh, m, errors, _nonconvergence)
+    v = fix_phases(v)
+
+    gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).reshape(n, -1).max(axis=1)
+    _flag(errors, gram_defect, lambda g: g > ORTHONORMALITY_ATOL,
+          lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
+    residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
+    _flag_scaled(errors, residual, RESIDUAL_RTOL, m,
+                 lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
+    return w, v
+
+
+def eigh_stack(matrices) -> EigenStack:
+    """``eigh`` of every matrix in an (n, d, d) stack with one LAPACK call.
+
+    Each matrix is checked as ``HermitianOperator`` checks it and solved as
+    ``eigh`` solves it, bit for bit; a failed contract is recorded in
+    ``errors`` and leaves the other matrices unaffected.  If LAPACK fails on
+    the stack, the matrices are solved one at a time.
+    """
+    m = np.asarray(matrices, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DimensionError(f"expected an (n, d, d) stack, got shape {m.shape}")
+    m, errors = _hermitian_stack(m)
+    w, v = _eigh_hermitian(m, errors)
+    d = w.shape[1]
+    # the ground group of degeneracy_groups: the eigenvalues within tolerance of the lowest
+    sizes = np.count_nonzero(w - w[:, :1] <= _degeneracy_tol(w)[:, np.newaxis], axis=1)
+    above = np.take_along_axis(w, np.minimum(sizes, d - 1)[:, np.newaxis], axis=1)[:, 0]
+    return EigenStack(w, v, sizes, np.where(sizes < d, above - w[:, 0], 0.0), tuple(errors))
+
+
 def eigh(h: HermitianOperator) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
@@ -177,26 +324,13 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
     positive).  Raises NumericalError if the orthonormality or residual
     contract is violated.
     """
-    m = h.matrix
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    v = fix_phases(v)
-    n = m.shape[0]
-
-    gram_defect = np.abs(v.conj().T @ v - np.eye(n)).max()
-    if gram_defect > ORTHONORMALITY_ATOL:
-        raise NumericalError(f"eigenvector orthonormality defect {gram_defect:.3e}")
-    scale = max(frobenius_norm(m), 1.0)
-    residual = np.linalg.norm(m @ v - v * w[np.newaxis, :], axis=0).max()
-    if residual > RESIDUAL_RTOL * scale:
-        raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-
+    errors = [None]
+    w, v = _eigh_hermitian(h.matrix[np.newaxis], errors)
+    _raise_any(errors)
     return EigenDecomposition(
-        eigenvalues=_readonly(w.astype(float)),
-        eigenvectors=_readonly(v),
-        degeneracy_groups=degeneracy_groups(w),
+        eigenvalues=_readonly(w[0]),
+        eigenvectors=_readonly(v[0]),
+        degeneracy_groups=degeneracy_groups(w[0]),
     )
 
 
@@ -220,11 +354,12 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> DensityMatrix:
+def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> np.ndarray:
     """Contract the row and column indices of every subsystem not in ``keep``.
 
     ``separator`` "" reads one operator tensor (rows then columns), "," a ket
-    tensor and its bra.
+    tensor and its bra.  Axes in front of the subsystem axes are stack axes and
+    stay in front of the (d, d) result.
     """
     keep = tuple(sorted(set(int(k) for k in keep)))
     n = len(dims)
@@ -233,9 +368,10 @@ def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> Density
     row = [chr(ord("a") + k) for k in range(n)]
     col = [row[k] if k not in keep else chr(ord("a") + n + k) for k in range(n)]
     out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    reduced = np.einsum("".join(row) + separator + "".join(col) + "->" + out, *tensors)
+    inputs = "..." + "".join(row) + separator + ("..." if separator else "") + "".join(col)
+    reduced = np.einsum(inputs + "->..." + out, *tensors)
     d = prod(dims[k] for k in keep)
-    return DensityMatrix(reduced.reshape(d, d))
+    return reduced.reshape(*reduced.shape[: reduced.ndim - 2 * len(keep)], d, d)
 
 
 def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
@@ -247,7 +383,7 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
     if prod(dims) != rho.dim:
         raise DimensionError(f"prod({dims}) != {rho.dim}")
-    return _trace_out(dims, keep, "", rho.matrix.reshape(*dims, *dims))
+    return DensityMatrix(_trace_out(dims, keep, "", rho.matrix.reshape(*dims, *dims)))
 
 
 def reduced_density(state: np.ndarray, dims, keep) -> DensityMatrix:
@@ -257,7 +393,7 @@ def reduced_density(state: np.ndarray, dims, keep) -> DensityMatrix:
     if psi.size != prod(dims):
         raise DimensionError(f"state size {psi.size} != prod({dims})")
     t = psi.reshape(dims)
-    return _trace_out(dims, keep, ",", t, t.conj())
+    return DensityMatrix(_trace_out(dims, keep, ",", t, t.conj()))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import ground_concurrence_from_decomposition
-from .linalg import NumericalError, eigh
-from .tripartite import IsingParams, build_ising
+from .entanglement import concurrence_stack, ground_level_density_stack
+from .linalg import NumericalError, eigh_stack
+from .tripartite import IsingParams, ising_hamiltonians
 
 # column name -> python type, shared by every sweep/report schema
 COLUMN_TYPES: dict[str, type] = {
@@ -130,14 +130,16 @@ _UNEVALUATED = {float: float("nan"), bool: False}
 def grid_sweep(schema, points, evaluate) -> SweepResult:
     """One row per grid point, in the order ``points`` yields them.
 
-    Each point is a dict of the row's leading columns; ``evaluate(point)``
-    returns the remaining ones (``status`` defaults to "ok").  A point whose
-    evaluation raises one of ``POINT_ERRORS`` keeps NaN results and
-    ``degenerate`` False, and its status reads "error: <message>".
+    Each point is a dict of the row's leading columns; ``evaluate(point)`` is
+    called once per point, in that order, and returns the remaining columns
+    (``status`` defaults to "ok").  A point whose evaluation raises one of
+    ``POINT_ERRORS`` keeps NaN results and ``degenerate`` False, and its status
+    reads "error: <message>".
     """
+    unevaluated = {c: _UNEVALUATED.get(COLUMN_TYPES.get(c)) for c in schema}
     rows = []
     for point in points:
-        row = {c: _UNEVALUATED.get(COLUMN_TYPES.get(c)) for c in schema}
+        row = dict(unevaluated)
         row.update(point, status="ok")
         try:
             row.update(evaluate(point))
@@ -158,23 +160,64 @@ ISING_SWEEP_SCHEMA = (
 )
 
 
+# grid points per stacked solve of the chain sweep
+ISING_CHUNK = 128
+
+
+def _ising_chunk(points: list[dict], j_coupling: float) -> list:
+    """Per point, its result columns or the POINT_ERRORS exception it failed
+    with, evaluated as stacks: one Hamiltonian assembly, one eigh, one
+    ground-level reduction and one concurrence for the whole chunk."""
+    outcomes, params = [], []
+    for point in points:
+        try:
+            params.append(IsingParams(j_coupling=j_coupling, delta=point["delta"], lam=point["lambda"]))
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(exc)
+    if not params:
+        return outcomes
+    h, build_errors = ising_hamiltonians(params)
+    dec = eigh_stack(h)
+    rho, rho_errors = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
+    conc, _, conc_errors = concurrence_stack(rho)
+    # per matrix, the failure of the earliest stage
+    stages = zip(build_errors, dec.errors, rho_errors, conc_errors)
+    errors = [next((e for e in errs if e is not None), None) for errs in stages]
+    valid = [slot for slot, outcome in enumerate(outcomes) if outcome is None]
+    for i, slot in enumerate(valid):
+        outcomes[slot] = errors[i] or {
+            "ground_energy": float(dec.eigenvalues[i, 0]),
+            "gap": float(dec.gaps[i]),
+            "concurrence": float(conc[i]),
+            "degenerate": bool(dec.ground_sizes[i] > 1),
+        }
+    return outcomes
+
+
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:
-    """Ground-state sweep of the chain over (delta, lambda), delta outermost."""
+    """Ground-state sweep of the chain over (delta, lambda), delta outermost.
+
+    The grid is solved ISING_CHUNK points at a time as stacks; a point that
+    fails a parameter or numerical check flags only its own row.
+    """
     deltas = [float(d) for d in delta_grid]
     lams = [float(x) for x in lambda_grid]
     if not deltas or not lams:
         raise ValueError("grids must be non-empty")
 
-    def evaluate(point: dict) -> dict:
-        params = IsingParams(j_coupling=j_coupling, delta=point["delta"], lam=point["lambda"])
-        dec = eigh(build_ising(params))
-        conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
-        return {
-            "ground_energy": dec.ground_energy,
-            "gap": dec.gap(),
-            "concurrence": conc.value,
-            "degenerate": conc.degenerate_ground,
-        }
+    points = [{"delta": d, "lambda": lam} for d in deltas for lam in lams]
+    outcomes = iter([
+        outcome
+        for start in range(0, len(points), ISING_CHUNK)
+        for outcome in _ising_chunk(points[start:start + ISING_CHUNK], j_coupling)
+    ])
 
-    points = ({"delta": d, "lambda": lam} for d in deltas for lam in lams)
+    def evaluate(point: dict) -> dict:
+        # grid_sweep asks for the points in order, so the next outcome is this point's
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
     return grid_sweep(ISING_SWEEP_SCHEMA, points, evaluate)

@@ -25,10 +25,10 @@ from .linalg import (
     eigh,
     frobenius_norm,
     kron_all,
+    permute_subsystems,
     purity,
     reduced_density,
     schmidt,
-    swap_operator,
 )
 from .tripartite import PAULI
 
@@ -48,8 +48,9 @@ def is_exchange_symmetric(h: HermitianOperator, dims, pair: tuple[int, int] = (0
         raise DimensionError(f"swap partners must have equal dims, got {dims[i]}, {dims[j]}")
     if int(np.prod(dims)) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    s = swap_operator(dims, i, j)
-    defect = frobenius_norm(s @ h.matrix @ s - h.matrix)
+    perm = list(range(len(dims)))
+    perm[i], perm[j] = j, i
+    defect = frobenius_norm(permute_subsystems(h.matrix, dims, perm) - h.matrix)
     return bool(defect <= SYMMETRY_RTOL * max(1.0, frobenius_norm(h.matrix)))
 
 
@@ -174,8 +175,7 @@ def random_symmetric_hamiltonian(
     if break_symmetry:
         h_bc = _random_combination(rng, right)
     else:
-        s = swap_operator((2, d_b, 2), 0, 2)
-        h_bc = s @ h_ab @ s
+        h_bc = permute_subsystems(h_ab, (2, d_b, 2), (2, 1, 0))
     return HermitianOperator(h_ab + h_bc + _random_combination(rng, local))
 
 

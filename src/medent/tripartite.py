@@ -7,6 +7,7 @@ Basis convention: computational product basis |a> |b> |c> with the first
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,18 +64,30 @@ class PauliCoefficients:
         return PauliCoefficients(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(3))
 
 
+@lru_cache(maxsize=1)
+def _pauli_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only term operators, built on first use (not at import): ab[j, k] =
+    sigma^j x sigma^k x 1, bc[j, k] = 1 x sigma^j x sigma^k, b[j - 1] = 1 x sigma^j x 1."""
+    return (
+        _readonly(np.array([[kron_all(a, b, SIGMA_0) for b in PAULI] for a in PAULI])),
+        _readonly(np.array([[kron_all(SIGMA_0, a, b) for b in PAULI] for a in PAULI])),
+        _readonly(np.array([kron_all(SIGMA_0, a, SIGMA_0) for a in PAULI[1:]])),
+    )
+
+
 def build_pauli_hamiltonian(c: PauliCoefficients) -> HermitianOperator:
     """Assemble the 8x8 operator from its Pauli coefficient tensors."""
+    ab, bc, b = _pauli_terms()
     h = np.zeros((8, 8), dtype=np.complex128)
     for j in range(4):
         for k in range(4):
             if c.h_ab[j, k] != 0.0:
-                h += c.h_ab[j, k] * kron_all(PAULI[j], PAULI[k], SIGMA_0)
+                h += c.h_ab[j, k] * ab[j, k]
             if c.h_bc[j, k] != 0.0:
-                h += c.h_bc[j, k] * kron_all(SIGMA_0, PAULI[j], PAULI[k])
+                h += c.h_bc[j, k] * bc[j, k]
     for j in range(3):
         if c.h_b[j] != 0.0:
-            h += c.h_b[j] * kron_all(SIGMA_0, PAULI[j + 1], SIGMA_0)
+            h += c.h_b[j] * b[j]
     return HermitianOperator(h)
 
 
@@ -115,6 +128,42 @@ class IsingParams:
 
 def build_ising(p: IsingParams) -> HermitianOperator:
     return build_pauli_hamiltonian(p.coefficients())
+
+
+def ising_hamiltonians(params) -> tuple[np.ndarray, list]:
+    """The ``build_ising`` matrices of a sequence of IsingParams as one (n, 8, 8)
+    stack, bit for bit, with per-point failures.
+
+    The terms are added in ``build_pauli_hamiltonian``'s order: delta/2 on
+    1 x 1 x X, delta/2 on X x 1 x 1, J on ZZ1, J on 1ZZ, lambda/2 on 1X1.  A
+    zero coefficient, which that function skips, adds only signed zeros to a
+    sum that never holds -0.0, so no bit changes.  The matrices are not yet
+    checked as ``HermitianOperator``.  A point with a non-finite entry gets
+    the ValueError ``build_ising`` raises for it in ``errors``, None otherwise.
+    """
+    outer, coupling, middle = np.array(
+        [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
+        dtype=float,
+    ).reshape(-1, 3).T[:, :, np.newaxis, np.newaxis]
+    ab, bc, b = _pauli_terms()
+    h = np.zeros((len(params), 8, 8), dtype=np.complex128)
+    # an infinite coefficient times a zero entry is NaN; such points are reported below
+    with np.errstate(invalid="ignore"):
+        for c, term in (
+            (outer, bc[0, 1]),
+            (outer, ab[1, 0]),
+            (coupling, ab[3, 3]),
+            (coupling, bc[3, 3]),
+            (middle, b[0]),
+        ):
+            h += c * term
+    errors = [None] * len(params)
+    for i in np.flatnonzero(~np.isfinite(h.view(np.float64)).reshape(len(params), -1).all(axis=1)):
+        try:
+            build_ising(params[i])
+        except ValueError as exc:
+            errors[i] = exc
+    return h, errors
 
 
 def ising_middle_field(p: IsingParams) -> np.ndarray:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from medent.entanglement import (
     concurrence,
+    concurrence_stack,
+    ground_level_density_stack,
     ground_state_ac_concurrence,
     ground_state_pair_concurrence,
 )
@@ -179,3 +184,86 @@ def test_pair_concurrence_dimension_guards():
         ground_state_pair_concurrence(h, (2, 4), (0, 1))
     with pytest.raises(DimensionError):
         ground_state_ac_concurrence(h, (2, 2, 2, 2))
+
+
+# ---------------------------------------------------------------- properties (hypothesis)
+
+UNIT_FLOATS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+# sqrt amplifies eigenvalue noise near zero to ~1e-8 (see concurrence_stack)
+PROPERTY_ATOL = 1e-6
+
+
+def complex_entries(n):
+    return arrays(np.float64, (2, n), elements=UNIT_FLOATS).map(lambda a: a[0] + 1j * a[1])
+
+
+def unitary_from(entries):
+    q, r = np.linalg.qr(entries.reshape(2, 2) + 2 * np.eye(2))
+    return q
+
+
+def stacked_and_scalar(rhos):
+    """Concurrences of the stack in one call, checked bit for bit against one call each."""
+    values, _, errors = concurrence_stack(np.array([rho.matrix for rho in rhos]))
+    assert errors == [None] * len(rhos)
+    assert [float(v) for v in values] == [concurrence(rho).value for rho in rhos]
+    return values
+
+
+@PROPERTY_SETTINGS
+@given(complex_entries(16), complex_entries(4), complex_entries(4))
+def test_concurrence_invariant_under_local_unitaries(g, ua, uc):
+    g = g.reshape(4, 4) + 0.1 * np.eye(4)
+    rho = g @ g.conj().T
+    rho = dm(rho / np.trace(rho).real)
+    u = np.kron(unitary_from(ua), unitary_from(uc))
+    rotated = dm(u @ rho.matrix @ u.conj().T)
+    c, c_rotated = stacked_and_scalar([rho, rotated])
+    assert c_rotated == pytest.approx(c, abs=PROPERTY_ATOL)
+    assert 0.0 <= c <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(complex_entries(4).filter(lambda v: np.linalg.norm(v) > 1e-3))
+def test_pure_state_concurrence_is_spin_flip_overlap(v):
+    psi = v / np.linalg.norm(v)
+    rho = pure_dm(psi)
+    (c,) = stacked_and_scalar([rho])
+    assert c == pytest.approx(abs(np.vdot(psi, YY @ psi.conj())), abs=PROPERTY_ATOL)
+
+
+def test_concurrence_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
+    rng = np.random.default_rng(8)
+    rhos = [pure_dm(random_pure_state(rng)) for _ in range(4)]
+    stack = np.array([rho.matrix for rho in rhos])
+    solve = np.linalg.eigvalsh
+    calls = []
+
+    def failing(a):
+        calls.append(np.shape(a))
+        if len(calls) == 1 or np.shape(a) == (4, 4) and len(calls) == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    values, _, errors = concurrence_stack(stack)
+    monkeypatch.undo()
+    assert [e is None for e in errors] == [True, True, False, True]
+    assert isinstance(errors[2], np.linalg.LinAlgError)
+    for i in (0, 1, 3):
+        assert values[i] == concurrence(rhos[i]).value
+
+
+def test_ground_level_density_stack_matches_member_by_member_mixture():
+    # eigenbases with ground groups of different sizes in one stack, on a qubit x qutrit x qubit
+    rng = np.random.default_rng(12)
+    dims, keep, sizes = (2, 3, 2), (0, 2), np.array([1, 3, 2, 1, 4])
+    a = rng.standard_normal((len(sizes), 12, 12)) + 1j * rng.standard_normal((len(sizes), 12, 12))
+    bases = np.linalg.qr(a)[0]
+    rho, errors = ground_level_density_stack(bases, sizes, dims, keep)
+    assert errors == [None] * len(sizes)
+    for basis, size, got in zip(bases, sizes, rho):
+        members = [reduced_density(basis[:, k], dims, keep).matrix for k in range(size)]
+        expected = members[0] if size == 1 else DensityMatrix(sum(members) / size).matrix
+        assert got.tobytes() == expected.tobytes()

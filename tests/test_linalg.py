@@ -5,7 +5,9 @@ from medent.linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
+    NumericalError,
     eigh,
+    eigh_stack,
     fix_phases,
     kron,
     kron_all,
@@ -134,6 +136,76 @@ def test_fix_phases_matches_scalar_reference_bit_for_bit():
     with_zero = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     with_zero[:, 1] = 0.0
     assert fix_phases(with_zero).tobytes() == scalar_fix_phases(with_zero).tobytes()
+
+
+def reference_eigh(m):
+    """The per-matrix algorithm: LAPACK, then the per-column phase convention."""
+    w, v = np.linalg.eigh(m)
+    return w, scalar_fix_phases(v)
+
+
+def random_hermitian_stack(n, d, rng, degenerate=False):
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    h = (a + a.conj().swapaxes(1, 2)) / 2
+    if degenerate:
+        # exact twofold ground levels: U diag(-1, -1, 0, 1, ...) U^dag
+        q = np.linalg.qr(a)[0]
+        w = np.concatenate([[-1.0, -1.0], np.arange(d - 2, dtype=float)])
+        h = (q * w) @ q.conj().swapaxes(1, 2)
+        h = (h + h.conj().swapaxes(1, 2)) / 2
+    return h
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_eigh_stack_matches_scalar_eigh_bit_for_bit(degenerate):
+    rng = np.random.default_rng(31)
+    for d in range(2, 13):
+        stack = random_hermitian_stack(7, d, rng, degenerate)
+        dec = eigh_stack(stack)
+        assert dec.errors == (None,) * 7
+        for i, m in enumerate(stack):
+            one = eigh(HermitianOperator(m))
+            ref_w, ref_v = reference_eigh(HermitianOperator(m).matrix)
+            assert dec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes() == ref_w.tobytes()
+            assert dec.eigenvectors[i].tobytes() == one.eigenvectors.tobytes() == ref_v.tobytes()
+            assert dec.ground_sizes[i] == len(one.ground_group)
+            assert dec.gaps[i] == one.gap()
+        if degenerate:
+            assert (dec.ground_sizes == 2).all()
+
+
+def test_eigh_stack_flags_only_the_failing_matrix():
+    rng = np.random.default_rng(32)
+    stack = random_hermitian_stack(5, 4, rng)
+    stack[1, 0, 1] += 1.0
+    stack[3, 2, 2] = np.nan
+    dec = eigh_stack(stack)
+    assert [type(e) for e in dec.errors] == [type(None), ValueError, type(None), ValueError, type(None)]
+    assert str(dec.errors[1]).startswith("matrix is not Hermitian")
+    assert str(dec.errors[3]) == "matrix contains NaN or Inf entries"
+    for i in (0, 2, 4):
+        assert dec.eigenvectors[i].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
+
+
+def test_eigh_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
+    rng = np.random.default_rng(33)
+    stack = random_hermitian_stack(4, 3, rng)
+    bad = stack[2].copy()
+    solve = np.linalg.eigh
+
+    def failing(a):
+        if np.any(np.all(np.asarray(a) == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    dec = eigh_stack(stack)
+    assert isinstance(dec.errors[2], NumericalError)
+    assert str(dec.errors[2]) == "eigensolver failed to converge: Eigenvalues did not converge"
+    assert [e is None for e in dec.errors] == [True, True, False, True]
+    monkeypatch.undo()
+    for i in (0, 1, 3):
+        assert dec.eigenvectors[i].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
 def test_degeneracy_grouping():

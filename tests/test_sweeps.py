@@ -1,12 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from medent.entanglement import ground_state_ac_concurrence
-from medent.linalg import eigh
+from medent.entanglement import (
+    concurrence,
+    ground_concurrence_from_decomposition,
+    ground_level_density,
+    ground_state_ac_concurrence,
+)
+from medent.linalg import DensityMatrix, eigh, reduced_density
 from medent.sweeps import (
+    ISING_CHUNK,
     ISING_SWEEP_SCHEMA,
+    POINT_ERRORS,
     SweepResult,
     format_value,
     grid_sweep,
@@ -115,3 +123,165 @@ def test_grid_sweep_propagates_programming_errors():
 
     with pytest.raises(TypeError, match="bug in the evaluator"):
         grid_sweep(ISING_SWEEP_SCHEMA, [{"delta": 0.1, "lambda": 1.0}], evaluate)
+
+
+# ---------------------------------------------------------------- stacked chain sweep
+
+def unstacked_ground_level_density(dec):
+    """The ground-level rho_AC one member at a time: each reduced and checked on
+    its own, a degenerate group summed in order and divided by its size."""
+    group = dec.ground_group
+    if len(group) == 1:
+        return reduced_density(dec.eigenvectors[:, 0], (2, 2, 2), (0, 2))
+    mixed = sum(reduced_density(dec.eigenvectors[:, k], (2, 2, 2), (0, 2)).matrix for k in group)
+    return DensityMatrix(mixed / len(group))
+
+
+def reference_row(delta, lam, j_coupling):
+    """One point the unstacked way: build_ising -> eigh -> ground concurrence."""
+    row = dict(zip(ISING_SWEEP_SCHEMA, (delta, lam, math.nan, math.nan, math.nan, False, "ok")))
+    try:
+        dec = eigh(build_ising(IsingParams(j_coupling=j_coupling, delta=delta, lam=lam)))
+        conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
+    except POINT_ERRORS as exc:
+        row["status"] = f"error: {exc}"
+        return row
+    assert conc.value == concurrence(unstacked_ground_level_density(dec)).value
+    row.update(
+        ground_energy=dec.ground_energy,
+        gap=dec.gap(),
+        concurrence=conc.value,
+        degenerate=conc.degenerate_ground,
+    )
+    return row
+
+
+def reference_rows(deltas, lams, j_coupling=1.0):
+    return [reference_row(float(d), float(lam), j_coupling) for d in deltas for lam in lams]
+
+
+def bits(row):
+    """A row with every float as its 8 bytes, so -0.0 and NaN compare exactly."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in row.values())
+
+
+ORACLE_GRIDS = {
+    # the README landscape plus its degenerate delta = 0 row: 806 points
+    "readme": ([0.0, *np.linspace(0.01, 2.0, 25)], np.linspace(0.0, 3.0, 31), 1.0),
+    "negative_lambda": (np.linspace(0.0, 2.0, 6), np.linspace(-3.0, 3.0, 25), 1.0),
+    "j_half": (np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 3.0, 15), 0.5),
+    # H = 0: the whole spectrum is one ground group
+    "j_zero": ([0.0, 0.5, 1.0], [-1.0, 0.0, 1.0], 0.0),
+    "one_chunk": (np.linspace(0.0, 1.0, 4), np.linspace(0.0, 2.0, 32), 1.0),
+    "chunk_plus_one": (np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0, 43), 1.0),
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_ising_sweep_matches_per_point_reference_bit_for_bit(grid):
+    deltas, lams, j = ORACLE_GRIDS[grid]
+    result = ising_sweep(deltas, lams, j_coupling=j)
+    expected = reference_rows(deltas, lams, j)
+    assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
+    assert all(r["status"] == "ok" for r in result.rows)
+    if grid == "readme":
+        assert len(result.rows) % ISING_CHUNK != 0
+        assert all(r["degenerate"] for r in result.rows if r["delta"] == 0.0)
+    if grid == "j_zero":
+        assert all(r["degenerate"] and r["gap"] == 0.0 for r in result.rows)
+
+
+def assert_only_row_failed(result, expected, index, status_prefix):
+    rows = result.rows
+    assert rows[index]["status"].startswith("error: " + status_prefix)
+    assert all(math.isnan(rows[index][c]) for c in ("ground_energy", "gap", "concurrence"))
+    assert rows[index]["degenerate"] is False
+    others = [bits(r) for i, r in enumerate(rows) if i != index]
+    assert others == [bits(r) for i, r in enumerate(expected) if i != index]
+    assert all(r["status"] == "ok" for i, r in enumerate(rows) if i != index)
+
+
+# 200 points with lambda innermost; point 70 sits in the middle of the first chunk
+LAMS = list(np.linspace(-1.0, 3.0, 200))
+FAILING = 70
+
+
+def test_invalid_parameter_flags_only_its_row():
+    deltas = list(np.linspace(0.01, 2.0, 200))
+    deltas[FAILING] = -0.1
+    result = ising_sweep(deltas, [1.0])
+    assert_only_row_failed(result, reference_rows(deltas, [1.0]), FAILING, "delta must be non-negative")
+
+
+def test_non_finite_parameter_flags_only_its_row():
+    lams = list(LAMS)
+    lams[FAILING] = math.nan
+    result = ising_sweep([0.3], lams)
+    expected = reference_rows([0.3], lams)
+    assert expected[FAILING]["status"] == "error: h_b contains non-finite entries"
+    assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
+    assert_only_row_failed(result, expected, FAILING, "h_b contains non-finite entries")
+
+
+def patch_stacked(monkeypatch, name, target, replace):
+    """Wrap numpy.linalg.<name>: on a stack of several matrices that holds
+    ``target``, hand that matrix's slice of the result to ``replace``."""
+    solve = getattr(np.linalg, name)
+
+    def patched(a):
+        a = np.asarray(a)
+        stacked = a.ndim == 3 and len(a) > 1 and a.shape[1:] == target.shape
+        hit = np.flatnonzero(np.all(a == target, axis=(1, 2))) if stacked else []
+        return replace(solve, a, hit)
+
+    monkeypatch.setattr(np.linalg, name, patched)
+
+
+def target_hamiltonian(lam):
+    return build_ising(IsingParams(delta=0.3, lam=lam)).matrix
+
+
+def test_contract_failure_flags_only_its_row(monkeypatch):
+    expected = reference_rows([0.3], LAMS)
+
+    def skew_eigenvectors(solve, a, hit):
+        w, v = solve(a)
+        v[hit] *= 1.001
+        return w, v
+
+    patch_stacked(monkeypatch, "eigh", target_hamiltonian(LAMS[FAILING]), skew_eigenvectors)
+    result = ising_sweep([0.3], LAMS)
+    assert_only_row_failed(result, expected, FAILING, "eigenvector orthonormality defect")
+
+
+def test_lapack_failure_resolves_the_chunk_one_matrix_at_a_time(monkeypatch):
+    expected = reference_rows([0.3], LAMS)
+    target = target_hamiltonian(LAMS[FAILING])
+    solve = np.linalg.eigh
+
+    def failing(a):
+        a = np.asarray(a)
+        if a.shape[-2:] == target.shape and np.any(np.all(a == target, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    result = ising_sweep([0.3], LAMS)
+    assert_only_row_failed(
+        result, expected, FAILING, "eigensolver failed to converge: Eigenvalues did not converge"
+    )
+
+
+def test_density_failure_flags_only_its_row(monkeypatch):
+    expected = reference_rows([0.3], LAMS)
+    # the stacked ground-level reduction is bit-identical to the scalar one
+    rho = ground_level_density(eigh(build_ising(IsingParams(delta=0.3, lam=LAMS[FAILING]))), (2, 2, 2), (0, 2))
+
+    def negative_lowest(solve, a, hit):
+        w = solve(a)
+        w[hit, 0] = -1.0
+        return w
+
+    patch_stacked(monkeypatch, "eigvalsh", rho.matrix, negative_lowest)
+    result = ising_sweep([0.3], LAMS)
+    assert_only_row_failed(result, expected, FAILING, "negative eigenvalue -1.000e+00")

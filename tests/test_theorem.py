@@ -357,9 +357,11 @@ def per_term_symmetric_hamiltonian(d_b, rng, break_symmetry):
 
 
 @pytest.mark.parametrize("break_symmetry", [False, True])
-@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_random_hamiltonian_matches_per_term_assembly(d_b, break_symmetry):
-    for seed in range(5):
+    # the mirrored h_BC is an index permutation of h_AB; it must equal the swap
+    # conjugation s @ h_AB @ s byte for byte, signed zeros included
+    for seed in range(60):
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         fast = random_symmetric_hamiltonian(d_b, fast_rng, break_symmetry=break_symmetry)
         ref = per_term_symmetric_hamiltonian(d_b, ref_rng, break_symmetry)

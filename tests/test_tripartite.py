@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from medent.linalg import HermitianOperator, eigh, schmidt, swap_operator
+from medent.linalg import HermitianOperator, eigh, kron_all, schmidt, swap_operator
 from medent.tripartite import (
+    PAULI,
+    SIGMA_0,
     IsingParams,
     PauliCoefficients,
     analytic_ising_spectrum,
     build_ising,
     build_pauli_hamiltonian,
+    ising_hamiltonians,
     ising_middle_field,
 )
 
@@ -173,3 +176,53 @@ def test_constant_offset_is_pure_shift():
     e0 = eigh(build_pauli_hamiltonian(base)).eigenvalues
     e1 = eigh(build_pauli_hamiltonian(shifted)).eigenvalues
     assert np.allclose(e1, e0 + 2.5, atol=1e-12)
+
+
+def per_term_pauli_hamiltonian(c):
+    """Reference assembly: one kron_all per nonzero coefficient, in tensor order."""
+    h = np.zeros((8, 8), dtype=complex)
+    for j in range(4):
+        for k in range(4):
+            if c.h_ab[j, k] != 0.0:
+                h += c.h_ab[j, k] * kron_all(PAULI[j], PAULI[k], SIGMA_0)
+            if c.h_bc[j, k] != 0.0:
+                h += c.h_bc[j, k] * kron_all(SIGMA_0, PAULI[j], PAULI[k])
+    for j in range(3):
+        if c.h_b[j] != 0.0:
+            h += c.h_b[j] * kron_all(SIGMA_0, PAULI[j + 1], SIGMA_0)
+    return HermitianOperator(h)
+
+
+def test_cached_terms_match_per_term_assembly_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        # about half the coefficients zero, as in the chain models
+        ab, bc, b = (rng.standard_normal(s) * (rng.random(s) < 0.5) for s in ((4, 4), (4, 4), 3))
+        c = PauliCoefficients(ab, bc, b)
+        assert build_pauli_hamiltonian(c).matrix.tobytes() == per_term_pauli_hamiltonian(c).matrix.tobytes()
+
+
+def test_ising_stack_matches_build_ising_bit_for_bit():
+    rng = np.random.default_rng(18)
+    params = [
+        IsingParams(
+            j_coupling=rng.choice([0.0, 0.5, 1.0, rng.uniform(-2, 2)]),
+            delta=rng.choice([0.0, rng.uniform(0, 3)]),
+            lam=rng.choice([0.0, rng.uniform(-3, 3)]),
+            delta0=rng.choice([None, rng.uniform(0.1, 2)]),
+            lambda0=rng.choice([None, rng.uniform(0.1, 2)]),
+        )
+        for _ in range(300)
+    ]
+    stack, errors = ising_hamiltonians(params)
+    assert errors == [None] * len(params)
+    for h, p in zip(stack, params):
+        assert HermitianOperator(h).matrix.tobytes() == build_ising(p).matrix.tobytes()
+        assert HermitianOperator(h).matrix.tobytes() == per_term_pauli_hamiltonian(p.coefficients()).matrix.tobytes()
+
+
+def test_ising_stack_reports_non_finite_points_as_build_ising_does():
+    params = [IsingParams(delta=0.5, lam=1.0), IsingParams(delta=np.inf, lam=1.0), IsingParams(lam=np.nan)]
+    _, errors = ising_hamiltonians(params)
+    assert errors[0] is None
+    assert [str(e) for e in errors[1:]] == ["h_ab contains non-finite entries", "h_b contains non-finite entries"]
