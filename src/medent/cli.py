@@ -16,7 +16,9 @@ import numpy as np
 from .control import ControlProblem, optimize
 from .dicke import (
     DickeConfig,
+    FockConvergenceError,
     build_dicke,
+    dicke_ground_point,
     dicke_mediator_form,
     dicke_sweep,
 )
@@ -273,6 +275,31 @@ def cmd_theorem(args) -> int:
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
 
 
+def _check_fock_cutoff(cfg: DickeConfig) -> None:
+    """Confirm that ``cfg``, the optimum of a Dicke search, is converged at its
+    own cutoff; write the convergence delta to stderr.
+
+    Raises FockConvergenceError if the concurrence needs a larger cutoff or
+    never settles below the cutoff limit.
+    """
+    point = dicke_ground_point(cfg)
+    print(
+        f"fock check at best kappa: convergence delta {_fmt(point.convergence_delta)} "
+        f"at n_max = {point.nmax_used}",
+        file=sys.stderr,
+    )
+    if not point.converged:
+        raise FockConvergenceError(
+            f"concurrence at the optimum still changes by {point.convergence_delta:.3e} "
+            f"at n_max = {point.nmax_used}"
+        )
+    if point.nmax_used != cfg.n_max:
+        raise FockConvergenceError(
+            f"concurrence at the optimum needs n_max = {point.nmax_used}, "
+            f"above --nmax {cfg.n_max}"
+        )
+
+
 def cmd_optimize(args) -> int:
     if args.budget <= 0:
         raise ValueError("budget must be positive")
@@ -315,6 +342,8 @@ def cmd_optimize(args) -> int:
         control_name = "kappa"
 
     result = optimize(problem, args.budget, args.seed)
+    if args.model == "dicke":
+        _check_fock_cutoff(DickeConfig(kappa=float(result.best_controls[0]), **base))
     print(f"control: {control_name} in [{_fmt(args.lower)}, {_fmt(args.upper)}]")
     print(f"best {control_name}: {_fmt(result.best_controls[0])}")
     print(f"best concurrence: {_fmt(result.best_value)}")

@@ -9,17 +9,27 @@ lam_tilde).  Basis ordering: atom1 x atom2 x field, field index fastest.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
 
-from .entanglement import ConcurrenceResult, ground_concurrence_from_decomposition
+from .entanglement import (
+    ConcurrenceResult,
+    ground_concurrence_from_decomposition,
+    ground_level_concurrence,
+)
 from .linalg import (
     HermitianOperator,
     NumericalError,
+    _degeneracy_tol,
+    _raise_any,
     _readonly,
     eigh,
+    eigh_stack,
+    kron,
     kron_all,
     permute_subsystems,
 )
@@ -105,37 +115,58 @@ class DickeConfig:
         return dataclasses.replace(self, n_max=n_max)
 
 
-def build_dicke(cfg: DickeConfig) -> HermitianOperator:
-    nf = cfg.n_max + 1
-    ops = bosonic_operators(cfg.n_max)
-    eye_f = np.eye(nf, dtype=np.complex128)
-
-    h = (cfg.omega_a / 2) * (
-        kron_all(SIGMA_3, SIGMA_0, eye_f) + kron_all(SIGMA_0, SIGMA_3, eye_f)
-    )
-    h += cfg.omega_f * kron_all(SIGMA_0, SIGMA_0, ops.number)
-
-    rotating = (
-        kron_all(SIGMA_PLUS, SIGMA_0, ops.a)
-        + kron_all(SIGMA_MINUS, SIGMA_0, ops.a_dagger)
-        + kron_all(SIGMA_0, SIGMA_PLUS, ops.a)
-        + kron_all(SIGMA_0, SIGMA_MINUS, ops.a_dagger)
-    )
-    h += cfg.kappa * rotating
-
+def _dicke_coefficients(cfg: DickeConfig) -> list[float]:
+    """The coefficients of ``_dicke_terms`` that ``cfg``'s variant uses, in order."""
+    coefficients = [cfg.omega_a / 2, cfg.omega_f, cfg.kappa]
     if cfg.variant in ("h2", "h3"):
-        counter = (
-            kron_all(SIGMA_PLUS, SIGMA_0, ops.a_dagger)
-            + kron_all(SIGMA_MINUS, SIGMA_0, ops.a)
-            + kron_all(SIGMA_0, SIGMA_PLUS, ops.a_dagger)
-            + kron_all(SIGMA_0, SIGMA_MINUS, ops.a)
-        )
-        h += cfg.kappa * counter
-
+        coefficients.append(cfg.kappa)
     if cfg.variant == "h3":
-        x = ops.a + ops.a_dagger
-        h += cfg.lam_tilde * cfg.resolved_lam * kron_all(SIGMA_0, SIGMA_0, x @ x)
+        coefficients.append(cfg.lam_tilde * cfg.resolved_lam)
+    return coefficients
 
+
+def _dicke_terms(n_max: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], ...]:
+    """The constant operators of the models at one cutoff, in order: the
+    atoms' sigma^3 sum, the photon number, the rotating and the
+    counter-rotating exchange, and the quadratic field term (a + a^dag)^2.
+
+    Each is a list of (two-atom operator, field operator) pairs; the term is
+    the sum of their Kronecker products, added in list order.
+    """
+    ops = bosonic_operators(n_max)
+    eye_f = np.eye(n_max + 1, dtype=np.complex128)
+    x = ops.a + ops.a_dagger
+    return (
+        [(kron(SIGMA_3, SIGMA_0), eye_f), (kron(SIGMA_0, SIGMA_3), eye_f)],
+        [(kron(SIGMA_0, SIGMA_0), ops.number)],
+        [
+            (kron(SIGMA_PLUS, SIGMA_0), ops.a),
+            (kron(SIGMA_MINUS, SIGMA_0), ops.a_dagger),
+            (kron(SIGMA_0, SIGMA_PLUS), ops.a),
+            (kron(SIGMA_0, SIGMA_MINUS), ops.a_dagger),
+        ],
+        [
+            (kron(SIGMA_PLUS, SIGMA_0), ops.a_dagger),
+            (kron(SIGMA_MINUS, SIGMA_0), ops.a),
+            (kron(SIGMA_0, SIGMA_PLUS), ops.a_dagger),
+            (kron(SIGMA_0, SIGMA_MINUS), ops.a),
+        ],
+        [(kron(SIGMA_0, SIGMA_0), x @ x)],
+    )
+
+
+def _kron_sum(pairs) -> np.ndarray:
+    return reduce(operator.add, (kron(atoms, field) for atoms, field in pairs))
+
+
+def build_dicke(cfg: DickeConfig) -> HermitianOperator:
+    # zip draws the coefficient first, so the lazy map builds no term past
+    # the last coefficient of the variant
+    terms = zip(_dicke_coefficients(cfg), map(_kron_sum, _dicke_terms(cfg.n_max)))
+    c, term = next(terms)
+    h = c * term
+    for c, term in terms:
+        h += c * term
     return HermitianOperator(h)
 
 
@@ -188,6 +219,75 @@ def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     return dec.ground_energy, dec.gap(), conc
 
 
+@lru_cache(maxsize=2)
+def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
+    """The two parity sectors at one cutoff and ``_dicke_terms`` cut into them.
+
+    Parity exp(i pi N), N the excitation number, commutes with every term.
+    The sectors are keyed by the integers (s1 + s2 + n) mod 2 of the basis
+    labels, not by the float diagonal of ``excitation_number``, and both hold
+    d = 2(n_max + 1) states.  Returns their index arrays (2, d) and, per term,
+    the nonzero entries of its two diagonal blocks as (index, values) into a
+    real (2, d, d) stack.  Every term is checked once to be exactly real with
+    no entry between the sectors.
+
+    The blocks are gathered from the real parts of the factors, after a
+    check that these are real, so no full-size or complex term is built.
+    """
+    s1, s2, n = np.unravel_index(np.arange(4 * (n_max + 1)), (2, 2, n_max + 1))
+    key = (s1 + s2 + n) % 2
+    sectors = np.stack([np.flatnonzero(key == 0), np.flatnonzero(key == 1)])
+    atoms, field = (2 * s1 + s2)[sectors], n[sectors]
+
+    def block(pairs, p: int, q: int) -> np.ndarray:
+        """Sector block (p, q) of the sum of kron(a, f) over the pairs, added in order."""
+        a_rows, f_rows = atoms[p][:, np.newaxis], field[p][:, np.newaxis]
+        return reduce(operator.add, (a[a_rows, atoms[q]] * f[f_rows, field[q]] for a, f in pairs))
+
+    terms = []
+    for i, pairs in enumerate(_dicke_terms(n_max)):
+        real = [(a.real, f.real) for a, f in pairs]
+        if any(a.imag.any() or f.imag.any() for a, f in pairs) or any(
+            block(real, p, 1 - p).any() for p in (0, 1)
+        ):
+            raise AssertionError(f"Dicke term {i} at n_max = {n_max} leaves the real parity blocks")
+        blocks = np.stack([block(real, 0, 0), block(real, 1, 1)])
+        index = np.nonzero(blocks)
+        terms.append((index, _readonly(blocks[index])))
+    return sectors, tuple(terms)
+
+
+def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
+    real diagonal blocks (2, d, d), equal entry by entry to ``build_dicke``'s."""
+    sectors, terms = _parity_blocks(cfg.n_max)
+    d = sectors.shape[1]
+    h = np.zeros((2, d, d))
+    for c, (index, values) in zip(_dicke_coefficients(cfg), terms):
+        h[index] += c * values
+    return sectors, h
+
+
+def _parity_block_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
+    """Ground-level atom-atom concurrence of ``cfg`` from one real ``eigh_stack``
+    of its two parity blocks.
+
+    The merged spectrum is grouped as ``degeneracy_groups`` groups the full
+    one, so a ground level may span both blocks (the h1 crossings); its
+    members are embedded in the full basis for the reduction.
+    """
+    sectors, h = _parity_block_hamiltonian(cfg)
+    dec = eigh_stack(h)
+    _raise_any(dec.errors)
+    w = dec.eigenvalues.ravel()
+    order = np.argsort(w, kind="stable")
+    ground = order[w[order] - w[order[0]] <= _degeneracy_tol(w[order])]
+    block, column = np.divmod(ground, sectors.shape[1])
+    vectors = np.zeros((cfg.dim, ground.size), dtype=np.complex128)
+    vectors[sectors[block], np.arange(ground.size)[:, np.newaxis]] = dec.eigenvectors[block, :, column]
+    return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
+
+
 def dicke_ground_point(
     cfg: DickeConfig,
     *,
@@ -199,13 +299,21 @@ def dicke_ground_point(
     The accepted cutoff is reported as ``nmax_used``; if the value still moves
     by more than ``convergence_tol`` at the cutoff limit the point is returned
     with ``converged=False`` rather than silently accepted.
+
+    Every reported value comes from the full solve at its cutoff.  The doubled
+    cutoff is first confirmed on its two real parity blocks; only if they
+    reject it is it solved in full, and that solve then decides, reports and
+    becomes the next base.  ``convergence_delta`` is the concurrence change the
+    deciding solve saw.
     """
     energy, gap, conc = _evaluate(cfg)
     n = cfg.n_max
     while True:
         doubled = cfg.with_n_max(2 * n)
-        energy2, gap2, conc2 = _evaluate(doubled)
-        delta = abs(conc2.value - conc.value)
+        delta = abs(_parity_block_concurrence(doubled).value - conc.value)
+        if not delta <= convergence_tol:
+            energy2, gap2, conc2 = _evaluate(doubled)
+            delta = abs(conc2.value - conc.value)
         if delta <= convergence_tol:
             return DickeGroundPoint(
                 cfg.with_n_max(n), energy, gap, conc, n, True, float(delta)

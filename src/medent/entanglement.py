@@ -8,7 +8,7 @@ onto the whole degenerate subspace and flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,16 +130,30 @@ def ground_level_density(dec, dims, keep) -> DensityMatrix:
     return DensityMatrix(rho[0])
 
 
-def ground_concurrence_from_decomposition(
-    dec, dims, pair: tuple[int, int]
-) -> ConcurrenceResult:
-    """Ground-level pair concurrence given an existing EigenDecomposition."""
+def ground_level_concurrence(vectors, size: int, dims, pair: tuple[int, int]) -> ConcurrenceResult:
+    """Pair concurrence of the ground level spanned by the first ``size``
+    columns of ``vectors`` (D, >= size), flagged degenerate if ``size`` > 1.
+
+    The reduction and the concurrence run the stack kernels on a stack of one,
+    so each check runs once; the values are those of ``concurrence`` of
+    ``ground_level_density``, bit for bit.
+    """
     dims = tuple(int(d) for d in dims)
     i, j = pair
     if dims[i] != 2 or dims[j] != 2:
         raise DimensionError(f"kept subsystems must be qubits, dims={dims}, pair={pair}")
-    res = concurrence(ground_level_density(dec, dims, pair))
-    return replace(res, degenerate_ground=len(dec.ground_group) > 1)
+    rho, errors = ground_level_density_stack(vectors[np.newaxis], np.array([size]), dims, pair)
+    _raise_any(errors)
+    values, lams, errors = concurrence_stack(rho)
+    _raise_any(errors)
+    return ConcurrenceResult(float(values[0]), _readonly(lams[0]), degenerate_ground=size > 1)
+
+
+def ground_concurrence_from_decomposition(
+    dec, dims, pair: tuple[int, int]
+) -> ConcurrenceResult:
+    """Ground-level pair concurrence given an existing EigenDecomposition."""
+    return ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
 
 
 def ground_state_pair_concurrence(

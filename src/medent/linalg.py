@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small multipartite quantum systems.
 
-Everything here works on plain ``numpy.complex128`` arrays wrapped in thin
-dataclasses that enforce the numerical contracts (Hermiticity, trace,
-positivity, orthonormality) at construction time.  Dimensions stay in the
-few-hundred range, so dense LAPACK routines are used throughout.
+Everything here works on plain ``numpy.complex128`` arrays (``eigh_stack``
+also on real float64 stacks) wrapped in thin dataclasses that enforce the
+numerical contracts (Hermiticity, trace, positivity, orthonormality) at
+construction time.  Dimensions stay in the few-hundred range, so dense LAPACK
+routines are used throughout.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -114,8 +115,8 @@ def _lapack_stack(solve, stack: np.ndarray, errors: list, wrap=lambda exc: exc):
 
 
 def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """The Hermitian part of every matrix in an (n, d, d) complex stack, with
-    per-matrix contract failures.
+    """The Hermitian part of every matrix in an (n, d, d) complex or real stack,
+    with per-matrix contract failures.
 
     A matrix fails with ValueError if it has a NaN or Inf entry (it then comes
     back as zeros) or if max|M - M^dag| exceeds HERMITICITY_RTOL *
@@ -123,8 +124,10 @@ def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
     """
     n = len(m)
     errors = [None] * n
-    if not np.isfinite(m.view(np.float64)).all():
-        finite = np.isfinite(m.view(np.float64).reshape(n, -1)).all(axis=1)
+    # np.isfinite of the complex entries, not of a float64 view: a view needs
+    # a contiguous last axis, and a ground-level reduction hands in strided stacks
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).reshape(n, -1).all(axis=1)
         _flag(errors, ~finite, bool, lambda _: ValueError("matrix contains NaN or Inf entries"))
         m = np.where(finite[:, np.newaxis, np.newaxis], m, 0)
     mh = m.conj().swapaxes(1, 2)
@@ -285,7 +288,8 @@ def _eigh_hermitian(m: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray
     convention and the orthonormality and residual contracts per matrix."""
     n, d = m.shape[0], m.shape[-1]
     w, v = _lapack_stack(np.linalg.eigh, m, errors, _nonconvergence)
-    v = fix_phases(v)
+    # fix_phases without its cast to complex: real eigenvectors stay real
+    v = v * _pivot_phases(v)[..., np.newaxis, :]
 
     gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).reshape(n, -1).max(axis=1)
     _flag(errors, gram_defect, lambda g: g > ORTHONORMALITY_ATOL,
@@ -302,9 +306,13 @@ def eigh_stack(matrices) -> EigenStack:
     Each matrix is checked as ``HermitianOperator`` checks it and solved as
     ``eigh`` solves it, bit for bit; a failed contract is recorded in
     ``errors`` and leaves the other matrices unaffected.  If LAPACK fails on
-    the stack, the matrices are solved one at a time.
+    the stack, the matrices are solved one at a time.  A float64 stack is
+    solved in real arithmetic and keeps real eigenvectors (pivot entries
+    positive); any other input is solved as complex128.
     """
-    m = np.asarray(matrices, dtype=np.complex128)
+    m = np.asarray(matrices)
+    if m.dtype != np.float64:
+        m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DimensionError(f"expected an (n, d, d) stack, got shape {m.shape}")
     m, errors = _hermitian_stack(m)

@@ -158,7 +158,7 @@ def ising_hamiltonians(params) -> tuple[np.ndarray, list]:
         ):
             h += c * term
     errors = [None] * len(params)
-    for i in np.flatnonzero(~np.isfinite(h.view(np.float64)).reshape(len(params), -1).all(axis=1)):
+    for i in np.flatnonzero(~np.isfinite(h).reshape(len(params), -1).all(axis=1)):
         try:
             build_ising(params[i])
         except ValueError as exc:

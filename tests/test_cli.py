@@ -185,14 +185,16 @@ def test_optimize_dicke_consistent_with_sweep(tmp_path, capsys):
     code, _, _ = run(
         capsys,
         "sweep", "--model", "dicke", "--variants", "h3", "--out", str(sweep_path),
-        "--kappa-grid", "0:1.2:7", "--lam-tilde-grid", "1:1:1", "--nmax", "16",
+        "--kappa-grid", "0:1.2:7", "--lam-tilde-grid", "1:1:1", "--nmax", "32",
     )
     assert code == 0
     grid_best = max(SweepResult.read_csv(sweep_path).column("concurrence"))
 
+    # at --nmax 16 the optimum at kappa = 1.2 is not converged (the sweep
+    # reports nmax_used 32 there), which optimize now refuses with exit 3
     code, out, _ = run(
         capsys,
-        "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "16",
+        "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "32",
         "--lower", "0", "--upper", "1.2", "--budget", "60", "--seed", "3",
     )
     assert code == 0
@@ -205,6 +207,53 @@ def test_optimize_dicke_consistent_with_sweep(tmp_path, capsys):
     # the curve rises monotonically on this range, so both land at the edge
     assert best_value >= grid_best - 1e-3
     assert abs(best_kappa - 1.2) < 0.05
+
+
+DICKE_OPTIMIZE = ("optimize", "--model", "dicke", "--variant", "h2", "--budget", "20", "--seed", "1")
+
+
+def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(
+        capsys, *DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1",
+        "--trace-out", str(trace),
+    )
+    assert code == 0
+    labels = [line.split(":")[0] for line in out.splitlines()]
+    assert labels == [
+        "control", "best kappa", "best concurrence", "evaluations", "converged",
+        "degenerate ground at best point", "wrote trace to " + str(trace),
+    ]
+    # one row per evaluation but the final re-verification
+    assert len(SweepResult.read_csv(trace).rows) == int(out.splitlines()[3].split(":")[1]) - 1
+    best = float(out.splitlines()[1].split(":")[1])
+    point = dicke_ground_point(DickeConfig(variant="h2", kappa=best, n_max=40))
+    assert err == (
+        f"fock check at best kappa: convergence delta {point.convergence_delta!r} at n_max = 40\n"
+    )
+
+
+def test_optimize_dicke_exits_3_when_the_optimum_needs_a_larger_cutoff(capsys):
+    code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "2", "--lower", "1.1", "--upper", "1.2")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: concurrence at the optimum needs n_max = " in err
+    assert err.rstrip().endswith("above --nmax 2")
+
+
+def test_optimize_dicke_exits_3_when_the_cutoff_never_settles(monkeypatch, capsys):
+    import functools
+
+    import medent.cli
+
+    monkeypatch.setattr(
+        medent.cli, "dicke_ground_point", functools.partial(dicke_ground_point, n_max_limit=4)
+    )
+    code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "1", "--lower", "1.1", "--upper", "1.2")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: concurrence at the optimum still changes by " in err
+    assert err.rstrip().endswith("at n_max = 4")
 
 
 def test_missing_subcommand_usage_error(capsys):

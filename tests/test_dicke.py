@@ -1,9 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
 from medent.dicke import (
     DickeConfig,
+    DickeGroundPoint,
     FockConvergenceError,
+    _evaluate,
+    _parity_block_concurrence,
+    _parity_block_hamiltonian,
+    _parity_blocks,
     bosonic_operators,
     build_dicke,
     dicke_ground_concurrence,
@@ -236,3 +243,128 @@ def test_sweep_flags_unconverged_points():
     cfg = DickeConfig(variant="h2", kappa=0.0, n_max=1)
     sweep = dicke_sweep(cfg, [1.2], [1.0], n_max_limit=2)
     assert sweep.rows[0]["status"] == "fock_unconverged"
+
+
+# ------------------------------------------------- parity-block cutoff check
+
+
+# the full complex solve of one configuration, shared by the tests below
+full_solve = functools.lru_cache(maxsize=None)(_evaluate)
+
+
+def full_path_ground_point(cfg, convergence_tol=1e-6, n_max_limit=160):
+    """The cutoff doubling with a full complex solve at every cutoff."""
+    energy, gap, conc = full_solve(cfg)
+    n = cfg.n_max
+    while True:
+        doubled = cfg.with_n_max(2 * n)
+        energy2, gap2, conc2 = full_solve(doubled)
+        delta = abs(conc2.value - conc.value)
+        if delta <= convergence_tol:
+            return DickeGroundPoint(cfg.with_n_max(n), energy, gap, conc, n, True, float(delta))
+        if 2 * n >= n_max_limit:
+            return DickeGroundPoint(doubled, energy2, gap2, conc2, 2 * n, False, float(delta))
+        n = 2 * n
+        energy, gap, conc = energy2, gap2, conc2
+
+
+def assert_same_report(point, reference):
+    """Every reported value bit for bit; the delta may come from the blocks."""
+    assert point.config == reference.config
+    assert (point.nmax_used, point.converged) == (reference.nmax_used, reference.converged)
+    assert point.ground_energy.hex() == reference.ground_energy.hex()
+    assert point.gap.hex() == reference.gap.hex()
+    assert point.concurrence.value.hex() == reference.concurrence.value.hex()
+    assert point.concurrence.tilde_lambdas.tobytes() == reference.concurrence.tilde_lambdas.tobytes()
+    assert point.concurrence.degenerate_ground == reference.concurrence.degenerate_ground
+
+
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_parity_blocks_reassemble_build_dicke(variant, n_max):
+    cfg = DickeConfig(variant=variant, kappa=0.83, lam_tilde=0.7, omega_a=1.3, omega_f=0.9, n_max=n_max)
+    sectors, blocks = _parity_block_hamiltonian(cfg)
+    assert sectors.shape == (2, 2 * (n_max + 1))
+    assert sorted(sectors.ravel().tolist()) == list(range(cfg.dim))
+    h = build_dicke(cfg).matrix
+    assert not h.imag.any()
+    assert blocks.dtype == np.float64
+    full = np.zeros_like(h.real)
+    for block, sector in zip(blocks, sectors):
+        full[np.ix_(sector, sector)] = block
+    assert np.array_equal(full, h.real)
+
+
+def test_parity_blocks_are_keyed_by_integers():
+    # every basis state (s1, s2, n) sits in the sector of (s1 + s2 + n) mod 2
+    sectors, _ = _parity_blocks(3)
+    for parity, sector in enumerate(sectors):
+        for index in sector:
+            s1, s2, n = np.unravel_index(index, (2, 2, 4))
+            assert (s1 + s2 + n) % 2 == parity
+
+
+H1_BLOCK_GRID = [
+    0.3,
+    H1_FIRST_CROSSING - 1e-6,
+    H1_FIRST_CROSSING,
+    0.70710678,
+    H1_FIRST_CROSSING + 1e-6,
+    0.9,
+    H1_SECOND_CROSSING - 1e-6,
+    H1_SECOND_CROSSING,
+    H1_SECOND_CROSSING + 1e-6,
+    1.1,
+]
+
+
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+def test_block_check_matches_full_solve_across_h1_crossings(variant):
+    for kappa in H1_BLOCK_GRID:
+        cfg = DickeConfig(variant=variant, kappa=float(kappa))
+        block = _parity_block_concurrence(cfg.with_n_max(80))
+        _, _, full = full_solve(cfg.with_n_max(80))
+        assert abs(block.value - full.value) <= 1e-10, kappa
+        assert block.degenerate_ground == full.degenerate_ground, kappa
+        point = dicke_ground_point(cfg)
+        assert_same_report(point, full_path_ground_point(cfg))
+        assert point.convergence_delta == abs(block.value - point.concurrence.value)
+
+
+def test_block_check_reads_the_h1_product_ground_state_exactly():
+    # just below the first crossing the ground state is |g, g> x |0>; the full
+    # complex solve at n_max 80 reads a spurious ~1e-8 there, the blocks do not
+    block = _parity_block_concurrence(DickeConfig(variant="h1", kappa=0.7, n_max=80))
+    assert block.value < 1e-15
+    assert not block.degenerate_ground
+
+
+@pytest.mark.parametrize(
+    "kappa, expected",
+    [
+        (H1_FIRST_CROSSING, 0.25),
+        (0.70710678, 0.25),
+        (H1_SECOND_CROSSING, 0.12732200375003414),
+    ],
+)
+def test_h1_crossing_points_are_degenerate_on_both_paths(kappa, expected):
+    # the ground group spans two parity sectors: the equal mixture of both
+    # members' reductions, flagged degenerate
+    point = dicke_ground_point(DickeConfig(variant="h1", kappa=kappa))
+    assert point.concurrence.value == pytest.approx(expected, abs=1e-9)
+    assert point.concurrence.degenerate_ground
+    assert (point.nmax_used, point.converged) == (40, True)
+    for n_max in (40, 80):
+        block = _parity_block_concurrence(DickeConfig(variant="h1", kappa=kappa, n_max=n_max))
+        assert block.value == pytest.approx(expected, abs=1e-9)
+        assert block.degenerate_ground
+
+
+@pytest.mark.parametrize("limit", [2, 4])
+def test_unconverged_point_reports_the_full_path_bit_for_bit(limit):
+    cfg = DickeConfig(variant="h2", kappa=1.2, n_max=1)
+    point = dicke_ground_point(cfg, n_max_limit=limit)
+    reference = full_path_ground_point(cfg, n_max_limit=limit)
+    assert not point.converged
+    assert_same_report(point, reference)
+    assert point.convergence_delta == reference.convergence_delta

@@ -7,11 +7,14 @@ from hypothesis.extra.numpy import arrays
 from medent.entanglement import (
     concurrence,
     concurrence_stack,
+    ground_concurrence_from_decomposition,
+    ground_level_density,
     ground_level_density_stack,
     ground_state_ac_concurrence,
     ground_state_pair_concurrence,
 )
-from medent.linalg import DensityMatrix, DimensionError, reduced_density
+from medent.dicke import DickeConfig, build_dicke
+from medent.linalg import DensityMatrix, DimensionError, eigh, reduced_density
 from medent.tripartite import IsingParams, build_ising
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -267,3 +270,23 @@ def test_ground_level_density_stack_matches_member_by_member_mixture():
         members = [reduced_density(basis[:, k], dims, keep).matrix for k in range(size)]
         expected = members[0] if size == 1 else DensityMatrix(sum(members) / size).matrix
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "h, dims, pair",
+    [
+        (build_ising(IsingParams(delta=0.05, lam=1.0)), (2, 2, 2), (0, 2)),
+        (build_ising(IsingParams(delta=0.0, lam=0.0)), (2, 2, 2), (0, 2)),  # degenerate
+        (build_dicke(DickeConfig("h2", 0.6, n_max=12)), (2, 2, 13), (0, 1)),
+        (build_dicke(DickeConfig("h1", 1 / np.sqrt(2), n_max=12)), (2, 2, 13), (0, 1)),  # degenerate
+    ],
+)
+def test_ground_concurrence_is_checked_once_and_unchanged(h, dims, pair):
+    # the stack kernels give the bits of concurrence(ground_level_density(...)),
+    # which checks the reduction a second time as a DensityMatrix
+    dec = eigh(h)
+    got = ground_concurrence_from_decomposition(dec, dims, pair)
+    expected = concurrence(ground_level_density(dec, dims, pair))
+    assert got.value.hex() == expected.value.hex()
+    assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()
+    assert got.degenerate_ground == (len(dec.ground_group) > 1)

@@ -208,6 +208,58 @@ def test_eigh_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
         assert dec.eigenvectors[i].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
+def test_eigh_stack_keeps_real_stacks_real():
+    rng = np.random.default_rng(34)
+    a = rng.standard_normal((6, 9, 9))
+    stack = (a + a.swapaxes(1, 2)) / 2
+    stack[4] = np.diag([2.0, -1.0, -1.0, 0.0, 3.0, 5.0, 5.0, 7.0, 1.0])  # degenerate ground
+    dec = eigh_stack(stack)
+    assert dec.errors == (None,) * 6
+    assert dec.eigenvectors.dtype == np.float64
+    for i, m in enumerate(stack):
+        one = eigh(HermitianOperator(m))
+        assert np.allclose(dec.eigenvalues[i], one.eigenvalues, rtol=0, atol=1e-13)
+        assert dec.ground_sizes[i] == len(one.ground_group)
+        assert dec.gaps[i] == pytest.approx(one.gap(), abs=1e-13)
+        v = dec.eigenvectors[i]
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(9)]
+        assert (pivots > 0).all()
+        assert np.allclose(m @ v, v * dec.eigenvalues[i], atol=1e-12)
+    assert dec.ground_sizes[4] == 2
+
+
+def test_eigh_stack_checks_real_stacks():
+    rng = np.random.default_rng(35)
+    a = rng.standard_normal((3, 4, 4))
+    stack = (a + a.swapaxes(1, 2)) / 2
+    stack[0, 0, 1] += 1.0
+    stack[2, 3, 3] = np.inf
+    dec = eigh_stack(stack)
+    assert str(dec.errors[0]).startswith("matrix is not Hermitian")
+    assert dec.errors[1] is None
+    assert str(dec.errors[2]) == "matrix contains NaN or Inf entries"
+
+
+def test_non_contiguous_input_is_checked_like_contiguous_input():
+    # a float64 view of a complex array needs a contiguous last axis; the
+    # checks must not
+    eye = HermitianOperator(np.eye(4, dtype=complex).T)
+    assert np.array_equal(eye.matrix, np.eye(4))
+    rng = np.random.default_rng(36)
+    stack = random_hermitian_stack(3, 5, rng)
+    transposed = np.asfortranarray(stack.swapaxes(1, 2)).swapaxes(1, 2)
+    assert not transposed[0].flags.c_contiguous
+    assert eigh_stack(transposed).eigenvectors.tobytes() == eigh_stack(stack).eigenvectors.tobytes()
+    strided = np.repeat(stack, 2, axis=0)[::2]
+    assert eigh_stack(strided).eigenvectors.tobytes() == eigh_stack(stack).eigenvectors.tobytes()
+    bad = np.eye(3, dtype=complex).T.copy(order="F")
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        HermitianOperator(bad)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        kron(bad, np.eye(2))
+
+
 def test_degeneracy_grouping():
     h = HermitianOperator(np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 5.0]))
     dec = eigh(h)
