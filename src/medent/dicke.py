@@ -24,13 +24,13 @@ from .entanglement import (
 from .linalg import (
     HermitianOperator,
     NumericalError,
+    _check_kron_dim,
     _degeneracy_tol,
     _raise_any,
     _readonly,
     eigh,
     eigh_stack,
     kron,
-    kron_all,
     permute_subsystems,
 )
 from .sweeps import SweepResult, grid_sweep
@@ -155,18 +155,15 @@ def _dicke_terms(n_max: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], ...]:
     )
 
 
-def _kron_sum(pairs) -> np.ndarray:
-    return reduce(operator.add, (kron(atoms, field) for atoms, field in pairs))
-
-
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
-    # zip draws the coefficient first, so the lazy map builds no term past
-    # the last coefficient of the variant
-    terms = zip(_dicke_coefficients(cfg), map(_kron_sum, _dicke_terms(cfg.n_max)))
-    c, term = next(terms)
-    h = c * term
-    for c, term in terms:
-        h += c * term
+    """``cfg``'s Hamiltonian, its two parity blocks scattered into the full basis."""
+    # the full matrix is bounded like any product operator, and the CSV
+    # error rows carry the text of that bound
+    _check_kron_dim(cfg.dim, cfg.dim)
+    sectors, blocks = _parity_block_hamiltonian(cfg)
+    h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    for sector, block in zip(sectors, blocks):
+        h[np.ix_(sector, sector)] = block
     return HermitianOperator(h)
 
 
@@ -180,24 +177,6 @@ def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int,
     h = build_dicke(cfg)
     reordered = permute_subsystems(h.matrix, cfg.dims, (0, 2, 1))
     return HermitianOperator(reordered), (2, cfg.n_max + 1, 2)
-
-
-def excitation_number(n_max: int) -> np.ndarray:
-    """sum_j sigma_j^3 / 2 + a^dag a, conserved by the co-rotating model."""
-    nf = n_max + 1
-    eye_f = np.eye(nf, dtype=np.complex128)
-    ops = bosonic_operators(n_max)
-    return (
-        kron_all(SIGMA_3, SIGMA_0, eye_f) / 2
-        + kron_all(SIGMA_0, SIGMA_3, eye_f) / 2
-        + kron_all(SIGMA_0, SIGMA_0, ops.number)
-    )
-
-
-def parity_operator(n_max: int) -> np.ndarray:
-    """exp(i pi (excitation number + 1)); commutes with all three variants."""
-    diag = np.diag(excitation_number(n_max)).real
-    return np.diag(np.exp(1j * np.pi * (diag + 1)))
 
 
 @dataclass(frozen=True)
@@ -223,13 +202,14 @@ def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
 def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
     """The two parity sectors at one cutoff and ``_dicke_terms`` cut into them.
 
-    Parity exp(i pi N), N the excitation number, commutes with every term.
-    The sectors are keyed by the integers (s1 + s2 + n) mod 2 of the basis
-    labels, not by the float diagonal of ``excitation_number``, and both hold
-    d = 2(n_max + 1) states.  Returns their index arrays (2, d) and, per term,
-    the nonzero entries of its two diagonal blocks as (index, values) into a
-    real (2, d, d) stack.  Every term is checked once to be exactly real with
-    no entry between the sectors.
+    This is the one assembly of the Dicke Hamiltonian: ``build_dicke`` and the
+    cutoff check both start from these blocks.  Parity exp(i pi N), N the
+    excitation number, commutes with every term.  The sectors are keyed by the
+    integers (s1 + s2 + n) mod 2 of the basis labels, never by a float
+    diagonal, and both hold d = 2(n_max + 1) states.  Returns their index
+    arrays (2, d) and, per term, the nonzero entries of its two diagonal
+    blocks as (index, values) into a real (2, d, d) stack.  Every term is
+    checked once to be exactly real with no entry between the sectors.
 
     The blocks are gathered from the real parts of the factors, after a
     check that these are real, so no full-size or complex term is built.
@@ -259,7 +239,7 @@ def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
 
 def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
-    real diagonal blocks (2, d, d), equal entry by entry to ``build_dicke``'s."""
+    real diagonal blocks (2, d, d); every entry outside them is zero."""
     sectors, terms = _parity_blocks(cfg.n_max)
     d = sectors.shape[1]
     h = np.zeros((2, d, d))

@@ -342,16 +342,19 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
     )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+def _check_kron_dim(rows: int, cols: int) -> None:
+    """Reject a product operator larger than ``KRON_DIM_LIMIT`` on either side."""
     if max(rows, cols) > KRON_DIM_LIMIT:
         raise DimensionError(
             f"kron would produce a {rows}x{cols} matrix, limit is {KRON_DIM_LIMIT}"
         )
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with a guard on the resulting dimension."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    _check_kron_dim(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 

@@ -1,3 +1,7 @@
+import hashlib
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,6 +134,32 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
         "--delta-grid", "0.1:0.2",
     )
     assert code == 2
+
+
+# 4 (n_max + 1) states at --nmax 1100
+OVER_LIMIT_ERROR = "kron would produce a 4404x4404 matrix, limit is 4096"
+
+
+def test_sweep_dicke_over_the_dimension_limit_writes_an_error_row(tmp_path, capsys):
+    out_path = tmp_path / "big.csv"
+    code, _, _ = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h1", "--kappa-grid", "0.5:0.5:1",
+        "--nmax", "1100", "--out", str(out_path),
+    )
+    assert code == 3
+    assert out_path.read_text().splitlines()[1] == (
+        f'h1,0.5,1,1100,nan,nan,nan,0,"error: {OVER_LIMIT_ERROR}"'
+    )
+
+
+def test_spectrum_dicke_over_the_dimension_limit_exits_2(capsys):
+    code, _, err = run(
+        capsys,
+        "spectrum", "--model", "dicke", "--variant", "h1", "--kappa", "0.5", "--nmax", "1100",
+    )
+    assert code == 2
+    assert OVER_LIMIT_ERROR in err
 
 
 def test_theorem_exit_code_reflects_counterexamples(tmp_path, capsys):
@@ -297,3 +327,17 @@ def test_config_file_malformed(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_readme_commands_write_the_recorded_bytes(tmp_path, capsys, monkeypatch):
+    # the README's sweep and theorem commands, with the exit codes and CSV
+    # digests the benchmark's gate records for them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    readme_commands = importlib.import_module("workloads").README_COMMANDS
+    got = {}
+    for name, (argv, _, _) in readme_commands.items():
+        path = tmp_path / name
+        code = main(argv + ["--out", str(path)])
+        got[name] = (code, hashlib.sha256(path.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert got == {name: (code, digest) for name, (_, code, digest) in readme_commands.items()}

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from medent.dicke import (
     DickeConfig,
     DickeGroundPoint,
     FockConvergenceError,
+    _dicke_coefficients,
+    _dicke_terms,
     _evaluate,
     _parity_block_concurrence,
     _parity_block_hamiltonian,
@@ -17,10 +21,15 @@ from medent.dicke import (
     dicke_ground_point,
     dicke_mediator_form,
     dicke_sweep,
-    excitation_number,
-    parity_operator,
 )
-from medent.linalg import eigh, swap_operator
+from medent.linalg import (
+    DimensionError,
+    HermitianOperator,
+    eigh,
+    kron,
+    permute_subsystems,
+    swap_operator,
+)
 from medent.theorem import is_exchange_symmetric
 
 # exact closed forms for the co-rotating model at resonance: the ground level
@@ -84,6 +93,19 @@ def test_decoupled_ground_state(variant):
     # ground state |g,g> x |0>: flat index (1,1,0) -> 3 * (n_max + 1)
     ground = dec.eigenvectors[:, 0]
     assert abs(ground[3 * 11]) == pytest.approx(1.0)
+
+
+def excitation_number(n_max: int) -> np.ndarray:
+    """sum_j sigma_j^3 / 2 + a^dag a, diagonal, read off the integer basis labels
+    (s = 0 is the excited atom)."""
+    s1, s2, n = np.unravel_index(np.arange(4 * (n_max + 1)), (2, 2, n_max + 1))
+    return np.diag((1 - s1 - s2 + n).astype(float))
+
+
+def parity_operator(n_max: int) -> np.ndarray:
+    """exp(i pi (N + 1)) as the diagonal of signs (-1)^(s1 + s2 + n)."""
+    s1, s2, n = np.unravel_index(np.arange(4 * (n_max + 1)), (2, 2, n_max + 1))
+    return np.diag((-1.0) ** (s1 + s2 + n))
 
 
 def test_h1_conserves_excitation_number():
@@ -279,20 +301,69 @@ def assert_same_report(point, reference):
     assert point.concurrence.degenerate_ground == reference.concurrence.degenerate_ground
 
 
+@functools.lru_cache(maxsize=1)
+def kron_sum_terms(n_max):
+    """Each of ``_dicke_terms`` as the sum of its pairs' Kronecker products."""
+    return [
+        functools.reduce(operator.add, (kron(atoms, field) for atoms, field in pairs))
+        for pairs in _dicke_terms(n_max)
+    ]
+
+
+def kron_sum_dicke(cfg):
+    """The Dicke Hamiltonian as the coefficient-weighted sum of its full-size
+    terms, added in order: an assembly independent of the parity blocks that
+    ``build_dicke`` scatters, and bit for bit the same."""
+    terms = zip(_dicke_coefficients(cfg), kron_sum_terms(cfg.n_max))
+    c, term = next(terms)
+    h = c * term
+    for c, term in terms:
+        h += c * term
+    return HermitianOperator(h)
+
+
+KRON_SUM_GRID = [
+    DickeConfig(variant=v, kappa=float(k), lam_tilde=t, n_max=n)
+    for v, k, t, n in itertools.product(
+        ["h1", "h2", "h3"], [0.0, 0.3, 1 / np.sqrt(2), 1.1, 2.5], [0.5, 1.0], [1, 8, 40, 80]
+    )
+] + [
+    DickeConfig(variant=v, kappa=float(k), omega_a=wa, omega_f=wf, n_max=n)
+    for v, k, n, wa, wf in itertools.product(
+        ["h1", "h2", "h3"], [H1_FIRST_CROSSING, H1_SECOND_CROSSING, 0.83], [40, 160], [1.0, 1.3], [1.0, 0.9]
+    )
+]
+
+
 @pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
-@pytest.mark.parametrize("n_max", [1, 8, 40])
+@pytest.mark.parametrize("n_max", [1, 8, 40, 80, 160])
 def test_parity_blocks_reassemble_build_dicke(variant, n_max):
-    cfg = DickeConfig(variant=variant, kappa=0.83, lam_tilde=0.7, omega_a=1.3, omega_f=0.9, n_max=n_max)
-    sectors, blocks = _parity_block_hamiltonian(cfg)
-    assert sectors.shape == (2, 2 * (n_max + 1))
-    assert sorted(sectors.ravel().tolist()) == list(range(cfg.dim))
-    h = build_dicke(cfg).matrix
-    assert not h.imag.any()
-    assert blocks.dtype == np.float64
-    full = np.zeros_like(h.real)
-    for block, sector in zip(blocks, sectors):
-        full[np.ix_(sector, sector)] = block
-    assert np.array_equal(full, h.real)
+    configs = [c for c in KRON_SUM_GRID if (c.variant, c.n_max) == (variant, n_max)]
+    configs.append(
+        DickeConfig(variant=variant, kappa=0.83, lam_tilde=0.7, omega_a=1.3, omega_f=0.9, n_max=n_max)
+    )
+    for cfg in configs:
+        sectors, blocks = _parity_block_hamiltonian(cfg)
+        assert sectors.shape == (2, 2 * (n_max + 1))
+        assert sorted(sectors.ravel().tolist()) == list(range(cfg.dim))
+        assert blocks.dtype == np.float64
+        # tobytes, so signed zeros count too
+        reference = kron_sum_dicke(cfg).matrix
+        assert build_dicke(cfg).matrix.tobytes() == reference.tobytes(), cfg
+        mediator, dims = dicke_mediator_form(cfg)
+        permuted = HermitianOperator(permute_subsystems(reference, cfg.dims, (0, 2, 1)))
+        assert mediator.matrix.tobytes() == permuted.matrix.tobytes(), cfg
+        assert dims == (2, n_max + 1, 2)
+
+
+def test_build_dicke_keeps_the_kron_dimension_bound():
+    # 4 (n_max + 1) = 4404 exceeds KRON_DIM_LIMIT: rejected before any block is built
+    cfg = DickeConfig(variant="h1", kappa=0.5, n_max=1100)
+    message = "kron would produce a 4404x4404 matrix, limit is 4096"
+    _parity_blocks.cache_clear()
+    with pytest.raises(DimensionError, match=message):
+        dicke_ground_point(cfg)
+    assert _parity_blocks.cache_info().currsize == 0
 
 
 def test_parity_blocks_are_keyed_by_integers():
