@@ -245,6 +245,11 @@ def cmd_theorem(args) -> int:
         )
     print(f"counterexamples: {len(report.counterexamples)}")
     print(
+        f"counterexamples by outer swap parity: even {report.counterexamples_even}, "
+        f"odd {report.counterexamples_odd}",
+        file=sys.stderr,
+    )
+    print(
         f"family energy checks: {len(report.family_checks)} "
         f"({sum(1 for f in report.family_checks if f.passed)} passed)"
     )

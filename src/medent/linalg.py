@@ -407,9 +407,14 @@ def reduced_density(state: np.ndarray, dims, keep) -> DensityMatrix:
     return DensityMatrix(_trace_out(dims, keep, ",", t, t.conj()))
 
 
+def _purity_stack(m: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of every checked density matrix in an (n, d, d) stack."""
+    return (np.abs(m) ** 2).reshape(len(m), -1).sum(axis=1)
+
+
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.sum(np.abs(rho.matrix) ** 2))
+    return float(_purity_stack(rho.matrix[np.newaxis])[0])
 
 
 @dataclass(frozen=True)
@@ -436,26 +441,37 @@ class SchmidtDecomposition:
         return out
 
 
+def _schmidt_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt coefficients (n, k), left bases (n, dL, k) and right bases
+    (n, dR, k) of a stack of unit vectors given as (n, dL, dR) coefficient
+    matrices, each as ``schmidt`` defines them.
+
+    Raises ValueError if a vector's norm deviates from 1 beyond STATE_NORM_ATOL.
+    """
+    norms = np.linalg.norm(m, axis=(1, 2))
+    off = np.flatnonzero(np.abs(norms - 1.0) > STATE_NORM_ATOL)
+    if off.size:
+        raise ValueError(f"input norm {norms[off[0]]!r} deviates from 1 beyond {STATE_NORM_ATOL}")
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # phase convention: left vectors real-positive at their largest entry,
+    # compensating phases absorbed into the right vectors
+    ph = _pivot_phases(u)
+    u *= ph[:, np.newaxis, :]
+    vh *= ph.conj()[:, :, np.newaxis]
+    return s, u, vh.swapaxes(1, 2)
+
+
 def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector on a dL x dR bipartition."""
     dl, dr = int(dims[0]), int(dims[1])
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if v.size != dl * dr:
         raise DimensionError(f"vector size {v.size} != {dl}*{dr}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > STATE_NORM_ATOL:
-        raise ValueError(f"input norm {norm!r} deviates from 1 beyond {STATE_NORM_ATOL}")
-
-    u, s, vh = np.linalg.svd(v.reshape(dl, dr), full_matrices=False)
-    # phase convention: left vectors real-positive at their largest entry,
-    # compensating phases absorbed into the right vectors
-    ph = _pivot_phases(u)
-    u *= ph
-    vh *= ph.conj()[:, None]
+    s, u, w = _schmidt_stack(v.reshape(1, dl, dr))
     return SchmidtDecomposition(
-        coefficients=_readonly(s.astype(float)),
-        basis_left=_readonly(u),
-        basis_right=_readonly(vh.T),
+        coefficients=_readonly(s[0]),
+        basis_left=_readonly(u[0]),
+        basis_right=_readonly(w[0]),
     )
 
 

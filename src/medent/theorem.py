@@ -13,22 +13,28 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import concurrence, ground_level_density
+from .entanglement import concurrence, concurrence_stack, ground_level_density_stack
 from .linalg import (
     DimensionError,
     HermitianOperator,
-    SchmidtDecomposition,
+    _density_stack,
+    _hermitian_stack,
+    _purity_stack,
+    _raise_any,
     _readonly,
+    _schmidt_stack,
+    _trace_out,
+    degeneracy_groups,
     eigh,
-    frobenius_norm,
+    eigh_stack,
     kron_all,
-    permute_subsystems,
     purity,
     reduced_density,
-    schmidt,
 )
 from .tripartite import PAULI
 
@@ -38,6 +44,23 @@ PURITY_EXTRACT_ATOL = 1e-8  # factorization verdict threshold
 SCHMIDT_RANK_TOL = 1e-7
 FAMILY_ENERGY_RTOL = 1e-9
 FAMILY_SAMPLES = 4  # random coefficient vectors per family check
+THEOREM_CHUNK = 128  # fuzz trials per stacked solve
+
+
+def _swapped(m: np.ndarray, dims: tuple[int, ...], pair: tuple[int, int]) -> np.ndarray:
+    """Every matrix of an (n, D, D) stack conjugated by the swap of the two
+    named subsystems."""
+    perm = list(range(len(dims)))
+    perm[pair[0]], perm[pair[1]] = pair[1], pair[0]
+    axes = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
+    return m.reshape(len(m), *dims, *dims).transpose(axes).reshape(m.shape)
+
+
+def _exchange_symmetric(m: np.ndarray, dims: tuple[int, ...], pair: tuple[int, int]) -> np.ndarray:
+    """Per matrix M of an (n, D, D) stack: ||S M S - M||_F <= SYMMETRY_RTOL *
+    max(1, ||M||_F), S the swap of the two named subsystems."""
+    defect = np.linalg.norm(_swapped(m, dims, pair) - m, axis=(1, 2))
+    return defect <= SYMMETRY_RTOL * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
 
 
 def is_exchange_symmetric(h: HermitianOperator, dims, pair: tuple[int, int] = (0, 2)) -> bool:
@@ -46,12 +69,9 @@ def is_exchange_symmetric(h: HermitianOperator, dims, pair: tuple[int, int] = (0
     i, j = pair
     if dims[i] != dims[j]:
         raise DimensionError(f"swap partners must have equal dims, got {dims[i]}, {dims[j]}")
-    if int(np.prod(dims)) != h.dim:
+    if prod(dims) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    perm = list(range(len(dims)))
-    perm[i], perm[j] = j, i
-    defect = frobenius_norm(permute_subsystems(h.matrix, dims, perm) - h.matrix)
-    return bool(defect <= SYMMETRY_RTOL * max(1.0, frobenius_norm(h.matrix)))
+    return bool(_exchange_symmetric(h.matrix[np.newaxis], dims, (i, j))[0])
 
 
 @dataclass(frozen=True)
@@ -73,15 +93,46 @@ class EigenstateAnalysis:
     fully_factorized: bool
 
 
-def _middle_split(psi, dims) -> tuple[float, np.ndarray | None, SchmidtDecomposition | None]:
-    """Purity of psi's middle reduction and, if pure, the mediator state beta and the
-    outer pair's Schmidt decomposition: then psi = omega_AC x beta, so beta and omega
-    are the top singular vectors of psi split as mediator | outer pair."""
-    p_b = purity(reduced_density(psi, dims, (1,)))
-    if p_b < 1.0 - PURITY_EXTRACT_ATOL:
-        return p_b, None, None
-    split = schmidt(np.swapaxes(np.reshape(psi, dims), 0, 1), (dims[1], dims[0] * dims[2]))
-    return p_b, split.basis_left[:, 0], schmidt(split.basis_right[:, 0], (dims[0], dims[2]))
+class MiddleSplit(NamedTuple):
+    """The middle reductions of a stack of n states on (d_A, d_B, d_C).
+
+    ``purity_b`` (n,) holds their purities and ``pure`` the indices of the
+    states whose purity reaches 1 - PURITY_EXTRACT_ATOL.  Such a state is
+    omega_AC x beta; per entry of ``pure``, ``beta`` (p, d_B) holds beta, and
+    ``coefficients`` (p, k), ``left`` (p, d_A, k) and ``right`` (p, d_C, k)
+    the Schmidt form of omega_AC.
+    """
+
+    purity_b: np.ndarray
+    pure: np.ndarray
+    beta: np.ndarray
+    coefficients: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    def ranks(self) -> np.ndarray:
+        """The outer Schmidt rank of each pure state."""
+        return np.count_nonzero(self.coefficients >= SCHMIDT_RANK_TOL, axis=1)
+
+
+def _middle_split(states: np.ndarray, dims: tuple[int, ...]) -> MiddleSplit:
+    """The middle purity of every state of an (n, D) stack, and the split of
+    the pure ones: psi = omega_AC x beta, so beta and omega are the top
+    singular vectors of psi split as mediator | outer pair.
+
+    Each middle reduction is checked as a ``DensityMatrix`` (ValueError).
+    """
+    if states.shape[1:] != (prod(dims),):
+        raise DimensionError(f"state size {states.shape[1:]} != prod({dims})")
+    t = states.reshape(len(states), *dims)
+    rho, errors = _density_stack(_trace_out(dims, (1,), ",", t, t.conj()))
+    _raise_any(errors)
+    p_b = _purity_stack(rho)
+    pure = np.flatnonzero(p_b >= 1.0 - PURITY_EXTRACT_ATOL)
+    p = len(pure)
+    _, beta, omega = _schmidt_stack(t[pure].swapaxes(1, 2).reshape(p, dims[1], dims[0] * dims[2]))
+    coefficients, left, right = _schmidt_stack(omega[:, :, 0].reshape(p, dims[0], dims[2]))
+    return MiddleSplit(p_b, pure, beta[:, :, 0], coefficients, left, right)
 
 
 def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis, ...]:
@@ -99,16 +150,17 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
             stacklevel=2,
         )
     dec = eigh(h)
+    split = _middle_split(np.ascontiguousarray(dec.eigenvectors.T), dims)
+    ranks = dict(zip(split.pure.tolist(), split.ranks().tolist()))
     out = []
     for i, psi in enumerate(dec.eigenvectors.T):
-        p_b, _, sd = _middle_split(psi, dims)
         rho_ac = reduced_density(psi, dims, (0, 2))
-        rank = None if sd is None else sd.rank(SCHMIDT_RANK_TOL)
+        rank = ranks.get(i)
         out.append(EigenstateAnalysis(
             index=i,
             energy=float(dec.eigenvalues[i]),
             is_degenerate=dec.is_degenerate(i),
-            purity_b=p_b,
+            purity_b=float(split.purity_b[i]),
             purity_ac=purity(rho_ac),
             schmidt_rank_ac=rank,
             ac_concurrence=concurrence(rho_ac).value if dims[0] == dims[2] == 2 else None,
@@ -150,13 +202,34 @@ def _operator_stacks(d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ))
 
 
-def _random_combination(rng: np.random.Generator, stack: np.ndarray) -> np.ndarray:
-    """sum_k c_k stack[k] with standard-normal c_k, added term by term in stack
-    order: one contraction would round differently and change the bits of H."""
-    m = np.zeros(stack.shape[1:], dtype=np.complex128)
-    for c, op in zip(rng.standard_normal(len(stack)), stack):
-        m += c * op
+def _random_combination(coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k c[k] stack[k] for each row c of an (n, K) coefficient array, added
+    term by term in stack order: one contraction would round differently and
+    change the bits of H."""
+    m = np.zeros((len(coefficients), *stack.shape[1:]), dtype=np.complex128)
+    for c, op in zip(coefficients.T, stack):
+        m += c[:, np.newaxis, np.newaxis] * op
     return m
+
+
+def _random_hamiltonians(rngs, d_b: int, break_symmetry: bool) -> np.ndarray:
+    """The unchecked matrices that ``random_symmetric_hamiltonian`` draws from
+    each of the generators, as one (n, D, D) stack.
+
+    Each generator draws one run of standard normals: the left coefficients,
+    then (with ``break_symmetry``) the right ones, then the local ones.
+    """
+    left, right, local = _operator_stacks(d_b)
+    stacks = (left, right, local) if break_symmetry else (left, local)
+    sizes = [len(s) for s in stacks]
+    draws = np.array([rng.standard_normal(sum(sizes)) for rng in rngs])
+    coefficients = np.split(draws, np.cumsum(sizes[:-1]), axis=1)
+    h_ab = _random_combination(coefficients[0], left)
+    if break_symmetry:
+        h_bc = _random_combination(coefficients[1], right)
+    else:
+        h_bc = _swapped(h_ab, (2, d_b, 2), (0, 2))
+    return h_ab + h_bc + _random_combination(coefficients[-1], local)
 
 
 def random_symmetric_hamiltonian(
@@ -170,13 +243,7 @@ def random_symmetric_hamiltonian(
     With ``break_symmetry`` the right coupling is drawn independently instead
     of mirrored, leaving the exchange symmetry violated almost surely.
     """
-    left, right, local = _operator_stacks(d_b)
-    h_ab = _random_combination(rng, left)
-    if break_symmetry:
-        h_bc = _random_combination(rng, right)
-    else:
-        h_bc = permute_subsystems(h_ab, (2, d_b, 2), (2, 1, 0))
-    return HermitianOperator(h_ab + h_bc + _random_combination(rng, local))
+    return HermitianOperator(_random_hamiltonians([rng], d_b, break_symmetry)[0])
 
 
 @dataclass(frozen=True)
@@ -194,27 +261,34 @@ class FamilyCheck:
     passed: bool
 
 
-def _family_check(
-    h: HermitianOperator, beta: np.ndarray, sd: SchmidtDecomposition, rng, samples: int
-) -> FamilyCheck | None:
-    """Family energy check for mediator state ``beta``; None below outer Schmidt rank 2."""
-    rank = sd.rank(SCHMIDT_RANK_TOL)
-    if rank < 2:
-        return None
-    coeffs = np.vstack([np.eye(rank)] + [
-        rng.standard_normal(rank) + 1j * rng.standard_normal(rank) for _ in range(samples)
-    ])
-    states = np.einsum(
-        "kj,aj,b,cj->kabc", coeffs, sd.basis_left[:, :rank], beta, sd.basis_right[:, :rank]
-    ).reshape(len(coeffs), h.dim)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    energies = np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real
+def _family_coefficients(draws: np.ndarray) -> np.ndarray:
+    """The coefficient vectors of p family checks of outer rank r from their
+    standard normals, drawn as (p, samples, 2, r): per check the r unit
+    vectors, then one complex vector per sample, its real part drawn before
+    its imaginary part."""
+    p, _, _, rank = draws.shape
+    unit = np.broadcast_to(np.eye(rank), (p, rank, rank))
+    return np.concatenate([unit, draws[:, :, 0] + 1j * draws[:, :, 1]], axis=1)
 
-    spread = float(energies.max() - energies.min())
-    scale = max(1.0, frobenius_norm(h.matrix))
-    return FamilyCheck(
-        rank=rank, spread=spread, passed=bool(spread <= FAMILY_ENERGY_RTOL * scale)
-    )
+
+def _family_check(h: np.ndarray, beta, left, right, coefficients: np.ndarray) -> list[FamilyCheck]:
+    """Family energy checks of p pure states omega_AC x beta under the matrices
+    of a (p, D, D) stack.  ``beta``, ``left`` and ``right`` are rows of a
+    ``MiddleSplit``; every state has the outer rank r of its (p, K, r)
+    ``coefficients``."""
+    rank = coefficients.shape[-1]
+    states = np.einsum(
+        "skj,saj,sb,scj->skabc", coefficients, left[:, :, :rank], beta, right[:, :, :rank]
+    ).reshape(*coefficients.shape[:2], -1)
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    energies = np.einsum("ski,sij,skj->sk", states.conj(), h, states).real
+
+    spread = energies.max(axis=1) - energies.min(axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(h, axis=(1, 2)))
+    return [
+        FamilyCheck(rank=rank, spread=s, passed=s <= FAMILY_ENERGY_RTOL * c)
+        for s, c in zip(spread.tolist(), scale.tolist())
+    ]
 
 
 def degenerate_family_check(
@@ -225,8 +299,13 @@ def degenerate_family_check(
     samples: int = FAMILY_SAMPLES,
 ) -> FamilyCheck | None:
     """Run the family energy check if ``psi`` qualifies (pure middle, rank >= 2)."""
-    _, beta, sd = _middle_split(psi, tuple(int(d) for d in dims))
-    return None if sd is None else _family_check(h, beta, sd, rng, samples)
+    dims = tuple(int(d) for d in dims)
+    split = _middle_split(np.asarray(psi, dtype=np.complex128).reshape(1, -1), dims)
+    ranks = split.ranks()
+    if not ranks.size or ranks[0] < 2:
+        return None
+    coefficients = _family_coefficients(rng.standard_normal((1, samples, 2, ranks[0])))
+    return _family_check(h.matrix[np.newaxis], split.beta, split.left, split.right, coefficients)[0]
 
 
 @dataclass(frozen=True)
@@ -249,6 +328,10 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TheoremFuzzReport:
+    """The fuzzer's findings.  ``counterexamples_even`` and
+    ``counterexamples_odd`` count the counterexamples psi with <psi|S|psi>
+    above and below 0, S the swap of the outer pair."""
+
     trials: int
     d_b: int
     seed: int
@@ -256,10 +339,85 @@ class TheoremFuzzReport:
     family_checks: tuple[FamilyCheck, ...]
     trial_records: tuple[TrialRecord, ...]
     skipped_asymmetric: int
+    counterexamples_even: int
+    counterexamples_odd: int
 
     @property
     def passed(self) -> bool:
         return not self.counterexamples and all(f.passed for f in self.family_checks)
+
+
+def _fuzz_chunk(seed: int, trials: range, d_b: int, break_symmetry: bool):
+    """The counterexamples, family checks, trial records and counterexample
+    swap expectations of a run of consecutive trials.
+
+    The run is drawn, solved and analysed as stacks; every trial keeps the
+    bits it has when solved alone.
+    """
+    dims = (2, d_b, 2)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        for t in trials
+    ]
+    h, errors = _hermitian_stack(_random_hamiltonians(rngs, d_b, break_symmetry))
+    symmetric = np.flatnonzero(_exchange_symmetric(h, dims, (0, 2)))
+    records = [TrialRecord(t, False, 0, 0, True) for t in trials]
+    if not symmetric.size:
+        _raise_any(errors)
+        return [], [], records, np.zeros(0)
+    h = h[symmetric]
+    dec = eigh_stack(h)
+    for i, err in zip(symmetric, dec.errors):
+        errors[i] = errors[i] or err
+    _raise_any(errors)
+
+    dim = h.shape[-1]
+    # row s * dim + i: eigenstate i of the s-th symmetric trial
+    states = np.ascontiguousarray(dec.eigenvectors.swapaxes(1, 2)).reshape(-1, dim)
+    split = _middle_split(states, dims)
+    ranks = split.ranks()
+    # with qubit outer parties, rank >= 2 is rank 2
+    hits = np.flatnonzero(ranks >= 2)
+    rows = split.pure[hits]
+    owner, index = np.divmod(rows, dim)
+    counts = np.bincount(owner, minlength=len(symmetric))
+    # a trial's family draws follow its Hamiltonian's, in eigenstate order
+    coefficients = _family_coefficients(np.concatenate([
+        rngs[i].standard_normal((count, FAMILY_SAMPLES, 2, 2)) for i, count in zip(symmetric, counts)
+    ]))
+    checks = _family_check(
+        h[owner], split.beta[hits], split.left[hits], split.right[hits], coefficients
+    )
+
+    purity_b = split.purity_b[rows]
+    level_sizes = {}  # per trial, the size of each eigenvalue's degeneracy group
+    found = []
+    for k in np.flatnonzero(purity_b >= 1.0 - PURITY_PURE_ATOL).tolist():
+        s = int(owner[k])
+        if s not in level_sizes:
+            groups = degeneracy_groups(dec.eigenvalues[s])
+            level_sizes[s] = [len(group) for group in groups for _ in group]
+        if level_sizes[s][index[k]] == 1:
+            found.append(k)
+    psi = states[rows[found]].reshape(len(found), *dims)
+    swap = np.einsum("sabc,scba->s", psi.conj(), psi).real
+    counterexamples = [
+        Counterexample(
+            trials[symmetric[owner[k]]],
+            int(index[k]),
+            float(dec.eigenvalues[owner[k], index[k]]),
+            float(purity_b[k]),
+            int(ranks[hits[k]]),
+        )
+        for k in found
+    ]
+
+    n_found = np.bincount(owner[found], minlength=len(symmetric))
+    ends = np.cumsum(counts).tolist()
+    for s, i in enumerate(symmetric.tolist()):
+        ok = all(c.passed for c in checks[ends[s] - counts[s]:ends[s]])
+        records[i] = TrialRecord(trials[i], True, int(n_found[s]), int(counts[s]), ok)
+    return counterexamples, checks, records, swap
 
 
 def theorem_fuzz(
@@ -269,43 +427,21 @@ def theorem_fuzz(
 
     A violation is a non-degenerate eigenstate with pure middle reduction and
     outer-pair Schmidt rank >= 2.  Trials use independent, seed-derived random
-    streams, so the report is reproducible and order-independent.
+    streams, so the report is reproducible and order-independent; they are
+    drawn, solved and analysed THEOREM_CHUNK at a time as stacks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dims = (2, d_b, 2)
-    counterexamples: list[Counterexample] = []
-    family_checks: list[FamilyCheck] = []
-    records: list[TrialRecord] = []
-    skipped = 0
-
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        h = random_symmetric_hamiltonian(d_b, rng, break_symmetry=break_symmetry)
-        symmetric = is_exchange_symmetric(h, dims)
-        if not symmetric:
-            skipped += 1
-            records.append(TrialRecord(t, False, 0, 0, True))
-            continue
-
-        n_ce = 0
-        n_fam = 0
-        fam_ok = True
-        dec = eigh(h)
-        for i, psi in enumerate(dec.eigenvectors.T):
-            p_b, beta, sd = _middle_split(psi, dims)
-            rank = 0 if sd is None else sd.rank(SCHMIDT_RANK_TOL)
-            if rank < 2:
-                continue
-            if not dec.is_degenerate(i) and p_b >= 1.0 - PURITY_PURE_ATOL:
-                n_ce += 1
-                counterexamples.append(Counterexample(t, i, float(dec.eigenvalues[i]), p_b, rank))
-            check = _family_check(h, beta, sd, rng, FAMILY_SAMPLES)
-            family_checks.append(check)
-            n_fam += 1
-            fam_ok = fam_ok and check.passed
-        records.append(TrialRecord(t, True, n_ce, n_fam, fam_ok))
-
+    counterexamples, family_checks, records, swaps = [], [], [], []
+    for start in range(0, trials, THEOREM_CHUNK):
+        found, checks, chunk_records, swap = _fuzz_chunk(
+            seed, range(start, min(start + THEOREM_CHUNK, trials)), d_b, break_symmetry
+        )
+        counterexamples += found
+        family_checks += checks
+        records += chunk_records
+        swaps.append(swap)
+    swap = np.concatenate(swaps)
     return TheoremFuzzReport(
         trials=trials,
         d_b=d_b,
@@ -313,7 +449,9 @@ def theorem_fuzz(
         counterexamples=tuple(counterexamples),
         family_checks=tuple(family_checks),
         trial_records=tuple(records),
-        skipped_asymmetric=skipped,
+        skipped_asymmetric=sum(not r.symmetric for r in records),
+        counterexamples_even=int(np.count_nonzero(swap > 0)),
+        counterexamples_odd=int(np.count_nonzero(swap < 0)),
     )
 
 
@@ -347,10 +485,17 @@ def corollary_check(
         raise ValueError("corollary_check requires an exchange-symmetric operator")
 
     dec = eigh(h)
-    degenerate = len(dec.ground_group) > 1
-    rho_ac = ground_level_density(dec, dims, (0, 2))
-    conc = concurrence(rho_ac).value
-    p_ac = purity(rho_ac)
+    size = len(dec.ground_group)
+    degenerate = size > 1
+    # rho_AC, its concurrence and its purity from the stack kernels: one check of rho_AC
+    rho_ac, errors = ground_level_density_stack(
+        dec.eigenvectors[np.newaxis], np.array([size]), dims, (0, 2)
+    )
+    _raise_any(errors)
+    values, _, errors = concurrence_stack(rho_ac)
+    _raise_any(errors)
+    conc = float(values[0])
+    p_ac = float(_purity_stack(rho_ac)[0])
     # a degenerate ground level passes both corollaries by definition
     mixed_ok = degenerate or conc <= concurrence_floor or p_ac < 1.0 - purity_margin
     maximal_ok = degenerate or conc <= 1.0 - purity_margin

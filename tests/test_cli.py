@@ -177,6 +177,15 @@ def test_theorem_exit_code_reflects_counterexamples(tmp_path, capsys):
     assert all(row["symmetric"] is True for row in records.rows)
 
 
+def test_theorem_writes_swap_parity_to_stderr(capsys):
+    # the split by outer swap parity goes to stderr; stdout keeps its lines
+    code, out, err = run(capsys, "theorem", "--trials", "3", "--db-dim", "2", "--seed", "42")
+    assert code == 4
+    assert "counterexamples by outer swap parity: even 0, odd 6\n" in err
+    assert "parity" not in out
+    assert "counterexamples: 6\n" in out
+
+
 def test_theorem_break_symmetry_exits_0(capsys):
     code, out, _ = run(
         capsys, "theorem", "--trials", "2", "--db-dim", "2", "--seed", "1",

@@ -1,21 +1,43 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import medent.theorem as theorem_module
 from medent.dicke import DickeConfig, dicke_mediator_form
+from medent.entanglement import concurrence, ground_level_density
 from medent.linalg import (
+    DensityMatrix,
     HermitianOperator,
+    SchmidtDecomposition,
     eigh,
+    frobenius_norm,
     kron_all,
+    partial_trace,
+    permute_subsystems,
+    purity,
     reduced_density,
     schmidt,
     swap_operator,
 )
 from medent.theorem import (
+    FAMILY_ENERGY_RTOL,
+    FAMILY_SAMPLES,
+    PURITY_EXTRACT_ATOL,
     PURITY_PURE_ATOL,
     SCHMIDT_RANK_TOL,
+    SYMMETRY_RTOL,
+    THEOREM_CHUNK,
+    Counterexample,
+    FamilyCheck,
+    TheoremFuzzReport,
+    TrialRecord,
     _middle_split,
+    _operator_stacks,
     analyze_eigenstates,
     corollary_check,
     degenerate_family_check,
@@ -301,16 +323,44 @@ def test_pure_middle_eigenstates_are_omega_times_beta(d_b):
     checked = 0
     for t in range(5):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(t,)))
-        dec = eigh(random_symmetric_hamiltonian(d_b, rng))
-        for psi in dec.eigenvectors.T:
-            p_b, beta, sd = _middle_split(psi, dims)
-            if p_b < 1.0 - PURITY_PURE_ATOL:
+        states = eigh(random_symmetric_hamiltonian(d_b, rng)).eigenvectors.T
+        split = _middle_split(np.ascontiguousarray(states), dims)
+        for k, i in enumerate(split.pure):
+            if split.purity_b[i] < 1.0 - PURITY_PURE_ATOL:
                 continue
+            sd = SchmidtDecomposition(split.coefficients[k], split.left[k], split.right[k])
             omega = sd.reconstruct().reshape(2, 2)
-            product = np.einsum("ac,b->abc", omega, beta).reshape(-1)
-            assert abs(abs(np.vdot(psi, product)) - 1.0) <= 1e-12
+            product = np.einsum("ac,b->abc", omega, split.beta[k]).reshape(-1)
+            assert abs(abs(np.vdot(states[i], product)) - 1.0) <= 1e-12
             checked += 1
     assert checked >= 5 * d_b
+
+
+def degenerate_dark_level_stacks(d_b):
+    """Coupling terms without the Pauli identity and a scalar local term: the
+    swap-odd block h_B + 2 sum_k c_0k g_k is then a multiple of the identity,
+    so the d_b dark states singlet_AC x beta form one excited level."""
+    left, right, _ = _operator_stacks(d_b)
+    no_identity = [i for i in range(len(right)) if i % 4]
+    return left[d_b * d_b:], right[no_identity], np.eye(4 * d_b, dtype=complex)[np.newaxis]
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_fuzz_skips_a_degenerate_excited_dark_level(d_b, monkeypatch):
+    # the degeneracy verdict must cover every level, not only the ground level
+    monkeypatch.setattr(theorem_module, "_operator_stacks", degenerate_dark_level_stacks)
+    report = theorem_fuzz(6, d_b, 3)
+    assert report.counterexamples == ()
+    assert [r.family_checks for r in report.trial_records] == [d_b] * 6
+    assert all(f.passed for f in report.family_checks)
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_fuzz_counterexamples_are_swap_odd(d_b):
+    # closed form: every counterexample is a singlet_AC x beta dark state, d_b per trial
+    report = theorem_fuzz(12, d_b, 5)
+    assert report.counterexamples_even == 0
+    assert report.counterexamples_odd == d_b * 12 == len(report.counterexamples)
 
 
 def test_fuzz_break_symmetry_skips_checks():
@@ -381,6 +431,195 @@ def test_random_hamiltonian_is_symmetric_and_mediated():
         assert abs(m[0, b, 1, 1, b, 0]) < 1e-12
 
 
+# ---------------------------------------------------------------- per-trial oracle
+#
+# The fuzzer as it ran before it was stacked: one trial at a time, one
+# eigenstate at a time, from the scalar reduction, purity and Schmidt
+# functions.  The stacked fuzzer must reproduce its report bit for bit.
+
+def per_trial_random_combination(rng, stack):
+    m = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for c, op in zip(rng.standard_normal(len(stack)), stack):
+        m += c * op
+    return m
+
+
+def per_trial_hamiltonian(d_b, rng, break_symmetry):
+    left, right, local = _operator_stacks(d_b)
+    h_ab = per_trial_random_combination(rng, left)
+    if break_symmetry:
+        h_bc = per_trial_random_combination(rng, right)
+    else:
+        h_bc = permute_subsystems(h_ab, (2, d_b, 2), (2, 1, 0))
+    return HermitianOperator(h_ab + h_bc + per_trial_random_combination(rng, local))
+
+
+def per_trial_is_symmetric(h, dims):
+    defect = frobenius_norm(permute_subsystems(h.matrix, dims, (2, 1, 0)) - h.matrix)
+    return bool(defect <= SYMMETRY_RTOL * max(1.0, frobenius_norm(h.matrix)))
+
+
+def per_state_middle_split(psi, dims):
+    p_b = purity(reduced_density(psi, dims, (1,)))
+    if p_b < 1.0 - PURITY_EXTRACT_ATOL:
+        return p_b, None, None
+    split = schmidt(np.swapaxes(np.reshape(psi, dims), 0, 1), (dims[1], dims[0] * dims[2]))
+    return p_b, split.basis_left[:, 0], schmidt(split.basis_right[:, 0], (dims[0], dims[2]))
+
+
+def per_state_family_check(h, beta, sd, rng, samples):
+    rank = sd.rank(SCHMIDT_RANK_TOL)
+    if rank < 2:
+        return None
+    coeffs = np.vstack([np.eye(rank)] + [
+        rng.standard_normal(rank) + 1j * rng.standard_normal(rank) for _ in range(samples)
+    ])
+    states = np.einsum(
+        "kj,aj,b,cj->kabc", coeffs, sd.basis_left[:, :rank], beta, sd.basis_right[:, :rank]
+    ).reshape(len(coeffs), h.dim)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    energies = np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real
+
+    spread = float(energies.max() - energies.min())
+    scale = max(1.0, frobenius_norm(h.matrix))
+    return FamilyCheck(rank=rank, spread=spread, passed=bool(spread <= FAMILY_ENERGY_RTOL * scale))
+
+
+@functools.lru_cache(maxsize=None)
+def per_trial_outcome(t, d_b, seed, break_symmetry):
+    """Trial t's record, counterexamples, family checks and counterexample swap expectations."""
+    dims = (2, d_b, 2)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+    h = per_trial_hamiltonian(d_b, rng, break_symmetry)
+    if not per_trial_is_symmetric(h, dims):
+        return TrialRecord(t, False, 0, 0, True), (), (), ()
+    s = swap_operator(dims, 0, 2)
+    found, checks, swaps = [], [], []
+    dec = eigh(h)
+    for i, psi in enumerate(dec.eigenvectors.T):
+        p_b, beta, sd = per_state_middle_split(psi, dims)
+        rank = 0 if sd is None else sd.rank(SCHMIDT_RANK_TOL)
+        if rank < 2:
+            continue
+        if not dec.is_degenerate(i) and p_b >= 1.0 - PURITY_PURE_ATOL:
+            found.append(Counterexample(t, i, float(dec.eigenvalues[i]), p_b, rank))
+            swaps.append(float(np.real(np.vdot(psi, s @ psi))))
+        checks.append(per_state_family_check(h, beta, sd, rng, FAMILY_SAMPLES))
+    record = TrialRecord(t, True, len(found), len(checks), all(c.passed for c in checks))
+    return record, tuple(found), tuple(checks), tuple(swaps)
+
+
+def per_trial_theorem_fuzz(trials, d_b, seed, break_symmetry=False):
+    outcomes = [per_trial_outcome(t, d_b, seed, break_symmetry) for t in range(trials)]
+    swaps = [x for o in outcomes for x in o[3]]
+    return TheoremFuzzReport(
+        trials=trials,
+        d_b=d_b,
+        seed=seed,
+        counterexamples=tuple(c for o in outcomes for c in o[1]),
+        family_checks=tuple(f for o in outcomes for f in o[2]),
+        trial_records=tuple(o[0] for o in outcomes),
+        skipped_asymmetric=sum(not o[0].symmetric for o in outcomes),
+        counterexamples_even=sum(x > 0 for x in swaps),
+        counterexamples_odd=sum(x < 0 for x in swaps),
+    )
+
+
+@pytest.mark.parametrize("trials", [1, THEOREM_CHUNK - 1, THEOREM_CHUNK, THEOREM_CHUNK + 1])
+@pytest.mark.parametrize("break_symmetry", [False, True])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_stacked_fuzz_matches_per_trial_oracle(d_b, break_symmetry, trials):
+    seed = 40 + d_b
+    report = theorem_fuzz(trials, d_b, seed, break_symmetry=break_symmetry)
+    expected = per_trial_theorem_fuzz(trials, d_b, seed, break_symmetry)
+    assert report == expected
+    assert [f.spread for f in report.family_checks] == [f.spread for f in expected.family_checks]
+    if not break_symmetry:
+        assert report.counterexamples_odd == d_b * trials
+
+
+# ---------------------------------------------------------------- properties (hypothesis)
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+UNIT_FLOATS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def unit_vector(n):
+    return arrays(np.float64, (2, n), elements=UNIT_FLOATS).map(
+        lambda a: a[0] + 1j * a[1]
+    ).filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def split_states(draw):
+    """A mediator dim and a stack of unit states on (2, d_b, 2): random ones and
+    omega_AC x beta products."""
+    d_b = draw(st.sampled_from([2, 3, 4]))
+    states = []
+    for product in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if product:
+            omega, beta = draw(unit_vector(4)), draw(unit_vector(d_b))
+            psi = np.einsum("ac,b->abc", omega.reshape(2, 2), beta).reshape(-1)
+            states.append(psi / np.linalg.norm(psi))
+        else:
+            states.append(draw(unit_vector(4 * d_b)))
+    return d_b, np.array(states)
+
+
+@PROPERTY_SETTINGS
+@given(split_states())
+def test_stacked_middle_split_matches_scalar_reference(case):
+    d_b, states = case
+    dims = (2, d_b, 2)
+    split = _middle_split(states, dims)
+    pure = []
+    for i, psi in enumerate(states):
+        p_b, beta, sd = per_state_middle_split(psi, dims)
+        assert split.purity_b[i] == p_b
+        if sd is not None:
+            k = len(pure)
+            pure.append(i)
+            assert split.beta[k].tobytes() == beta.tobytes()
+            assert split.coefficients[k].tobytes() == sd.coefficients.tobytes()
+            assert split.left[k].tobytes() == sd.basis_left.tobytes()
+            assert split.right[k].tobytes() == sd.basis_right.tobytes()
+    assert split.pure.tolist() == pure
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2), (2, 2, 2, 2)]).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims),
+        unit_vector(int(np.prod(dims))),
+        st.sets(st.integers(0, len(dims) - 1), min_size=1),
+    )
+))
+def test_reduced_density_is_partial_trace_of_projector(case):
+    dims, psi, keep = case
+    projector = DensityMatrix(np.outer(psi, psi.conj()))
+    expected = partial_trace(projector, dims, keep).matrix
+    assert np.allclose(reduced_density(psi, dims, keep).matrix, expected, rtol=0, atol=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(2, 2), (2, 3), (3, 4), (4, 2)]).flatmap(
+    lambda dims: st.tuples(st.just(dims), unit_vector(dims[0] * dims[1]))
+))
+def test_schmidt_reconstructs_the_state(case):
+    dims, psi = case
+    sd = schmidt(psi, dims)
+    assert np.allclose(sd.reconstruct(), psi, rtol=0, atol=1e-14)
+    assert np.all(np.diff(sd.coefficients) <= 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_random_symmetric_hamiltonian_commutes_with_the_outer_swap(d_b, seed):
+    h = random_symmetric_hamiltonian(d_b, np.random.default_rng(seed)).matrix
+    s = swap_operator((2, d_b, 2), 0, 2)
+    assert np.array_equal(s @ h, h @ s)
+
+
 # ---------------------------------------------------------------- corollaries
 
 def test_corollary_on_weakly_perturbed_chain():
@@ -405,6 +644,32 @@ def test_corollary_on_cavity_model():
     assert report.ground_concurrence > 0.01
     assert report.ground_purity_ac < 1 - 1e-6
     assert report.passed
+
+
+COROLLARY_CASES = {
+    "weakly_perturbed_chain": lambda: (build_ising(IsingParams(delta=0.05, lam=1.0)), (2, 2, 2)),
+    "degenerate_ground": lambda: (build_ising(IsingParams(delta=0.0, lam=1.0)), (2, 2, 2)),
+    "cavity_model": lambda: dicke_mediator_form(DickeConfig(variant="h3", kappa=0.5, n_max=20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COROLLARY_CASES))
+def test_corollary_checks_the_ground_density_once(case, monkeypatch):
+    # the values of concurrence and purity of a re-checked ground_level_density,
+    # bit for bit, with one PSD check of rho_AC (plus one of each degenerate member)
+    h, dims = COROLLARY_CASES[case]()
+    dec = eigh(h)
+    rho = ground_level_density(dec, dims, (0, 2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+    report = corollary_check(h, dims)
+    monkeypatch.undo()
+    assert report.ground_degenerate == (len(dec.ground_group) > 1)
+    assert report.ground_concurrence == concurrence(rho).value
+    assert report.ground_purity_ac == purity(rho)
+    # PSD check of the members, of the mixture if degenerate, and the spin-flip spectrum
+    assert len(calls) == 2 + report.ground_degenerate
 
 
 def test_corollary_requires_symmetry():
