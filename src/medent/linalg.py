@@ -65,88 +65,53 @@ def _square_stack(entries) -> np.ndarray:
     return m[np.newaxis]
 
 
-def _flag(errors: list, values: np.ndarray, failed, make) -> None:
-    """Record ``make(values[i])`` for each matrix i with no earlier failure
-    whose value satisfies ``failed``."""
-    for i, value in enumerate(values.tolist()):
-        if errors[i] is None and failed(value):
-            errors[i] = make(value)
+def _raise_first(failed: np.ndarray, values: np.ndarray, make) -> None:
+    """Raise ``make(values[i])`` for the first matrix i whose check ``failed``."""
+    hit = failed.nonzero()[0]
+    if hit.size:
+        raise make(values[hit[0]].item())
 
 
-def _flag_scaled(errors: list, values: np.ndarray, rtol: float, m: np.ndarray, make) -> None:
-    """Record ``make(value, tolerance)`` for each matrix i with no earlier
-    failure whose value exceeds rtol * max(||m[i]||_F, 1)."""
-    for i, value in enumerate(values.tolist()):
-        # the tolerance is never below rtol, so the norm is needed only above it
-        if errors[i] is None and value > rtol:
-            tol = rtol * max(frobenius_norm(m[i]), 1.0)
-            if value > tol:
-                errors[i] = make(value, tol)
+def _raise_first_scaled(values: np.ndarray, rtol: float, m: np.ndarray, make) -> None:
+    """Raise ``make(value, tolerance)`` for the first matrix i whose value
+    exceeds rtol * max(||m[i]||_F, 1)."""
+    # the tolerance is never below rtol, so the norm is needed only above it
+    for i in (values > rtol).nonzero()[0].tolist():
+        tol = rtol * max(frobenius_norm(m[i]), 1.0)
+        if values[i] > tol:
+            raise make(values[i].item(), tol)
 
 
-def _raise_any(errors) -> None:
-    for e in errors:
-        if e is not None:
-            raise e
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of every matrix in an (n, d, d) complex or real stack.
 
-
-def _lapack_stack(solve, stack: np.ndarray, errors: list, wrap=lambda exc: exc):
-    """``solve`` on a whole (n, d, d) stack in one call.
-
-    If LAPACK fails on the stack, each matrix is solved on its own: one that
-    fails again gets ``wrap(exc)`` recorded in ``errors`` and the result of a
-    zero matrix in place of its own.
+    Raises ValueError if a matrix has a NaN or Inf entry, or else for the
+    first matrix whose max|M - M^dag| exceeds HERMITICITY_RTOL * max(||M||_F, 1).
     """
-    try:
-        return solve(stack)
-    except np.linalg.LinAlgError:
-        pass
-    results = []
-    for i, m in enumerate(stack):
-        try:
-            results.append(solve(m))
-        except np.linalg.LinAlgError as exc:
-            if errors[i] is None:
-                errors[i] = wrap(exc)
-            results.append(solve(np.zeros_like(m)))
-    if isinstance(results[0], tuple):
-        return tuple(np.stack(parts) for parts in zip(*results))
-    return np.stack(results)
-
-
-def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """The Hermitian part of every matrix in an (n, d, d) complex or real stack,
-    with per-matrix contract failures.
-
-    A matrix fails with ValueError if it has a NaN or Inf entry (it then comes
-    back as zeros) or if max|M - M^dag| exceeds HERMITICITY_RTOL *
-    max(||M||_F, 1).  ``errors[i]`` is None for a matrix that passed.
-    """
-    n = len(m)
-    errors = [None] * n
     # np.isfinite of the complex entries, not of a float64 view: a view needs
     # a contiguous last axis, and a ground-level reduction hands in strided stacks
     if not np.isfinite(m).all():
-        finite = np.isfinite(m).reshape(n, -1).all(axis=1)
-        _flag(errors, ~finite, bool, lambda _: ValueError("matrix contains NaN or Inf entries"))
-        m = np.where(finite[:, np.newaxis, np.newaxis], m, 0)
+        raise ValueError("matrix contains NaN or Inf entries")
     mh = m.conj().swapaxes(1, 2)
-    defect = np.abs(m - mh).reshape(n, -1).max(axis=1)
-    _flag_scaled(errors, defect, HERMITICITY_RTOL, m, lambda dv, tol: ValueError(
+    defect = np.abs(m - mh).reshape(len(m), -1).max(axis=1)
+    _raise_first_scaled(defect, HERMITICITY_RTOL, m, lambda dv, tol: ValueError(
         f"matrix is not Hermitian: max|M - M^dag| = {dv:.3e} (tolerance {tol:.3e})"
     ))
-    return (m + mh) / 2, errors
+    return (m + mh) / 2
 
 
-def _density_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """``_hermitian_stack`` plus the density-matrix contract per matrix: unit
-    trace within TRACE_ATOL and no eigenvalue below -PSD_ATOL (ValueError)."""
-    m, errors = _hermitian_stack(m)
-    _flag(errors, np.trace(m, axis1=1, axis2=2).real, lambda tr: abs(tr - 1.0) > TRACE_ATOL,
-          lambda tr: ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}"))
-    _flag(errors, _lapack_stack(np.linalg.eigvalsh, m, errors)[:, 0], lambda low: low < -PSD_ATOL,
-          lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
-    return m, errors
+def _density_stack(m: np.ndarray) -> np.ndarray:
+    """``_hermitian_stack`` plus the density-matrix contract: unit trace within
+    TRACE_ATOL and no eigenvalue below -PSD_ATOL (ValueError for the first
+    matrix that breaks it)."""
+    m = _hermitian_stack(m)
+    trace = np.trace(m, axis1=1, axis2=2).real
+    _raise_first(np.abs(trace - 1.0) > TRACE_ATOL, trace,
+                 lambda tr: ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}"))
+    low = np.linalg.eigvalsh(m)[:, 0]
+    _raise_first(low < -PSD_ATOL, low,
+                 lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
+    return m
 
 
 @dataclass(frozen=True)
@@ -156,8 +121,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m, errors = _hermitian_stack(_square_stack(self.matrix))
-        _raise_any(errors)
+        m = _hermitian_stack(_square_stack(self.matrix))
         object.__setattr__(self, "matrix", _readonly(m[0]))
 
     @property
@@ -172,8 +136,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m, errors = _density_stack(_square_stack(self.matrix))
-        _raise_any(errors)
+        m = _density_stack(_square_stack(self.matrix))
         object.__setattr__(self, "matrix", _readonly(m[0]))
 
     @property
@@ -264,39 +227,33 @@ class EigenStack(NamedTuple):
     """Eigendecompositions of a stack of n Hermitian d x d matrices.
 
     Per matrix: ascending eigenvalues (n, d), phase-fixed eigenvectors as
-    columns (n, d, d), the size of the ground group and the gap above it under
-    the ``degeneracy_groups`` rule, and ``errors[i]``, the contract failure of
-    matrix i (None if it passed).  The entries of a failed matrix carry no
-    meaning.
+    columns (n, d, d), and the size of the ground group and the gap above it
+    under the ``degeneracy_groups`` rule.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     ground_sizes: np.ndarray
     gaps: np.ndarray
-    errors: tuple
 
 
-def _nonconvergence(exc: np.linalg.LinAlgError) -> NumericalError:
-    err = NumericalError(f"eigensolver failed to converge: {exc}")
-    err.__cause__ = exc
-    return err
-
-
-def _eigh_hermitian(m: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LAPACK call over a stack of Hermitian matrices, then the phase
     convention and the orthonormality and residual contracts per matrix."""
     n, d = m.shape[0], m.shape[-1]
-    w, v = _lapack_stack(np.linalg.eigh, m, errors, _nonconvergence)
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     # fix_phases without its cast to complex: real eigenvectors stay real
     v = v * _pivot_phases(v)[..., np.newaxis, :]
 
     gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).reshape(n, -1).max(axis=1)
-    _flag(errors, gram_defect, lambda g: g > ORTHONORMALITY_ATOL,
-          lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
+    _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
+                 lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
     residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
-    _flag_scaled(errors, residual, RESIDUAL_RTOL, m,
-                 lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
+    _raise_first_scaled(residual, RESIDUAL_RTOL, m,
+                        lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
     return w, v
 
 
@@ -304,24 +261,23 @@ def eigh_stack(matrices) -> EigenStack:
     """``eigh`` of every matrix in an (n, d, d) stack with one LAPACK call.
 
     Each matrix is checked as ``HermitianOperator`` checks it and solved as
-    ``eigh`` solves it, bit for bit; a failed contract is recorded in
-    ``errors`` and leaves the other matrices unaffected.  If LAPACK fails on
-    the stack, the matrices are solved one at a time.  A float64 stack is
-    solved in real arithmetic and keeps real eigenvectors (pivot entries
-    positive); any other input is solved as complex128.
+    ``eigh`` solves it, bit for bit.  Raises the first failed contract, with
+    the type and text ``eigh`` raises for it (NumericalError if LAPACK fails
+    on the stack).  A float64 stack is solved in real arithmetic and keeps
+    real eigenvectors (pivot entries positive); any other input is solved as
+    complex128.
     """
     m = np.asarray(matrices)
     if m.dtype != np.float64:
         m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DimensionError(f"expected an (n, d, d) stack, got shape {m.shape}")
-    m, errors = _hermitian_stack(m)
-    w, v = _eigh_hermitian(m, errors)
+    w, v = _eigh_hermitian(_hermitian_stack(m))
     d = w.shape[1]
     # the ground group of degeneracy_groups: the eigenvalues within tolerance of the lowest
     sizes = np.count_nonzero(w - w[:, :1] <= _degeneracy_tol(w)[:, np.newaxis], axis=1)
     above = np.take_along_axis(w, np.minimum(sizes, d - 1)[:, np.newaxis], axis=1)[:, 0]
-    return EigenStack(w, v, sizes, np.where(sizes < d, above - w[:, 0], 0.0), tuple(errors))
+    return EigenStack(w, v, sizes, np.where(sizes < d, above - w[:, 0], 0.0))
 
 
 def eigh(h: HermitianOperator) -> EigenDecomposition:
@@ -329,12 +285,10 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
 
     Deterministic for identical input: LAPACK output is post-processed with a
     fixed phase convention (largest component of each eigenvector made real
-    positive).  Raises NumericalError if the orthonormality or residual
-    contract is violated.
+    positive).  Raises NumericalError if LAPACK fails or the orthonormality or
+    residual contract is violated.
     """
-    errors = [None]
-    w, v = _eigh_hermitian(h.matrix[np.newaxis], errors)
-    _raise_any(errors)
+    w, v = _eigh_hermitian(h.matrix[np.newaxis])
     return EigenDecomposition(
         eigenvalues=_readonly(w[0]),
         eigenvectors=_readonly(v[0]),
@@ -342,19 +296,15 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
     )
 
 
-def _check_kron_dim(rows: int, cols: int) -> None:
-    """Reject a product operator larger than ``KRON_DIM_LIMIT`` on either side."""
-    if max(rows, cols) > KRON_DIM_LIMIT:
-        raise DimensionError(
-            f"kron would produce a {rows}x{cols} matrix, limit is {KRON_DIM_LIMIT}"
-        )
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard on the resulting dimension."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
-    _check_kron_dim(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    if max(rows, cols) > KRON_DIM_LIMIT:
+        raise DimensionError(
+            f"kron would produce a {rows}x{cols} matrix, limit is {KRON_DIM_LIMIT}"
+        )
     return np.kron(a, b)
 
 

@@ -164,42 +164,39 @@ ISING_SWEEP_SCHEMA = (
 ISING_CHUNK = 128
 
 
+def _ising_stack(points: list[dict], j_coupling: float) -> list[dict]:
+    """The result columns of each point, evaluated as stacks: one Hamiltonian
+    assembly, one eigh, one ground-level reduction and one concurrence.
+
+    Raises the first failure of any point.
+    """
+    params = [IsingParams(j_coupling=j_coupling, delta=p["delta"], lam=p["lambda"]) for p in points]
+    dec = eigh_stack(ising_hamiltonians(params))
+    rho = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
+    conc, _ = concurrence_stack(rho)
+    columns = zip(
+        dec.eigenvalues[:, 0].tolist(), dec.gaps.tolist(), conc.tolist(), (dec.ground_sizes > 1).tolist()
+    )
+    return [
+        {"ground_energy": e, "gap": g, "concurrence": c, "degenerate": deg}
+        for e, g, c, deg in columns
+    ]
+
+
 def _ising_chunk(points: list[dict], j_coupling: float) -> list:
-    """Per point, its result columns or the POINT_ERRORS exception it failed
-    with, evaluated as stacks: one Hamiltonian assembly, one eigh, one
-    ground-level reduction and one concurrence for the whole chunk."""
-    outcomes, params = [], []
-    for point in points:
-        try:
-            params.append(IsingParams(j_coupling=j_coupling, delta=point["delta"], lam=point["lambda"]))
-            outcomes.append(None)
-        except ValueError as exc:
-            outcomes.append(exc)
-    if not params:
-        return outcomes
-    h, build_errors = ising_hamiltonians(params)
-    dec = eigh_stack(h)
-    rho, rho_errors = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
-    conc, _, conc_errors = concurrence_stack(rho)
-    # per matrix, the failure of the earliest stage
-    stages = zip(build_errors, dec.errors, rho_errors, conc_errors)
-    errors = [next((e for e in errs if e is not None), None) for errs in stages]
-    valid = [slot for slot, outcome in enumerate(outcomes) if outcome is None]
-    for i, slot in enumerate(valid):
-        outcomes[slot] = errors[i] or {
-            "ground_energy": float(dec.eigenvalues[i, 0]),
-            "gap": float(dec.gaps[i]),
-            "concurrence": float(conc[i]),
-            "degenerate": bool(dec.ground_sizes[i] > 1),
-        }
-    return outcomes
+    """``_ising_stack`` of the points, or None per point if one of them fails."""
+    try:
+        return _ising_stack(points, j_coupling)
+    except POINT_ERRORS:
+        return [None] * len(points)
 
 
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:
     """Ground-state sweep of the chain over (delta, lambda), delta outermost.
 
-    The grid is solved ISING_CHUNK points at a time as stacks; a point that
-    fails a parameter or numerical check flags only its own row.
+    The grid is solved ISING_CHUNK points at a time as stacks.  A chunk with a
+    point that fails a parameter or numerical check is solved again one point
+    at a time, so that point flags only its own row.
     """
     deltas = [float(d) for d in delta_grid]
     lams = [float(x) for x in lambda_grid]
@@ -215,9 +212,6 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
 
     def evaluate(point: dict) -> dict:
         # grid_sweep asks for the points in order, so the next outcome is this point's
-        outcome = next(outcomes)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return next(outcomes) or _ising_stack([point], j_coupling)[0]
 
     return grid_sweep(ISING_SWEEP_SCHEMA, points, evaluate)

@@ -130,16 +130,16 @@ def build_ising(p: IsingParams) -> HermitianOperator:
     return build_pauli_hamiltonian(p.coefficients())
 
 
-def ising_hamiltonians(params) -> tuple[np.ndarray, list]:
+def ising_hamiltonians(params) -> np.ndarray:
     """The ``build_ising`` matrices of a sequence of IsingParams as one (n, 8, 8)
-    stack, bit for bit, with per-point failures.
+    stack, bit for bit.
 
     The terms are added in ``build_pauli_hamiltonian``'s order: delta/2 on
     1 x 1 x X, delta/2 on X x 1 x 1, J on ZZ1, J on 1ZZ, lambda/2 on 1X1.  A
     zero coefficient, which that function skips, adds only signed zeros to a
     sum that never holds -0.0, so no bit changes.  The matrices are not yet
-    checked as ``HermitianOperator``.  A point with a non-finite entry gets
-    the ValueError ``build_ising`` raises for it in ``errors``, None otherwise.
+    checked as ``HermitianOperator``.  If a point has a non-finite entry, the
+    ValueError ``build_ising`` raises for the first such point is raised.
     """
     outer, coupling, middle = np.array(
         [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
@@ -147,7 +147,7 @@ def ising_hamiltonians(params) -> tuple[np.ndarray, list]:
     ).reshape(-1, 3).T[:, :, np.newaxis, np.newaxis]
     ab, bc, b = _pauli_terms()
     h = np.zeros((len(params), 8, 8), dtype=np.complex128)
-    # an infinite coefficient times a zero entry is NaN; such points are reported below
+    # an infinite coefficient times a zero entry is NaN; such points are raised below
     with np.errstate(invalid="ignore"):
         for c, term in (
             (outer, bc[0, 1]),
@@ -157,13 +157,9 @@ def ising_hamiltonians(params) -> tuple[np.ndarray, list]:
             (middle, b[0]),
         ):
             h += c * term
-    errors = [None] * len(params)
     for i in np.flatnonzero(~np.isfinite(h).reshape(len(params), -1).all(axis=1)):
-        try:
-            build_ising(params[i])
-        except ValueError as exc:
-            errors[i] = exc
-    return h, errors
+        build_ising(params[i])  # raises the point's ValueError
+    return h
 
 
 def ising_middle_field(p: IsingParams) -> np.ndarray:

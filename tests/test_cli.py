@@ -137,7 +137,7 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
 
 
 # 4 (n_max + 1) states at --nmax 1100
-OVER_LIMIT_ERROR = "kron would produce a 4404x4404 matrix, limit is 4096"
+OVER_LIMIT_ERROR = "the Dicke Hamiltonian would be 4404x4404, limit is 4096"
 
 
 def test_sweep_dicke_over_the_dimension_limit_writes_an_error_row(tmp_path, capsys):

@@ -22,6 +22,7 @@ from medent.dicke import (
     dicke_mediator_form,
     dicke_sweep,
 )
+from medent import linalg
 from medent.linalg import (
     DimensionError,
     HermitianOperator,
@@ -359,11 +360,26 @@ def test_parity_blocks_reassemble_build_dicke(variant, n_max):
 def test_build_dicke_keeps_the_kron_dimension_bound():
     # 4 (n_max + 1) = 4404 exceeds KRON_DIM_LIMIT: rejected before any block is built
     cfg = DickeConfig(variant="h1", kappa=0.5, n_max=1100)
-    message = "kron would produce a 4404x4404 matrix, limit is 4096"
+    message = "the Dicke Hamiltonian would be 4404x4404, limit is 4096"
     _parity_blocks.cache_clear()
     with pytest.raises(DimensionError, match=message):
         dicke_ground_point(cfg)
+    with pytest.raises(DimensionError, match=message):
+        dicke_mediator_form(cfg)
     assert _parity_blocks.cache_info().currsize == 0
+
+
+def test_each_basis_order_is_checked_once(monkeypatch):
+    # both orders are scattered straight from the parity blocks: one
+    # HermitianOperator check each, not a check of a permuted checked matrix
+    cfg = DickeConfig(variant="h2", kappa=0.6, n_max=8)
+    calls = []
+    check = linalg._hermitian_stack
+    monkeypatch.setattr(linalg, "_hermitian_stack", lambda m: calls.append(m.shape) or check(m))
+    for form in (build_dicke, dicke_mediator_form):
+        calls.clear()
+        form(cfg)
+        assert calls == [(1, cfg.dim, cfg.dim)]
 
 
 def test_parity_blocks_are_keyed_by_integers():

@@ -208,8 +208,7 @@ def unitary_from(entries):
 
 def stacked_and_scalar(rhos):
     """Concurrences of the stack in one call, checked bit for bit against one call each."""
-    values, _, errors = concurrence_stack(np.array([rho.matrix for rho in rhos]))
-    assert errors == [None] * len(rhos)
+    values, _ = concurrence_stack(np.array([rho.matrix for rho in rhos]))
     assert [float(v) for v in values] == [concurrence(rho).value for rho in rhos]
     return values
 
@@ -236,26 +235,22 @@ def test_pure_state_concurrence_is_spin_flip_overlap(v):
     assert c == pytest.approx(abs(np.vdot(psi, YY @ psi.conj())), abs=PROPERTY_ATOL)
 
 
-def test_concurrence_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
+def test_concurrence_stack_raises_when_lapack_fails(monkeypatch):
     rng = np.random.default_rng(8)
     rhos = [pure_dm(random_pure_state(rng)) for _ in range(4)]
     stack = np.array([rho.matrix for rho in rhos])
-    solve = np.linalg.eigvalsh
-    calls = []
+    expected = [concurrence(rho).value for rho in rhos]
 
     def failing(a):
-        calls.append(np.shape(a))
-        if len(calls) == 1 or np.shape(a) == (4, 4) and len(calls) == 4:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return solve(a)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    values, _, errors = concurrence_stack(stack)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Eigenvalues did not converge$"):
+        concurrence_stack(stack)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Eigenvalues did not converge$"):
+        concurrence(rhos[2])
     monkeypatch.undo()
-    assert [e is None for e in errors] == [True, True, False, True]
-    assert isinstance(errors[2], np.linalg.LinAlgError)
-    for i in (0, 1, 3):
-        assert values[i] == concurrence(rhos[i]).value
+    assert concurrence_stack(stack)[0].tolist() == expected
 
 
 def test_ground_level_density_stack_matches_member_by_member_mixture():
@@ -264,12 +259,25 @@ def test_ground_level_density_stack_matches_member_by_member_mixture():
     dims, keep, sizes = (2, 3, 2), (0, 2), np.array([1, 3, 2, 1, 4])
     a = rng.standard_normal((len(sizes), 12, 12)) + 1j * rng.standard_normal((len(sizes), 12, 12))
     bases = np.linalg.qr(a)[0]
-    rho, errors = ground_level_density_stack(bases, sizes, dims, keep)
-    assert errors == [None] * len(sizes)
+    rho = ground_level_density_stack(bases, sizes, dims, keep)
     for basis, size, got in zip(bases, sizes, rho):
         members = [reduced_density(basis[:, k], dims, keep).matrix for k in range(size)]
         expected = members[0] if size == 1 else DensityMatrix(sum(members) / size).matrix
         assert got.tobytes() == expected.tobytes()
+
+
+def test_ground_level_density_stack_checks_only_ground_group_members():
+    # the columns past a smaller group's size are reduced with the stack but never checked
+    rng = np.random.default_rng(13)
+    dims, keep, sizes = (2, 3, 2), (0, 2), np.array([1, 2])
+    a = rng.standard_normal((2, 12, 12)) + 1j * rng.standard_normal((2, 12, 12))
+    bases = np.linalg.qr(a)[0]
+    expected = ground_level_density_stack(bases, sizes, dims, keep)
+    bases[0, :, 1] *= 2  # outside basis 0's ground group; its reduction has trace 4
+    assert ground_level_density_stack(bases, sizes, dims, keep).tobytes() == expected.tobytes()
+    bases[1, :, 1] *= 2  # inside basis 1's ground group
+    with pytest.raises(ValueError, match=r"^trace = \S+, expected 1 within 1e-10$"):
+        ground_level_density_stack(bases, sizes, dims, keep)
 
 
 @pytest.mark.parametrize(

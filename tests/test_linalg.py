@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,6 @@ def test_eigh_stack_matches_scalar_eigh_bit_for_bit(degenerate):
     for d in range(2, 13):
         stack = random_hermitian_stack(7, d, rng, degenerate)
         dec = eigh_stack(stack)
-        assert dec.errors == (None,) * 7
         for i, m in enumerate(stack):
             one = eigh(HermitianOperator(m))
             ref_w, ref_v = reference_eigh(HermitianOperator(m).matrix)
@@ -174,20 +175,26 @@ def test_eigh_stack_matches_scalar_eigh_bit_for_bit(degenerate):
             assert (dec.ground_sizes == 2).all()
 
 
-def test_eigh_stack_flags_only_the_failing_matrix():
+def test_eigh_stack_raises_the_first_failed_check():
     rng = np.random.default_rng(32)
     stack = random_hermitian_stack(5, 4, rng)
     stack[1, 0, 1] += 1.0
+    stack[2, 0, 1] += 2.0
     stack[3, 2, 2] = np.nan
-    dec = eigh_stack(stack)
-    assert [type(e) for e in dec.errors] == [type(None), ValueError, type(None), ValueError, type(None)]
-    assert str(dec.errors[1]).startswith("matrix is not Hermitian")
-    assert str(dec.errors[3]) == "matrix contains NaN or Inf entries"
-    for i in (0, 2, 4):
-        assert dec.eigenvectors[i].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
+    # the finiteness check of the whole stack runs before the Hermiticity check
+    with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+        eigh_stack(stack)
+    # the first failing matrix is reported, as HermitianOperator reports it alone
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian") as alone:
+        HermitianOperator(stack[1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        eigh_stack(stack[:3])
+    dec = eigh_stack(stack[[0, 4]])
+    for row, i in enumerate((0, 4)):
+        assert dec.eigenvectors[row].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
-def test_eigh_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
+def test_eigh_stack_raises_when_lapack_fails(monkeypatch):
     rng = np.random.default_rng(33)
     stack = random_hermitian_stack(4, 3, rng)
     bad = stack[2].copy()
@@ -199,13 +206,16 @@ def test_eigh_stack_solves_one_at_a_time_when_lapack_fails(monkeypatch):
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    dec = eigh_stack(stack)
-    assert isinstance(dec.errors[2], NumericalError)
-    assert str(dec.errors[2]) == "eigensolver failed to converge: Eigenvalues did not converge"
-    assert [e is None for e in dec.errors] == [True, True, False, True]
+    message = r"^eigensolver failed to converge: Eigenvalues did not converge$"
+    with pytest.raises(NumericalError, match=message) as info:
+        eigh_stack(stack)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    with pytest.raises(NumericalError, match=message):
+        eigh(HermitianOperator(bad))
+    dec = eigh_stack(stack[[0, 1, 3]])
     monkeypatch.undo()
-    for i in (0, 1, 3):
-        assert dec.eigenvectors[i].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
+    for row, i in enumerate((0, 1, 3)):
+        assert dec.eigenvectors[row].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
 def test_eigh_stack_keeps_real_stacks_real():
@@ -214,7 +224,6 @@ def test_eigh_stack_keeps_real_stacks_real():
     stack = (a + a.swapaxes(1, 2)) / 2
     stack[4] = np.diag([2.0, -1.0, -1.0, 0.0, 3.0, 5.0, 5.0, 7.0, 1.0])  # degenerate ground
     dec = eigh_stack(stack)
-    assert dec.errors == (None,) * 6
     assert dec.eigenvectors.dtype == np.float64
     for i, m in enumerate(stack):
         one = eigh(HermitianOperator(m))
@@ -234,10 +243,11 @@ def test_eigh_stack_checks_real_stacks():
     stack = (a + a.swapaxes(1, 2)) / 2
     stack[0, 0, 1] += 1.0
     stack[2, 3, 3] = np.inf
-    dec = eigh_stack(stack)
-    assert str(dec.errors[0]).startswith("matrix is not Hermitian")
-    assert dec.errors[1] is None
-    assert str(dec.errors[2]) == "matrix contains NaN or Inf entries"
+    with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+        eigh_stack(stack)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
+        eigh_stack(stack[:2])
+    assert eigh_stack(stack[1:2]).eigenvectors.dtype == np.float64
 
 
 def test_non_contiguous_input_is_checked_like_contiguous_input():

@@ -201,36 +201,39 @@ def assert_only_row_failed(result, expected, index, status_prefix):
     assert all(r["status"] == "ok" for i, r in enumerate(rows) if i != index)
 
 
-# 200 points with lambda innermost; point 70 sits in the middle of the first chunk
+# 200 points with lambda innermost, solved as chunks of 128 and 72; each
+# isolation test fails one of them: the first and last of either chunk, and 70
 LAMS = list(np.linspace(-1.0, 3.0, 200))
-FAILING = 70
+FAILING = (0, 70, ISING_CHUNK - 1, ISING_CHUNK, 199)
 
 
 def test_invalid_parameter_flags_only_its_row():
-    deltas = list(np.linspace(0.01, 2.0, 200))
-    deltas[FAILING] = -0.1
-    result = ising_sweep(deltas, [1.0])
-    assert_only_row_failed(result, reference_rows(deltas, [1.0]), FAILING, "delta must be non-negative")
+    for failing in FAILING:
+        deltas = list(np.linspace(0.01, 2.0, 200))
+        deltas[failing] = -0.1
+        result = ising_sweep(deltas, [1.0])
+        assert_only_row_failed(result, reference_rows(deltas, [1.0]), failing, "delta must be non-negative")
 
 
 def test_non_finite_parameter_flags_only_its_row():
-    lams = list(LAMS)
-    lams[FAILING] = math.nan
-    result = ising_sweep([0.3], lams)
-    expected = reference_rows([0.3], lams)
-    assert expected[FAILING]["status"] == "error: h_b contains non-finite entries"
-    assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
-    assert_only_row_failed(result, expected, FAILING, "h_b contains non-finite entries")
+    for failing in FAILING:
+        lams = list(LAMS)
+        lams[failing] = math.nan
+        result = ising_sweep([0.3], lams)
+        expected = reference_rows([0.3], lams)
+        assert expected[failing]["status"] == "error: h_b contains non-finite entries"
+        assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
+        assert_only_row_failed(result, expected, failing, "h_b contains non-finite entries")
 
 
 def patch_stacked(monkeypatch, name, target, replace):
-    """Wrap numpy.linalg.<name>: on a stack of several matrices that holds
+    """Wrap numpy.linalg.<name>: on a stack (of one or more matrices) that holds
     ``target``, hand that matrix's slice of the result to ``replace``."""
     solve = getattr(np.linalg, name)
 
     def patched(a):
         a = np.asarray(a)
-        stacked = a.ndim == 3 and len(a) > 1 and a.shape[1:] == target.shape
+        stacked = a.ndim == 3 and a.shape[1:] == target.shape
         hit = np.flatnonzero(np.all(a == target, axis=(1, 2))) if stacked else []
         return replace(solve, a, hit)
 
@@ -242,6 +245,7 @@ def target_hamiltonian(lam):
 
 
 def test_contract_failure_flags_only_its_row(monkeypatch):
+    # computed before the patch, which also fires on the stacks of one that eigh solves
     expected = reference_rows([0.3], LAMS)
 
     def skew_eigenvectors(solve, a, hit):
@@ -249,39 +253,65 @@ def test_contract_failure_flags_only_its_row(monkeypatch):
         v[hit] *= 1.001
         return w, v
 
-    patch_stacked(monkeypatch, "eigh", target_hamiltonian(LAMS[FAILING]), skew_eigenvectors)
-    result = ising_sweep([0.3], LAMS)
-    assert_only_row_failed(result, expected, FAILING, "eigenvector orthonormality defect")
+    for failing in FAILING:
+        with monkeypatch.context() as patch:
+            patch_stacked(patch, "eigh", target_hamiltonian(LAMS[failing]), skew_eigenvectors)
+            result = ising_sweep([0.3], LAMS)
+        assert_only_row_failed(result, expected, failing, "eigenvector orthonormality defect")
 
 
 def test_lapack_failure_resolves_the_chunk_one_matrix_at_a_time(monkeypatch):
     expected = reference_rows([0.3], LAMS)
-    target = target_hamiltonian(LAMS[FAILING])
     solve = np.linalg.eigh
 
-    def failing(a):
-        a = np.asarray(a)
-        if a.shape[-2:] == target.shape and np.any(np.all(a == target, axis=(-2, -1))):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return solve(a)
+    for failing in FAILING:
+        target = target_hamiltonian(LAMS[failing])
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
-    result = ising_sweep([0.3], LAMS)
-    assert_only_row_failed(
-        result, expected, FAILING, "eigensolver failed to converge: Eigenvalues did not converge"
-    )
+        def failing_eigh(a):
+            a = np.asarray(a)
+            if a.shape[-2:] == target.shape and np.any(np.all(a == target, axis=(-2, -1))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", failing_eigh)
+            result = ising_sweep([0.3], LAMS)
+        assert_only_row_failed(
+            result, expected, failing, "eigensolver failed to converge: Eigenvalues did not converge"
+        )
 
 
 def test_density_failure_flags_only_its_row(monkeypatch):
     expected = reference_rows([0.3], LAMS)
-    # the stacked ground-level reduction is bit-identical to the scalar one
-    rho = ground_level_density(eigh(build_ising(IsingParams(delta=0.3, lam=LAMS[FAILING]))), (2, 2, 2), (0, 2))
 
     def negative_lowest(solve, a, hit):
         w = solve(a)
         w[hit, 0] = -1.0
         return w
 
-    patch_stacked(monkeypatch, "eigvalsh", rho.matrix, negative_lowest)
-    result = ising_sweep([0.3], LAMS)
-    assert_only_row_failed(result, expected, FAILING, "negative eigenvalue -1.000e+00")
+    for failing in FAILING:
+        # the stacked ground-level reduction is bit-identical to the scalar one
+        dec = eigh(build_ising(IsingParams(delta=0.3, lam=LAMS[failing])))
+        rho = ground_level_density(dec, (2, 2, 2), (0, 2))
+        with monkeypatch.context() as patch:
+            patch_stacked(patch, "eigvalsh", rho.matrix, negative_lowest)
+            result = ising_sweep([0.3], LAMS)
+        assert_only_row_failed(result, expected, failing, "negative eigenvalue -1.000e+00")
+
+
+def test_readme_grid_makes_two_stacked_eigh_calls_per_chunk(monkeypatch):
+    # a sweep that fell back to solving point by point would keep every bit,
+    # so only the calls show it: per chunk, one eigh of the Hamiltonians and
+    # one of the ground-level reductions, never one of a single matrix
+    solve = np.linalg.eigh
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    result = ising_sweep(parse_grid_spec("0.01:2:25"), parse_grid_spec("0:3:31"))
+    assert all(r["status"] == "ok" for r in result.rows)
+    chunks = [ISING_CHUNK] * 6 + [775 - 6 * ISING_CHUNK]
+    assert shapes == [(n, d, d) for n in chunks for d in (8, 4)]

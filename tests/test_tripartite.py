@@ -214,8 +214,7 @@ def test_ising_stack_matches_build_ising_bit_for_bit():
         )
         for _ in range(300)
     ]
-    stack, errors = ising_hamiltonians(params)
-    assert errors == [None] * len(params)
+    stack = ising_hamiltonians(params)
     for h, p in zip(stack, params):
         assert HermitianOperator(h).matrix.tobytes() == build_ising(p).matrix.tobytes()
         assert HermitianOperator(h).matrix.tobytes() == per_term_pauli_hamiltonian(p.coefficients()).matrix.tobytes()
@@ -223,6 +222,12 @@ def test_ising_stack_matches_build_ising_bit_for_bit():
 
 def test_ising_stack_reports_non_finite_points_as_build_ising_does():
     params = [IsingParams(delta=0.5, lam=1.0), IsingParams(delta=np.inf, lam=1.0), IsingParams(lam=np.nan)]
-    _, errors = ising_hamiltonians(params)
-    assert errors[0] is None
-    assert [str(e) for e in errors[1:]] == ["h_ab contains non-finite entries", "h_b contains non-finite entries"]
+    # a stack raises the error build_ising raises for its first non-finite point
+    with pytest.raises(ValueError, match=r"^h_ab contains non-finite entries$"):
+        ising_hamiltonians(params)
+    for p, message in zip(params[1:], ["h_ab contains non-finite entries", "h_b contains non-finite entries"]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_ising(p)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ising_hamiltonians([params[0], p])
+    assert ising_hamiltonians(params[:1]).shape == (1, 8, 8)
