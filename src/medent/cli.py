@@ -347,6 +347,10 @@ def cmd_optimize(args) -> int:
         control_name = "kappa"
 
     result = optimize(problem, args.budget, args.seed)
+    print(
+        f"solved {result.solved} distinct points for {result.evaluations} evaluations",
+        file=sys.stderr,
+    )
     if args.model == "dicke":
         _check_fock_cutoff(DickeConfig(kappa=float(result.best_controls[0]), **base))
     print(f"control: {control_name} in [{_fmt(args.lower)}, {_fmt(args.upper)}]")

@@ -83,6 +83,8 @@ class OptimizationResult:
     trace: tuple[tuple[tuple[float, ...], float], ...]
     converged: bool
     best_degenerate_ground: bool
+    # distinct control points passed to the model, the re-verification included
+    solved: int
 
 
 class _Budget:
@@ -98,12 +100,14 @@ class _Budget:
 def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationResult:
     """Multi-start Nelder-Mead search, restarting until the budget is spent.
 
+    Each distinct control point is solved once: a point whose bits repeat
+    an earlier one reuses that outcome, yet still counts as an evaluation.
     Objective evaluations that fail with one of ``sweeps.POINT_ERRORS`` are
-    logged and discarded (the point is treated as arbitrarily bad); any other
-    exception is a bug and propagates.  The returned best value is re-verified
-    by a final evaluation at the best controls, and any claim of essentially
-    maximal concurrence on a non-degenerate ground level is rejected as an
-    implementation-bug alarm.
+    logged (once per evaluation) and discarded (the point is treated as
+    arbitrarily bad); any other exception is a bug and propagates.  The
+    returned best value is re-verified by a fresh solve at the best controls,
+    and any claim of essentially maximal concurrence on a non-degenerate
+    ground level is rejected as an implementation-bug alarm.
     """
     if budget < problem.control_dim + 2:
         raise ValueError(f"budget must be at least control_dim + 2 = {problem.control_dim + 2}")
@@ -114,14 +118,23 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
     best: dict = {"x": None, "value": -np.inf, "degenerate": False}
     any_converged = False
     any_success = False
+    # exact bits of a clamped point (0.0 and -0.0 differ) -> its ConcurrenceResult,
+    # or the POINT_ERRORS exception its solve raised
+    outcomes: dict[bytes, object] = {}
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal any_success
         budget_state.used += 1
-        try:
-            res = ground_state_ac_concurrence(problem.model(x), problem.dims)
-        except POINT_ERRORS as exc:
-            log.warning("objective failed at %s: %s", x, exc)
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in outcomes:
+            try:
+                outcomes[key] = ground_state_ac_concurrence(problem.model(x), problem.dims)
+            except POINT_ERRORS as exc:
+                # the traceback would keep the failed solve's arrays alive
+                outcomes[key] = exc.with_traceback(None)
+        res = outcomes[key]
+        if isinstance(res, Exception):
+            log.warning("objective failed at %s: %s", x, res)
             return -np.inf
         any_success = True
         value = problem.score(res.value)
@@ -203,7 +216,8 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
     if not any_success or best["x"] is None:
         raise NumericalError("objective evaluation failed at every sampled point")
 
-    # re-verify the reported optimum with the reserved evaluation
+    # re-verify the reported optimum with the reserved evaluation: a fresh
+    # solve, not the memo, so that it checks the result
     res = ground_state_ac_concurrence(problem.model(best["x"]), problem.dims)
     verified = problem.score(res.value)
     evaluations = budget_state.used + 1
@@ -229,4 +243,5 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
         trace=tuple(trace),
         converged=any_converged,
         best_degenerate_ground=res.degenerate_ground,
+        solved=len(outcomes) + 1,
     )

@@ -258,7 +258,7 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigh_stack(matrices) -> EigenStack:
-    """``eigh`` of every matrix in an (n, d, d) stack with one LAPACK call.
+    """``eigh`` of every matrix in a non-empty (n, d, d) stack with one LAPACK call.
 
     Each matrix is checked as ``HermitianOperator`` checks it and solved as
     ``eigh`` solves it, bit for bit.  Raises the first failed contract, with
@@ -272,6 +272,8 @@ def eigh_stack(matrices) -> EigenStack:
         m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DimensionError(f"expected an (n, d, d) stack, got shape {m.shape}")
+    if m.size == 0:
+        raise DimensionError(f"expected a non-empty (n, d, d) stack, got shape {m.shape}")
     w, v = _eigh_hermitian(_hermitian_stack(m))
     d = w.shape[1]
     # the ground group of degeneracy_groups: the eigenvalues within tolerance of the lowest

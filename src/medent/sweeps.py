@@ -50,6 +50,17 @@ def format_value(value) -> str:
     return str(value)
 
 
+# exact value type -> the text format_value gives a value of that type
+_FORMATTERS = {bool: lambda v: "1" if v else "0", int: str, float: "{:.17g}".format, str: str}
+
+
+def _column_formatter(values: list):
+    """The formatter of a column whose values all have one type in _FORMATTERS,
+    else format_value."""
+    kinds = set(map(type, values))
+    return _FORMATTERS.get(kinds.pop(), format_value) if len(kinds) == 1 else format_value
+
+
 def parse_value(column: str, text: str):
     kind = COLUMN_TYPES.get(column, str)
     if kind is bool:
@@ -75,8 +86,8 @@ class SweepResult:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.schema)
-        for row in self.rows:
-            writer.writerow([format_value(row[c]) for c in self.schema])
+        columns = [self.column(c) for c in self.schema]
+        writer.writerows(zip(*(map(_column_formatter(col), col) for col in columns)))
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -164,13 +175,12 @@ ISING_SWEEP_SCHEMA = (
 ISING_CHUNK = 128
 
 
-def _ising_stack(points: list[dict], j_coupling: float) -> list[dict]:
+def _ising_stack(params: list[IsingParams]) -> list[dict]:
     """The result columns of each point, evaluated as stacks: one Hamiltonian
     assembly, one eigh, one ground-level reduction and one concurrence.
 
     Raises the first failure of any point.
     """
-    params = [IsingParams(j_coupling=j_coupling, delta=p["delta"], lam=p["lambda"]) for p in points]
     dec = eigh_stack(ising_hamiltonians(params))
     rho = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
     conc, _ = concurrence_stack(rho)
@@ -183,20 +193,42 @@ def _ising_stack(points: list[dict], j_coupling: float) -> list[dict]:
     ]
 
 
-def _ising_chunk(points: list[dict], j_coupling: float) -> list:
-    """``_ising_stack`` of the points, or None per point if one of them fails."""
+def _ising_alone(params: IsingParams):
+    """``_ising_stack`` of one point, or the POINT_ERRORS exception it raises."""
     try:
-        return _ising_stack(points, j_coupling)
+        return _ising_stack([params])[0]
+    except POINT_ERRORS as exc:
+        return exc
+
+
+def _ising_chunk(points: list[dict], j_coupling: float) -> list:
+    """Each point's result columns, or the POINT_ERRORS exception that fails it.
+
+    Every point's IsingParams is built first, so an invalid parameter fails
+    only its own point.  The valid points are solved as one stack, and one at
+    a time only if that stack fails a numerical check.
+    """
+    outcomes = []
+    for p in points:
+        try:
+            outcomes.append(IsingParams(j_coupling=j_coupling, delta=p["delta"], lam=p["lambda"]))
+        except ValueError as exc:
+            outcomes.append(exc)
+    params = [o for o in outcomes if isinstance(o, IsingParams)]
+    try:
+        solved = iter(_ising_stack(params) if params else ())
     except POINT_ERRORS:
-        return [None] * len(points)
+        solved = map(_ising_alone, params)
+    return [next(solved) if isinstance(o, IsingParams) else o for o in outcomes]
 
 
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:
     """Ground-state sweep of the chain over (delta, lambda), delta outermost.
 
-    The grid is solved ISING_CHUNK points at a time as stacks.  A chunk with a
-    point that fails a parameter or numerical check is solved again one point
-    at a time, so that point flags only its own row.
+    The grid is solved ISING_CHUNK points at a time as stacks.  A point with an
+    invalid parameter is left out of its chunk's stack, and a chunk whose stack
+    fails a numerical check is solved again one point at a time, so a failed
+    point flags only its own row.
     """
     deltas = [float(d) for d in delta_grid]
     lams = [float(x) for x in lambda_grid]
@@ -212,6 +244,9 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
 
     def evaluate(point: dict) -> dict:
         # grid_sweep asks for the points in order, so the next outcome is this point's
-        return next(outcomes) or _ising_stack([point], j_coupling)[0]
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     return grid_sweep(ISING_SWEEP_SCHEMA, points, evaluate)

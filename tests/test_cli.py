@@ -1,5 +1,9 @@
 import hashlib
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +200,12 @@ def test_theorem_break_symmetry_exits_0(capsys):
     assert "counterexamples: 0" in out
 
 
+README_OPTIMIZE_ISING = (
+    "optimize", "--model", "ising", "--delta", "0.1", "--lower", "0", "--upper", "3",
+    "--budget", "300", "--seed", "0",
+)
+
+
 def test_optimize_ising_reports_best(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code, out, _ = run(
@@ -210,6 +220,21 @@ def test_optimize_ising_reports_best(tmp_path, capsys):
     trace = SweepResult.read_csv(trace_path)
     assert trace.schema == ("evaluation", "control_0", "value")
     assert len(trace.rows) <= 200
+
+
+def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    code, out, err = run(
+        capsys, *README_OPTIMIZE_ISING, "--trace-out", str(trace_path)
+    )
+    assert code == 0
+    controls = SweepResult.read_csv(trace_path).column("control_0")
+    assert len(controls) == 299
+    # the optimum sits on the upper bound, which the search keeps returning to
+    assert controls.count(3.0) > 100
+    # every distinct search point once, plus the re-verification
+    assert err == f"solved {len(set(controls)) + 1} distinct points for 300 evaluations\n"
+    assert "evaluations: 300" in out.splitlines()
 
 
 def test_optimize_zero_budget_usage_error(capsys):
@@ -267,7 +292,9 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     assert len(SweepResult.read_csv(trace).rows) == int(out.splitlines()[3].split(":")[1]) - 1
     best = float(out.splitlines()[1].split(":")[1])
     point = dicke_ground_point(DickeConfig(variant="h2", kappa=best, n_max=40))
+    solved = len(set(SweepResult.read_csv(trace).column("control_0"))) + 1
     assert err == (
+        f"solved {solved} distinct points for 20 evaluations\n"
         f"fock check at best kappa: convergence delta {point.convergence_delta!r} at n_max = 40\n"
     )
 
@@ -350,3 +377,44 @@ def test_readme_commands_write_the_recorded_bytes(tmp_path, capsys, monkeypatch)
         got[name] = (code, hashlib.sha256(path.read_bytes()).hexdigest())
     capsys.readouterr()
     assert got == {name: (code, digest) for name, (_, code, digest) in readme_commands.items()}
+
+
+# sha256 of what the optimize commands below wrote before the optimizer solved
+# each distinct point only once; the search must keep every byte
+OPTIMIZE_DIGESTS = {
+    "ising": (
+        [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
+        {
+            "stdout": "5f26a69f0026cfdb7f783b467c87999790907392e3679feece501dfc3b471bde",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "trace.csv": "a239200ab2cc94e1964a9c9f30266e500d631c30190b918deb2e03ffc85e5198",
+        },
+    ),
+    "dicke": (
+        ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40",
+         "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
+        {
+            "stdout": "3fba6bde33b848a2316b30bae7910fd99d18e90069d343bc5eb6e04930a79045",
+            "stderr": "0ed79fdc09ed26c42d75d09aa271cb9217851aa79a3c9f95f72c0cd57eed29d2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OPTIMIZE_DIGESTS)
+def test_optimize_commands_write_the_recorded_bytes(name, tmp_path):
+    # a process with BLAS pinned to one thread, as the benchmark runs it: the
+    # threaded complex eigh of the Dicke matrix rounds differently
+    argv, digests = OPTIMIZE_DIGESTS[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run(
+        [sys.executable, "-m", "medent.cli", *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the solved count is the one line the recorded stderr lacks
+    solved, _, stderr = proc.stderr.partition(b"\n")
+    assert re.fullmatch(rb"solved \d+ distinct points for \d+ evaluations", solved)
+    got = {"stdout": proc.stdout, "stderr": stderr}
+    got.update({f: (tmp_path / f).read_bytes() for f in digests if f not in got})
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == digests

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,64 @@ def test_target_objective():
         build_ising(IsingParams(delta=0.1, lam=float(result.best_controls[0]))), (2, 2, 2)
     ).value
     assert abs(achieved - 0.3) <= 1e-3
+
+
+def counting_model(fail_at=None):
+    """The delta = 0.1 Ising lambda model, recording the bits of every point it
+    is asked to solve and failing with a NumericalError at ``fail_at``."""
+    calls = []
+
+    def model(x):
+        calls.append(np.asarray(x, dtype=float).tobytes())
+        if x[0] == fail_at:
+            raise NumericalError("synthetic failure region")
+        return build_ising(IsingParams(delta=0.1, lam=float(x[0])))
+
+    return model, calls
+
+
+def test_each_distinct_point_is_solved_once():
+    # the optimum sits on the upper bound, so clamped points repeat
+    model, calls = counting_model()
+    problem = ControlProblem(model=model, control_dim=1, bounds=((0.0, 3.0),), dims=(2, 2, 2))
+    result = optimize(problem, budget=300, seed=0)
+    searched = {np.array(controls).tobytes() for controls, _ in result.trace}
+    # every search point once, then the re-verification of the best
+    assert len(calls) == len(set(calls)) + 1 == len(searched) + 1 == result.solved
+    assert set(calls[:-1]) == searched
+    assert calls[-1] == result.best_controls.tobytes()
+    # a repeated point still counts as an evaluation and gets its trace entry
+    assert result.evaluations == 300
+    assert len(result.trace) == 299
+    assert result.solved < 200
+
+
+def test_a_repeated_failure_is_logged_at_every_request(caplog):
+    # the model fails at the upper bound, where the search keeps clamping
+    model, calls = counting_model(fail_at=3.0)
+    problem = ControlProblem(model=model, control_dim=1, bounds=((0.0, 3.0),), dims=(2, 2, 2))
+    with caplog.at_level(logging.WARNING, logger="medent.control"):
+        result = optimize(problem, budget=150, seed=0)
+    messages = [r.getMessage() for r in caplog.records]
+    failures = [m for m in messages if m.startswith("objective failed at ")]
+    assert calls.count(np.array([3.0]).tobytes()) == 1
+    assert failures.count("objective failed at [3.]: synthetic failure region") > 1
+    # one warning per requested evaluation that failed, none for a success
+    assert len(failures) == result.evaluations - 1 - len(result.trace)
+    assert len(calls) == len(set(calls)) + 1 == result.solved
+
+
+class SignedZeroProblem(ControlProblem):
+    """Clamps every point onto 0.0 or -0.0, by the sign of its control."""
+
+    def clamp(self, x):
+        return np.copysign(np.zeros_like(x), x)
+
+
+def test_signed_zeros_are_distinct_points():
+    model, calls = counting_model()
+    problem = SignedZeroProblem(model=model, control_dim=1, bounds=((-1.0, 1.0),), dims=(2, 2, 2))
+    result = optimize(problem, budget=40, seed=0)
+    assert set(calls) == {np.array([0.0]).tobytes(), np.array([-0.0]).tobytes()}
+    assert len(calls) == result.solved == 3
+    assert result.evaluations == 40

@@ -218,6 +218,14 @@ def test_eigh_stack_raises_when_lapack_fails(monkeypatch):
         assert dec.eigenvectors[row].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 0)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigh_stack_rejects_an_empty_stack(shape, dtype):
+    message = rf"^expected a non-empty \(n, d, d\) stack, got shape {re.escape(str(shape))}$"
+    with pytest.raises(DimensionError, match=message):
+        eigh_stack(np.zeros(shape, dtype=dtype))
+
+
 def test_eigh_stack_keeps_real_stacks_real():
     rng = np.random.default_rng(34)
     a = rng.standard_normal((6, 9, 9))

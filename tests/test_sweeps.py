@@ -16,12 +16,14 @@ from medent.sweeps import (
     ISING_SWEEP_SCHEMA,
     POINT_ERRORS,
     SweepResult,
+    _ising_stack,
     format_value,
     grid_sweep,
     ising_sweep,
     linspace_grid,
     parse_grid_spec,
 )
+import medent.sweeps
 from medent.tripartite import IsingParams, build_ising
 
 
@@ -315,3 +317,46 @@ def test_readme_grid_makes_two_stacked_eigh_calls_per_chunk(monkeypatch):
     assert all(r["status"] == "ok" for r in result.rows)
     chunks = [ISING_CHUNK] * 6 + [775 - 6 * ISING_CHUNK]
     assert shapes == [(n, d, d) for n in chunks for d in (8, 4)]
+
+
+def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
+    # 80 points with a negative delta, all in the first chunk: its 48 valid
+    # points are still solved as one stack, and each invalid one flags its row
+    deltas, lams = np.linspace(-0.5, 2.0, 9), np.linspace(-3.0, 3.0, 40)
+    solve = medent.sweeps.eigh_stack
+    sizes = []
+
+    def counting(m):
+        sizes.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(medent.sweeps, "eigh_stack", counting)
+    result = ising_sweep(deltas, lams)
+    monkeypatch.undo()
+    assert sizes == [ISING_CHUNK - 80, ISING_CHUNK, 360 - 2 * ISING_CHUNK]
+
+    def alone(point):
+        return _ising_stack([IsingParams(delta=point["delta"], lam=point["lambda"])])[0]
+
+    points = [{"delta": float(d), "lambda": float(lam)} for d in deltas for lam in lams]
+    expected = [grid_sweep(ISING_SWEEP_SCHEMA, [p], alone).rows[0] for p in points]
+    assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
+    assert [bits(r) for r in result.rows] == [bits(r) for r in reference_rows(deltas, lams)]
+    statuses = [r["status"] for r in result.rows]
+    assert statuses == ["error: delta must be non-negative"] * 80 + ["ok"] * 280
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # one type per column: the per-column formatters
+        [{"a": 0.1, "b": True, "c": 7, "d": "ok"}, {"a": math.nan, "b": False, "c": -3, "d": "error: x"}],
+        # mixed and numpy types: format_value per cell
+        [{"a": np.float64(-0.0), "b": np.True_, "c": np.int64(5), "d": None},
+         {"a": 2, "b": 1.5, "c": False, "d": 0.25}],
+    ],
+)
+def test_csv_cells_are_formatted_as_format_value_formats_them(rows):
+    text = SweepResult(schema=("a", "b", "c", "d"), rows=tuple(rows)).to_csv_text()
+    lines = ["a,b,c,d"] + [",".join(format_value(v) for v in row.values()) for row in rows]
+    assert text == "\n".join(lines) + "\n"
