@@ -306,9 +306,6 @@ def _check_fock_cutoff(cfg: DickeConfig) -> None:
 
 
 def cmd_optimize(args) -> int:
-    if args.budget <= 0:
-        raise ValueError("budget must be positive")
-
     if args.model == "ising":
         delta = args.delta
         j = args.j
@@ -316,13 +313,7 @@ def cmd_optimize(args) -> int:
         def model(x):
             return build_ising(IsingParams(j_coupling=j, delta=delta, lam=float(x[0])))
 
-        problem = ControlProblem(
-            model=model,
-            control_dim=1,
-            bounds=((args.lower, args.upper),),
-            dims=(2, 2, 2),
-        )
-        control_name = "lambda"
+        dims, control_name = (2, 2, 2), "lambda"
     else:
         base = dict(
             variant=args.variant,
@@ -337,15 +328,11 @@ def cmd_optimize(args) -> int:
             h, _ = dicke_mediator_form(DickeConfig(kappa=float(x[0]), **base))
             return h
 
-        nf = args.nmax + 1
-        problem = ControlProblem(
-            model=model,
-            control_dim=1,
-            bounds=((args.lower, args.upper),),
-            dims=(2, nf, 2),
-        )
-        control_name = "kappa"
+        dims, control_name = (2, args.nmax + 1, 2), "kappa"
 
+    problem = ControlProblem(
+        model=model, control_dim=1, bounds=((args.lower, args.upper),), dims=dims
+    )
     result = optimize(problem, args.budget, args.seed)
     print(
         f"solved {result.solved} distinct points for {result.evaluations} evaluations",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .entanglement import ground_state_ac_concurrence
 from .linalg import HermitianOperator, NumericalError
-from .sweeps import POINT_ERRORS
+from .sweeps import _point_outcome
 
 log = logging.getLogger(__name__)
 
@@ -122,16 +122,15 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
     # or the POINT_ERRORS exception its solve raised
     outcomes: dict[bytes, object] = {}
 
+    def solve(x: np.ndarray):
+        return ground_state_ac_concurrence(problem.model(x), problem.dims)
+
     def evaluate(x: np.ndarray) -> float:
         nonlocal any_success
         budget_state.used += 1
         key = np.asarray(x, dtype=float).tobytes()
         if key not in outcomes:
-            try:
-                outcomes[key] = ground_state_ac_concurrence(problem.model(x), problem.dims)
-            except POINT_ERRORS as exc:
-                # the traceback would keep the failed solve's arrays alive
-                outcomes[key] = exc.with_traceback(None)
+            outcomes[key] = _point_outcome(solve, x)
         res = outcomes[key]
         if isinstance(res, Exception):
             log.warning("objective failed at %s: %s", x, res)
@@ -218,7 +217,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
 
     # re-verify the reported optimum with the reserved evaluation: a fresh
     # solve, not the memo, so that it checks the result
-    res = ground_state_ac_concurrence(problem.model(best["x"]), problem.dims)
+    res = solve(best["x"])
     verified = problem.score(res.value)
     evaluations = budget_state.used + 1
     if abs(verified - best["value"]) > 1e-12:

@@ -32,7 +32,7 @@ from .linalg import (
     eigh_stack,
     kron,
 )
-from .sweeps import SweepResult, grid_sweep
+from .sweeps import SweepResult, _point_outcome, grid_sweep
 from .tripartite import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 VARIANTS = ("h1", "h2", "h3")
@@ -292,6 +292,8 @@ def dicke_ground_point(
     becomes the next base.  ``convergence_delta`` is the concurrence change the
     deciding solve saw.
     """
+    if not convergence_tol >= 0:
+        raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
     energy, gap, conc = _evaluate(cfg)
     n = cfg.n_max
     while True:
@@ -355,16 +357,14 @@ def dicke_sweep(
         raise ValueError("grids must be non-empty")
     if kappas != sorted(kappas) or tildes != sorted(tildes):
         raise ValueError("grids must be monotone non-decreasing")
+    if not convergence_tol >= 0:
+        raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
     # every point's config is built before any point runs, so an invalid
     # parameter aborts the sweep instead of becoming an error row
     configs = [dataclasses.replace(cfg, kappa=k, lam_tilde=t) for k in kappas for t in tildes]
 
-    def evaluate(point: dict) -> dict:
-        ground = dicke_ground_point(
-            dataclasses.replace(cfg, kappa=point["kappa"], lam_tilde=point["lam_tilde"]),
-            convergence_tol=convergence_tol,
-            n_max_limit=n_max_limit,
-        )
+    def columns(c: DickeConfig) -> dict:
+        ground = dicke_ground_point(c, convergence_tol=convergence_tol, n_max_limit=n_max_limit)
         return {
             "nmax_used": ground.nmax_used,
             "ground_energy": ground.ground_energy,
@@ -378,4 +378,4 @@ def dicke_sweep(
         {"variant": c.variant, "kappa": c.kappa, "lam_tilde": c.lam_tilde, "nmax_used": cfg.n_max}
         for c in configs
     )
-    return grid_sweep(DICKE_SWEEP_SCHEMA, points, evaluate)
+    return grid_sweep(DICKE_SWEEP_SCHEMA, points, (_point_outcome(columns, c) for c in configs))

@@ -138,24 +138,38 @@ POINT_ERRORS = (NumericalError, ValueError, np.linalg.LinAlgError)
 _UNEVALUATED = {float: float("nan"), bool: False}
 
 
-def grid_sweep(schema, points, evaluate) -> SweepResult:
+def _point_outcome(fn, *args):
+    """``fn(*args)``, or the POINT_ERRORS exception that fails the point.
+
+    The exception loses its traceback, which would keep the failed solve's
+    arrays alive; any other exception is a programming error and propagates.
+    """
+    try:
+        return fn(*args)
+    except POINT_ERRORS as exc:
+        return exc.with_traceback(None)
+
+
+def grid_sweep(schema, points, outcomes) -> SweepResult:
     """One row per grid point, in the order ``points`` yields them.
 
-    Each point is a dict of the row's leading columns; ``evaluate(point)`` is
-    called once per point, in that order, and returns the remaining columns
-    (``status`` defaults to "ok").  A point whose evaluation raises one of
-    ``POINT_ERRORS`` keeps NaN results and ``degenerate`` False, and its status
-    reads "error: <message>".
+    Each point is a dict of the row's leading columns, and ``outcomes`` yields
+    that point's outcome, in the same order: a dict of the remaining columns
+    (``status`` defaults to "ok"), or the exception that failed the point.  A
+    failed point keeps NaN results and ``degenerate`` False, and its status
+    reads "error: <message>".  Each outcome is drawn only when its point's row
+    is built, so a lazy producer stops at the first exception it raises; a
+    producer with more or fewer outcomes than points raises ValueError.
     """
     unevaluated = {c: _UNEVALUATED.get(COLUMN_TYPES.get(c)) for c in schema}
     rows = []
-    for point in points:
+    for point, outcome in zip(points, outcomes, strict=True):
         row = dict(unevaluated)
         row.update(point, status="ok")
-        try:
-            row.update(evaluate(point))
-        except POINT_ERRORS as exc:
-            row["status"] = f"error: {exc}"
+        if isinstance(outcome, Exception):
+            row["status"] = f"error: {outcome}"
+        else:
+            row.update(outcome)
         rows.append(row)
     return SweepResult(schema=tuple(schema), rows=tuple(rows))
 
@@ -193,14 +207,6 @@ def _ising_stack(params: list[IsingParams]) -> list[dict]:
     ]
 
 
-def _ising_alone(params: IsingParams):
-    """``_ising_stack`` of one point, or the POINT_ERRORS exception it raises."""
-    try:
-        return _ising_stack([params])[0]
-    except POINT_ERRORS as exc:
-        return exc
-
-
 def _ising_chunk(points: list[dict], j_coupling: float) -> list:
     """Each point's result columns, or the POINT_ERRORS exception that fails it.
 
@@ -208,17 +214,12 @@ def _ising_chunk(points: list[dict], j_coupling: float) -> list:
     only its own point.  The valid points are solved as one stack, and one at
     a time only if that stack fails a numerical check.
     """
-    outcomes = []
-    for p in points:
-        try:
-            outcomes.append(IsingParams(j_coupling=j_coupling, delta=p["delta"], lam=p["lambda"]))
-        except ValueError as exc:
-            outcomes.append(exc)
+    outcomes = [_point_outcome(IsingParams, j_coupling, p["delta"], p["lambda"]) for p in points]
     params = [o for o in outcomes if isinstance(o, IsingParams)]
     try:
         solved = iter(_ising_stack(params) if params else ())
     except POINT_ERRORS:
-        solved = map(_ising_alone, params)
+        solved = (_point_outcome(lambda q: _ising_stack([q])[0], p) for p in params)
     return [next(solved) if isinstance(o, IsingParams) else o for o in outcomes]
 
 
@@ -236,17 +237,9 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
         raise ValueError("grids must be non-empty")
 
     points = [{"delta": d, "lambda": lam} for d in deltas for lam in lams]
-    outcomes = iter([
+    outcomes = (
         outcome
         for start in range(0, len(points), ISING_CHUNK)
         for outcome in _ising_chunk(points[start:start + ISING_CHUNK], j_coupling)
-    ])
-
-    def evaluate(point: dict) -> dict:
-        # grid_sweep asks for the points in order, so the next outcome is this point's
-        outcome = next(outcomes)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    return grid_sweep(ISING_SWEEP_SCHEMA, points, evaluate)
+    )
+    return grid_sweep(ISING_SWEEP_SCHEMA, points, outcomes)

@@ -220,6 +220,8 @@ def _random_hamiltonians(rngs, d_b: int, break_symmetry: bool) -> np.ndarray:
     Each generator draws one run of standard normals: the left coefficients,
     then (with ``break_symmetry``) the right ones, then the local ones.
     """
+    if d_b < 1:
+        raise ValueError(f"mediator dimension d_b must be >= 1, got {d_b}")
     left, right, local = _operator_stacks(d_b)
     stacks = (left, right, local) if break_symmetry else (left, local)
     sizes = [len(s) for s in stacks]

@@ -166,6 +166,37 @@ def test_spectrum_dicke_over_the_dimension_limit_exits_2(capsys):
     assert OVER_LIMIT_ERROR in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_sweep_dicke_rejects_a_negative_or_nan_tolerance(tol, tmp_path, capsys):
+    out_path = tmp_path / "tol.csv"
+    code, _, err = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
+        "--tol", tol, "--out", str(out_path),
+    )
+    assert code == 2
+    assert f"convergence_tol must be >= 0, got {float(tol)}" in err
+    assert not out_path.exists()
+
+
+def test_sweep_dicke_accepts_a_zero_tolerance(tmp_path, capsys):
+    out_path = tmp_path / "tol0.csv"
+    code, _, _ = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
+        "--tol", "0", "--out", str(out_path),
+    )
+    assert code == 0
+    assert SweepResult.read_csv(out_path).column("status") == ["ok"]
+
+
+@pytest.mark.parametrize("db_dim", ["0", "-1"])
+def test_theorem_mediator_dimension_below_one_exits_2(db_dim, capsys):
+    code, _, err = run(capsys, "theorem", "--trials", "3", "--db-dim", db_dim, "--seed", "1")
+    assert code == 2
+    assert f"mediator dimension d_b must be >= 1, got {db_dim}" in err
+
+
 def test_theorem_exit_code_reflects_counterexamples(tmp_path, capsys):
     # symmetric trials expose the swap-odd dark states: exit 4 by contract
     out_path = tmp_path / "trials.csv"

@@ -185,6 +185,9 @@ def test_a_repeated_failure_is_logged_at_every_request(caplog):
     failures = [m for m in messages if m.startswith("objective failed at ")]
     assert calls.count(np.array([3.0]).tobytes()) == 1
     assert failures.count("objective failed at [3.]: synthetic failure region") > 1
+    # the memo keeps the exception, not the frames of the failed solve
+    stored = [r.args[1] for r in caplog.records if r.msg.startswith("objective failed at ")]
+    assert stored and all(exc.__traceback__ is None for exc in stored)
     # one warning per requested evaluation that failed, none for a success
     assert len(failures) == result.evaluations - 1 - len(result.trace)
     assert len(calls) == len(set(calls)) + 1 == result.solved

@@ -22,6 +22,7 @@ from medent.dicke import (
     dicke_mediator_form,
     dicke_sweep,
 )
+import medent.dicke as dicke_module
 from medent import linalg
 from medent.linalg import (
     DimensionError,
@@ -260,6 +261,20 @@ def test_sweep_rejects_invalid_parameters_before_any_point():
     cfg = DickeConfig(variant="h1", kappa=0.0, n_max=8)
     with pytest.raises(ValueError, match="non-negative"):
         dicke_sweep(cfg, [-0.5, 0.5], [1.0])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_a_negative_or_nan_tolerance_is_rejected_before_any_point(tol, monkeypatch):
+    def no_solve(cfg):
+        raise AssertionError("solved a point")
+
+    monkeypatch.setattr(dicke_module, "_evaluate", no_solve)
+    cfg = DickeConfig(variant="h2", kappa=0.5, n_max=8)
+    message = f"convergence_tol must be >= 0, got {tol}"
+    with pytest.raises(ValueError, match=message):
+        dicke_sweep(cfg, [0.5], [1.0], convergence_tol=tol)
+    with pytest.raises(ValueError, match=message):
+        dicke_ground_point(cfg, convergence_tol=tol)
 
 
 def test_sweep_flags_unconverged_points():

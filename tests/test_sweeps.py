@@ -16,7 +16,9 @@ from medent.sweeps import (
     ISING_SWEEP_SCHEMA,
     POINT_ERRORS,
     SweepResult,
+    _ising_chunk,
     _ising_stack,
+    _point_outcome,
     format_value,
     grid_sweep,
     ising_sweep,
@@ -120,11 +122,40 @@ def test_failed_point_is_flagged_not_raised():
 
 
 def test_grid_sweep_propagates_programming_errors():
-    def evaluate(point):
-        raise TypeError("bug in the evaluator")
+    # a lazy producer runs each point as its row is built: a bug at the second
+    # point stops the sweep before the third is drawn
+    points = [{"delta": 0.1 * k, "lambda": 1.0} for k in range(3)]
+    drawn = []
+
+    def evaluate(k):
+        drawn.append(k)
+        if k == 1:
+            raise TypeError("bug in the evaluator")
+        return {}
 
     with pytest.raises(TypeError, match="bug in the evaluator"):
-        grid_sweep(ISING_SWEEP_SCHEMA, [{"delta": 0.1, "lambda": 1.0}], evaluate)
+        grid_sweep(ISING_SWEEP_SCHEMA, points, (_point_outcome(evaluate, k) for k in range(3)))
+    assert drawn == [0, 1]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_grid_sweep_rejects_a_producer_of_the_wrong_length(count):
+    points = [{"delta": 0.1, "lambda": 1.0}, {"delta": 0.2, "lambda": 1.0}]
+    with pytest.raises(ValueError, match="zip"):
+        grid_sweep(ISING_SWEEP_SCHEMA, points, iter([{}] * count))
+
+
+def test_failed_chain_points_keep_no_traceback():
+    # an invalid parameter fails IsingParams; a NaN field fails the stack, so
+    # the chunk is solved again one point at a time
+    invalid, non_finite, solved = _ising_chunk(
+        [{"delta": -0.1, "lambda": 1.0}, {"delta": 0.3, "lambda": math.nan}, {"delta": 0.3, "lambda": 1.0}],
+        1.0,
+    )
+    assert str(invalid) == "delta must be non-negative"
+    assert str(non_finite) == "h_b contains non-finite entries"
+    assert invalid.__traceback__ is None and non_finite.__traceback__ is None
+    assert solved == _ising_stack([IsingParams(delta=0.3, lam=1.0)])[0]
 
 
 # ---------------------------------------------------------------- stacked chain sweep
@@ -339,7 +370,7 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
         return _ising_stack([IsingParams(delta=point["delta"], lam=point["lambda"])])[0]
 
     points = [{"delta": float(d), "lambda": float(lam)} for d in deltas for lam in lams]
-    expected = [grid_sweep(ISING_SWEEP_SCHEMA, [p], alone).rows[0] for p in points]
+    expected = [grid_sweep(ISING_SWEEP_SCHEMA, [p], [_point_outcome(alone, p)]).rows[0] for p in points]
     assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
     assert [bits(r) for r in result.rows] == [bits(r) for r in reference_rows(deltas, lams)]
     statuses = [r["status"] for r in result.rows]

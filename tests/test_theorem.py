@@ -375,6 +375,17 @@ def test_fuzz_rejects_bad_trials():
         theorem_fuzz(0, 2, 1)
 
 
+@pytest.mark.parametrize("d_b", [0, -1])
+def test_a_mediator_dimension_below_one_is_rejected_before_any_draw(d_b):
+    message = f"mediator dimension d_b must be >= 1, got {d_b}"
+    with pytest.raises(ValueError, match=message):
+        theorem_fuzz(3, d_b, 1)
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match=message):
+        random_symmetric_hamiltonian(d_b, rng)
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
 def test_hermitian_basis_spans():
     for d in (2, 3):
         basis = hermitian_basis(d)
