@@ -309,6 +309,8 @@ def cmd_optimize(args) -> int:
     if args.model == "ising":
         delta = args.delta
         j = args.j
+        # an invalid coupling or delta fails the search before any point
+        IsingParams(j_coupling=j, delta=delta)
 
         def model(x):
             return build_ising(IsingParams(j_coupling=j, delta=delta, lam=float(x[0])))
@@ -323,6 +325,8 @@ def cmd_optimize(args) -> int:
             lam_tilde=args.lam_tilde,
             n_max=args.nmax,
         )
+        # an invalid model constant fails the search before any point
+        DickeConfig(kappa=0.0, **base)
 
         def model(x):
             h, _ = dicke_mediator_form(DickeConfig(kappa=float(x[0]), **base))

@@ -4,6 +4,8 @@ Variant "h1" keeps only co-rotating exchange terms, "h2" adds the
 counter-rotating ones, and "h3" further adds a quadratic field term whose
 coefficient defaults to kappa^2 / omega_a (scaled by the free multiplier
 lam_tilde).  Basis ordering: atom1 x atom2 x field, field index fastest.
+The Fock-cutoff confirmation works in the collective basis {T-, T0, T+, S}
+of the atoms instead, whose total spin J every term conserves.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import dataclasses
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import prod
+from math import inf, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,52 @@ VARIANTS = ("h1", "h2", "h3")
 
 SIGMA_PLUS = (SIGMA_1 + 1j * SIGMA_2) / 2
 SIGMA_MINUS = (SIGMA_1 - 1j * SIGMA_2) / 2
+
+# The two atoms in the collective basis {T-, T0, T+, S} of total spin J:
+# T- = |gg>, T0 = (|eg> + |ge>)/sqrt2, T+ = |ee> and S = (|eg> - |ge>)/sqrt2,
+# s = 0 the excited state.  J_z and J_+ are written entry by entry, so every
+# entry between the triplet and the singlet is an exact zero; rotating the
+# product-basis operators instead leaves about 2e-17 there.
+J_Z = _readonly(np.diag([-1.0, 0.0, 1.0, 0.0]))
+J_PLUS = _readonly(np.diag([np.sqrt(2), np.sqrt(2), 0.0], k=-1))
+# column k: collective state k in the product basis 2 s1 + s2 of the atoms
+COLLECTIVE_TO_PRODUCT = _readonly(
+    np.array([[0, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, 0, 0]]) * np.sqrt([1, 0.5, 1, 0.5])
+)
+
+
+class _AtomBasis(NamedTuple):
+    """The two-atom operators of the models and the integer labels of the basis states."""
+
+    sigma3: tuple[np.ndarray, ...]  # summed: sigma^3_1 + sigma^3_2
+    ladders: tuple[tuple[np.ndarray, np.ndarray], ...]  # (raising, lowering), summed
+    identity: np.ndarray
+    excited: np.ndarray  # excited atoms of each state
+    spin: np.ndarray  # total spin J of each state; 0 where J is no label
+
+
+_ATOM_BASES = {
+    "product": _AtomBasis(
+        (kron(SIGMA_3, SIGMA_0), kron(SIGMA_0, SIGMA_3)),
+        (
+            (kron(SIGMA_PLUS, SIGMA_0), kron(SIGMA_MINUS, SIGMA_0)),
+            (kron(SIGMA_0, SIGMA_PLUS), kron(SIGMA_0, SIGMA_MINUS)),
+        ),
+        kron(SIGMA_0, SIGMA_0),
+        np.array([2, 1, 1, 0]),
+        np.zeros(4, dtype=int),
+    ),
+    # sigma^3_1 + sigma^3_2 = 2 J_z and sigma^+_1 + sigma^+_2 = J_+
+    "collective": _AtomBasis(
+        (J_Z, J_Z), ((J_PLUS, J_PLUS.T),), np.eye(4), np.array([0, 1, 2, 1]), np.array([1, 1, 1, 0])
+    ),
+}
+
+# how many of ``_dicke_terms`` each variant uses, in order; the first three
+# conserve the excitation number N, the counter-rotating and the quadratic
+# term change it by 0 or 2 and keep only its parity
+_TERM_COUNTS = {"h1": 3, "h2": 4, "h3": 5}
+_N_CONSERVING_TERMS = 3
 
 DEFAULT_N_MAX = 40
 CONVERGENCE_TOL = 1e-6
@@ -89,10 +138,12 @@ class DickeConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.omega_a <= 0 or self.omega_f <= 0:
-            raise ValueError("frequencies must be positive")
-        if self.kappa < 0 or self.lam_tilde < 0 or (self.lam is not None and self.lam < 0):
-            raise ValueError("kappa, lam and lam_tilde must be non-negative")
+        # written so that NaN fails every check
+        if not (0 < self.omega_a < inf and 0 < self.omega_f < inf):
+            raise ValueError("frequencies must be positive and finite")
+        lam = 0.0 if self.lam is None else self.lam
+        if not all(0 <= x < inf for x in (self.kappa, self.lam_tilde, lam)):
+            raise ValueError("kappa, lam and lam_tilde must be non-negative and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
@@ -116,41 +167,32 @@ class DickeConfig:
 
 def _dicke_coefficients(cfg: DickeConfig) -> list[float]:
     """The coefficients of ``_dicke_terms`` that ``cfg``'s variant uses, in order."""
-    coefficients = [cfg.omega_a / 2, cfg.omega_f, cfg.kappa]
-    if cfg.variant in ("h2", "h3"):
-        coefficients.append(cfg.kappa)
+    coefficients = [cfg.omega_a / 2, cfg.omega_f, cfg.kappa, cfg.kappa]
     if cfg.variant == "h3":
         coefficients.append(cfg.lam_tilde * cfg.resolved_lam)
-    return coefficients
+    return coefficients[: _TERM_COUNTS[cfg.variant]]
 
 
-def _dicke_terms(n_max: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], ...]:
+def _dicke_terms(
+    n_max: int, atoms: _AtomBasis = _ATOM_BASES["product"]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], ...]:
     """The constant operators of the models at one cutoff, in order: the
     atoms' sigma^3 sum, the photon number, the rotating and the
     counter-rotating exchange, and the quadratic field term (a + a^dag)^2.
 
-    Each is a list of (two-atom operator, field operator) pairs; the term is
-    the sum of their Kronecker products, added in list order.
+    Each is a list of (two-atom operator, field operator) pairs, the atoms in
+    the basis of ``atoms``; the term is the sum of their Kronecker products,
+    added in list order.
     """
     ops = bosonic_operators(n_max)
     eye_f = np.eye(n_max + 1, dtype=np.complex128)
     x = ops.a + ops.a_dagger
     return (
-        [(kron(SIGMA_3, SIGMA_0), eye_f), (kron(SIGMA_0, SIGMA_3), eye_f)],
-        [(kron(SIGMA_0, SIGMA_0), ops.number)],
-        [
-            (kron(SIGMA_PLUS, SIGMA_0), ops.a),
-            (kron(SIGMA_MINUS, SIGMA_0), ops.a_dagger),
-            (kron(SIGMA_0, SIGMA_PLUS), ops.a),
-            (kron(SIGMA_0, SIGMA_MINUS), ops.a_dagger),
-        ],
-        [
-            (kron(SIGMA_PLUS, SIGMA_0), ops.a_dagger),
-            (kron(SIGMA_MINUS, SIGMA_0), ops.a),
-            (kron(SIGMA_0, SIGMA_PLUS), ops.a_dagger),
-            (kron(SIGMA_0, SIGMA_MINUS), ops.a),
-        ],
-        [(kron(SIGMA_0, SIGMA_0), x @ x)],
+        [(z, eye_f) for z in atoms.sigma3],
+        [(atoms.identity, ops.number)],
+        [pair for up, down in atoms.ladders for pair in ((up, ops.a), (down, ops.a_dagger))],
+        [pair for up, down in atoms.ladders for pair in ((up, ops.a_dagger), (down, ops.a))],
+        [(atoms.identity, x @ x)],
     )
 
 
@@ -205,72 +247,122 @@ def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     return dec.ground_energy, dec.gap(), conc
 
 
-@lru_cache(maxsize=2)
-def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
-    """The two parity sectors at one cutoff and ``_dicke_terms`` cut into them.
+@lru_cache(maxsize=8)
+def _sector_blocks(n_max: int, basis: str, n_terms: int) -> tuple[tuple[np.ndarray, tuple], ...]:
+    """The first ``n_terms`` of ``_dicke_terms`` at one cutoff, the atoms in
+    ``basis`` ("product" or "collective"), cut into the exact sectors of
+    those terms.
 
-    This is the one assembly of the Dicke Hamiltonian: ``build_dicke`` and the
-    cutoff check both start from these blocks.  Parity exp(i pi N), N the
-    excitation number, commutes with every term.  The sectors are keyed by the
-    integers (s1 + s2 + n) mod 2 of the basis labels, never by a float
-    diagonal, and both hold d = 2(n_max + 1) states.  Returns their index
-    arrays (2, d) and, per term, the nonzero entries of its two diagonal
-    blocks as (index, values) into a real (2, d, d) stack.  Every term is
-    checked once to be exactly real with no entry between the sectors.
+    The sectors are keyed by the integers (J, N) of the basis labels, N the
+    excitation number, when every cut term conserves N, and by (J, N mod 2)
+    otherwise; never by a float diagonal.  Sectors of equal size form a group.
+    Returns per group, in ascending size, the sectors' index arrays (m, s) in
+    ascending key order and, per term, the nonzero entries of its m diagonal
+    blocks as (index, values) into a real (m, s, s) stack.  Every term is
+    checked once to be exactly real with no entry between two sectors: no
+    (atom, field) pair of it may have a nonzero imaginary part or take a basis
+    state into another sector.
 
     The blocks are gathered from the real parts of the factors, after a
     check that these are real, so no full-size or complex term is built.
     """
-    s1, s2, n = np.unravel_index(np.arange(4 * (n_max + 1)), (2, 2, n_max + 1))
-    key = (s1 + s2 + n) % 2
-    sectors = np.stack([np.flatnonzero(key == 0), np.flatnonzero(key == 1)])
-    atoms, field = (2 * s1 + s2)[sectors], n[sectors]
+    atoms, dim_f = _ATOM_BASES[basis], n_max + 1
+    atom, n = np.divmod(np.arange(4 * dim_f), dim_f)
+    excitations = atoms.excited[atom] + n
+    if n_terms > _N_CONSERVING_TERMS:
+        excitations %= 2
+    # N <= n_max + 2, so J and N never share a key
+    _, sector_of, sizes = np.unique(
+        atoms.spin[atom] * (n_max + 3) + excitations, return_inverse=True, return_counts=True
+    )
+    members = np.split(np.argsort(sector_of, kind="stable"), np.cumsum(sizes)[:-1])
+    terms = _dicke_terms(n_max, atoms)[:n_terms]
 
-    def block(pairs, p: int, q: int) -> np.ndarray:
-        """Sector block (p, q) of the sum of kron(a, f) over the pairs, added in order."""
-        a_rows, f_rows = atoms[p][:, np.newaxis], field[p][:, np.newaxis]
-        return reduce(operator.add, (a[a_rows, atoms[q]] * f[f_rows, field[q]] for a, f in pairs))
+    def leaves(a: np.ndarray, f: np.ndarray) -> bool:
+        """Whether kron(a, f) has a nonzero entry between two sectors."""
+        (ai, aj), (fi, fj) = np.nonzero(a), np.nonzero(f)
+        rows = (ai[:, np.newaxis] * dim_f + fi).ravel()
+        cols = (aj[:, np.newaxis] * dim_f + fj).ravel()
+        return bool((sector_of[rows] != sector_of[cols]).any())
 
-    terms = []
-    for i, pairs in enumerate(_dicke_terms(n_max)):
-        real = [(a.real, f.real) for a, f in pairs]
-        if any(a.imag.any() or f.imag.any() for a, f in pairs) or any(
-            block(real, p, 1 - p).any() for p in (0, 1)
-        ):
-            raise AssertionError(f"Dicke term {i} at n_max = {n_max} leaves the real parity blocks")
-        blocks = np.stack([block(real, 0, 0), block(real, 1, 1)])
-        index = np.nonzero(blocks)
-        terms.append((index, _readonly(blocks[index])))
-    return sectors, tuple(terms)
+    for i, pairs in enumerate(terms):
+        if any(a.imag.any() or f.imag.any() or leaves(a, f) for a, f in pairs):
+            raise AssertionError(f"Dicke term {i} at n_max = {n_max} leaves the real {basis} sectors")
+    groups = []
+    # not np.unique, which would import numpy.ma
+    for size in sorted(set(sizes.tolist())):
+        sectors = np.stack([m for m in members if m.size == size])
+        a_rows, f_rows = atom[sectors][:, :, np.newaxis], n[sectors][:, :, np.newaxis]
+        a_cols, f_cols = atom[sectors][:, np.newaxis, :], n[sectors][:, np.newaxis, :]
+        cut = []
+        for pairs in terms:
+            blocks = reduce(
+                operator.add, (a.real[a_rows, a_cols] * f.real[f_rows, f_cols] for a, f in pairs)
+            )
+            index = np.nonzero(blocks)
+            cut.append((index, _readonly(blocks[index])))
+        groups.append((sectors, tuple(cut)))
+    return tuple(groups)
+
+
+def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
+    """The two parity sectors of the product basis at one cutoff and every
+    term of ``_dicke_terms`` cut into them, as one group of ``_sector_blocks``.
+
+    This is the one assembly of the Dicke Hamiltonian: ``build_dicke`` and
+    ``dicke_mediator_form`` start from these blocks.  Parity exp(i pi N)
+    commutes with every term, and both sectors hold d = 2(n_max + 1) states.
+    Returns their index arrays (2, d) and, per term, (index, values) into a
+    real (2, d, d) stack.
+    """
+    (group,) = _sector_blocks(n_max, "product", max(_TERM_COUNTS.values()))
+    return group
+
+
+def _block_stack(group: tuple[np.ndarray, tuple], coefficients) -> np.ndarray:
+    """The coefficient-weighted sum of the terms of one group of
+    ``_sector_blocks``, added in order, as its real (m, s, s) block stack."""
+    sectors, terms = group
+    m, s = sectors.shape
+    h = np.zeros((m, s, s))
+    for c, (index, values) in zip(coefficients, terms):
+        h[index] += c * values
+    return h
 
 
 def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
     real diagonal blocks (2, d, d); every entry outside them is zero."""
-    sectors, terms = _parity_blocks(cfg.n_max)
-    d = sectors.shape[1]
-    h = np.zeros((2, d, d))
-    for c, (index, values) in zip(_dicke_coefficients(cfg), terms):
-        h[index] += c * values
-    return sectors, h
+    group = _parity_blocks(cfg.n_max)
+    return group[0], _block_stack(group, _dicke_coefficients(cfg))
 
 
-def _parity_block_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
-    """Ground-level atom-atom concurrence of ``cfg`` from one real ``eigh_stack``
-    of its two parity blocks.
+def _sector_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
+    """Ground-level atom-atom concurrence of ``cfg`` from its exact sectors in
+    the collective basis, one real ``eigh_stack`` per group of equal-size blocks.
 
     The merged spectrum is grouped as ``degeneracy_groups`` groups the full
-    one, so a ground level may span both blocks (the h1 crossings); its
-    members are embedded in the full basis for the reduction.
+    one, so a ground level may span several sectors (the h1 crossings); its
+    members are embedded in the full basis and taken to the product basis for
+    the reduction.
     """
-    sectors, h = _parity_block_hamiltonian(cfg)
-    dec = eigh_stack(h)
-    w = dec.eigenvalues.ravel()
+    coefficients = _dicke_coefficients(cfg)
+    solved = [
+        (group[0], eigh_stack(_block_stack(group, coefficients)))
+        for group in _sector_blocks(cfg.n_max, "collective", len(coefficients))
+    ]
+    w = np.concatenate([dec.eigenvalues.ravel() for _, dec in solved])
     order = np.argsort(w, kind="stable")
     ground = order[w[order] - w[order[0]] <= _degeneracy_tol(w[order])]
-    block, column = np.divmod(ground, sectors.shape[1])
     vectors = np.zeros((cfg.dim, ground.size), dtype=np.complex128)
-    vectors[sectors[block], np.arange(ground.size)[:, np.newaxis]] = dec.eigenvectors[block, :, column]
+    start = 0
+    for sectors, dec in solved:
+        size = sectors.size
+        mine = np.flatnonzero((start <= ground) & (ground < start + size))
+        block, column = np.divmod(ground[mine] - start, sectors.shape[1])
+        vectors[sectors[block], mine[:, np.newaxis]] = dec.eigenvectors[block, :, column]
+        start += size
+    vectors = (COLLECTIVE_TO_PRODUCT @ vectors.reshape(4, -1)).reshape(cfg.dim, -1)
     return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
 
 
@@ -287,10 +379,11 @@ def dicke_ground_point(
     with ``converged=False`` rather than silently accepted.
 
     Every reported value comes from the full solve at its cutoff.  The doubled
-    cutoff is first confirmed on its two real parity blocks; only if they
-    reject it is it solved in full, and that solve then decides, reports and
-    becomes the next base.  ``convergence_delta`` is the concurrence change the
-    deciding solve saw.
+    cutoff is first confirmed on its exact sectors, (J, N) for h1 and
+    (J, N mod 2) for h2 and h3 in the collective basis of the atoms, solved
+    as real blocks; only if they reject it is it solved in full, and that
+    solve then decides, reports and becomes the next base.
+    ``convergence_delta`` is the concurrence change the deciding solve saw.
     """
     if not convergence_tol >= 0:
         raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
@@ -298,7 +391,7 @@ def dicke_ground_point(
     n = cfg.n_max
     while True:
         doubled = cfg.with_n_max(2 * n)
-        delta = abs(_parity_block_concurrence(doubled).value - conc.value)
+        delta = abs(_sector_concurrence(doubled).value - conc.value)
         if not delta <= convergence_tol:
             energy2, gap2, conc2 = _evaluate(doubled)
             delta = abs(conc2.value - conc.value)

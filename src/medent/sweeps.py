@@ -235,6 +235,8 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
     lams = [float(x) for x in lambda_grid]
     if not deltas or not lams:
         raise ValueError("grids must be non-empty")
+    # the coupling is the whole sweep's: a non-finite one fails it before any point
+    IsingParams(j_coupling)
 
     points = [{"delta": d, "lambda": lam} for d in deltas for lam in lams]
     outcomes = (

@@ -107,6 +107,8 @@ class IsingParams:
     lambda0: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.j_coupling):
+            raise ValueError(f"j_coupling must be finite, got {self.j_coupling}")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.delta0 is None:

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medent import cli
 from medent.cli import main
 from medent.dicke import DickeConfig, dicke_ground_point
-from medent.sweeps import SweepResult
+from medent.sweeps import SweepResult, format_value
 
 
 def run(capsys, *argv):
@@ -190,6 +191,53 @@ def test_sweep_dicke_accepts_a_zero_tolerance(tmp_path, capsys):
     assert SweepResult.read_csv(out_path).column("status") == ["ok"]
 
 
+@pytest.mark.parametrize("j", ["nan", "inf"])
+def test_sweep_ising_rejects_a_non_finite_coupling(j, tmp_path, capsys):
+    out_path = tmp_path / "j.csv"
+    code, _, err = run(
+        capsys,
+        "sweep", "--model", "ising", "--j", j, "--delta-grid", "0:1:2", "--lambda-grid", "0:1:2",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert f"j_coupling must be finite, got {float(j)}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "ising", "--j", "nan"], "j_coupling must be finite, got nan"),
+        (["--model", "ising", "--j", "inf"], "j_coupling must be finite, got inf"),
+        (["--model", "dicke", "--omega-f", "nan"], "frequencies must be positive and finite"),
+    ],
+)
+def test_optimize_rejects_a_non_finite_model_constant_before_any_point(
+    argv, message, monkeypatch, capsys
+):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli, "optimize", no_search)
+    code, _, err = run(capsys, "optimize", *argv, "--budget", "20")
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--omega-a", "--omega-f"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_dicke_rejects_a_non_finite_frequency(flag, value, tmp_path, capsys):
+    out_path = tmp_path / "w.csv"
+    code, _, err = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
+        flag, value, "--out", str(out_path),
+    )
+    assert code == 2
+    assert "frequencies must be positive and finite" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("db_dim", ["0", "-1"])
 def test_theorem_mediator_dimension_below_one_exits_2(db_dim, capsys):
     code, _, err = run(capsys, "theorem", "--trials", "3", "--db-dim", db_dim, "--seed", "1")
@@ -326,7 +374,8 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     solved = len(set(SweepResult.read_csv(trace).column("control_0"))) + 1
     assert err == (
         f"solved {solved} distinct points for 20 evaluations\n"
-        f"fock check at best kappa: convergence delta {point.convergence_delta!r} at n_max = 40\n"
+        f"fock check at best kappa: convergence delta {format_value(point.convergence_delta)} "
+        "at n_max = 40\n"
     )
 
 
@@ -411,7 +460,10 @@ def test_readme_commands_write_the_recorded_bytes(tmp_path, capsys, monkeypatch)
 
 
 # sha256 of what the optimize commands below wrote before the optimizer solved
-# each distinct point only once; the search must keep every byte
+# each distinct point only once; the search must keep every byte.  The Dicke
+# stderr is the Fock check's line, whose convergence delta the sector
+# confirmation reads (7.0776717819853729e-16; 1.3877787807814457e-16 on the
+# parity blocks it replaced)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
@@ -426,7 +478,7 @@ OPTIMIZE_DIGESTS = {
          "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
         {
             "stdout": "3fba6bde33b848a2316b30bae7910fd99d18e90069d343bc5eb6e04930a79045",
-            "stderr": "0ed79fdc09ed26c42d75d09aa271cb9217851aa79a3c9f95f72c0cd57eed29d2",
+            "stderr": "910cea5e06ddbf30b82703fca3cfc8c36f2dfda41aecd02027072abb4aad71a9",
         },
     ),
 }

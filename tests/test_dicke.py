@@ -4,17 +4,23 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medent.dicke import (
+    COLLECTIVE_TO_PRODUCT,
+    J_PLUS,
+    J_Z,
     DickeConfig,
     DickeGroundPoint,
     FockConvergenceError,
     _dicke_coefficients,
     _dicke_terms,
     _evaluate,
-    _parity_block_concurrence,
     _parity_block_hamiltonian,
     _parity_blocks,
+    _sector_blocks,
+    _sector_concurrence,
     bosonic_operators,
     build_dicke,
     dicke_ground_concurrence,
@@ -24,14 +30,18 @@ from medent.dicke import (
 )
 import medent.dicke as dicke_module
 from medent import linalg
+from medent.entanglement import ground_level_concurrence
 from medent.linalg import (
     DimensionError,
     HermitianOperator,
+    _degeneracy_tol,
     eigh,
+    eigh_stack,
     kron,
     permute_subsystems,
     swap_operator,
 )
+from medent.sweeps import parse_grid_spec
 from medent.theorem import is_exchange_symmetric
 
 # exact closed forms for the co-rotating model at resonance: the ground level
@@ -76,6 +86,17 @@ def test_invalid_configs_rejected():
         DickeConfig(variant="h1", kappa=0.1, omega_a=0.0)
     with pytest.raises(ValueError):
         DickeConfig(variant="h1", kappa=0.1, n_max=0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["omega_a", "omega_f", "kappa", "lam", "lam_tilde"])
+def test_non_finite_parameters_are_rejected(field, value):
+    if field.startswith("omega"):
+        message = "frequencies must be positive and finite"
+    else:
+        message = "kappa, lam and lam_tilde must be non-negative and finite"
+    with pytest.raises(ValueError, match=message):
+        DickeConfig(**{"variant": "h3", "kappa": 0.5, field: value})
 
 
 def test_h3_lambda_defaults_to_kappa_squared():
@@ -283,7 +304,7 @@ def test_sweep_flags_unconverged_points():
     assert sweep.rows[0]["status"] == "fock_unconverged"
 
 
-# ------------------------------------------------- parity-block cutoff check
+# ------------------------------------------- sector and parity-block assembly
 
 
 # the full complex solve of one configuration, shared by the tests below
@@ -338,6 +359,26 @@ def kron_sum_dicke(cfg):
     return HermitianOperator(h)
 
 
+def parity_block_concurrence(cfg):
+    """Ground-level atom-atom concurrence of ``cfg`` from one real ``eigh_stack``
+    of its two parity blocks: the cutoff confirmation that the exact sectors
+    replaced, kept as their oracle.
+
+    The merged spectrum is grouped as ``degeneracy_groups`` groups the full
+    one, so a ground level may span both blocks (the h1 crossings); its
+    members are embedded in the full basis for the reduction.
+    """
+    sectors, h = _parity_block_hamiltonian(cfg)
+    dec = eigh_stack(h)
+    w = dec.eigenvalues.ravel()
+    order = np.argsort(w, kind="stable")
+    ground = order[w[order] - w[order[0]] <= _degeneracy_tol(w[order])]
+    block, column = np.divmod(ground, sectors.shape[1])
+    vectors = np.zeros((cfg.dim, ground.size), dtype=np.complex128)
+    vectors[sectors[block], np.arange(ground.size)[:, np.newaxis]] = dec.eigenvectors[block, :, column]
+    return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
+
+
 KRON_SUM_GRID = [
     DickeConfig(variant=v, kappa=float(k), lam_tilde=t, n_max=n)
     for v, k, t, n in itertools.product(
@@ -376,12 +417,12 @@ def test_build_dicke_keeps_the_kron_dimension_bound():
     # 4 (n_max + 1) = 4404 exceeds KRON_DIM_LIMIT: rejected before any block is built
     cfg = DickeConfig(variant="h1", kappa=0.5, n_max=1100)
     message = "the Dicke Hamiltonian would be 4404x4404, limit is 4096"
-    _parity_blocks.cache_clear()
+    _sector_blocks.cache_clear()
     with pytest.raises(DimensionError, match=message):
         dicke_ground_point(cfg)
     with pytest.raises(DimensionError, match=message):
         dicke_mediator_form(cfg)
-    assert _parity_blocks.cache_info().currsize == 0
+    assert _sector_blocks.cache_info().currsize == 0
 
 
 def test_each_basis_order_is_checked_once(monkeypatch):
@@ -424,21 +465,29 @@ H1_BLOCK_GRID = [
 def test_block_check_matches_full_solve_across_h1_crossings(variant):
     for kappa in H1_BLOCK_GRID:
         cfg = DickeConfig(variant=variant, kappa=float(kappa))
-        block = _parity_block_concurrence(cfg.with_n_max(80))
+        block = parity_block_concurrence(cfg.with_n_max(80))
         _, _, full = full_solve(cfg.with_n_max(80))
         assert abs(block.value - full.value) <= 1e-10, kappa
         assert block.degenerate_ground == full.degenerate_ground, kappa
+        sector = _sector_concurrence(cfg.with_n_max(80))
+        assert abs(sector.value - full.value) <= 1e-10, kappa
+        assert sector.degenerate_ground == full.degenerate_ground, kappa
         point = dicke_ground_point(cfg)
         assert_same_report(point, full_path_ground_point(cfg))
-        assert point.convergence_delta == abs(block.value - point.concurrence.value)
+        assert point.convergence_delta == abs(sector.value - point.concurrence.value)
 
 
 def test_block_check_reads_the_h1_product_ground_state_exactly():
     # just below the first crossing the ground state is |g, g> x |0>; the full
     # complex solve at n_max 80 reads a spurious ~1e-8 there, the blocks do not
-    block = _parity_block_concurrence(DickeConfig(variant="h1", kappa=0.7, n_max=80))
+    cfg = DickeConfig(variant="h1", kappa=0.7, n_max=80)
+    block = parity_block_concurrence(cfg)
     assert block.value < 1e-15
     assert not block.degenerate_ground
+    # a sector of one state, T- x |0> = |g, g> x |0>: exactly zero
+    sector = _sector_concurrence(cfg)
+    assert sector.value == 0.0
+    assert not sector.degenerate_ground
 
 
 @pytest.mark.parametrize(
@@ -450,16 +499,131 @@ def test_block_check_reads_the_h1_product_ground_state_exactly():
     ],
 )
 def test_h1_crossing_points_are_degenerate_on_both_paths(kappa, expected):
-    # the ground group spans two parity sectors: the equal mixture of both
+    # the ground group spans two excitation sectors: the equal mixture of both
     # members' reductions, flagged degenerate
     point = dicke_ground_point(DickeConfig(variant="h1", kappa=kappa))
     assert point.concurrence.value == pytest.approx(expected, abs=1e-9)
     assert point.concurrence.degenerate_ground
     assert (point.nmax_used, point.converged) == (40, True)
     for n_max in (40, 80):
-        block = _parity_block_concurrence(DickeConfig(variant="h1", kappa=kappa, n_max=n_max))
-        assert block.value == pytest.approx(expected, abs=1e-9)
-        assert block.degenerate_ground
+        cfg = DickeConfig(variant="h1", kappa=kappa, n_max=n_max)
+        for confirmation in (parity_block_concurrence, _sector_concurrence):
+            block = confirmation(cfg)
+            assert block.value == pytest.approx(expected, abs=1e-9)
+            assert block.degenerate_ground
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(["h1", "h2", "h3"]),
+    # both h1 crossings (1/sqrt(2) and 1/(sqrt(6) - sqrt(2)) at resonance) and beyond
+    st.floats(0.0, 1.2),
+    st.floats(0.0, 1.5),
+    # near resonance
+    st.floats(0.9, 1.1),
+    st.floats(0.9, 1.1),
+    st.integers(0, 40),
+    st.sampled_from([0, 1]),
+)
+def test_sector_confirmation_matches_the_parity_blocks(
+    variant, kappa, lam_tilde, omega_a, omega_f, half, odd
+):
+    cfg = DickeConfig(
+        variant=variant, kappa=kappa, lam_tilde=lam_tilde, omega_a=omega_a, omega_f=omega_f,
+        n_max=max(1, 2 * half + odd),
+    )
+    sector, block = _sector_concurrence(cfg), parity_block_concurrence(cfg)
+    assert abs(sector.value - block.value) <= 1e-12
+    assert sector.degenerate_ground == block.degenerate_ground
+
+
+def collective_labels(n_max):
+    """(J, N) of every collective basis state (atoms {T-, T0, T+, S}, field fastest)."""
+    atom, n = np.divmod(np.arange(4 * (n_max + 1)), n_max + 1)
+    return np.array([1, 1, 1, 0])[atom], np.array([0, 1, 2, 1])[atom] + n
+
+
+@pytest.mark.parametrize("variant, exact_n", [("h1", True), ("h2", False), ("h3", False)])
+@pytest.mark.parametrize("n_max", [1, 6, 7])
+def test_sectors_are_keyed_by_integer_spin_and_excitation_number(variant, exact_n, n_max):
+    spin, excitations = collective_labels(n_max)
+    key = excitations if exact_n else excitations % 2
+    n_terms = len(_dicke_coefficients(DickeConfig(variant=variant, kappa=0.5)))
+    groups = _sector_blocks(n_max, "collective", n_terms)
+    sectors = [sector for group, _ in groups for sector in group]
+    assert sorted(np.concatenate(sectors).tolist()) == list(range(4 * (n_max + 1)))
+    keys = []
+    for sector in sectors:
+        assert len(set(spin[sector])) == 1 and len(set(key[sector])) == 1
+        keys.append((spin[sector[0]], key[sector[0]]))
+    assert len(set(keys)) == len(keys)
+    assert [g.shape[1] for g, _ in groups] == sorted({g.shape[1] for g, _ in groups})
+
+
+@pytest.mark.parametrize(
+    "n_terms, sizes",
+    [
+        (3, {1: 83, 2: 2, 3: 79}),
+        (4, {40: 1, 41: 1, 121: 1, 122: 1}),
+        (5, {40: 1, 41: 1, 121: 1, 122: 1}),
+    ],
+)
+def test_sector_block_sizes_at_n_max_80(n_terms, sizes):
+    groups = _sector_blocks(80, "collective", n_terms)
+    assert {g.shape[1]: g.shape[0] for g, _ in groups} == sizes
+
+
+def test_collective_operators_are_the_rotated_product_operators():
+    u, product = COLLECTIVE_TO_PRODUCT, dicke_module._ATOM_BASES["product"]
+    assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-15
+    jz = sum(z.real for z in product.sigma3) / 2
+    jplus = sum(up.real for up, _ in product.ladders)
+    assert np.abs(u.T @ jz @ u - J_Z).max() <= 1e-15
+    assert np.abs(u.T @ jplus @ u - J_PLUS).max() <= 1e-15
+    # exact zeros between the triplet and the singlet
+    for op in (J_Z, J_PLUS):
+        assert not op[:3, 3].any() and not op[3, :3].any()
+
+
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+def test_sector_blocks_reassemble_the_rotated_hamiltonian(variant):
+    cfg = DickeConfig(variant=variant, kappa=0.83, lam_tilde=0.7, omega_a=1.3, omega_f=0.9, n_max=9)
+    n_terms = len(_dicke_coefficients(cfg))
+    h = np.zeros((cfg.dim, cfg.dim))
+    for sectors, terms in _sector_blocks(cfg.n_max, "collective", n_terms):
+        blocks = dicke_module._block_stack((sectors, terms), _dicke_coefficients(cfg))
+        for sector, block in zip(sectors, blocks):
+            h[np.ix_(sector, sector)] = block
+    u = np.kron(COLLECTIVE_TO_PRODUCT, np.eye(cfg.n_max + 1))
+    assert np.abs(u @ h @ u.T - build_dicke(cfg).matrix).max() <= 1e-13
+
+
+def test_sector_exactness_is_checked_when_the_blocks_are_cut(monkeypatch):
+    # keyed by N, the counter-rotating term of h2 leaves its sectors
+    monkeypatch.setattr(dicke_module, "_N_CONSERVING_TERMS", 4)
+    _sector_blocks.cache_clear()
+    message = "Dicke term {} at n_max = 8 leaves the real collective sectors"
+    with pytest.raises(AssertionError, match=message.format(3)):
+        _sector_blocks(8, "collective", 4)
+    monkeypatch.undo()
+    # the product-basis sums rotated into the collective basis: the identity
+    # keeps ~2e-17 between the triplet and the singlet, which the check rejects
+    u = COLLECTIVE_TO_PRODUCT
+    collective = dicke_module._ATOM_BASES["collective"]
+    product = dicke_module._ATOM_BASES["product"]
+    jplus = sum(up.real for up, _ in product.ladders)
+    rotated = collective._replace(
+        sigma3=(u.T @ sum(z.real for z in product.sigma3) @ u,),
+        ladders=((u.T @ jplus @ u, u.T @ jplus.T @ u),),
+        identity=u.T @ product.identity.real @ u,
+    )
+    assert 0 < abs(rotated.identity[1, 3]) < 1e-16
+    monkeypatch.setitem(dicke_module._ATOM_BASES, "collective", rotated)
+    _sector_blocks.cache_clear()
+    with pytest.raises(AssertionError, match=message.format(1)):
+        _sector_blocks(8, "collective", 3)
+    monkeypatch.undo()
+    _sector_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("limit", [2, 4])
@@ -470,3 +634,22 @@ def test_unconverged_point_reports_the_full_path_bit_for_bit(limit):
     assert not point.converged
     assert_same_report(point, reference)
     assert point.convergence_delta == reference.convergence_delta
+
+
+def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
+    # the README's three-variant grid: each point is solved in full once, at
+    # n_max 40, and confirmed on its sectors at 80, so a rejected confirmation
+    # (a full n_max 80 solve) adds a call; every cutoff's blocks are cut once:
+    # the parity blocks at 40 and each variant's sectors at 80
+    calls = []
+    monkeypatch.setattr(
+        dicke_module, "_evaluate", lambda cfg: calls.append(cfg.n_max) or _evaluate(cfg)
+    )
+    _sector_blocks.cache_clear()
+    for variant in ("h1", "h2", "h3"):
+        cfg = DickeConfig(variant=variant, kappa=0.0)
+        sweep = dicke_sweep(cfg, parse_grid_spec("0:1.2:25"), [1.0])
+        assert sweep.column("status") == ["ok"] * 25
+    assert calls == [40] * 75
+    info = _sector_blocks.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)

@@ -248,6 +248,16 @@ def test_invalid_parameter_flags_only_its_row():
         assert_only_row_failed(result, reference_rows(deltas, [1.0]), failing, "delta must be non-negative")
 
 
+@pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coupling_is_rejected_before_any_point(j, monkeypatch):
+    def no_point(*args):
+        raise AssertionError("evaluated a point")
+
+    monkeypatch.setattr(medent.sweeps, "_ising_chunk", no_point)
+    with pytest.raises(ValueError, match=f"^j_coupling must be finite, got {j}$"):
+        ising_sweep([0.0, 1.0], [0.0, 1.0], j_coupling=j)
+
+
 def test_non_finite_parameter_flags_only_its_row():
     for failing in FAILING:
         lams = list(LAMS)
