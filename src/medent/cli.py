@@ -22,6 +22,7 @@ from .dicke import (
     dicke_mediator_form,
     dicke_sweep,
 )
+from .entanglement import ground_state_ac_concurrence
 from .linalg import NumericalError, eigh
 from .sweeps import SweepResult, format_value, ising_sweep, parse_grid_spec
 from .theorem import theorem_fuzz
@@ -312,10 +313,11 @@ def cmd_optimize(args) -> int:
         # an invalid coupling or delta fails the search before any point
         IsingParams(j_coupling=j, delta=delta)
 
-        def model(x):
-            return build_ising(IsingParams(j_coupling=j, delta=delta, lam=float(x[0])))
+        def evaluate(x):
+            h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=float(x[0])))
+            return ground_state_ac_concurrence(h, (2, 2, 2))
 
-        dims, control_name = (2, 2, 2), "lambda"
+        control_name = "lambda"
     else:
         base = dict(
             variant=args.variant,
@@ -328,15 +330,14 @@ def cmd_optimize(args) -> int:
         # an invalid model constant fails the search before any point
         DickeConfig(kappa=0.0, **base)
 
-        def model(x):
-            h, _ = dicke_mediator_form(DickeConfig(kappa=float(x[0]), **base))
-            return h
+        def evaluate(x):
+            return ground_state_ac_concurrence(
+                *dicke_mediator_form(DickeConfig(kappa=float(x[0]), **base))
+            )
 
-        dims, control_name = (2, args.nmax + 1, 2), "kappa"
+        control_name = "kappa"
 
-    problem = ControlProblem(
-        model=model, control_dim=1, bounds=((args.lower, args.upper),), dims=dims
-    )
+    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((args.lower, args.upper),))
     result = optimize(problem, args.budget, args.seed)
     print(
         f"solved {result.solved} distinct points for {result.evaluations} evaluations",
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

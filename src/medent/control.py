@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import ground_state_ac_concurrence
-from .linalg import HermitianOperator, NumericalError
+from .entanglement import ConcurrenceResult
+from .linalg import NumericalError
 from .sweeps import _point_outcome
 
 log = logging.getLogger(__name__)
@@ -35,15 +35,14 @@ OBJECTIVES = ("maximize_concurrence", "target_concurrence")
 class ControlProblem:
     """Search space and objective over locally controllable parameters.
 
-    ``model`` maps a control vector to the full Hamiltonian; the objective is
-    evaluated on the ground-level concurrence of the outer qubit pair with
-    tensor dimensions ``dims``.
+    ``evaluate`` maps a control vector to the ground-level concurrence of the
+    outer qubit pair.  It may raise one of ``sweeps.POINT_ERRORS`` at a point
+    where the model cannot be solved; the search then discards that point.
     """
 
-    model: Callable[[np.ndarray], HermitianOperator]
+    evaluate: Callable[[np.ndarray], ConcurrenceResult]
     control_dim: int
     bounds: tuple[tuple[float, float], ...]
-    dims: tuple[int, int, int] = (2, 2, 2)
     objective: str = "maximize_concurrence"
     target: float | None = None
 
@@ -57,8 +56,10 @@ class ControlProblem:
                 raise ValueError(f"bounds must be finite non-empty intervals, got ({lo}, {hi})")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.objective == "target_concurrence" and self.target is None:
-            raise ValueError("target_concurrence objective needs a target value")
+        if self.objective == "target_concurrence" and not (
+            self.target is not None and np.isfinite(self.target)
+        ):
+            raise ValueError(f"target_concurrence objective needs a finite target, got {self.target}")
 
     def lower(self) -> np.ndarray:
         return np.array([b[0] for b in self.bounds])
@@ -83,147 +84,126 @@ class OptimizationResult:
     trace: tuple[tuple[tuple[float, ...], float], ...]
     converged: bool
     best_degenerate_ground: bool
-    # distinct control points passed to the model, the re-verification included
+    # distinct control points passed to the evaluator, the re-verification included
     solved: int
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
+class _BudgetSpent(Exception):
+    """Ends the search once it has used every evaluation but the re-verification."""
 
 
 def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationResult:
     """Multi-start Nelder-Mead search, restarting until the budget is spent.
 
-    Each distinct control point is solved once: a point whose bits repeat
-    an earlier one reuses that outcome, yet still counts as an evaluation.
-    Objective evaluations that fail with one of ``sweeps.POINT_ERRORS`` are
-    logged (once per evaluation) and discarded (the point is treated as
-    arbitrarily bad); any other exception is a bug and propagates.  The
-    returned best value is re-verified by a fresh solve at the best controls,
-    and any claim of essentially maximal concurrence on a non-degenerate
-    ground level is rejected as an implementation-bug alarm.
+    The search sees only ``problem``'s score, its box and ``budget``, the
+    number of evaluations it requests, the re-verification included.  Each
+    distinct control point is passed to ``problem.evaluate`` once: a point
+    whose bits repeat an earlier one reuses that outcome, yet still counts as
+    an evaluation.  Evaluations that fail with one of ``sweeps.POINT_ERRORS``
+    are logged (once per evaluation) and discarded (the point is treated as
+    arbitrarily bad); any other exception is a bug and propagates.  The last
+    evaluation re-verifies the best value by a fresh ``problem.evaluate`` call
+    at the best controls, and any claim of essentially maximal concurrence on
+    a non-degenerate ground level is rejected as an implementation-bug alarm.
     """
     if budget < problem.control_dim + 2:
         raise ValueError(f"budget must be at least control_dim + 2 = {problem.control_dim + 2}")
 
     rng = np.random.default_rng(seed)
-    budget_state = _Budget(budget - 1)  # reserve one evaluation for re-verification
     trace: list[tuple[tuple[float, ...], float]] = []
-    best: dict = {"x": None, "value": -np.inf, "degenerate": False}
-    any_converged = False
-    any_success = False
+    best_x, best_value = None, -np.inf
+    converged = False
+    used = 0
     # exact bits of a clamped point (0.0 and -0.0 differ) -> its ConcurrenceResult,
-    # or the POINT_ERRORS exception its solve raised
+    # or the POINT_ERRORS exception its evaluation raised
     outcomes: dict[bytes, object] = {}
 
-    def solve(x: np.ndarray):
-        return ground_state_ac_concurrence(problem.model(x), problem.dims)
-
     def evaluate(x: np.ndarray) -> float:
-        nonlocal any_success
-        budget_state.used += 1
+        """Score ``x``; raise _BudgetSpent if that used the search's last evaluation."""
+        nonlocal best_x, best_value, used
+        used += 1
         key = np.asarray(x, dtype=float).tobytes()
         if key not in outcomes:
-            outcomes[key] = _point_outcome(solve, x)
+            outcomes[key] = _point_outcome(problem.evaluate, x)
         res = outcomes[key]
         if isinstance(res, Exception):
             log.warning("objective failed at %s: %s", x, res)
-            return -np.inf
-        any_success = True
-        value = problem.score(res.value)
-        trace.append((tuple(float(c) for c in x), value))
-        if value > best["value"]:
-            best.update(x=np.array(x), value=value, degenerate=res.degenerate_ground)
+            value = -np.inf
+        else:
+            value = problem.score(res.value)
+            trace.append((tuple(float(c) for c in x), value))
+            if value > best_value:
+                best_x, best_value = np.array(x), value
+        if used == budget - 1:  # one evaluation stays for the re-verification
+            raise _BudgetSpent
         return value
 
     lo, hi = problem.lower(), problem.upper()
     n = problem.control_dim
 
-    while not budget_state.exhausted:
-        x0 = lo + rng.uniform(size=n) * (hi - lo)
-        simplex = [problem.clamp(x0)]
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = 0.1 * (hi[i] - lo[i]) if hi[i] > lo[i] else 0.1
-            simplex.append(problem.clamp(x0 + step))
-        values = []
-        for p in simplex:
-            if budget_state.exhausted:
-                break
-            values.append(evaluate(p))
-        if len(values) < len(simplex):
-            break
+    try:
+        while True:
+            x0 = lo + rng.uniform(size=n) * (hi - lo)
+            simplex = [problem.clamp(x0)]
+            for i in range(n):
+                step = np.zeros(n)
+                step[i] = 0.1 * (hi[i] - lo[i]) if hi[i] > lo[i] else 0.1
+                simplex.append(problem.clamp(x0 + step))
+            values = [evaluate(p) for p in simplex]
 
-        while not budget_state.exhausted:
-            order = np.argsort(values)[::-1]  # maximizing: best first
-            simplex = [simplex[k] for k in order]
-            values = [values[k] for k in order]
+            while True:
+                order = np.argsort(values)[::-1]  # maximizing: best first
+                simplex = [simplex[k] for k in order]
+                values = [values[k] for k in order]
 
-            finite = [v for v in values if np.isfinite(v)]
-            size = max(np.linalg.norm(p - simplex[0]) for p in simplex[1:])
-            # a flat or collapsed simplex cannot make progress: mark the
-            # restart converged and let multi-start spend the rest of the
-            # budget elsewhere
-            if len(finite) == len(values) and (
-                max(values) - min(values) <= VALUE_SPREAD_TOL or size <= SIMPLEX_SIZE_TOL
-            ):
-                any_converged = True
-                break
-
-            centroid = np.mean(simplex[:-1], axis=0)
-            worst = simplex[-1]
-            reflected = problem.clamp(centroid + REFLECTION * (centroid - worst))
-            r_val = evaluate(reflected)
-
-            if r_val > values[0]:
-                if budget_state.exhausted:
+                finite = [v for v in values if np.isfinite(v)]
+                size = max(np.linalg.norm(p - simplex[0]) for p in simplex[1:])
+                # a flat or collapsed simplex cannot make progress: mark the
+                # restart converged and let multi-start spend the rest of the
+                # budget elsewhere
+                if len(finite) == len(values) and (
+                    max(values) - min(values) <= VALUE_SPREAD_TOL or size <= SIMPLEX_SIZE_TOL
+                ):
+                    converged = True
                     break
-                expanded = problem.clamp(centroid + EXPANSION * (reflected - centroid))
-                e_val = evaluate(expanded)
-                if e_val > r_val:
-                    simplex[-1], values[-1] = expanded, e_val
-                else:
+
+                centroid = np.mean(simplex[:-1], axis=0)
+                worst = simplex[-1]
+                reflected = problem.clamp(centroid + REFLECTION * (centroid - worst))
+                r_val = evaluate(reflected)
+
+                if r_val > values[0]:
+                    expanded = problem.clamp(centroid + EXPANSION * (reflected - centroid))
+                    e_val = evaluate(expanded)
+                    if e_val > r_val:
+                        simplex[-1], values[-1] = expanded, e_val
+                    else:
+                        simplex[-1], values[-1] = reflected, r_val
+                elif r_val > values[-2]:
                     simplex[-1], values[-1] = reflected, r_val
-            elif r_val > values[-2]:
-                simplex[-1], values[-1] = reflected, r_val
-            else:
-                if budget_state.exhausted:
-                    break
-                contracted = problem.clamp(centroid + CONTRACTION * (worst - centroid))
-                c_val = evaluate(contracted)
-                if c_val > values[-1]:
-                    simplex[-1], values[-1] = contracted, c_val
                 else:
-                    new_simplex = [simplex[0]]
-                    new_values = [values[0]]
-                    for p in simplex[1:]:
-                        if budget_state.exhausted:
-                            break
-                        q = problem.clamp(simplex[0] + SHRINK * (p - simplex[0]))
-                        new_simplex.append(q)
-                        new_values.append(evaluate(q))
-                    if len(new_simplex) < len(simplex):
-                        break
-                    simplex, values = new_simplex, new_values
+                    contracted = problem.clamp(centroid + CONTRACTION * (worst - centroid))
+                    c_val = evaluate(contracted)
+                    if c_val > values[-1]:
+                        simplex[-1], values[-1] = contracted, c_val
+                    else:
+                        simplex = [simplex[0]] + [
+                            problem.clamp(simplex[0] + SHRINK * (p - simplex[0]))
+                            for p in simplex[1:]
+                        ]
+                        values = [values[0]] + [evaluate(p) for p in simplex[1:]]
+    except _BudgetSpent:
+        pass
 
-    if not any_success or best["x"] is None:
+    if best_x is None:
         raise NumericalError("objective evaluation failed at every sampled point")
 
     # re-verify the reported optimum with the reserved evaluation: a fresh
-    # solve, not the memo, so that it checks the result
-    res = solve(best["x"])
+    # call, not the memo, so that it checks the result
+    res = problem.evaluate(best_x)
     verified = problem.score(res.value)
-    evaluations = budget_state.used + 1
-    if abs(verified - best["value"]) > 1e-12:
-        raise NumericalError(
-            f"best value failed re-verification: {best['value']!r} vs {verified!r}"
-        )
+    if abs(verified - best_value) > 1e-12:
+        raise NumericalError(f"best value failed re-verification: {best_value!r} vs {verified!r}")
 
     if (
         problem.objective == "maximize_concurrence"
@@ -236,11 +216,11 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
         )
 
     return OptimizationResult(
-        best_controls=np.array(best["x"]),
+        best_controls=np.array(best_x),
         best_value=float(verified),
-        evaluations=evaluations,
+        evaluations=budget,
         trace=tuple(trace),
-        converged=any_converged,
+        converged=converged,
         best_degenerate_ground=res.degenerate_ground,
         solved=len(outcomes) + 1,
     )

@@ -109,7 +109,11 @@ class IsingParams:
     def __post_init__(self):
         if not np.isfinite(self.j_coupling):
             raise ValueError(f"j_coupling must be finite, got {self.j_coupling}")
-        if self.delta < 0:
+        if not -np.inf < self.lam < np.inf:
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not self.delta < np.inf:
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
         if self.delta0 is None:
             object.__setattr__(self, "delta0", self.j_coupling)

@@ -415,15 +415,14 @@ def test_criterion_11_concurrence_oracle():
 
 
 def test_criterion_12_optimizer_fidelity():
-    def model(x):
-        return build_ising(IsingParams(delta=0.1, lam=float(x[0])))
+    def evaluate(x):
+        return ground_state_ac_concurrence(
+            build_ising(IsingParams(delta=0.1, lam=float(x[0]))), (2, 2, 2)
+        )
 
-    problem = ControlProblem(model=model, control_dim=1, bounds=((0.0, 3.0),))
+    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, 3.0),))
 
-    grid_best = max(
-        ground_state_ac_concurrence(model([lam]), (2, 2, 2)).value
-        for lam in np.linspace(0.0, 3.0, 3001)
-    )
+    grid_best = max(evaluate([lam]).value for lam in np.linspace(0.0, 3.0, 3001))
     result = optimize(problem, budget=300, seed=0)
     again = optimize(problem, budget=300, seed=0)
     deterministic = result.trace == again.trace

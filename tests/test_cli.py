@@ -210,6 +210,8 @@ def test_sweep_ising_rejects_a_non_finite_coupling(j, tmp_path, capsys):
         (["--model", "ising", "--j", "nan"], "j_coupling must be finite, got nan"),
         (["--model", "ising", "--j", "inf"], "j_coupling must be finite, got inf"),
         (["--model", "dicke", "--omega-f", "nan"], "frequencies must be positive and finite"),
+        (["--model", "ising", "--delta", "nan"], "delta must be finite, got nan"),
+        (["--model", "ising", "--delta", "inf"], "delta must be finite, got inf"),
     ],
 )
 def test_optimize_rejects_a_non_finite_model_constant_before_any_point(
@@ -222,6 +224,20 @@ def test_optimize_rejects_a_non_finite_model_constant_before_any_point(
     code, _, err = run(capsys, "optimize", *argv, "--budget", "20")
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--delta", "nan"], "delta must be finite, got nan"),
+        (["--lambda", "inf"], "lam must be finite, got inf"),
+    ],
+)
+def test_spectrum_ising_rejects_a_non_finite_field(argv, message, capsys):
+    code, out, err = run(capsys, "spectrum", "--model", "ising", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid configuration: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--omega-a", "--omega-f"])
@@ -438,6 +454,24 @@ def test_config_file_malformed(tmp_path, capsys):
     config.write_text("just a line without equals\n")
     code, _, err = run(capsys, "spectrum", "--config", str(config))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "ising", "--delta-grid", "0:1:2", "--lambda-grid", "0:1:2", "--out"],
+        ["optimize", "--model", "ising", "--delta", "0.1", "--budget", "10", "--trace-out"],
+        ["theorem", "--trials", "2", "--seed", "1", "--out"],
+    ],
+    ids=["sweep", "optimize", "theorem"],
+)
+def test_an_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    # the computation finishes; only writing its file fails
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.splitlines()[-1] == f"cannot write output: [Errno 2] No such file or directory: '{path}'"
+    assert not path.exists()
 
 
 def test_help_exits_zero(capsys):

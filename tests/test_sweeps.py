@@ -146,16 +146,17 @@ def test_grid_sweep_rejects_a_producer_of_the_wrong_length(count):
 
 
 def test_failed_chain_points_keep_no_traceback():
-    # an invalid parameter fails IsingParams; a NaN field fails the stack, so
-    # the chunk is solved again one point at a time
+    # an invalid parameter fails IsingParams; a field that overflows to inf
+    # (lam * lambda0, lambda0 = J) fails the stack, so the chunk is solved
+    # again one point at a time
     invalid, non_finite, solved = _ising_chunk(
-        [{"delta": -0.1, "lambda": 1.0}, {"delta": 0.3, "lambda": math.nan}, {"delta": 0.3, "lambda": 1.0}],
-        1.0,
+        [{"delta": -0.1, "lambda": 1.0}, {"delta": 0.3, "lambda": 1.7e308}, {"delta": 0.3, "lambda": 1.0}],
+        2.0,
     )
     assert str(invalid) == "delta must be non-negative"
     assert str(non_finite) == "h_b contains non-finite entries"
     assert invalid.__traceback__ is None and non_finite.__traceback__ is None
-    assert solved == _ising_stack([IsingParams(delta=0.3, lam=1.0)])[0]
+    assert solved == _ising_stack([IsingParams(j_coupling=2.0, delta=0.3, lam=1.0)])[0]
 
 
 # ---------------------------------------------------------------- stacked chain sweep
@@ -264,9 +265,9 @@ def test_non_finite_parameter_flags_only_its_row():
         lams[failing] = math.nan
         result = ising_sweep([0.3], lams)
         expected = reference_rows([0.3], lams)
-        assert expected[failing]["status"] == "error: h_b contains non-finite entries"
+        assert expected[failing]["status"] == "error: lam must be finite, got nan"
         assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
-        assert_only_row_failed(result, expected, failing, "h_b contains non-finite entries")
+        assert_only_row_failed(result, expected, failing, "lam must be finite, got nan")
 
 
 def patch_stacked(monkeypatch, name, target, replace):

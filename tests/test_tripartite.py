@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -221,7 +223,12 @@ def test_ising_stack_matches_build_ising_bit_for_bit():
 
 
 def test_ising_stack_reports_non_finite_points_as_build_ising_does():
-    params = [IsingParams(delta=0.5, lam=1.0), IsingParams(delta=np.inf, lam=1.0), IsingParams(lam=np.nan)]
+    # finite parameters whose products with delta0 and lambda0 overflow to inf
+    params = [
+        IsingParams(delta=0.5, lam=1.0),
+        IsingParams(delta=1.7e308, lam=1.0, delta0=2.0),
+        IsingParams(lam=1.7e308, lambda0=2.0),
+    ]
     # a stack raises the error build_ising raises for its first non-finite point
     with pytest.raises(ValueError, match=r"^h_ab contains non-finite entries$"):
         ising_hamiltonians(params)
@@ -231,3 +238,17 @@ def test_ising_stack_reports_non_finite_points_as_build_ising_does():
         with pytest.raises(ValueError, match=f"^{message}$"):
             ising_hamiltonians([params[0], p])
     assert ising_hamiltonians(params[:1]).shape == (1, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(delta=math.nan), "delta must be finite, got nan"),
+        (dict(delta=math.inf), "delta must be finite, got inf"),
+        (dict(lam=math.nan), "lam must be finite, got nan"),
+        (dict(lam=-math.inf), "lam must be finite, got -inf"),
+    ],
+)
+def test_ising_params_reject_a_non_finite_field(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IsingParams(**kwargs)
