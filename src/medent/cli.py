@@ -9,6 +9,7 @@ precision so repeated runs with identical configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .dicke import (
 from .entanglement import ground_state_ac_concurrence
 from .linalg import NumericalError, eigh
 from .sweeps import SweepResult, format_value, ising_sweep, parse_grid_spec
-from .theorem import theorem_fuzz
+from .theorem import TrialRecord, theorem_fuzz
 from .tripartite import IsingParams, analytic_ising_spectrum, build_ising, ising_middle_field
 
 EXIT_OK = 0
@@ -47,12 +48,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    """Model constants plus the parameters of one Ising or Dicke point."""
+    """Model constants plus the parameters of one Ising or Dicke point that
+    ``optimize`` holds fixed."""
     _add_model_flags(p)
     p.add_argument("--delta", type=float, default=0.0, help="outer-site field parameter")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="middle-site control")
     p.add_argument("--variant", default="h1", choices=("h1", "h2", "h3"))
-    p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--lam-tilde", type=float, default=1.0)
     p.add_argument(
         "--quad-lam", type=float, default=None,
@@ -68,6 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None, help="key=value defaults file")
     sp.add_argument("--model", required=True, choices=("ising", "dicke"))
     _add_point_flags(sp)
+    sp.add_argument("--lambda", dest="lam", type=float, default=0.0, help="middle-site control")
+    sp.add_argument("--kappa", type=float, default=0.0)
     sp.set_defaults(func=cmd_spectrum)
 
     sw = sub.add_parser("sweep", help="grid sweep to CSV")
@@ -262,20 +264,9 @@ def cmd_theorem(args) -> int:
         )
 
     if args.out:
-        rows = tuple(
-            {
-                "trial": r.trial,
-                "symmetric": r.symmetric,
-                "counterexamples": r.counterexamples,
-                "family_checks": r.family_checks,
-                "family_ok": r.family_ok,
-            }
-            for r in report.trial_records
-        )
-        SweepResult(
-            schema=("trial", "symmetric", "counterexamples", "family_checks", "family_ok"),
-            rows=rows,
-        ).write_csv(args.out)
+        schema = tuple(f.name for f in dataclasses.fields(TrialRecord))
+        rows = tuple({name: getattr(r, name) for name in schema} for r in report.trial_records)
+        SweepResult(schema=schema, rows=rows).write_csv(args.out)
         print(f"wrote trial records to {args.out}")
 
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE

@@ -19,11 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import (
-    ConcurrenceResult,
-    ground_concurrence_from_decomposition,
-    ground_level_concurrence,
-)
+from .entanglement import ConcurrenceResult, ground_level_concurrence
 from .linalg import (
     KRON_DIM_LIMIT,
     DimensionError,
@@ -243,7 +239,7 @@ class DickeGroundPoint:
 
 def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     dec = eigh(build_dicke(cfg))
-    conc = ground_concurrence_from_decomposition(dec, cfg.dims, (0, 1))
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
     return dec.ground_energy, dec.gap(), conc
 
 

@@ -132,13 +132,6 @@ def ground_level_concurrence(vectors, size: int, dims, pair: tuple[int, int]) ->
     return ConcurrenceResult(float(values[0]), _readonly(lams[0]), degenerate_ground=size > 1)
 
 
-def ground_concurrence_from_decomposition(
-    dec, dims, pair: tuple[int, int]
-) -> ConcurrenceResult:
-    """Ground-level pair concurrence given an existing EigenDecomposition."""
-    return ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
-
-
 def ground_state_pair_concurrence(
     h: HermitianOperator, dims, pair: tuple[int, int]
 ) -> ConcurrenceResult:
@@ -151,7 +144,8 @@ def ground_state_pair_concurrence(
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    return ground_concurrence_from_decomposition(eigh(h), dims, pair)
+    dec = eigh(h)
+    return ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
 
 
 def ground_state_ac_concurrence(h: HermitianOperator, dims) -> ConcurrenceResult:

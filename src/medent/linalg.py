@@ -428,23 +428,27 @@ def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
 
 
 def permute_subsystems(matrix: np.ndarray, dims, perm) -> np.ndarray:
-    """Conjugate an operator by the unitary that reorders tensor factors.
+    """Conjugate an operator, or every matrix of an (n, D, D) stack, by the
+    unitary that reorders tensor factors.
 
     ``perm[k]`` names the old subsystem that lands in slot k of the output.
+    A stack keeps its leading axis; any input that is not 3-D is checked as
+    ``as_complex_matrix`` checks it.
     """
     dims = tuple(int(d) for d in dims)
     perm = tuple(int(p) for p in perm)
     n = len(dims)
     if sorted(perm) != list(range(n)):
         raise DimensionError(f"perm={perm} is not a permutation of 0..{n - 1}")
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != prod(dims):
-        raise DimensionError(f"matrix dim {m.shape[0]} != prod({dims})")
-    t = m.reshape(*dims, *dims)
-    axes = list(perm) + [n + p for p in perm]
-    t = t.transpose(axes)
-    d = prod(dims)
-    return t.reshape(d, d)
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 3:
+        m = as_complex_matrix(m)
+    if m.shape[-2] != prod(dims):
+        raise DimensionError(f"matrix dim {m.shape[-2]} != prod({dims})")
+    lead = m.shape[:-2]
+    k = len(lead)
+    axes = [*range(k)] + [k + p for p in perm] + [k + n + p for p in perm]
+    return m.reshape(*lead, *dims, *dims).transpose(axes).reshape(m.shape)
 
 
 def swap_operator(dims, i: int, j: int) -> np.ndarray:

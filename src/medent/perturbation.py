@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, NumericalError, _readonly, eigh, fix_phases
+from .linalg import HermitianOperator, NumericalError, _readonly, eigh
 from .tripartite import (
     IsingParams,
     analytic_ising_spectrum,
@@ -42,6 +42,9 @@ class DegeneratePT2:
 
 
 def degenerate_pt2(h0: HermitianOperator, v: HermitianOperator, subspace) -> DegeneratePT2:
+    """Second-order spectrum of h0 + v inside the degenerate level ``subspace``
+    of h0; h0 and the effective Hamiltonian are both solved by ``eigh``, with
+    its contract checks and phase convention."""
     if h0.dim != v.dim:
         raise NumericalError(f"h0 and v dims differ: {h0.dim} vs {v.dim}")
     dec = eigh(h0)
@@ -72,15 +75,15 @@ def degenerate_pt2(h0: HermitianOperator, v: HermitianOperator, subspace) -> Deg
         vdk = vm[np.ix_(d_idx, k_idx)]
         heff = heff + (vdk / denom[np.newaxis, :]) @ vdk.conj().T
 
-    eps, c = np.linalg.eigh((heff + heff.conj().T) / 2)
-    c = fix_phases(c)
+    eff = eigh(HermitianOperator(heff))
+    c = eff.eigenvectors
     zeroth = u[:, d_idx] @ c
     if k_idx:
         amp = (vm[np.ix_(k_idx, d_idx)] @ c) / denom[:, np.newaxis]
         first = u[:, k_idx] @ amp
 
     return DegeneratePT2(
-        energies=_readonly(eps.astype(float)),
+        energies=eff.eigenvalues,
         zeroth_order=_readonly(zeroth),
         first_order=_readonly(first),
         unperturbed_energy=e0,

@@ -41,7 +41,7 @@ COLUMN_TYPES: dict[str, type] = {
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

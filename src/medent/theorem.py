@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import concurrence, concurrence_stack, ground_level_density_stack
+from .entanglement import concurrence_stack, ground_level_density_stack
 from .linalg import (
     DimensionError,
     HermitianOperator,
@@ -32,8 +32,7 @@ from .linalg import (
     eigh,
     eigh_stack,
     kron_all,
-    purity,
-    reduced_density,
+    permute_subsystems,
 )
 from .tripartite import PAULI
 
@@ -50,19 +49,12 @@ COROLLARY_PURITY_MARGIN = 1e-6
 THEOREM_CHUNK = 128  # fuzz trials per stacked solve
 
 
-def _swapped(m: np.ndarray, dims: tuple[int, ...], pair: tuple[int, int]) -> np.ndarray:
-    """Every matrix of an (n, D, D) stack conjugated by the swap of the two
-    named subsystems."""
-    perm = list(range(len(dims)))
-    perm[pair[0]], perm[pair[1]] = pair[1], pair[0]
-    axes = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
-    return m.reshape(len(m), *dims, *dims).transpose(axes).reshape(m.shape)
-
-
 def _exchange_symmetric(m: np.ndarray, dims: tuple[int, ...], pair: tuple[int, int]) -> np.ndarray:
     """Per matrix M of an (n, D, D) stack: ||S M S - M||_F <= SYMMETRY_RTOL *
     max(1, ||M||_F), S the swap of the two named subsystems."""
-    defect = np.linalg.norm(_swapped(m, dims, pair) - m, axis=(1, 2))
+    perm = list(range(len(dims)))
+    perm[pair[0]], perm[pair[1]] = pair[1], pair[0]
+    defect = np.linalg.norm(permute_subsystems(m, dims, perm) - m, axis=(1, 2))
     return defect <= SYMMETRY_RTOL * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
 
 
@@ -142,6 +134,9 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
     Exchange symmetry is the theorem's premise: if it fails, the analysis
     still runs (it is purely descriptive) but a warning is emitted and
     theorem-based conclusions should not be drawn.
+
+    All eigenstates are reduced as one stack, to the values the scalar
+    ``reduced_density``, ``purity`` and ``concurrence`` give.
     """
     dims = tuple(int(d) for d in dims)
     if not is_exchange_symmetric(h, dims):
@@ -151,23 +146,26 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
             stacklevel=2,
         )
     dec = eigh(h)
-    split = _middle_split(np.ascontiguousarray(dec.eigenvectors.T), dims)
+    states = np.ascontiguousarray(dec.eigenvectors.T)
+    split = _middle_split(states, dims)
     ranks = dict(zip(split.pure.tolist(), split.ranks().tolist()))
-    out = []
-    for i, psi in enumerate(dec.eigenvectors.T):
-        rho_ac = reduced_density(psi, dims, (0, 2))
-        rank = ranks.get(i)
-        out.append(EigenstateAnalysis(
+    t = states.reshape(dec.dim, *dims)
+    rho_ac = _density_stack(_trace_out(dims, (0, 2), ",", t, t.conj()))
+    purity_ac = _purity_stack(rho_ac).tolist()
+    conc = concurrence_stack(rho_ac)[0].tolist() if dims[0] == dims[2] == 2 else [None] * dec.dim
+    return tuple(
+        EigenstateAnalysis(
             index=i,
             energy=float(dec.eigenvalues[i]),
             is_degenerate=dec.is_degenerate(i),
             purity_b=float(split.purity_b[i]),
-            purity_ac=purity(rho_ac),
-            schmidt_rank_ac=rank,
-            ac_concurrence=concurrence(rho_ac).value if dims[0] == dims[2] == 2 else None,
-            fully_factorized=(rank == 1),
-        ))
-    return tuple(out)
+            purity_ac=purity_ac[i],
+            schmidt_rank_ac=ranks.get(i),
+            ac_concurrence=conc[i],
+            fully_factorized=ranks.get(i) == 1,
+        )
+        for i in range(dec.dim)
+    )
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -231,7 +229,7 @@ def _random_hamiltonians(rngs, d_b: int, break_symmetry: bool) -> np.ndarray:
     if break_symmetry:
         h_bc = _random_combination(coefficients[1], right)
     else:
-        h_bc = _swapped(h_ab, (2, d_b, 2), (0, 2))
+        h_bc = permute_subsystems(h_ab, (2, d_b, 2), (2, 1, 0))
     return h_ab + h_bc + _random_combination(coefficients[-1], local)
 
 

@@ -119,6 +119,9 @@ class IsingParams:
             object.__setattr__(self, "delta0", self.j_coupling)
         if self.lambda0 is None:
             object.__setattr__(self, "lambda0", self.j_coupling)
+        for name in ("delta0", "lambda0"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def coefficients(self) -> PauliCoefficients:
         h_ab = np.zeros((4, 4))
@@ -133,19 +136,23 @@ class IsingParams:
 
 
 def build_ising(p: IsingParams) -> HermitianOperator:
-    return build_pauli_hamiltonian(p.coefficients())
+    """The chain Hamiltonian of one point: ``ising_hamiltonians`` of [p], checked
+    as a ``HermitianOperator``."""
+    return HermitianOperator(ising_hamiltonians([p])[0])
 
 
 def ising_hamiltonians(params) -> np.ndarray:
-    """The ``build_ising`` matrices of a sequence of IsingParams as one (n, 8, 8)
-    stack, bit for bit.
+    """The chain matrices of a sequence of IsingParams as one (n, 8, 8) stack,
+    each equal bit for bit to ``build_pauli_hamiltonian`` of its point's
+    ``coefficients``.
 
     The terms are added in ``build_pauli_hamiltonian``'s order: delta/2 on
     1 x 1 x X, delta/2 on X x 1 x 1, J on ZZ1, J on 1ZZ, lambda/2 on 1X1.  A
     zero coefficient, which that function skips, adds only signed zeros to a
     sum that never holds -0.0, so no bit changes.  The matrices are not yet
-    checked as ``HermitianOperator``.  If a point has a non-finite entry, the
-    ValueError ``build_ising`` raises for the first such point is raised.
+    checked as ``HermitianOperator``.  If a point's coefficients are not
+    finite, the ValueError its ``coefficients`` raise for the first such
+    point is raised.
     """
     outer, coupling, middle = np.array(
         [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
@@ -164,7 +171,7 @@ def ising_hamiltonians(params) -> np.ndarray:
         ):
             h += c * term
     for i in np.flatnonzero(~np.isfinite(h).reshape(len(params), -1).all(axis=1)):
-        build_ising(params[i])  # raises the point's ValueError
+        params[i].coefficients()  # raises the point's ValueError
     return h
 
 

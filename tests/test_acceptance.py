@@ -15,7 +15,7 @@ from medent.control import ControlProblem, optimize
 from medent.dicke import DickeConfig, build_dicke
 from medent.entanglement import (
     concurrence,
-    ground_concurrence_from_decomposition,
+    ground_level_concurrence,
     ground_state_ac_concurrence,
 )
 from medent.linalg import DensityMatrix, eigh, purity, reduced_density
@@ -53,7 +53,7 @@ def general_field_hamiltonian(h_b):
 def ising_ground_summary(delta, lam):
     """(concurrence, degenerate, purity_ac) for one chain parameter point."""
     dec = eigh(build_ising(IsingParams(delta=delta, lam=lam)))
-    conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), (2, 2, 2), (0, 2))
     group = dec.ground_group
     if len(group) == 1:
         pur = purity(reduced_density(dec.eigenvectors[:, 0], (2, 2, 2), (0, 2)))
@@ -68,7 +68,7 @@ def ising_ground_summary(delta, lam):
 def dicke_ground_summary(variant, kappa, n_max, lam_tilde=1.0):
     cfg = DickeConfig(variant=variant, kappa=kappa, lam_tilde=lam_tilde, n_max=n_max)
     dec = eigh(build_dicke(cfg))
-    conc = ground_concurrence_from_decomposition(dec, cfg.dims, (0, 1))
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
     group = dec.ground_group
     if len(group) == 1:
         pur = purity(reduced_density(dec.eigenvectors[:, 0], cfg.dims, (0, 1)))

@@ -339,6 +339,29 @@ def test_optimize_zero_budget_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model, source, flag",
+    [
+        ("ising", "flag", "--lambda"),
+        ("dicke", "flag", "--kappa"),
+        ("ising", "config", "lambda"),
+        ("dicke", "config", "kappa"),
+    ],
+)
+def test_optimize_rejects_the_control_it_searches(model, source, flag, tmp_path, capsys):
+    # optimize searches over lambda (ising) or kappa (dicke), so a fixed value is a usage error
+    argv = ["optimize", "--model", model, "--budget", "5"]
+    if source == "flag":
+        argv += [flag, "0.5"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = 0.5\n")
+        argv += ["--config", str(config)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_optimize_dicke_consistent_with_sweep(tmp_path, capsys):
     sweep_path = tmp_path / "grid.csv"
     code, _, _ = run(

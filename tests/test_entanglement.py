@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from medent.entanglement import (
     concurrence,
     concurrence_stack,
-    ground_concurrence_from_decomposition,
+    ground_level_concurrence,
     ground_level_density,
     ground_level_density_stack,
     ground_state_ac_concurrence,
@@ -293,7 +293,7 @@ def test_ground_concurrence_is_checked_once_and_unchanged(h, dims, pair):
     # the stack kernels give the bits of concurrence(ground_level_density(...)),
     # which checks the reduction a second time as a DensityMatrix
     dec = eigh(h)
-    got = ground_concurrence_from_decomposition(dec, dims, pair)
+    got = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
     expected = concurrence(ground_level_density(dec, dims, pair))
     assert got.value.hex() == expected.value.hex()
     assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()

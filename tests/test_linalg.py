@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medent.linalg import (
     DensityMatrix,
@@ -442,3 +444,49 @@ def test_permute_subsystems_matches_kron():
     m = kron_all(a, b, c)
     swapped = permute_subsystems(m, (2, 3, 2), (0, 2, 1))
     assert np.allclose(swapped, kron_all(a, c, b), atol=1e-12)
+
+
+def swapped_reference(m, dims, pair):
+    """Every matrix of an (n, D, D) stack conjugated by the swap of the two
+    named subsystems, as the theorem fuzzer computed it before it called
+    permute_subsystems."""
+    perm = list(range(len(dims)))
+    perm[pair[0]], perm[pair[1]] = pair[1], pair[0]
+    axes = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
+    return m.reshape(len(m), *dims, *dims).transpose(axes).reshape(m.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_permute_subsystems_of_a_stack_permutes_each_matrix(dims, n, data):
+    perm = data.draw(st.permutations(range(len(dims))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    got = permute_subsystems(m, dims, perm)
+    assert got.shape == m.shape
+    for g, mi in zip(got, m):
+        assert g.tobytes() == permute_subsystems(mi, dims, perm).tobytes()
+    pair = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=2, max_size=2, unique=True))
+    swap = list(range(len(dims)))
+    swap[pair[0]], swap[pair[1]] = pair[1], pair[0]
+    assert permute_subsystems(m, dims, swap).tobytes() == swapped_reference(m, dims, pair).tobytes()
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.zeros(8), DimensionError, "expected a 2-D matrix, got ndim=1"),
+        (np.full((8, 8), np.nan), ValueError, "matrix contains NaN or Inf entries"),
+        (np.zeros((4, 4)), DimensionError, "matrix dim 4 != prod((2, 2, 2))"),
+        (np.zeros((3, 4, 4)), DimensionError, "matrix dim 4 != prod((2, 2, 2))"),
+    ],
+)
+def test_permute_subsystems_rejects_a_bad_operator(matrix, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        permute_subsystems(matrix, (2, 2, 2), (2, 1, 0))

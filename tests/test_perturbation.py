@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from medent.entanglement import concurrence
-from medent.linalg import HermitianOperator, NumericalError, eigh, reduced_density
+from medent.linalg import HermitianOperator, NumericalError, eigh, fix_phases, reduced_density
 from medent.perturbation import degenerate_pt2, ising_pt_ground_state
 from medent.tripartite import IsingParams, build_ising
 
@@ -29,6 +29,62 @@ def pt_ground_vector(delta, lam):
     pt = degenerate_pt2(h0, v, eigh(h0).ground_group)
     psi = pt.zeroth_order[:, 0] + pt.first_order[:, 0]
     return psi / np.linalg.norm(psi), pt
+
+
+def pt2_reference(h0, v, subspace):
+    """degenerate_pt2 as it solved its effective Hamiltonian before it called
+    eigh: symmetrized by hand, a bare np.linalg.eigh, then fix_phases.
+    Returns (energies, zeroth_order, first_order, unperturbed_energy)."""
+    dec = eigh(h0)
+    d_idx = sorted(subspace)
+    k_idx = [i for i in range(dec.dim) if i not in d_idx]
+    w, u = dec.eigenvalues, dec.eigenvectors
+    e0 = float(np.mean(w[d_idx]))
+    vm = u.conj().T @ v.matrix @ u
+    heff = e0 * np.eye(len(d_idx)) + vm[np.ix_(d_idx, d_idx)]
+    first = np.zeros((dec.dim, len(d_idx)), dtype=np.complex128)
+    if k_idx:
+        denom = e0 - w[k_idx]
+        vdk = vm[np.ix_(d_idx, k_idx)]
+        heff = heff + (vdk / denom[np.newaxis, :]) @ vdk.conj().T
+    eps, c = np.linalg.eigh((heff + heff.conj().T) / 2)
+    c = fix_phases(c)
+    if k_idx:
+        first = u[:, k_idx] @ ((vm[np.ix_(k_idx, d_idx)] @ c) / denom[:, np.newaxis])
+    return eps.astype(float), u[:, d_idx] @ c, first, e0
+
+
+def random_degenerate_pair(seed):
+    """h0 with levels of multiplicity 1 to 3 in a random eigenbasis, and a random v."""
+    rng = np.random.default_rng(seed)
+    levels = rng.permutation(5)[: rng.integers(2, 5)] * 1.0
+    w = np.repeat(levels, rng.integers(1, 4, size=len(levels)))
+    d = len(w)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return HermitianOperator(q @ np.diag(w) @ q.conj().T), HermitianOperator(0.05 * (m + m.conj().T))
+
+
+@pytest.mark.parametrize("family", ["chain", "random"])
+def test_degenerate_pt2_matches_the_bare_lapack_reference(family):
+    if family == "chain":
+        v1 = unit_outer_field_perturbation().matrix
+        cases = [
+            (build_ising(IsingParams(delta=0.0, lam=lam)), HermitianOperator(delta * v1))
+            for lam in np.linspace(0.0, 3.0, 31)
+            for delta in (0.01, 0.1, 1.0)
+        ]
+    else:
+        cases = [random_degenerate_pair(seed) for seed in range(40)]
+    for h0, v in cases:
+        # every level of h0, the non-degenerate ones included
+        for group in eigh(h0).degeneracy_groups:
+            pt = degenerate_pt2(h0, v, group)
+            energies, zeroth, first, e0 = pt2_reference(h0, v, group)
+            assert pt.energies.tobytes() == energies.tobytes()
+            assert pt.zeroth_order.tobytes() == zeroth.tobytes()
+            assert pt.first_order.tobytes() == first.tobytes()
+            assert pt.unperturbed_energy.hex() == e0.hex()
 
 
 def test_zero_perturbation_gives_zero_corrections():

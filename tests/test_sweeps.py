@@ -6,7 +6,7 @@ import pytest
 
 from medent.entanglement import (
     concurrence,
-    ground_concurrence_from_decomposition,
+    ground_level_concurrence,
     ground_level_density,
     ground_state_ac_concurrence,
 )
@@ -38,7 +38,19 @@ def test_format_round_trip_precision():
 def test_format_bool_and_int():
     assert format_value(True) == "1"
     assert format_value(False) == "0"
+    assert format_value(np.True_) == "1"
+    assert format_value(np.False_) == "0"
     assert format_value(7) == "7"
+
+
+def test_numpy_booleans_round_trip_through_csv(tmp_path):
+    # one column of numpy booleans, one mixing them with Python booleans
+    rows = ({"degenerate": np.True_, "family_ok": True}, {"degenerate": np.False_, "family_ok": np.True_})
+    path = tmp_path / "flags.csv"
+    SweepResult(schema=("degenerate", "family_ok"), rows=rows).write_csv(path)
+    assert path.read_text() == "degenerate,family_ok\n1,1\n0,1\n"
+    back = SweepResult.read_csv(path)
+    assert back.rows == ({"degenerate": True, "family_ok": True}, {"degenerate": False, "family_ok": True})
 
 
 def test_grid_parsing():
@@ -176,7 +188,7 @@ def reference_row(delta, lam, j_coupling):
     row = dict(zip(ISING_SWEEP_SCHEMA, (delta, lam, math.nan, math.nan, math.nan, False, "ok")))
     try:
         dec = eigh(build_ising(IsingParams(j_coupling=j_coupling, delta=delta, lam=lam)))
-        conc = ground_concurrence_from_decomposition(dec, (2, 2, 2), (0, 2))
+        conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), (2, 2, 2), (0, 2))
     except POINT_ERRORS as exc:
         row["status"] = f"error: {exc}"
         return row

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import warnings
 
@@ -33,6 +34,7 @@ from medent.theorem import (
     SYMMETRY_RTOL,
     THEOREM_CHUNK,
     Counterexample,
+    EigenstateAnalysis,
     FamilyCheck,
     TheoremFuzzReport,
     TrialRecord,
@@ -164,6 +166,63 @@ def test_nondegenerate_product_eigenstates_detected():
             psi = dec.eigenvectors[:, a.index]
             for keep in ((0,), (2,)):
                 assert purity(reduced_density(psi, (2, 2, 2), keep)) >= 1 - 1e-8
+
+
+def per_state_analysis(h, dims):
+    """analyze_eigenstates as it ran before it reduced every eigenstate as one
+    stack: reduced_density, purity and concurrence one eigenstate at a time."""
+    dec = eigh(h)
+    split = _middle_split(np.ascontiguousarray(dec.eigenvectors.T), dims)
+    ranks = dict(zip(split.pure.tolist(), split.ranks().tolist()))
+    out = []
+    for i, psi in enumerate(dec.eigenvectors.T):
+        rho_ac = reduced_density(psi, dims, (0, 2))
+        rank = ranks.get(i)
+        out.append(EigenstateAnalysis(
+            index=i,
+            energy=float(dec.eigenvalues[i]),
+            is_degenerate=dec.is_degenerate(i),
+            purity_b=float(split.purity_b[i]),
+            purity_ac=purity(rho_ac),
+            schmidt_rank_ac=rank,
+            ac_concurrence=concurrence(rho_ac).value if dims[0] == dims[2] == 2 else None,
+            fully_factorized=(rank == 1),
+        ))
+    return tuple(out)
+
+
+def random_symmetric_operator(dims, seed):
+    """A random exchange-symmetric operator on dims: M + S M S, S the outer swap."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = m + m.conj().T
+    return HermitianOperator(m + permute_subsystems(m, dims, (2, 1, 0)))
+
+
+ANALYSIS_CASES = {
+    **{
+        f"random_d_b{d_b}_seed{seed}": (
+            lambda d_b=d_b, seed=seed: (random_symmetric_hamiltonian(d_b, np.random.default_rng(seed)), (2, d_b, 2))
+        )
+        for d_b in (1, 2, 3, 4)
+        for seed in (0, 1, 2)
+    },
+    "chain_degenerate": lambda: (build_ising(IsingParams(delta=0.0, lam=1.0)), (2, 2, 2)),
+    "chain": lambda: (build_ising(IsingParams(delta=0.05, lam=1.0)), (2, 2, 2)),
+    "dicke_mediator_form": lambda: dicke_mediator_form(DickeConfig("h2", 0.6, n_max=40)),
+    "qutrit_outer_parties": lambda: (random_symmetric_operator((3, 2, 3), 5), (3, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
+def test_stacked_analysis_matches_per_state_reference(case):
+    h, dims = ANALYSIS_CASES[case]()
+    got = analyze_eigenstates(h, dims)
+    expected = per_state_analysis(h, dims)
+    assert len(got) == h.dim
+    # repr round-trips every float exactly, so equal reprs are equal bits
+    assert [repr(dataclasses.astuple(a)) for a in got] == [repr(dataclasses.astuple(a)) for a in expected]
 
 
 # ------------------------------------------------- the dark-state counterexample class

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medent.linalg import HermitianOperator, eigh, kron_all, schmidt, swap_operator
 from medent.tripartite import (
@@ -222,6 +224,23 @@ def test_ising_stack_matches_build_ising_bit_for_bit():
         assert HermitianOperator(h).matrix.tobytes() == per_term_pauli_hamiltonian(p.coefficients()).matrix.tobytes()
 
 
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j_coupling=st.sampled_from([0.0, 1.0]) | finite,
+    delta=st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 3.0),
+    lam=st.sampled_from([-0.0, 0.0]) | finite,
+    delta0=st.none() | finite,
+    lambda0=st.none() | finite,
+)
+def test_build_ising_matches_the_pauli_assembly_bit_for_bit(j_coupling, delta, lam, delta0, lambda0):
+    # build_ising adds every term, zero or not; build_pauli_hamiltonian skips zero coefficients
+    p = IsingParams(j_coupling, delta, lam, delta0, lambda0)
+    assert build_ising(p).matrix.tobytes() == build_pauli_hamiltonian(p.coefficients()).matrix.tobytes()
+
+
 def test_ising_stack_reports_non_finite_points_as_build_ising_does():
     # finite parameters whose products with delta0 and lambda0 overflow to inf
     params = [
@@ -247,6 +266,10 @@ def test_ising_stack_reports_non_finite_points_as_build_ising_does():
         (dict(delta=math.inf), "delta must be finite, got inf"),
         (dict(lam=math.nan), "lam must be finite, got nan"),
         (dict(lam=-math.inf), "lam must be finite, got -inf"),
+        (dict(lam=1.0, lambda0=math.nan), "lambda0 must be finite, got nan"),
+        (dict(lambda0=-math.inf), "lambda0 must be finite, got -inf"),
+        (dict(delta=0.5, delta0=math.nan), "delta0 must be finite, got nan"),
+        (dict(delta0=math.inf), "delta0 must be finite, got inf"),
     ],
 )
 def test_ising_params_reject_a_non_finite_field(kwargs, message):
