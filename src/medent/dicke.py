@@ -25,9 +25,10 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
-    _degeneracy_tol,
+    _eigh_hermitian,
+    _ground_levels,
+    _merged_ground_level,
     _readonly,
-    eigh,
     eigh_stack,
     kron,
 )
@@ -238,9 +239,12 @@ class DickeGroundPoint:
 
 
 def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
-    dec = eigh(build_dicke(cfg))
-    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
-    return dec.ground_energy, dec.gap(), conc
+    """Ground energy, gap and atom-atom concurrence of ``cfg`` from the full
+    solve of ``build_dicke``, which has already checked the matrix."""
+    w, v = _eigh_hermitian(build_dicke(cfg).matrix[np.newaxis])
+    (size,), (gap,) = _ground_levels(w)
+    conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
+    return float(w[0, 0]), float(gap), conc
 
 
 @lru_cache(maxsize=8)
@@ -337,29 +341,18 @@ def _sector_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     """Ground-level atom-atom concurrence of ``cfg`` from its exact sectors in
     the collective basis, one real ``eigh_stack`` per group of equal-size blocks.
 
-    The merged spectrum is grouped as ``degeneracy_groups`` groups the full
-    one, so a ground level may span several sectors (the h1 crossings); its
-    members are embedded in the full basis and taken to the product basis for
-    the reduction.
+    The ground level may span several sectors (the h1 crossings); its
+    members, merged and embedded in the full basis by ``_merged_ground_level``,
+    are taken to the product basis for the reduction.
     """
     coefficients = _dicke_coefficients(cfg)
-    solved = [
-        (group[0], eigh_stack(_block_stack(group, coefficients)))
-        for group in _sector_blocks(cfg.n_max, "collective", len(coefficients))
-    ]
-    w = np.concatenate([dec.eigenvalues.ravel() for _, dec in solved])
-    order = np.argsort(w, kind="stable")
-    ground = order[w[order] - w[order[0]] <= _degeneracy_tol(w[order])]
-    vectors = np.zeros((cfg.dim, ground.size), dtype=np.complex128)
-    start = 0
-    for sectors, dec in solved:
-        size = sectors.size
-        mine = np.flatnonzero((start <= ground) & (ground < start + size))
-        block, column = np.divmod(ground[mine] - start, sectors.shape[1])
-        vectors[sectors[block], mine[:, np.newaxis]] = dec.eigenvectors[block, :, column]
-        start += size
+    blocks = []
+    for group in _sector_blocks(cfg.n_max, "collective", len(coefficients)):
+        dec = eigh_stack(_block_stack(group, coefficients))
+        blocks.append((group[0], dec.eigenvalues, dec.eigenvectors))
+    _, vectors = _merged_ground_level(cfg.dim, blocks)
     vectors = (COLLECTIVE_TO_PRODUCT @ vectors.reshape(4, -1)).reshape(cfg.dim, -1)
-    return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
+    return ground_level_concurrence(vectors, vectors.shape[1], cfg.dims, (0, 1))
 
 
 def dicke_ground_point(

@@ -16,10 +16,10 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
+    _block_ground_level,
     _density_stack,
     _readonly,
     _trace_out,
-    eigh,
 )
 from .tripartite import SIGMA_2
 
@@ -139,13 +139,14 @@ def ground_state_pair_concurrence(
 
     ``dims`` are the tensor-factor dimensions, ``pair`` the indices of the two
     dimension-2 factors to keep.  A degenerate ground level is averaged over
-    its subspace and flagged.
+    its subspace and flagged.  The ground level is found on the exact blocks
+    of ``h``, in real arithmetic when ``h`` is real (``_block_ground_level``).
     """
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    dec = eigh(h)
-    return ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
+    _, vectors = _block_ground_level(h)
+    return ground_level_concurrence(vectors, vectors.shape[1], dims, pair)
 
 
 def ground_state_ac_concurrence(h: HermitianOperator, dims) -> ConcurrenceResult:

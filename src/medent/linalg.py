@@ -10,6 +10,7 @@ routines are used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -237,6 +238,16 @@ class EigenStack(NamedTuple):
     gaps: np.ndarray
 
 
+def _ground_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per ascending spectrum of an (n, d) stack, the size of the ground group
+    of ``degeneracy_groups`` (the eigenvalues within tolerance of the lowest)
+    and the gap above it (0 if the group is the whole spectrum)."""
+    d = w.shape[1]
+    sizes = np.count_nonzero(w - w[:, :1] <= _degeneracy_tol(w)[:, np.newaxis], axis=1)
+    above = w[np.arange(len(w)), np.minimum(sizes, d - 1)]
+    return sizes, np.where(sizes < d, above - w[:, 0], 0.0)
+
+
 def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LAPACK call over a stack of Hermitian matrices, then the phase
     convention and the orthonormality and residual contracts per matrix."""
@@ -275,11 +286,7 @@ def eigh_stack(matrices) -> EigenStack:
     if m.size == 0:
         raise DimensionError(f"expected a non-empty (n, d, d) stack, got shape {m.shape}")
     w, v = _eigh_hermitian(_hermitian_stack(m))
-    d = w.shape[1]
-    # the ground group of degeneracy_groups: the eigenvalues within tolerance of the lowest
-    sizes = np.count_nonzero(w - w[:, :1] <= _degeneracy_tol(w)[:, np.newaxis], axis=1)
-    above = np.take_along_axis(w, np.minimum(sizes, d - 1)[:, np.newaxis], axis=1)[:, 0]
-    return EigenStack(w, v, sizes, np.where(sizes < d, above - w[:, 0], 0.0))
+    return EigenStack(w, v, *_ground_levels(w))
 
 
 def eigh(h: HermitianOperator) -> EigenDecomposition:
@@ -296,6 +303,77 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
         eigenvectors=_readonly(v[0]),
         degeneracy_groups=degeneracy_groups(w[0]),
     )
+
+
+@lru_cache(maxsize=16)
+def _pattern_components(dim: int, packed: bytes) -> tuple[np.ndarray, ...]:
+    """The connected components of a symmetric dim x dim nonzero pattern,
+    given as the bytes of ``np.packbits`` of its boolean matrix.
+
+    Components of equal size form a group.  Returns per group, in ascending
+    size, an (m, s) read-only array: one component per row, its indices
+    ascending, the rows in the order of their first index.
+    """
+    linked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=dim * dim)
+    linked = linked.reshape(dim, dim).astype(bool)
+    components, unreached = [], np.ones(dim, dtype=bool)
+    while unreached.any():
+        frontier = np.zeros(dim, dtype=bool)
+        frontier[np.argmax(unreached)] = True
+        reached = frontier.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        unreached &= ~reached
+        components.append(np.flatnonzero(reached))
+    # not np.unique, which would import numpy.ma
+    sizes = sorted({c.size for c in components})
+    return tuple(_readonly(np.stack([c for c in components if c.size == s])) for s in sizes)
+
+
+def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The ground level of a dim x dim operator from the eigendecompositions
+    of its exact diagonal blocks.
+
+    ``blocks`` holds, per group of equal-size blocks, their basis indices
+    (m, s) and their ascending eigenvalues (m, s) and eigenvectors (m, s, s).
+    The merged spectrum is grouped as ``degeneracy_groups`` groups the full
+    one, so the ground level may span several blocks.  Returns its energies
+    (k,) in ascending order and, in the same order, its members embedded in
+    the full basis as the columns of a complex (dim, k) array.
+    """
+    w = np.concatenate([values.ravel() for _, values, _ in blocks])
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    ground = order[: np.count_nonzero(w - w[0] <= _degeneracy_tol(w))]
+    vectors = np.zeros((dim, ground.size), dtype=np.complex128)
+    for member, i in enumerate(ground.tolist()):
+        # i indexes the concatenated spectrum: find its group, then its block and column
+        for index, values, eigenvectors in blocks:
+            if i < values.size:
+                break
+            i -= values.size
+        block, column = divmod(i, index.shape[1])
+        vectors[index[block], member] = eigenvectors[block, :, column]
+    return w[: ground.size], vectors
+
+
+def _block_ground_level(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The ground level of ``h``, as ``_merged_ground_level`` returns it, solved
+    on the connected components of its exact nonzero pattern.
+
+    Components of equal size form one ``_eigh_hermitian`` stack, with the
+    Gram and residual checks per block; when ``h`` has no nonzero imaginary
+    part the stacks are solved in real arithmetic.  The components are cached
+    by the pattern, which is symmetric: the matrix of a ``HermitianOperator``
+    is exactly Hermitian.
+    """
+    m = h.matrix if h.matrix.imag.any() else h.matrix.real
+    blocks = []
+    for index in _pattern_components(h.dim, np.packbits(h.matrix != 0).tobytes()):
+        w, v = _eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
+        blocks.append((index, w, v))
+    return _merged_ground_level(h.dim, blocks)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

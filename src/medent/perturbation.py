@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, NumericalError, _readonly, eigh
+from .linalg import EigenDecomposition, HermitianOperator, NumericalError, _readonly, eigh
 from .tripartite import (
     IsingParams,
     analytic_ising_spectrum,
@@ -47,7 +47,12 @@ def degenerate_pt2(h0: HermitianOperator, v: HermitianOperator, subspace) -> Deg
     its contract checks and phase convention."""
     if h0.dim != v.dim:
         raise NumericalError(f"h0 and v dims differ: {h0.dim} vs {v.dim}")
-    dec = eigh(h0)
+    return _pt2_on(eigh(h0), v, subspace)
+
+
+def _pt2_on(dec: EigenDecomposition, v: HermitianOperator, subspace) -> DegeneratePT2:
+    """``degenerate_pt2`` given ``dec = eigh(h0)`` and a v of h0's dimension,
+    for a caller that has already solved h0."""
     wanted = tuple(sorted(int(i) for i in subspace))
     if wanted not in dec.degeneracy_groups:
         raise ValueError(
@@ -154,7 +159,7 @@ def ising_pt_ground_state(lam: float, delta: float) -> PerturbativeGroundState:
         build_ising(IsingParams(delta=delta, lam=lam)).matrix - h0.matrix
     )
     dec0 = eigh(h0)
-    pt = degenerate_pt2(h0, v, dec0.ground_group)
+    pt = _pt2_on(dec0, v, dec0.ground_group)
 
     psi = pt.zeroth_order[:, 0] + pt.first_order[:, 0]
     # phase convention: positive overlap with g1 + g2 (falling back to g1 - g2

@@ -636,6 +636,41 @@ def test_unconverged_point_reports_the_full_path_bit_for_bit(limit):
     assert point.convergence_delta == reference.convergence_delta
 
 
+def test_evaluate_reads_the_ground_level_without_the_partition(monkeypatch):
+    # the full solve's ground energy, gap and concurrence, bit for bit those
+    # of eigh, without the degeneracy_groups partition or a second Hermiticity check
+    configs = [
+        DickeConfig(variant="h1", kappa=0.0, n_max=1),
+        DickeConfig(variant="h1", kappa=H1_FIRST_CROSSING),
+        DickeConfig(variant="h1", kappa=H1_SECOND_CROSSING),
+        DickeConfig(variant="h2", kappa=0.6),
+        DickeConfig(variant="h3", kappa=1.1, lam_tilde=0.5, n_max=12),
+    ]
+    expected = []
+    for cfg in configs:
+        dec = eigh(build_dicke(cfg))
+        conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
+        expected.append((dec.ground_energy, dec.gap(), conc))
+    assert [e[2].degenerate_ground for e in expected] == [False, True, True, False, False]
+
+    def partition(w):
+        raise AssertionError("degeneracy_groups called")
+
+    checks = []
+    hermitian_stack = linalg._hermitian_stack
+    monkeypatch.setattr(linalg, "degeneracy_groups", partition)
+    monkeypatch.setattr(linalg, "_hermitian_stack", lambda m: checks.append(m.shape[-1]) or hermitian_stack(m))
+    for cfg, (energy, gap, conc) in zip(configs, expected):
+        got_energy, got_gap, got = _evaluate(cfg)
+        assert got_energy.hex() == energy.hex()
+        assert got_gap.hex() == gap.hex()
+        assert got.value.hex() == conc.value.hex()
+        assert got.tilde_lambdas.tobytes() == conc.tilde_lambdas.tobytes()
+        assert got.degenerate_ground == conc.degenerate_ground
+    # build_dicke's check of each matrix; the others are the density checks of the 4 x 4 reductions
+    assert [d for d in checks if d != 4] == [cfg.dim for cfg in configs]
+
+
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
     # the README's three-variant grid: each point is solved in full once, at
     # n_max 40, and confirmed on its sectors at 80, so a rejected confirmation

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,8 +13,16 @@ from medent.entanglement import (
     ground_state_ac_concurrence,
     ground_state_pair_concurrence,
 )
-from medent.dicke import DickeConfig, build_dicke
-from medent.linalg import DensityMatrix, DimensionError, eigh, reduced_density
+from medent import linalg
+from medent.dicke import DickeConfig, build_dicke, dicke_mediator_form
+from medent.linalg import (
+    DensityMatrix,
+    DimensionError,
+    HermitianOperator,
+    _block_ground_level,
+    eigh,
+    reduced_density,
+)
 from medent.tripartite import IsingParams, build_ising
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -298,3 +306,154 @@ def test_ground_concurrence_is_checked_once_and_unchanged(h, dims, pair):
     assert got.value.hex() == expected.value.hex()
     assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()
     assert got.degenerate_ground == (len(dec.ground_group) > 1)
+
+
+# ------------------------------------------------- the ground level on the exact blocks of H
+
+
+def full_path(h, dims, pair):
+    """Ground energy and ground-level concurrence from one full ``eigh`` of h."""
+    dec = eigh(h)
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), dims, pair)
+    return dec.ground_energy, conc
+
+
+def assert_block_path_matches_full(h, dims, pair):
+    energy, expected = full_path(h, dims, pair)
+    energies, _ = _block_ground_level(h)
+    got = ground_state_pair_concurrence(h, dims, pair)
+    assert abs(energies[0] - energy) <= 1e-12 * max(1.0, abs(energy))
+    assert got.degenerate_ground == expected.degenerate_ground
+    # below 1e-6 the square root of the solvers' noise differs by up to ~1e-8
+    assert abs(got.value - expected.value) <= (1e-12 if expected.value >= 1e-6 else 1e-6)
+
+
+def random_hermitian(rng, size, complex_):
+    a = rng.standard_normal((size, size))
+    if complex_:
+        a = a + 1j * rng.standard_normal((size, size))
+    return (a + a.conj().T) / 2
+
+
+@st.composite
+def permuted_block_hermitians(draw):
+    """A random Hermitian matrix on (2, m, 2), block diagonal in a randomly
+    permuted basis, with its block sizes; 1 x 1 blocks included, and the
+    ground level optionally planted twofold across two blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 5))
+    d = 4 * m
+    cuts = np.sort(rng.choice(np.arange(1, d), size=draw(st.integers(0, d - 1)), replace=False))
+    sizes = np.diff([0, *cuts, d])
+    blocks = [random_hermitian(rng, s, draw(st.booleans())) for s in sizes]
+    if len(blocks) > 1 and draw(st.booleans()):
+        floor = min(np.linalg.eigvalsh(b)[0] for b in blocks) - 1.0
+        for i in rng.choice(len(blocks), size=2, replace=False):
+            w, q = np.linalg.eigh(blocks[i])
+            w[0] = floor
+            blocks[i] = (q * w) @ q.conj().T
+    h = np.zeros((d, d), dtype=np.complex128)
+    for start, block in zip(np.cumsum([0, *sizes[:-1]]), blocks):
+        h[start : start + len(block), start : start + len(block)] = block
+    p = rng.permutation(d)
+    return HermitianOperator(h[np.ix_(p, p)]), (2, m, 2), sorted(sizes.tolist())
+
+
+@PROPERTY_SETTINGS
+@given(permuted_block_hermitians())
+def test_block_path_matches_the_full_solve_on_permuted_block_matrices(case):
+    h, dims, sizes = case
+    components = linalg._pattern_components(h.dim, np.packbits(h.matrix != 0).tobytes())
+    assert sorted(group.shape[1] for group in components for _ in group) == sizes
+    assert_block_path_matches_full(h, dims, (0, 2))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(["h1", "h2", "h3"]),
+    # both h1 crossings (1/sqrt(2) and 1/(sqrt(6) - sqrt(2)) at resonance) and beyond
+    st.floats(0.0, 1.2),
+    st.floats(0.0, 1.5),
+    st.integers(1, 40),
+)
+@example("h1", 1 / np.sqrt(2), 1.0, 40)
+@example("h1", 1 / (np.sqrt(6) - np.sqrt(2)), 1.0, 40)
+def test_block_path_matches_the_full_solve_on_the_dicke_mediator_forms(variant, kappa, lam_tilde, n_max):
+    h, dims = dicke_mediator_form(DickeConfig(variant, kappa, lam_tilde=lam_tilde, n_max=n_max))
+    assert_block_path_matches_full(h, dims, (0, 2))
+
+
+@PROPERTY_SETTINGS
+@given(
+    # delta = 0 or lambda = 0 splits the chain's pattern into blocks of 2 or 4
+    st.sampled_from(["delta", "lambda", None]),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.5, 2.0),
+)
+def test_block_path_matches_the_full_solve_on_the_chain(zero, delta, lam, j):
+    delta = 0.0 if zero == "delta" else delta
+    lam = 0.0 if zero == "lambda" else lam
+    h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=lam))
+    assert_block_path_matches_full(h, (2, 2, 2), (0, 2))
+
+
+def orthogonal(rng, size):
+    return np.linalg.qr(rng.standard_normal((size, size)))[0]
+
+
+def test_the_degeneracy_tolerance_is_taken_from_the_merged_spectrum():
+    # no block spans more than 3, the merged spectrum spans 1001: 0 and 5e-7
+    # are one level (tolerance 1.001e-6), as on the full path
+    rng = np.random.default_rng(3)
+    spectra = [[0.0], [5e-7, 1.0], [1000.0, 1000.5, 1001.0], [2.0, 3.0]]
+    h = np.zeros((8, 8))
+    start = 0
+    for w in spectra:
+        q = orthogonal(rng, len(w))
+        h[start : start + len(w), start : start + len(w)] = (q * w) @ q.T
+        start += len(w)
+    p = rng.permutation(8)
+    h = HermitianOperator(h[np.ix_(p, p)])
+    energies, _ = _block_ground_level(h)
+    assert energies == pytest.approx([0.0, 5e-7], abs=1e-13)
+    assert ground_state_ac_concurrence(h, (2, 2, 2)).degenerate_ground
+    assert full_path(h, (2, 2, 2), (0, 2))[1].degenerate_ground
+
+
+def test_ground_members_are_embedded_in_ascending_energy_order():
+    # the ground level's upper member is the 1 x 1 block at index 0, its lower
+    # member the lower state of the 2 x 2 block at indices 1 and 2
+    h = HermitianOperator(
+        np.array([[3e-10, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 9.0]])
+    )
+    energies, vectors = _block_ground_level(h)
+    dec = eigh(h)
+    assert energies == pytest.approx(dec.eigenvalues[:2], abs=1e-15)
+    assert energies[0] < energies[1]
+    overlaps = np.abs(vectors.conj().T @ dec.eigenvectors[:, :2])
+    assert np.abs(overlaps - np.eye(2)).max() <= 1e-12
+
+
+def test_a_dicke_mediator_form_is_solved_on_real_blocks_from_a_cached_pattern(monkeypatch):
+    h, dims = dicke_mediator_form(DickeConfig("h2", 0.6, n_max=40))
+    solved = []
+    lapack_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append((a.shape, a.dtype)) or lapack_eigh(a))
+    linalg._pattern_components.cache_clear()
+    first = ground_state_ac_concurrence(h, dims)
+    assert linalg._pattern_components.cache_info().misses == 1
+    # the two parity blocks as one real stack; the rest are 4 x 4 density matrices
+    assert ((2, 82, 82), np.float64) in solved
+    assert max(shape[-1] for shape, _ in solved) == 82
+    again = ground_state_ac_concurrence(h, dims)
+    ground_state_ac_concurrence(*dicke_mediator_form(DickeConfig("h2", 0.9, n_max=40)))
+    info = linalg._pattern_components.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert again.value.hex() == first.value.hex()
+    assert again.tilde_lambdas.tobytes() == first.tilde_lambdas.tobytes()
+    assert again.degenerate_ground == first.degenerate_ground
+    # h1 conserves the excitation number: 43 blocks of at most 4 states
+    h1, _ = dicke_mediator_form(DickeConfig("h1", 0.6, n_max=40))
+    groups = linalg._pattern_components(h1.dim, np.packbits(h1.matrix != 0).tobytes())
+    assert {g.shape[1]: len(g) for g in groups} == {1: 2, 3: 2, 4: 39}

@@ -3,6 +3,7 @@ import pytest
 
 from medent.entanglement import concurrence
 from medent.linalg import HermitianOperator, NumericalError, eigh, fix_phases, reduced_density
+from medent import perturbation
 from medent.perturbation import degenerate_pt2, ising_pt_ground_state
 from medent.tripartite import IsingParams, build_ising
 
@@ -166,6 +167,18 @@ def test_wrapper_matches_generic_routine():
     psi_pt, _ = pt_ground_vector(0.05, 1.0)
     overlap = abs(np.vdot(state.state_vector(), psi_pt))
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def test_wrapper_solves_h0_once_and_keeps_the_generic_routine_bits(monkeypatch):
+    h0 = build_ising(IsingParams(delta=0.0, lam=1.3))
+    v = HermitianOperator(build_ising(IsingParams(delta=0.05, lam=1.3)).matrix - h0.matrix)
+    expected = degenerate_pt2(h0, v, eigh(h0).ground_group)
+    solved = []
+    monkeypatch.setattr(perturbation, "eigh", lambda h: solved.append(h.dim) or eigh(h))
+    state = ising_pt_ground_state(1.3, 0.05)
+    # h0, then the effective Hamiltonian of its twofold ground level
+    assert solved == [8, 2]
+    assert state.energy.hex() == float(expected.energies[0]).hex()
 
 
 def test_delta_zero_returns_flagged_symmetric_combination():
