@@ -19,6 +19,7 @@ from .dicke import (
     dicke_ground_point,
     dicke_mediator_form,
     dicke_sweep,
+    mediator_concurrence,
 )
 from .entanglement import (
     ConcurrenceResult,
@@ -114,6 +115,7 @@ __all__ = [
     "ising_sweep",
     "kron",
     "linspace_grid",
+    "mediator_concurrence",
     "optimize",
     "parse_grid_spec",
     "partial_trace",

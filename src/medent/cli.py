@@ -20,8 +20,8 @@ from .dicke import (
     FockConvergenceError,
     build_dicke,
     dicke_ground_point,
-    dicke_mediator_form,
     dicke_sweep,
+    mediator_concurrence,
 )
 from .entanglement import ground_state_ac_concurrence
 from .linalg import NumericalError, eigh
@@ -322,9 +322,7 @@ def cmd_optimize(args) -> int:
         DickeConfig(kappa=0.0, **base)
 
         def evaluate(x):
-            return ground_state_ac_concurrence(
-                *dicke_mediator_form(DickeConfig(kappa=float(x[0]), **base))
-            )
+            return mediator_concurrence(DickeConfig(kappa=float(x[0]), **base))
 
         control_name = "kappa"
 

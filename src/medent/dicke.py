@@ -25,8 +25,10 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
+    _block_ground_level,
     _eigh_hermitian,
     _ground_levels,
+    _hermitian_stack,
     _merged_ground_level,
     _readonly,
     eigh_stack,
@@ -143,12 +145,21 @@ class DickeConfig:
             raise ValueError("kappa, lam and lam_tilde must be non-negative and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        quadratic = self.lam_tilde * self.resolved_lam if self.variant == "h3" else 0.0
+        # inf * 0 is NaN, which fails the check too
+        if not quadratic < inf:
+            raise ValueError(
+                f"the h3 quadratic coefficient lam_tilde * lam = {quadratic} is not finite"
+            )
 
     @property
     def resolved_lam(self) -> float:
         if self.lam is not None:
             return self.lam
-        return self.kappa**2 / self.omega_a
+        try:
+            return self.kappa**2 / self.omega_a
+        except OverflowError:  # kappa**2 beyond the float range
+            return inf
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -193,9 +204,11 @@ def _dicke_terms(
     )
 
 
-def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> HermitianOperator:
-    """``cfg``'s Hamiltonian in the product basis of its subsystems (atom,
-    atom, field) taken in ``order``, its two parity blocks scattered into place."""
+def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> np.ndarray:
+    """``cfg``'s Hamiltonian as a real array in the product basis of its
+    subsystems (atom, atom, field) taken in ``order``: the two checked parity
+    blocks of ``_parity_block_hamiltonian`` scattered into place, so it is
+    exactly Hermitian without a check of its own."""
     # no Kronecker product is built, but the full matrix is bounded like one
     if cfg.dim > KRON_DIM_LIMIT:
         raise DimensionError(
@@ -204,15 +217,15 @@ def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> Hermitian
     sectors, blocks = _parity_block_hamiltonian(cfg)
     labels = np.unravel_index(sectors, cfg.dims)
     index = np.ravel_multi_index([labels[k] for k in order], [cfg.dims[k] for k in order])
-    h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    h = np.zeros((cfg.dim, cfg.dim))
     for sector, block in zip(index, blocks):
         h[np.ix_(sector, sector)] = block
-    return HermitianOperator(h)
+    return h
 
 
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
     """``cfg``'s Hamiltonian in the basis atom x atom x field."""
-    return _scattered_dicke(cfg, (0, 1, 2))
+    return HermitianOperator(_scattered_dicke(cfg, (0, 1, 2)))
 
 
 def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int, int, int]]:
@@ -222,7 +235,17 @@ def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int,
     machinery (which expects the mediator between the two outer qubits) can
     consume it directly.
     """
-    return _scattered_dicke(cfg, (0, 2, 1)), (2, cfg.n_max + 1, 2)
+    return HermitianOperator(_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
+
+
+def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
+    """Ground-level concurrence of the two atoms, the outer qubits of the
+    mediator form: ``ground_state_ac_concurrence(*dicke_mediator_form(cfg))``
+    bit for bit, solved on the exact blocks of the real scatter, so no
+    complex matrix is built and the Hamiltonian is checked once, on its
+    parity blocks."""
+    _, vectors = _block_ground_level(_scattered_dicke(cfg, (0, 2, 1)))
+    return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -240,8 +263,10 @@ class DickeGroundPoint:
 
 def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     """Ground energy, gap and atom-atom concurrence of ``cfg`` from the full
-    solve of ``build_dicke``, which has already checked the matrix."""
-    w, v = _eigh_hermitian(build_dicke(cfg).matrix[np.newaxis])
+    complex solve of the matrix ``build_dicke`` returns, whose parity blocks
+    are already checked."""
+    h = _scattered_dicke(cfg, (0, 1, 2)).astype(np.complex128)
+    w, v = _eigh_hermitian(h[np.newaxis])
     (size,), (gap,) = _ground_levels(w)
     conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
     return float(w[0, 0]), float(gap), conc
@@ -332,9 +357,13 @@ def _block_stack(group: tuple[np.ndarray, tuple], coefficients) -> np.ndarray:
 
 def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
-    real diagonal blocks (2, d, d); every entry outside them is zero."""
+    real diagonal blocks (2, d, d); every entry outside them is zero.
+
+    This is the one Hermiticity check of a Dicke Hamiltonian: the blocks are
+    returned as ``_hermitian_stack`` returns them.
+    """
     group = _parity_blocks(cfg.n_max)
-    return group[0], _block_stack(group, _dicke_coefficients(cfg))
+    return group[0], _hermitian_stack(_block_stack(group, _dicke_coefficients(cfg)))
 
 
 def _sector_concurrence(cfg: DickeConfig) -> ConcurrenceResult:

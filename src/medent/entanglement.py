@@ -145,7 +145,7 @@ def ground_state_pair_concurrence(
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    _, vectors = _block_ground_level(h)
+    _, vectors = _block_ground_level(h.matrix if h.matrix.imag.any() else h.matrix.real)
     return ground_level_concurrence(vectors, vectors.shape[1], dims, pair)
 
 

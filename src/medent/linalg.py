@@ -358,22 +358,22 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     return w[: ground.size], vectors
 
 
-def _block_ground_level(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The ground level of ``h``, as ``_merged_ground_level`` returns it, solved
-    on the connected components of its exact nonzero pattern.
+def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ground level of the exactly Hermitian matrix ``m``, real or
+    complex, as ``_merged_ground_level`` returns it, solved on the connected
+    components of its exact nonzero pattern.
 
     Components of equal size form one ``_eigh_hermitian`` stack, with the
-    Gram and residual checks per block; when ``h`` has no nonzero imaginary
-    part the stacks are solved in real arithmetic.  The components are cached
-    by the pattern, which is symmetric: the matrix of a ``HermitianOperator``
-    is exactly Hermitian.
+    Gram and residual checks per block, solved in the arithmetic of ``m``'s
+    dtype.  ``m`` is not checked again: the caller has checked it, and its
+    pattern, by which the components are cached, is symmetric.
     """
-    m = h.matrix if h.matrix.imag.any() else h.matrix.real
+    dim = len(m)
     blocks = []
-    for index in _pattern_components(h.dim, np.packbits(h.matrix != 0).tobytes()):
+    for index in _pattern_components(dim, np.packbits(m != 0).tobytes()):
         w, v = _eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
         blocks.append((index, w, v))
-    return _merged_ground_level(h.dim, blocks)
+    return _merged_ground_level(dim, blocks)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

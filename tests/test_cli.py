@@ -254,6 +254,36 @@ def test_sweep_dicke_rejects_a_non_finite_frequency(flag, value, tmp_path, capsy
     assert not out_path.exists()
 
 
+def test_sweep_dicke_rejects_an_h3_quadratic_coefficient_beyond_the_float_range(tmp_path, capsys):
+    # kappa**2 overflows: the sweep exits 2 before any point, with no CSV
+    out_path = tmp_path / "h3.csv"
+    code, out, err = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h3", "--kappa-grid", "1e200:1e200:1",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    message = "the h3 quadratic coefficient lam_tilde * lam = inf is not finite"
+    assert err == f"invalid configuration: {message}\n"
+    assert not out_path.exists()
+
+
+def test_optimize_dicke_discards_each_h3_point_beyond_the_float_range(capsys, caplog):
+    # every point's kappa**2 overflows: each is discarded as a failed point,
+    # and the search fails as a numerical failure, not with a traceback
+    code, out, err = run(
+        capsys,
+        "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "4",
+        "--lower", "1e199", "--upper", "1e200", "--budget", "5", "--seed", "0",
+    )
+    assert (code, out) == (3, "")
+    assert err.endswith("numerical failure: objective evaluation failed at every sampled point\n")
+    failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("objective failed")]
+    message = "the h3 quadratic coefficient lam_tilde * lam = inf is not finite"
+    assert len(failed) == 4
+    assert all(m.endswith(message) for m in failed)
+
+
 @pytest.mark.parametrize("db_dim", ["0", "-1"])
 def test_theorem_mediator_dimension_below_one_exits_2(db_dim, capsys):
     code, _, err = run(capsys, "theorem", "--trials", "3", "--db-dim", db_dim, "--seed", "1")

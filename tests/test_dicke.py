@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medent.dicke import (
@@ -27,10 +27,11 @@ from medent.dicke import (
     dicke_ground_point,
     dicke_mediator_form,
     dicke_sweep,
+    mediator_concurrence,
 )
 import medent.dicke as dicke_module
-from medent import linalg
-from medent.entanglement import ground_level_concurrence
+from medent import cli, linalg
+from medent.entanglement import ground_level_concurrence, ground_state_ac_concurrence
 from medent.linalg import (
     DimensionError,
     HermitianOperator,
@@ -97,6 +98,24 @@ def test_non_finite_parameters_are_rejected(field, value):
         message = "kappa, lam and lam_tilde must be non-negative and finite"
     with pytest.raises(ValueError, match=message):
         DickeConfig(**{"variant": "h3", "kappa": 0.5, field: value})
+
+
+@pytest.mark.parametrize(
+    "fields, value",
+    [
+        # kappa**2 alone overflows (Python raises OverflowError there)
+        ({"kappa": 1e200}, "inf"),
+        ({"kappa": 1e150, "omega_a": 1e-100}, "inf"),
+        ({"kappa": 0.5, "lam": 1e200, "lam_tilde": 1e200}, "inf"),
+        ({"kappa": 1e200, "lam_tilde": 0.0}, "nan"),
+    ],
+)
+def test_a_non_finite_h3_quadratic_coefficient_is_rejected(fields, value):
+    message = f"the h3 quadratic coefficient lam_tilde \\* lam = {value} is not finite"
+    with pytest.raises(ValueError, match=message):
+        DickeConfig(variant="h3", **fields)
+    # h1 and h2 have no quadratic term
+    DickeConfig(variant="h2", **fields)
 
 
 def test_h3_lambda_defaults_to_kappa_squared():
@@ -413,15 +432,25 @@ def test_parity_blocks_reassemble_build_dicke(variant, n_max):
         assert dims == (2, n_max + 1, 2)
 
 
-def test_build_dicke_keeps_the_kron_dimension_bound():
+def sweep_row_status(cfg):
+    (status,) = dicke_sweep(cfg, [cfg.kappa], [cfg.lam_tilde]).column("status")
+    return status
+
+
+@pytest.mark.parametrize(
+    "path", [build_dicke, dicke_mediator_form, mediator_concurrence, sweep_row_status],
+    ids=lambda path: path.__name__,
+)
+def test_every_dicke_path_keeps_the_kron_dimension_bound(path):
     # 4 (n_max + 1) = 4404 exceeds KRON_DIM_LIMIT: rejected before any block is built
     cfg = DickeConfig(variant="h1", kappa=0.5, n_max=1100)
     message = "the Dicke Hamiltonian would be 4404x4404, limit is 4096"
     _sector_blocks.cache_clear()
-    with pytest.raises(DimensionError, match=message):
-        dicke_ground_point(cfg)
-    with pytest.raises(DimensionError, match=message):
-        dicke_mediator_form(cfg)
+    if path is sweep_row_status:
+        assert path(cfg) == f"error: {message}"
+    else:
+        with pytest.raises(DimensionError, match=message):
+            path(cfg)
     assert _sector_blocks.cache_info().currsize == 0
 
 
@@ -636,30 +665,56 @@ def test_unconverged_point_reports_the_full_path_bit_for_bit(limit):
     assert point.convergence_delta == reference.convergence_delta
 
 
+def record_hermitian_checks(monkeypatch):
+    """Record (dtype, shape) of every stack handed to the Hermiticity check,
+    from linalg (HermitianOperator, the density checks) and from dicke (the
+    parity blocks)."""
+    checks = []
+    check = linalg._hermitian_stack
+
+    def recorded(m):
+        checks.append((m.dtype, m.shape))
+        return check(m)
+
+    monkeypatch.setattr(linalg, "_hermitian_stack", recorded)
+    monkeypatch.setattr(dicke_module, "_hermitian_stack", recorded)
+    return checks
+
+
+def parity_block_checks(checks, configs):
+    """``checks`` less the complex 4 x 4 density checks of the reductions, and
+    what they should be: one real (2, d, d) stack per config."""
+    rest = [c for c in checks if not (c[0] == np.complex128 and c[1][1:] == (4, 4))]
+    return rest, [(np.float64, (2, cfg.dim // 2, cfg.dim // 2)) for cfg in configs]
+
+
 def test_evaluate_reads_the_ground_level_without_the_partition(monkeypatch):
     # the full solve's ground energy, gap and concurrence, bit for bit those
-    # of eigh, without the degeneracy_groups partition or a second Hermiticity check
+    # of eigh(build_dicke(cfg)), without the degeneracy_groups partition; the
+    # Hamiltonian is checked once, on its real parity blocks, never in full
     configs = [
         DickeConfig(variant="h1", kappa=0.0, n_max=1),
         DickeConfig(variant="h1", kappa=H1_FIRST_CROSSING),
         DickeConfig(variant="h1", kappa=H1_SECOND_CROSSING),
         DickeConfig(variant="h2", kappa=0.6),
         DickeConfig(variant="h3", kappa=1.1, lam_tilde=0.5, n_max=12),
+        DickeConfig(variant="h2", kappa=0.0, n_max=41),
+        DickeConfig(variant="h3", kappa=0.83, lam_tilde=0.0, omega_a=0.9, omega_f=1.1, n_max=7),
+        DickeConfig(variant="h1", kappa=0.4, omega_a=1.1, omega_f=0.9, n_max=80),
     ]
     expected = []
     for cfg in configs:
         dec = eigh(build_dicke(cfg))
         conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
         expected.append((dec.ground_energy, dec.gap(), conc))
-    assert [e[2].degenerate_ground for e in expected] == [False, True, True, False, False]
+    degenerate = [e[2].degenerate_ground for e in expected]
+    assert degenerate == [False, True, True, False, False, False, False, False]
 
     def partition(w):
         raise AssertionError("degeneracy_groups called")
 
-    checks = []
-    hermitian_stack = linalg._hermitian_stack
     monkeypatch.setattr(linalg, "degeneracy_groups", partition)
-    monkeypatch.setattr(linalg, "_hermitian_stack", lambda m: checks.append(m.shape[-1]) or hermitian_stack(m))
+    checks = record_hermitian_checks(monkeypatch)
     for cfg, (energy, gap, conc) in zip(configs, expected):
         got_energy, got_gap, got = _evaluate(cfg)
         assert got_energy.hex() == energy.hex()
@@ -667,8 +722,63 @@ def test_evaluate_reads_the_ground_level_without_the_partition(monkeypatch):
         assert got.value.hex() == conc.value.hex()
         assert got.tilde_lambdas.tobytes() == conc.tilde_lambdas.tobytes()
         assert got.degenerate_ground == conc.degenerate_ground
-    # build_dicke's check of each matrix; the others are the density checks of the 4 x 4 reductions
-    assert [d for d in checks if d != 4] == [cfg.dim for cfg in configs]
+    got, expected_checks = parity_block_checks(checks, configs)
+    assert got == expected_checks
+
+
+def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch, capsys):
+    # the evaluator cmd_optimize hands the search: no HermitianOperator, no
+    # complex matrix wider than the 4 x 4 reductions, one real parity-block check
+    problems = []
+    search = cli.optimize
+    monkeypatch.setattr(
+        cli, "optimize", lambda problem, *args: problems.append(problem) or search(problem, *args)
+    )
+    argv = ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40"]
+    assert cli.main([*argv, "--lower", "0.2", "--upper", "1.2", "--budget", "3", "--seed", "0"]) == 0
+    capsys.readouterr()
+    cfg = DickeConfig(variant="h2", kappa=0.6)
+    reference = ground_state_ac_concurrence(*dicke_mediator_form(cfg))
+
+    operators = []
+    post_init = HermitianOperator.__post_init__
+    monkeypatch.setattr(
+        HermitianOperator, "__post_init__", lambda op: operators.append(op) or post_init(op)
+    )
+    checks = record_hermitian_checks(monkeypatch)
+    got = problems[0].evaluate(np.array([cfg.kappa]))
+    assert operators == []
+    got_checks, expected_checks = parity_block_checks(checks, [cfg])
+    assert got_checks == expected_checks
+    assert got.value.hex() == reference.value.hex()
+    assert got.tilde_lambdas.tobytes() == reference.tilde_lambdas.tobytes()
+    assert got.degenerate_ground == reference.degenerate_ground
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(["h1", "h2", "h3"]),
+    # both h1 crossings (1/sqrt(2) and 1/(sqrt(6) - sqrt(2)) at resonance) and beyond
+    st.floats(0.0, 1.2),
+    st.floats(0.0, 1.5),
+    st.floats(0.9, 1.1),
+    st.floats(0.9, 1.1),
+    st.integers(1, 41),
+)
+@example("h1", 0.0, 1.0, 1.0, 1.0, 40)
+@example("h1", H1_FIRST_CROSSING, 1.0, 1.0, 1.0, 40)
+@example("h1", H1_SECOND_CROSSING, 1.0, 1.0, 1.0, 41)
+def test_mediator_concurrence_is_the_mediator_form_oracle_bit_for_bit(
+    variant, kappa, lam_tilde, omega_a, omega_f, n_max
+):
+    # the real scatter has the entries and the nonzero pattern of the checked
+    # complex mediator form, hence the same blocks and the same bits
+    cfg = DickeConfig(variant, kappa, omega_a, omega_f, lam_tilde=lam_tilde, n_max=n_max)
+    got = mediator_concurrence(cfg)
+    expected = ground_state_ac_concurrence(*dicke_mediator_form(cfg))
+    assert got.value.hex() == expected.value.hex()
+    assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()
+    assert got.degenerate_ground == expected.degenerate_ground
 
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):

@@ -320,7 +320,7 @@ def full_path(h, dims, pair):
 
 def assert_block_path_matches_full(h, dims, pair):
     energy, expected = full_path(h, dims, pair)
-    energies, _ = _block_ground_level(h)
+    energies, _ = _block_ground_level(h.matrix)
     got = ground_state_pair_concurrence(h, dims, pair)
     assert abs(energies[0] - energy) <= 1e-12 * max(1.0, abs(energy))
     assert got.degenerate_ground == expected.degenerate_ground
@@ -415,7 +415,7 @@ def test_the_degeneracy_tolerance_is_taken_from_the_merged_spectrum():
         start += len(w)
     p = rng.permutation(8)
     h = HermitianOperator(h[np.ix_(p, p)])
-    energies, _ = _block_ground_level(h)
+    energies, _ = _block_ground_level(h.matrix)
     assert energies == pytest.approx([0.0, 5e-7], abs=1e-13)
     assert ground_state_ac_concurrence(h, (2, 2, 2)).degenerate_ground
     assert full_path(h, (2, 2, 2), (0, 2))[1].degenerate_ground
@@ -427,7 +427,7 @@ def test_ground_members_are_embedded_in_ascending_energy_order():
     h = HermitianOperator(
         np.array([[3e-10, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 9.0]])
     )
-    energies, vectors = _block_ground_level(h)
+    energies, vectors = _block_ground_level(h.matrix)
     dec = eigh(h)
     assert energies == pytest.approx(dec.eigenvalues[:2], abs=1e-15)
     assert energies[0] < energies[1]
