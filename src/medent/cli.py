@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +61,10 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: each ``parse_args``
+    fills a new namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="medent")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -70,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_point_flags(sp)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0, help="middle-site control")
     sp.add_argument("--kappa", type=float, default=0.0)
-    sp.set_defaults(func=cmd_spectrum)
 
     sw = sub.add_parser("sweep", help="grid sweep to CSV")
     sw.add_argument("--config", default=None)
@@ -83,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--lam-tilde-grid", default="1:1:1", help="start:stop:count")
     _add_model_flags(sw)
     sw.add_argument("--tol", type=float, default=1e-6, help="Fock convergence tolerance")
-    sw.set_defaults(func=cmd_sweep)
 
     th = sub.add_parser("theorem", help="fuzz the factorization theorem")
     th.add_argument("--config", default=None)
@@ -92,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     th.add_argument("--seed", type=int, default=42)
     th.add_argument("--break-symmetry", action="store_true")
     th.add_argument("--out", default=None, help="optional per-trial CSV report")
-    th.set_defaults(func=cmd_theorem)
 
     op = sub.add_parser("optimize", help="maximize ground-state concurrence")
     op.add_argument("--config", default=None)
@@ -103,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     op.add_argument("--upper", type=float, default=3.0, help="control upper bound")
     op.add_argument("--trace-out", default=None, help="optional evaluation-trace CSV")
     _add_point_flags(op)
-    op.set_defaults(func=cmd_optimize)
 
     return parser
 
@@ -367,8 +367,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # the command is looked up at each call, not bound into the cached parser
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

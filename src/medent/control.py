@@ -8,13 +8,15 @@ with box clamping is used.  Runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .entanglement import ConcurrenceResult
-from .linalg import NumericalError
+from .linalg import NumericalError, _readonly
 from .sweeps import _point_outcome
 
 log = logging.getLogger(__name__)
@@ -67,8 +69,13 @@ class ControlProblem:
     def upper(self) -> np.ndarray:
         return np.array([b[1] for b in self.bounds])
 
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lower()`` and ``upper()``, built once for ``clamp``."""
+        return _readonly(self.lower()), _readonly(self.upper())
+
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower(), self.upper())
+        return np.clip(x, *self._box)
 
     def score(self, concurrence_value: float) -> float:
         if self.objective == "maximize_concurrence":
@@ -131,7 +138,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
             value = -np.inf
         else:
             value = problem.score(res.value)
-            trace.append((tuple(float(c) for c in x), value))
+            trace.append((tuple(map(float, x)), value))
             if value > best_value:
                 best_x, best_value = np.array(x), value
         if used == budget - 1:  # one evaluation stays for the re-verification
@@ -156,18 +163,19 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
                 simplex = [simplex[k] for k in order]
                 values = [values[k] for k in order]
 
-                finite = [v for v in values if np.isfinite(v)]
-                size = max(np.linalg.norm(p - simplex[0]) for p in simplex[1:])
+                # math.hypot, not np.linalg.norm, whose squares overflow above ~1e154
+                size = max(math.hypot(*(p - simplex[0])) for p in simplex[1:])
                 # a flat or collapsed simplex cannot make progress: mark the
                 # restart converged and let multi-start spend the rest of the
                 # budget elsewhere
-                if len(finite) == len(values) and (
+                if all(map(math.isfinite, values)) and (
                     max(values) - min(values) <= VALUE_SPREAD_TOL or size <= SIMPLEX_SIZE_TOL
                 ):
                     converged = True
                     break
 
-                centroid = np.mean(simplex[:-1], axis=0)
+                # np.mean's sum and division, without its wrapper
+                centroid = np.add.reduce(simplex[:-1]) / n
                 worst = simplex[-1]
                 reflected = problem.clamp(centroid + REFLECTION * (centroid - worst))
                 r_val = evaluate(reflected)

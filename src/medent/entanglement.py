@@ -9,6 +9,7 @@ onto the whole degenerate subspace and flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -18,12 +19,15 @@ from .linalg import (
     HermitianOperator,
     _block_ground_level,
     _density_stack,
+    _raise_negative,
     _readonly,
     _trace_out,
+    _unit_trace_stack,
 )
 from .tripartite import SIGMA_2
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)
+_NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,11 @@ class ConcurrenceResult:
 def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wootters concurrence of every density matrix in an (n, 4, 4) stack.
 
-    The matrices must already have passed the ``DensityMatrix`` checks.
-    Returns the values (n,) and the tilde lambdas (n, 4); a LAPACK failure on
-    the stack is raised as numpy raises it.
+    The matrices must already have passed the ``DensityMatrix`` checks but
+    positivity: this function's eigensolve of rho gives that verdict (the
+    ValueError of ``DensityMatrix`` for the first matrix with an eigenvalue
+    below -PSD_ATOL).  Returns the values (n,) and the tilde lambdas (n, 4);
+    a LAPACK failure on the stack is raised as numpy raises it.
 
     The spin-flip spectrum is obtained from the Hermitian similarity partner
     sqrt(rho) (s2 x s2) rho* (s2 x s2) sqrt(rho), which shares eigenvalues
@@ -54,15 +60,16 @@ def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     territory.
     """
     w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    _raise_negative(w[:, 0])
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
     partner = sqrt_rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP @ sqrt_rho
     lam = np.linalg.eigvalsh(partner)
     # the square root amplifies solver noise near zero (sqrt(1e-17) ~ 3e-9),
     # so eigenvalues below the relative noise floor are treated as exact zeros
-    floor = 100 * np.finfo(float).eps * np.maximum(lam[:, -1], 0.0)
-    lam = np.where(lam < floor[:, np.newaxis], 0.0, lam)
-    lam = np.sqrt(np.clip(lam, 0.0, None))[:, ::-1]
-    value = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+    floor = _NOISE_FLOOR * np.maximum(lam[:, -1:], 0.0)
+    lam = np.sqrt(np.maximum(np.where(lam < floor, 0.0, lam), 0.0))[:, ::-1]
+    # l1 - l2 - l3 - l4, subtracted left to right
+    value = np.clip(np.subtract.reduce(lam, axis=1), 0.0, 1.0)
     return value, lam
 
 
@@ -81,15 +88,18 @@ def ground_level_density_stack(vectors: np.ndarray, ground_sizes: np.ndarray, di
     and ``ground_sizes[i]`` the size of basis i's ground group.  A ground
     group of one gives that state's reduction, a degenerate one the equal
     mixture of its members' reductions.  The reductions are one einsum over
-    the stack; each member of a ground group is checked as a ``DensityMatrix``,
-    and so is each mixture, and the first failed check is raised.
+    the stack.  Each member of a degenerate group is checked as a
+    ``DensityMatrix``; each returned matrix is checked as one but for
+    positivity, whose verdict comes from the eigensolve the caller makes of
+    it (``concurrence_stack``, or ``DensityMatrix``).  The first failed check
+    is raised.
     """
     dims = tuple(int(d) for d in dims)
     n, k = len(vectors), int(ground_sizes.max())
     states = vectors[:, :, :k].swapaxes(1, 2).reshape(n, k, *dims)
     reduced = _trace_out(dims, keep, ",", states, states.conj())
     if k == 1:
-        return _density_stack(reduced[:, 0])
+        return _unit_trace_stack(reduced[:, 0])
     # the columns past a smaller group's size stay zero and unchecked
     in_group = np.arange(k) < ground_sizes[:, np.newaxis]
     members = np.zeros_like(reduced)
@@ -100,7 +110,7 @@ def ground_level_density_stack(vectors: np.ndarray, ground_sizes: np.ndarray, di
     for j in range(k):
         # +0 past the end of a smaller group leaves the sum's bits as they are
         mixed += members[deg, j]
-    rho[deg] = _density_stack(mixed / ground_sizes[deg, np.newaxis, np.newaxis])
+    rho[deg] = _unit_trace_stack(mixed / ground_sizes[deg, np.newaxis, np.newaxis])
     return rho
 
 
@@ -143,7 +153,7 @@ def ground_state_pair_concurrence(
     of ``h``, in real arithmetic when ``h`` is real (``_block_ground_level``).
     """
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != h.dim:
+    if prod(dims) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
     _, vectors = _block_ground_level(h.matrix if h.matrix.imag.any() else h.matrix.real)
     return ground_level_concurrence(vectors, vectors.shape[1], dims, pair)

@@ -68,16 +68,16 @@ def _square_stack(entries) -> np.ndarray:
 
 def _raise_first(failed: np.ndarray, values: np.ndarray, make) -> None:
     """Raise ``make(values[i])`` for the first matrix i whose check ``failed``."""
-    hit = failed.nonzero()[0]
-    if hit.size:
-        raise make(values[hit[0]].item())
+    if failed.any():
+        raise make(values[failed.argmax()].item())
 
 
 def _raise_first_scaled(values: np.ndarray, rtol: float, m: np.ndarray, make) -> None:
     """Raise ``make(value, tolerance)`` for the first matrix i whose value
     exceeds rtol * max(||m[i]||_F, 1)."""
     # the tolerance is never below rtol, so the norm is needed only above it
-    for i in (values > rtol).nonzero()[0].tolist():
+    above = values > rtol
+    for i in above.nonzero()[0].tolist() if above.any() else ():
         tol = rtol * max(frobenius_norm(m[i]), 1.0)
         if values[i] > tol:
             raise make(values[i].item(), tol)
@@ -94,24 +94,37 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     mh = m.conj().swapaxes(1, 2)
-    defect = np.abs(m - mh).reshape(len(m), -1).max(axis=1)
+    defect = np.abs(m - mh).max(axis=(1, 2))
     _raise_first_scaled(defect, HERMITICITY_RTOL, m, lambda dv, tol: ValueError(
         f"matrix is not Hermitian: max|M - M^dag| = {dv:.3e} (tolerance {tol:.3e})"
     ))
     return (m + mh) / 2
 
 
-def _density_stack(m: np.ndarray) -> np.ndarray:
-    """``_hermitian_stack`` plus the density-matrix contract: unit trace within
-    TRACE_ATOL and no eigenvalue below -PSD_ATOL (ValueError for the first
-    matrix that breaks it)."""
+def _unit_trace_stack(m: np.ndarray) -> np.ndarray:
+    """``_hermitian_stack`` plus unit trace within TRACE_ATOL (ValueError for
+    the first matrix that breaks it): the density-matrix contract but for
+    positivity, which the caller's eigensolve of the result decides with
+    ``_raise_negative``."""
     m = _hermitian_stack(m)
-    trace = np.trace(m, axis1=1, axis2=2).real
+    trace = m.trace(axis1=1, axis2=2).real
     _raise_first(np.abs(trace - 1.0) > TRACE_ATOL, trace,
                  lambda tr: ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}"))
-    low = np.linalg.eigvalsh(m)[:, 0]
+    return m
+
+
+def _raise_negative(low: np.ndarray) -> None:
+    """The positivity contract: ValueError for the first matrix whose lowest
+    eigenvalue ``low[i]`` is below -PSD_ATOL."""
     _raise_first(low < -PSD_ATOL, low,
                  lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
+
+
+def _density_stack(m: np.ndarray) -> np.ndarray:
+    """``_unit_trace_stack`` plus positivity: no eigenvalue below -PSD_ATOL
+    (ValueError for the first matrix that breaks it)."""
+    m = _unit_trace_stack(m)
+    _raise_negative(np.linalg.eigvalsh(m)[:, 0])
     return m
 
 
@@ -256,13 +269,21 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    # fix_phases without its cast to complex: real eigenvectors stay real
-    v = v * _pivot_phases(v)[..., np.newaxis, :]
+    if v.dtype == np.float64:
+        # a real eigenvector's pivot phase is the sign of its pivot: real stays real
+        pivots = v[np.arange(n)[:, np.newaxis], np.abs(v).argmax(axis=1), np.arange(d)]
+        v *= np.where(pivots < 0, -1.0, 1.0)[:, np.newaxis, :]
+        vh = v.swapaxes(1, 2)
+    else:
+        v *= _pivot_phases(v)[:, np.newaxis, :]
+        vh = v.conj().swapaxes(1, 2)
 
-    gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).reshape(n, -1).max(axis=1)
+    gram_defect = np.abs(vh @ v - np.eye(d)).max(axis=(1, 2))
     _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
                  lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
-    residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
+    r = m @ v - v * w[:, np.newaxis, :]
+    # the largest column 2-norm per matrix
+    residual = np.sqrt((r.conj() * r).real.sum(axis=1).max(axis=1))
     _raise_first_scaled(residual, RESIDUAL_RTOL, m,
                         lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
     return w, v
@@ -395,13 +416,10 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> np.ndarray:
-    """Contract the row and column indices of every subsystem not in ``keep``.
-
-    ``separator`` "" reads one operator tensor (rows then columns), "," a ket
-    tensor and its bra.  Axes in front of the subsystem axes are stack axes and
-    stay in front of the (d, d) result.
-    """
+@lru_cache(maxsize=32)
+def _trace_subscripts(dims: tuple[int, ...], keep: tuple, separator: str) -> tuple[str, int, int]:
+    """``_trace_out``'s einsum subscripts, the number of kept subsystems and
+    their joint dimension."""
     keep = tuple(sorted(set(int(k) for k in keep)))
     n = len(dims)
     if not keep or any(k < 0 or k >= n for k in keep):
@@ -410,9 +428,19 @@ def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> np.ndar
     col = [row[k] if k not in keep else chr(ord("a") + n + k) for k in range(n)]
     out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
     inputs = "..." + "".join(row) + separator + ("..." if separator else "") + "".join(col)
-    reduced = np.einsum(inputs + "->..." + out, *tensors)
-    d = prod(dims[k] for k in keep)
-    return reduced.reshape(*reduced.shape[: reduced.ndim - 2 * len(keep)], d, d)
+    return inputs + "->..." + out, len(keep), prod(dims[k] for k in keep)
+
+
+def _trace_out(dims: tuple[int, ...], keep, separator: str, *tensors) -> np.ndarray:
+    """Contract the row and column indices of every subsystem not in ``keep``.
+
+    ``separator`` "" reads one operator tensor (rows then columns), "," a ket
+    tensor and its bra.  Axes in front of the subsystem axes are stack axes and
+    stay in front of the (d, d) result.
+    """
+    subscripts, kept, d = _trace_subscripts(dims, tuple(keep), separator)
+    reduced = np.einsum(subscripts, *tensors)
+    return reduced.reshape(*reduced.shape[: reduced.ndim - 2 * kept], d, d)
 
 
 def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:

@@ -181,14 +181,24 @@ def test_sweep_dicke_rejects_a_negative_or_nan_tolerance(tol, tmp_path, capsys):
 
 
 def test_sweep_dicke_accepts_a_zero_tolerance(tmp_path, capsys):
+    # at kappa = 0 the concurrence is exactly 0 at every cutoff, so it converges
     out_path = tmp_path / "tol0.csv"
     code, _, _ = run(
         capsys,
-        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
+        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0:0:1",
         "--tol", "0", "--out", str(out_path),
     )
     assert code == 0
     assert SweepResult.read_csv(out_path).column("status") == ["ok"]
+    # at kappa = 0.5 whether the last ulp settles depends on the BLAS thread
+    # count; either way a zero tolerance is no usage error and writes the row
+    code, _, err = run(
+        capsys,
+        "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
+        "--tol", "0", "--out", str(out_path),
+    )
+    assert code != 2, err
+    assert len(SweepResult.read_csv(out_path).rows) == 1
 
 
 @pytest.mark.parametrize("j", ["nan", "inf"])
@@ -268,9 +278,11 @@ def test_sweep_dicke_rejects_an_h3_quadratic_coefficient_beyond_the_float_range(
     assert not out_path.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimize_dicke_discards_each_h3_point_beyond_the_float_range(capsys, caplog):
     # every point's kappa**2 overflows: each is discarded as a failed point,
-    # and the search fails as a numerical failure, not with a traceback
+    # and the search fails as a numerical failure, not with a traceback; the
+    # simplex size of controls near 1e200 does not overflow either
     code, out, err = run(
         capsys,
         "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "4",
@@ -360,6 +372,25 @@ def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
     # every distinct search point once, plus the re-verification
     assert err == f"solved {len(set(controls)) + 1} distinct points for 300 evaluations\n"
     assert "evaluations: 300" in out.splitlines()
+
+
+def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
+    # per distinct point: the real eigh of H, the eigh of rho_AC, which also
+    # gives its positivity verdict, and the eigvalsh of the spin-flip partner
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, name=name, solve=getattr(np.linalg, name)):
+            calls.append((name, a.shape, a.dtype.kind))
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    code, _, err = run(
+        capsys, "optimize", "--model", "ising", "--delta", "0.1", "--budget", "40", "--seed", "2"
+    )
+    assert code == 0
+    solved = int(re.fullmatch(r"solved (\d+) distinct points for 40 evaluations\n", err)[1])
+    point = [("eigh", (1, 8, 8), "f"), ("eigh", (1, 4, 4), "c"), ("eigvalsh", (1, 4, 4), "c")]
+    assert calls == point * solved
 
 
 def test_optimize_zero_budget_usage_error(capsys):
@@ -525,6 +556,27 @@ def test_an_unwritable_output_path_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert err.splitlines()[-1] == f"cannot write output: [Errno 2] No such file or directory: '{path}'"
     assert not path.exists()
+
+
+def test_the_parser_is_built_once_and_keeps_no_value_of_a_call(monkeypatch):
+    namespaces = []
+    for command in ("spectrum", "optimize"):
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: namespaces.append(vars(args)) or 0)
+    argvs = [
+        ["optimize", "--model", "dicke", "--variant", "h3", "--nmax", "9", "--budget", "7",
+         "--lower", "0.5", "--trace-out", "trace.csv"],
+        ["spectrum", "--model", "ising", "--lambda", "2.5", "--j", "3", "--delta", "0.2"],
+        ["optimize", "--model", "ising"],
+        ["spectrum", "--model", "dicke"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert cli._build_parser() is cli._build_parser()
+    # each call reads what a parser built for it alone reads
+    fresh = [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in argvs]
+    assert namespaces == fresh
+    assert (namespaces[2]["variant"], namespaces[2]["trace_out"], namespaces[2]["budget"]) == ("h1", None, 300)
+    assert (namespaces[3]["lam"], namespaces[3]["j"], namespaces[3]["delta"]) == (0.0, 1.0, 0.0)
 
 
 def test_help_exits_zero(capsys):

@@ -341,16 +341,17 @@ def test_density_failure_flags_only_its_row(monkeypatch):
     expected = reference_rows([0.3], LAMS)
 
     def negative_lowest(solve, a, hit):
-        w = solve(a)
+        w, v = solve(a)
         w[hit, 0] = -1.0
-        return w
+        return w, v
 
     for failing in FAILING:
-        # the stacked ground-level reduction is bit-identical to the scalar one
+        # the stacked ground-level reduction is bit-identical to the scalar one;
+        # its positivity verdict comes from the concurrence's eigh of it
         dec = eigh(build_ising(IsingParams(delta=0.3, lam=LAMS[failing])))
         rho = ground_level_density(dec, (2, 2, 2), (0, 2))
         with monkeypatch.context() as patch:
-            patch_stacked(patch, "eigvalsh", rho.matrix, negative_lowest)
+            patch_stacked(patch, "eigh", rho.matrix, negative_lowest)
             result = ising_sweep([0.3], LAMS)
         assert_only_row_failed(result, expected, failing, "negative eigenvalue -1.000e+00")
 

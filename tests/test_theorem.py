@@ -726,7 +726,8 @@ COROLLARY_CASES = {
 @pytest.mark.parametrize("case", sorted(COROLLARY_CASES))
 def test_corollary_checks_the_ground_density_once(case, monkeypatch):
     # the values of concurrence and purity of a re-checked ground_level_density,
-    # bit for bit, with one PSD check of rho_AC (plus one of each degenerate member)
+    # bit for bit, with one PSD check of each degenerate member; rho_AC's own
+    # comes from the concurrence's eigh of it
     h, dims = COROLLARY_CASES[case]()
     dec = eigh(h)
     rho = ground_level_density(dec, dims, (0, 2))
@@ -738,8 +739,8 @@ def test_corollary_checks_the_ground_density_once(case, monkeypatch):
     assert report.ground_degenerate == (len(dec.ground_group) > 1)
     assert report.ground_concurrence == concurrence(rho).value
     assert report.ground_purity_ac == purity(rho)
-    # PSD check of the members, of the mixture if degenerate, and the spin-flip spectrum
-    assert len(calls) == 2 + report.ground_degenerate
+    # the members' PSD check if degenerate, and the spin-flip spectrum
+    assert len(calls) == 1 + report.ground_degenerate
 
 
 def test_corollary_requires_symmetry():
