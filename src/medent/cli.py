@@ -63,8 +63,7 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: each ``parse_args``
-    fills a new namespace and leaves the parser as it was."""
+    """Built once per process: ``parse_args`` leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="medent")
     sub = parser.add_subparsers(dest="command", required=True)
 

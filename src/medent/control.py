@@ -10,13 +10,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .entanglement import ConcurrenceResult
-from .linalg import NumericalError, _readonly
+from .linalg import NumericalError
 from .sweeps import _point_outcome
 
 log = logging.getLogger(__name__)
@@ -62,17 +61,13 @@ class ControlProblem:
             self.target is not None and np.isfinite(self.target)
         ):
             raise ValueError(f"target_concurrence objective needs a finite target, got {self.target}")
+        object.__setattr__(self, "_box", (self.lower(), self.upper()))  # for clamp
 
     def lower(self) -> np.ndarray:
         return np.array([b[0] for b in self.bounds])
 
     def upper(self) -> np.ndarray:
         return np.array([b[1] for b in self.bounds])
-
-    @cached_property
-    def _box(self) -> tuple[np.ndarray, np.ndarray]:
-        """``lower()`` and ``upper()``, built once for ``clamp``."""
-        return _readonly(self.lower()), _readonly(self.upper())
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, *self._box)

@@ -22,12 +22,10 @@ from .linalg import (
     _raise_negative,
     _readonly,
     _trace_out,
-    _unit_trace_stack,
 )
 from .tripartite import SIGMA_2
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)
-_NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,9 @@ def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wootters concurrence of every density matrix in an (n, 4, 4) stack.
 
     The matrices must already have passed the ``DensityMatrix`` checks but
-    positivity: this function's eigensolve of rho gives that verdict (the
-    ValueError of ``DensityMatrix`` for the first matrix with an eigenvalue
-    below -PSD_ATOL).  Returns the values (n,) and the tilde lambdas (n, 4);
-    a LAPACK failure on the stack is raised as numpy raises it.
+    positivity, whose verdict comes from this function's eigh of rho.
+    Returns the values (n,) and the tilde lambdas (n, 4); a LAPACK failure on
+    the stack is raised as numpy raises it.
 
     The spin-flip spectrum is obtained from the Hermitian similarity partner
     sqrt(rho) (s2 x s2) rho* (s2 x s2) sqrt(rho), which shares eigenvalues
@@ -66,7 +63,7 @@ def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = np.linalg.eigvalsh(partner)
     # the square root amplifies solver noise near zero (sqrt(1e-17) ~ 3e-9),
     # so eigenvalues below the relative noise floor are treated as exact zeros
-    floor = _NOISE_FLOOR * np.maximum(lam[:, -1:], 0.0)
+    floor = 100 * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
     lam = np.sqrt(np.maximum(np.where(lam < floor, 0.0, lam), 0.0))[:, ::-1]
     # l1 - l2 - l3 - l4, subtracted left to right
     value = np.clip(np.subtract.reduce(lam, axis=1), 0.0, 1.0)
@@ -88,18 +85,17 @@ def ground_level_density_stack(vectors: np.ndarray, ground_sizes: np.ndarray, di
     and ``ground_sizes[i]`` the size of basis i's ground group.  A ground
     group of one gives that state's reduction, a degenerate one the equal
     mixture of its members' reductions.  The reductions are one einsum over
-    the stack.  Each member of a degenerate group is checked as a
-    ``DensityMatrix``; each returned matrix is checked as one but for
-    positivity, whose verdict comes from the eigensolve the caller makes of
-    it (``concurrence_stack``, or ``DensityMatrix``).  The first failed check
-    is raised.
+    the stack; each member of a ground group is checked as a ``DensityMatrix``,
+    and so is each mixture, but for the positivity of the returned matrices,
+    whose verdict comes from the caller's eigh of them (``concurrence_stack``).
+    The first failed check is raised.
     """
     dims = tuple(int(d) for d in dims)
     n, k = len(vectors), int(ground_sizes.max())
     states = vectors[:, :, :k].swapaxes(1, 2).reshape(n, k, *dims)
     reduced = _trace_out(dims, keep, ",", states, states.conj())
     if k == 1:
-        return _unit_trace_stack(reduced[:, 0])
+        return _density_stack(reduced[:, 0], psd=False)
     # the columns past a smaller group's size stay zero and unchecked
     in_group = np.arange(k) < ground_sizes[:, np.newaxis]
     members = np.zeros_like(reduced)
@@ -110,7 +106,7 @@ def ground_level_density_stack(vectors: np.ndarray, ground_sizes: np.ndarray, di
     for j in range(k):
         # +0 past the end of a smaller group leaves the sum's bits as they are
         mixed += members[deg, j]
-    rho[deg] = _unit_trace_stack(mixed / ground_sizes[deg, np.newaxis, np.newaxis])
+    rho[deg] = _density_stack(mixed / ground_sizes[deg, np.newaxis, np.newaxis], psd=False)
     return rho
 
 

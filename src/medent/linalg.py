@@ -76,8 +76,7 @@ def _raise_first_scaled(values: np.ndarray, rtol: float, m: np.ndarray, make) ->
     """Raise ``make(value, tolerance)`` for the first matrix i whose value
     exceeds rtol * max(||m[i]||_F, 1)."""
     # the tolerance is never below rtol, so the norm is needed only above it
-    above = values > rtol
-    for i in above.nonzero()[0].tolist() if above.any() else ():
+    for i in (values > rtol).nonzero()[0].tolist():
         tol = rtol * max(frobenius_norm(m[i]), 1.0)
         if values[i] > tol:
             raise make(values[i].item(), tol)
@@ -101,31 +100,24 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     return (m + mh) / 2
 
 
-def _unit_trace_stack(m: np.ndarray) -> np.ndarray:
-    """``_hermitian_stack`` plus unit trace within TRACE_ATOL (ValueError for
-    the first matrix that breaks it): the density-matrix contract but for
-    positivity, which the caller's eigensolve of the result decides with
-    ``_raise_negative``."""
+def _density_stack(m: np.ndarray, psd: bool = True) -> np.ndarray:
+    """``_hermitian_stack`` plus the density-matrix contract: unit trace within
+    TRACE_ATOL and no eigenvalue below -PSD_ATOL (ValueError for the first
+    matrix that breaks it).  With ``psd`` False the caller's eigensolve of
+    the result gives the positivity verdict, by ``_raise_negative``."""
     m = _hermitian_stack(m)
     trace = m.trace(axis1=1, axis2=2).real
     _raise_first(np.abs(trace - 1.0) > TRACE_ATOL, trace,
                  lambda tr: ValueError(f"trace = {tr!r}, expected 1 within {TRACE_ATOL}"))
+    if psd:
+        _raise_negative(np.linalg.eigvalsh(m)[:, 0])
     return m
 
 
 def _raise_negative(low: np.ndarray) -> None:
-    """The positivity contract: ValueError for the first matrix whose lowest
-    eigenvalue ``low[i]`` is below -PSD_ATOL."""
+    """ValueError for the first matrix whose lowest eigenvalue ``low[i]`` is below -PSD_ATOL."""
     _raise_first(low < -PSD_ATOL, low,
                  lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
-
-
-def _density_stack(m: np.ndarray) -> np.ndarray:
-    """``_unit_trace_stack`` plus positivity: no eigenvalue below -PSD_ATOL
-    (ValueError for the first matrix that breaks it)."""
-    m = _unit_trace_stack(m)
-    _raise_negative(np.linalg.eigvalsh(m)[:, 0])
-    return m
 
 
 @dataclass(frozen=True)
@@ -203,6 +195,8 @@ def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
     rows = np.argmax(np.abs(vectors), axis=-2)
     stack = (np.arange(len(vectors))[:, np.newaxis],) if vectors.ndim == 3 else ()
     pivots = vectors[(*stack, rows, np.arange(vectors.shape[-1]))]
+    if vectors.dtype == np.float64:  # a real pivot's phase is its sign
+        return np.where(pivots < 0, -1.0, 1.0)
     # np.hypot rounds like the scalar abs() of a complex number; array np.abs does not
     mag = np.hypot(pivots.real, pivots.imag)
     nonzero = mag > 0
@@ -264,26 +258,18 @@ def _ground_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LAPACK call over a stack of Hermitian matrices, then the phase
     convention and the orthonormality and residual contracts per matrix."""
-    n, d = m.shape[0], m.shape[-1]
+    d = m.shape[-1]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    if v.dtype == np.float64:
-        # a real eigenvector's pivot phase is the sign of its pivot: real stays real
-        pivots = v[np.arange(n)[:, np.newaxis], np.abs(v).argmax(axis=1), np.arange(d)]
-        v *= np.where(pivots < 0, -1.0, 1.0)[:, np.newaxis, :]
-        vh = v.swapaxes(1, 2)
-    else:
-        v *= _pivot_phases(v)[:, np.newaxis, :]
-        vh = v.conj().swapaxes(1, 2)
+    # fix_phases without its cast to complex: real eigenvectors stay real
+    v *= _pivot_phases(v)[:, np.newaxis, :]
 
-    gram_defect = np.abs(vh @ v - np.eye(d)).max(axis=(1, 2))
+    gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).max(axis=(1, 2))
     _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
                  lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
-    r = m @ v - v * w[:, np.newaxis, :]
-    # the largest column 2-norm per matrix
-    residual = np.sqrt((r.conj() * r).real.sum(axis=1).max(axis=1))
+    residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
     _raise_first_scaled(residual, RESIDUAL_RTOL, m,
                         lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
     return w, v

@@ -28,7 +28,6 @@ from .linalg import (
     _readonly,
     _schmidt_stack,
     _trace_out,
-    _unit_trace_stack,
     degeneracy_groups,
     eigh,
     eigh_stack,
@@ -151,15 +150,11 @@ def analyze_eigenstates(h: HermitianOperator, dims) -> tuple[EigenstateAnalysis,
     split = _middle_split(states, dims)
     ranks = dict(zip(split.pure.tolist(), split.ranks().tolist()))
     t = states.reshape(dec.dim, *dims)
-    rho_ac = _trace_out(dims, (0, 2), ",", t, t.conj())
-    if dims[0] == dims[2] == 2:
-        # the concurrence's eigensolve of rho_AC gives its positivity verdict
-        rho_ac = _unit_trace_stack(rho_ac)
-        conc = concurrence_stack(rho_ac)[0].tolist()
-    else:
-        rho_ac = _density_stack(rho_ac)
-        conc = [None] * dec.dim
+    qubits = dims[0] == dims[2] == 2
+    # for qubits the concurrence's eigensolve of rho_AC gives its positivity verdict
+    rho_ac = _density_stack(_trace_out(dims, (0, 2), ",", t, t.conj()), psd=not qubits)
     purity_ac = _purity_stack(rho_ac).tolist()
+    conc = concurrence_stack(rho_ac)[0].tolist() if qubits else [None] * dec.dim
     return tuple(
         EigenstateAnalysis(
             index=i,

@@ -375,8 +375,9 @@ def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
 
 
 def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
-    # per distinct point: the real eigh of H, the eigh of rho_AC, which also
-    # gives its positivity verdict, and the eigvalsh of the spin-flip partner
+    # per distinct point: the real eigh of H (one block, as delta, lambda > 0),
+    # the eigh of rho_AC, which also gives its positivity verdict, and the
+    # eigvalsh of the spin-flip partner
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, name=name, solve=getattr(np.linalg, name)):
@@ -385,7 +386,8 @@ def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
 
         monkeypatch.setattr(np.linalg, name, counting)
     code, _, err = run(
-        capsys, "optimize", "--model", "ising", "--delta", "0.1", "--budget", "40", "--seed", "2"
+        capsys, "optimize", "--model", "ising", "--delta", "0.1", "--lower", "0.5",
+        "--budget", "40", "--seed", "2",
     )
     assert code == 0
     solved = int(re.fullmatch(r"solved (\d+) distinct points for 40 evaluations\n", err)[1])
