@@ -192,6 +192,7 @@ def test_sweep_dicke_accepts_a_zero_tolerance(tmp_path, capsys):
     assert SweepResult.read_csv(out_path).column("status") == ["ok"]
     # at kappa = 0.5 whether the last ulp settles depends on the BLAS thread
     # count; either way a zero tolerance is no usage error and writes the row
+    out_path = tmp_path / "tol0_kappa05.csv"
     code, _, err = run(
         capsys,
         "sweep", "--model", "dicke", "--variants", "h2", "--kappa-grid", "0.5:0.5:1",
