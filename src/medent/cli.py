@@ -17,8 +17,10 @@ import numpy as np
 
 from .control import ControlProblem, optimize
 from .dicke import (
+    CONVERGENCE_TOL,
     DickeConfig,
     FockConvergenceError,
+    _sector_concurrence,
     build_dicke,
     dicke_ground_point,
     dicke_sweep,
@@ -271,28 +273,32 @@ def cmd_theorem(args) -> int:
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
 
 
-def _check_fock_cutoff(cfg: DickeConfig) -> None:
-    """Confirm that ``cfg``, the optimum of a Dicke search, is converged at its
-    own cutoff; write the convergence delta to stderr.
+def _check_fock_cutoff(cfg: DickeConfig, best: float) -> None:
+    """Confirm that ``best``, the concurrence a Dicke search reports at its
+    optimum ``cfg``, is converged at ``cfg``'s own cutoff; write the
+    convergence delta to stderr.
 
-    Raises FockConvergenceError if the concurrence needs a larger cutoff or
-    never settles below the cutoff limit.
+    The exact sectors at the doubled cutoff confirm ``best`` when they read it
+    within CONVERGENCE_TOL; only if they reject it does ``dicke_ground_point``
+    decide, with its full solves.  Raises FockConvergenceError if the
+    concurrence needs a larger cutoff or never settles below the cutoff limit.
     """
-    point = dicke_ground_point(cfg)
+    delta = abs(_sector_concurrence(cfg.with_n_max(2 * cfg.n_max)).value - best)
+    converged, nmax_used = True, cfg.n_max
+    if not delta <= CONVERGENCE_TOL:
+        point = dicke_ground_point(cfg)
+        delta, converged, nmax_used = point.convergence_delta, point.converged, point.nmax_used
     print(
-        f"fock check at best kappa: convergence delta {_fmt(point.convergence_delta)} "
-        f"at n_max = {point.nmax_used}",
+        f"fock check at best kappa: convergence delta {_fmt(delta)} at n_max = {nmax_used}",
         file=sys.stderr,
     )
-    if not point.converged:
+    if not converged:
         raise FockConvergenceError(
-            f"concurrence at the optimum still changes by {point.convergence_delta:.3e} "
-            f"at n_max = {point.nmax_used}"
+            f"concurrence at the optimum still changes by {delta:.3e} at n_max = {nmax_used}"
         )
-    if point.nmax_used != cfg.n_max:
+    if nmax_used != cfg.n_max:
         raise FockConvergenceError(
-            f"concurrence at the optimum needs n_max = {point.nmax_used}, "
-            f"above --nmax {cfg.n_max}"
+            f"concurrence at the optimum needs n_max = {nmax_used}, above --nmax {cfg.n_max}"
         )
 
 
@@ -332,7 +338,9 @@ def cmd_optimize(args) -> int:
         file=sys.stderr,
     )
     if args.model == "dicke":
-        _check_fock_cutoff(DickeConfig(kappa=float(result.best_controls[0]), **base))
+        _check_fock_cutoff(
+            DickeConfig(kappa=float(result.best_controls[0]), **base), result.best_value
+        )
     print(f"control: {control_name} in [{_fmt(args.lower)}, {_fmt(args.upper)}]")
     print(f"best {control_name}: {_fmt(result.best_controls[0])}")
     print(f"best concurrence: {_fmt(result.best_value)}")

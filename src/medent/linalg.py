@@ -314,15 +314,20 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
 
 @lru_cache(maxsize=16)
 def _pattern_components(dim: int, packed: bytes) -> tuple[np.ndarray, ...]:
-    """The connected components of a symmetric dim x dim nonzero pattern,
-    given as the bytes of ``np.packbits`` of its boolean matrix.
+    """``_components`` of a symmetric dim x dim nonzero pattern, given as the
+    bytes of ``np.packbits`` of its boolean matrix."""
+    linked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=dim * dim)
+    return _components(linked.reshape(dim, dim).astype(bool))
+
+
+def _components(linked: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The connected components of a symmetric boolean dim x dim pattern.
 
     Components of equal size form a group.  Returns per group, in ascending
     size, an (m, s) read-only array: one component per row, its indices
     ascending, the rows in the order of their first index.
     """
-    linked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=dim * dim)
-    linked = linked.reshape(dim, dim).astype(bool)
+    dim = len(linked)
     components, unreached = [], np.ones(dim, dtype=bool)
     while unreached.any():
         frontier = np.zeros(dim, dtype=bool)

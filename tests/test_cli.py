@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import medent.dicke as dicke_module
 from medent import cli
 from medent.cli import main
-from medent.dicke import DickeConfig, dicke_ground_point
+from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_concurrence, dicke_ground_point
 from medent.sweeps import SweepResult, format_value
 
 
@@ -473,12 +475,53 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     # one row per evaluation but the final re-verification
     assert len(SweepResult.read_csv(trace).rows) == int(out.splitlines()[3].split(":")[1]) - 1
     best = float(out.splitlines()[1].split(":")[1])
-    point = dicke_ground_point(DickeConfig(variant="h2", kappa=best, n_max=40))
+    printed = float(out.splitlines()[2].split(":")[1])
+    # the delta is the doubled cutoff's sectors against the printed best
+    sectors = _sector_concurrence(DickeConfig(variant="h2", kappa=best, n_max=80))
+    delta = abs(sectors.value - printed)
+    assert delta <= CONVERGENCE_TOL
     solved = len(set(SweepResult.read_csv(trace).column("control_0"))) + 1
     assert err == (
         f"solved {solved} distinct points for 20 evaluations\n"
-        f"fock check at best kappa: convergence delta {format_value(point.convergence_delta)} "
-        "at n_max = 40\n"
+        f"fock check at best kappa: convergence delta {format_value(delta)} at n_max = 40\n"
+    )
+
+
+def test_optimize_dicke_confirms_the_printed_best_without_a_full_solve(monkeypatch, capsys):
+    # the doubled cutoff's sectors confirm the printed best, so no complex
+    # full solve runs, neither at the optimum's cutoff nor at its double
+    def full_solve(cfg):
+        raise AssertionError(f"full solve at n_max = {cfg.n_max}")
+
+    monkeypatch.setattr(dicke_module, "_evaluate", full_solve)
+    code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1")
+    assert code == 0
+    assert err.splitlines()[1].endswith(" at n_max = 40")
+
+
+def test_optimize_dicke_lets_the_full_path_decide_when_the_sectors_reject(monkeypatch, capsys):
+    # sectors off by 2 CONVERGENCE_TOL reject the printed best; the full
+    # path (whose own sector confirmation is untouched) then decides, with
+    # its exit code and its delta
+    argv = [*DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1"]
+    code, want_out, want_err = run(capsys, *argv)
+    assert code == 0
+    best = float(want_out.splitlines()[1].split(":")[1])
+    point = dicke_ground_point(DickeConfig(variant="h2", kappa=best, n_max=40))
+    assert point.converged and point.nmax_used == 40
+    solved = want_err.splitlines()[0]
+
+    def rejecting(cfg):
+        result = _sector_concurrence(cfg)
+        return dataclasses.replace(result, value=result.value + 2 * CONVERGENCE_TOL)
+
+    monkeypatch.setattr(cli, "_sector_concurrence", rejecting)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == want_out
+    assert err == (
+        f"{solved}\nfock check at best kappa: convergence delta "
+        f"{format_value(point.convergence_delta)} at n_max = 40\n"
     )
 
 
@@ -603,9 +646,10 @@ def test_readme_commands_write_the_recorded_bytes(tmp_path, capsys, monkeypatch)
 
 # sha256 of what the optimize commands below wrote before the optimizer solved
 # each distinct point only once; the search must keep every byte.  The Dicke
-# stderr is the Fock check's line, whose convergence delta the sector
-# confirmation reads (7.0776717819853729e-16; 1.3877787807814457e-16 on the
-# parity blocks it replaced)
+# stderr is the Fock check's line, whose convergence delta is the doubled
+# cutoff's sectors against the printed best concurrence
+# (6.2450045135165055e-16; 7.0776717819853729e-16 against the full solve at
+# the optimum's cutoff, which differs from the printed best by up to 1.43e-8)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
@@ -620,7 +664,7 @@ OPTIMIZE_DIGESTS = {
          "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
         {
             "stdout": "77ef7e6f092260ee419de3e71caea899a3ca2e855cbf919e07a5a4fa9a4d26a9",
-            "stderr": "910cea5e06ddbf30b82703fca3cfc8c36f2dfda41aecd02027072abb4aad71a9",
+            "stderr": "8b92e09cd1dc7e23656a715aa2c857eb807ce8df84948d4e9bca5641a10d57da",
         },
     ),
 }

@@ -768,17 +768,60 @@ def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch,
 @example("h1", 0.0, 1.0, 1.0, 1.0, 40)
 @example("h1", H1_FIRST_CROSSING, 1.0, 1.0, 1.0, 40)
 @example("h1", H1_SECOND_CROSSING, 1.0, 1.0, 1.0, 41)
+# the smallest subnormal kappa: subnormal exchange entries, which must leave
+# the blocks' pattern that of the scatter
+@example("h1", 5e-324, 1.0, 1.0, 1.0, 40)
+@example("h2", 5e-324, 1.0, 1.0, 1.0, 40)
+@example("h3", 5e-324, 1.0, 0.9, 1.1, 7)
+@example("h2", 0.0, 1.0, 1.0, 1.0, 40)
+@example("h3", 0.0, 1.0, 1.0, 1.0, 40)
+@example("h3", 0.6, 0.0, 1.0, 1.0, 40)
+@example("h2", 0.6, 1.0, 1.0, 1.0, 1)
 def test_mediator_concurrence_is_the_mediator_form_oracle_bit_for_bit(
     variant, kappa, lam_tilde, omega_a, omega_f, n_max
 ):
-    # the real scatter has the entries and the nonzero pattern of the checked
-    # complex mediator form, hence the same blocks and the same bits
+    # the components gathered from the parity blocks are those the block
+    # finder finds in the checked complex mediator form, entry for entry,
+    # hence the same stacks and the same bits
     cfg = DickeConfig(variant, kappa, omega_a, omega_f, lam_tilde=lam_tilde, n_max=n_max)
-    got = mediator_concurrence(cfg)
-    expected = ground_state_ac_concurrence(*dicke_mediator_form(cfg))
+    assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
+
+
+def mediator_form_concurrence(cfg):
+    return ground_state_ac_concurrence(*dicke_mediator_form(cfg))
+
+
+def assert_same_concurrence(got, expected):
     assert got.value.hex() == expected.value.hex()
     assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()
     assert got.degenerate_ground == expected.degenerate_ground
+
+
+def test_mediator_concurrence_plans_by_pattern_not_by_cutoff():
+    # kappa = 0 leaves every state its own component, kappa = 0.5 two parity
+    # blocks: one cutoff, two patterns, two plans, and the first is reused
+    configs = [DickeConfig("h2", kappa, n_max=12) for kappa in (0.0, 0.5, 0.0)]
+    dicke_module._mediator_components.cache_clear()
+    for cfg in configs:
+        assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
+    info = dicke_module._mediator_components.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_mediator_concurrence_builds_no_scatter(monkeypatch):
+    configs = [
+        DickeConfig("h1", H1_FIRST_CROSSING),
+        DickeConfig("h2", 0.6),
+        DickeConfig("h3", 0.0, n_max=3),
+    ]
+    expected = [mediator_form_concurrence(cfg) for cfg in configs]
+
+    def scatter(cfg, order):
+        raise AssertionError("_scattered_dicke called")
+
+    monkeypatch.setattr(dicke_module, "_scattered_dicke", scatter)
+    for cfg, want in zip(configs, expected):
+        assert_same_concurrence(mediator_concurrence(cfg), want)
 
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
