@@ -18,11 +18,11 @@ import numpy as np
 from .control import ControlProblem, optimize
 from .dicke import (
     CONVERGENCE_TOL,
+    N_MAX_LIMIT,
     DickeConfig,
     FockConvergenceError,
-    _sector_concurrence,
+    _settled_cutoff,
     build_dicke,
-    dicke_ground_point,
     dicke_sweep,
     mediator_concurrence,
 )
@@ -278,16 +278,12 @@ def _check_fock_cutoff(cfg: DickeConfig, best: float) -> None:
     optimum ``cfg``, is converged at ``cfg``'s own cutoff; write the
     convergence delta to stderr.
 
-    The exact sectors at the doubled cutoff confirm ``best`` when they read it
-    within CONVERGENCE_TOL; only if they reject it does ``dicke_ground_point``
-    decide, with its full solves.  Raises FockConvergenceError if the
-    concurrence needs a larger cutoff or never settles below the cutoff limit.
+    ``best`` is the base of the sweep's cutoff doubling (``_settled_cutoff``),
+    which solves each doubled cutoff once, on its exact sectors, and none in
+    full.  Raises FockConvergenceError if the concurrence needs a larger
+    cutoff or never settles below the cutoff limit.
     """
-    delta = abs(_sector_concurrence(cfg.with_n_max(2 * cfg.n_max)).value - best)
-    converged, nmax_used = True, cfg.n_max
-    if not delta <= CONVERGENCE_TOL:
-        point = dicke_ground_point(cfg)
-        delta, converged, nmax_used = point.convergence_delta, point.converged, point.nmax_used
+    nmax_used, converged, delta, _ = _settled_cutoff(cfg, best, CONVERGENCE_TOL, N_MAX_LIMIT)
     print(
         f"fock check at best kappa: convergence delta {_fmt(delta)} at n_max = {nmax_used}",
         file=sys.stderr,

@@ -288,7 +288,7 @@ def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     for index, flat in _mediator_components(cfg.n_max, np.packbits(blocks != 0).tobytes()):
         w, v = _eigh_hermitian(blocks.take(flat))
         solved.append((index, w, v))
-    _, vectors = _merged_ground_level(cfg.dim, solved)
+    _, vectors, _ = _merged_ground_level(cfg.dim, solved)
     return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
 
 
@@ -410,9 +410,9 @@ def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]
     return group[0], _hermitian_stack(_block_stack(group, _dicke_coefficients(cfg)))
 
 
-def _sector_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
-    """Ground-level atom-atom concurrence of ``cfg`` from its exact sectors in
-    the collective basis, one real ``eigh_stack`` per group of equal-size blocks.
+def _sector_point(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
+    """Ground energy, gap and atom-atom concurrence of ``cfg`` on its exact
+    sectors in the collective basis, one real ``eigh_stack`` per group of equal-size blocks.
 
     The ground level may span several sectors (the h1 crossings); its
     members, merged and embedded in the full basis by ``_merged_ground_level``,
@@ -423,9 +423,27 @@ def _sector_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     for group in _sector_blocks(cfg.n_max, "collective", len(coefficients)):
         dec = eigh_stack(_block_stack(group, coefficients))
         blocks.append((group[0], dec.eigenvalues, dec.eigenvectors))
-    _, vectors = _merged_ground_level(cfg.dim, blocks)
+    energies, vectors, gap = _merged_ground_level(cfg.dim, blocks)
     vectors = (COLLECTIVE_TO_PRODUCT @ vectors.reshape(4, -1)).reshape(cfg.dim, -1)
-    return ground_level_concurrence(vectors, vectors.shape[1], cfg.dims, (0, 1))
+    conc = ground_level_concurrence(vectors, len(energies), cfg.dims, (0, 1))
+    return float(energies[0]), gap, conc
+
+
+def _settled_cutoff(cfg: DickeConfig, value: float, tol: float, limit: int) -> tuple:
+    """Double ``cfg``'s cutoff until the concurrence, ``value`` at its own, settles
+    within ``tol``: each doubled cutoff's ``_sector_point`` is compared with the
+    previous cutoff's value, and a rejected one becomes the next base.  Returns the
+    accepted cutoff (or the first >= ``limit``), whether it was accepted, the
+    deciding change and its sector point (None at ``cfg``'s own cutoff)."""
+    n, point = cfg.n_max, None
+    while True:
+        doubled = _sector_point(cfg.with_n_max(2 * n))
+        delta = abs(doubled[2].value - value)
+        if delta <= tol:
+            return n, True, delta, point
+        n, point, value = 2 * n, doubled, doubled[2].value
+        if n >= limit:
+            return n, False, delta, point
 
 
 def dicke_ground_point(
@@ -440,33 +458,16 @@ def dicke_ground_point(
     by more than ``convergence_tol`` at the cutoff limit the point is returned
     with ``converged=False`` rather than silently accepted.
 
-    Every reported value comes from the full solve at its cutoff.  The doubled
-    cutoff is first confirmed on its exact sectors, (J, N) for h1 and
-    (J, N mod 2) for h2 and h3 in the collective basis of the atoms, solved
-    as real blocks; only if they reject it is it solved in full, and that
-    solve then decides, reports and becomes the next base.
-    ``convergence_delta`` is the concurrence change the deciding solve saw.
+    ``cfg``'s own cutoff is solved in full (``_evaluate``), every doubled one only
+    on its exact sectors (``_settled_cutoff``): (J, N) for h1 and (J, N mod 2) for
+    h2 and h3 in the atoms' collective basis, which report any value above it.
     """
     if not convergence_tol >= 0:
         raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
     energy, gap, conc = _evaluate(cfg)
-    n = cfg.n_max
-    while True:
-        doubled = cfg.with_n_max(2 * n)
-        delta = abs(_sector_concurrence(doubled).value - conc.value)
-        if not delta <= convergence_tol:
-            energy2, gap2, conc2 = _evaluate(doubled)
-            delta = abs(conc2.value - conc.value)
-        if delta <= convergence_tol:
-            return DickeGroundPoint(
-                cfg.with_n_max(n), energy, gap, conc, n, True, float(delta)
-            )
-        if 2 * n >= n_max_limit:
-            return DickeGroundPoint(
-                doubled, energy2, gap2, conc2, 2 * n, False, float(delta)
-            )
-        n = 2 * n
-        energy, gap, conc = energy2, gap2, conc2
+    n, converged, delta, point = _settled_cutoff(cfg, conc.value, convergence_tol, n_max_limit)
+    energy, gap, conc = point or (energy, gap, conc)
+    return DickeGroundPoint(cfg.with_n_max(n), energy, gap, conc, n, converged, delta)
 
 
 def dicke_ground_concurrence(cfg: DickeConfig, **kwargs) -> ConcurrenceResult:

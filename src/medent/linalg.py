@@ -343,21 +343,22 @@ def _components(linked: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(np.stack([c for c in components if c.size == s])) for s in sizes)
 
 
-def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, float]:
     """The ground level of a dim x dim operator from the eigendecompositions
     of its exact diagonal blocks.
 
     ``blocks`` holds, per group of equal-size blocks, their basis indices
     (m, s) and their ascending eigenvalues (m, s) and eigenvectors (m, s, s).
     The merged spectrum is grouped as ``degeneracy_groups`` groups the full
-    one, so the ground level may span several blocks.  Returns its energies
-    (k,) in ascending order and, in the same order, its members embedded in
-    the full basis as the columns of a complex (dim, k) array.
+    one, so the ground level may span several blocks.  Returns its energies (k,),
+    ascending; its members, in that order, embedded in the full basis as the
+    columns of a complex (dim, k) array; and the gap above it (0 if none).
     """
     w = np.concatenate([values.ravel() for _, values, _ in blocks])
     order = np.argsort(w, kind="stable")
     w = w[order]
     ground = order[: np.count_nonzero(w - w[0] <= _degeneracy_tol(w))]
+    gap = float(w[ground.size] - w[0]) if ground.size < w.size else 0.0
     vectors = np.zeros((dim, ground.size), dtype=np.complex128)
     for member, i in enumerate(ground.tolist()):
         # i indexes the concatenated spectrum: find its group, then its block and column
@@ -367,13 +368,13 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray]:
             i -= values.size
         block, column = divmod(i, index.shape[1])
         vectors[index[block], member] = eigenvectors[block, :, column]
-    return w[: ground.size], vectors
+    return w[: ground.size], vectors, gap
 
 
 def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ground level of the exactly Hermitian matrix ``m``, real or
-    complex, as ``_merged_ground_level`` returns it, solved on the connected
-    components of its exact nonzero pattern.
+    complex, as the energies and members ``_merged_ground_level`` returns,
+    solved on the connected components of its exact nonzero pattern.
 
     Components of equal size form one ``_eigh_hermitian`` stack, with the
     Gram and residual checks per block, solved in the arithmetic of ``m``'s
@@ -385,7 +386,7 @@ def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for index in _pattern_components(dim, np.packbits(m != 0).tobytes()):
         w, v = _eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
         blocks.append((index, w, v))
-    return _merged_ground_level(dim, blocks)
+    return _merged_ground_level(dim, blocks)[:2]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import medent.dicke as dicke_module
 from medent import cli
 from medent.cli import main
-from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_concurrence, dicke_ground_point
+from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_point, dicke_ground_point
 from medent.sweeps import SweepResult, format_value
 
 
@@ -477,7 +477,7 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     best = float(out.splitlines()[1].split(":")[1])
     printed = float(out.splitlines()[2].split(":")[1])
     # the delta is the doubled cutoff's sectors against the printed best
-    sectors = _sector_concurrence(DickeConfig(variant="h2", kappa=best, n_max=80))
+    _, _, sectors = _sector_point(DickeConfig(variant="h2", kappa=best, n_max=80))
     delta = abs(sectors.value - printed)
     assert delta <= CONVERGENCE_TOL
     solved = len(set(SweepResult.read_csv(trace).column("control_0"))) + 1
@@ -499,30 +499,57 @@ def test_optimize_dicke_confirms_the_printed_best_without_a_full_solve(monkeypat
     assert err.splitlines()[1].endswith(" at n_max = 40")
 
 
-def test_optimize_dicke_lets_the_full_path_decide_when_the_sectors_reject(monkeypatch, capsys):
-    # sectors off by 2 CONVERGENCE_TOL reject the printed best; the full
-    # path (whose own sector confirmation is untouched) then decides, with
-    # its exit code and its delta
+def shift_the_sectors(monkeypatch, shift):
+    """Make every sector solve read its concurrence ``shift(n_max)`` higher;
+    returns the list of the cutoffs solved."""
+    solved = []
+
+    def shifted(cfg):
+        solved.append(cfg.n_max)
+        energy, gap, conc = _sector_point(cfg)
+        return energy, gap, dataclasses.replace(conc, value=conc.value + shift(cfg.n_max))
+
+    monkeypatch.setattr(dicke_module, "_sector_point", shifted)
+    return solved
+
+
+def test_optimize_dicke_lets_the_next_doubling_decide_when_the_sectors_reject(monkeypatch, capsys):
+    # sectors off by 2 CONVERGENCE_TOL reject the printed best at n_max 80;
+    # those sectors become the base, and the ones at 160, off by as much,
+    # accept them: the optimum needs n_max 80, with the delta of 80 against 160
     argv = [*DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1"]
     code, want_out, want_err = run(capsys, *argv)
     assert code == 0
     best = float(want_out.splitlines()[1].split(":")[1])
-    point = dicke_ground_point(DickeConfig(variant="h2", kappa=best, n_max=40))
-    assert point.converged and point.nmax_used == 40
-    solved = want_err.splitlines()[0]
-
-    def rejecting(cfg):
-        result = _sector_concurrence(cfg)
-        return dataclasses.replace(result, value=result.value + 2 * CONVERGENCE_TOL)
-
-    monkeypatch.setattr(cli, "_sector_concurrence", rejecting)
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert out == want_out
-    assert err == (
-        f"{solved}\nfock check at best kappa: convergence delta "
-        f"{format_value(point.convergence_delta)} at n_max = 40\n"
+    shift = 2 * CONVERGENCE_TOL
+    low, high = (
+        _sector_point(DickeConfig(variant="h2", kappa=best, n_max=n))[2].value + shift
+        for n in (80, 160)
     )
+    shift_the_sectors(monkeypatch, lambda n: shift)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"{want_err.splitlines()[0]}\n"
+        f"fock check at best kappa: convergence delta {format_value(abs(high - low))} at n_max = 80\n"
+        "numerical failure: concurrence at the optimum needs n_max = 80, above --nmax 40\n"
+    )
+
+
+def test_optimize_dicke_solves_each_doubled_cutoff_once_when_the_sectors_reject(monkeypatch, capsys):
+    # sectors that reject at every cutoff: the Fock check solves n_max 80
+    # and 160 once each on their sectors, and no cutoff in full
+    def full_solve(cfg):
+        raise AssertionError(f"full solve at n_max = {cfg.n_max}")
+
+    monkeypatch.setattr(dicke_module, "_evaluate", full_solve)
+    solved = shift_the_sectors(monkeypatch, lambda n: n * CONVERGENCE_TOL)
+    code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1")
+    assert code == 3
+    assert solved == [80, 160]
+    assert "numerical failure: concurrence at the optimum still changes by " in err
+    assert err.rstrip().endswith("at n_max = 160")
 
 
 def test_optimize_dicke_exits_3_when_the_optimum_needs_a_larger_cutoff(capsys):
@@ -534,13 +561,7 @@ def test_optimize_dicke_exits_3_when_the_optimum_needs_a_larger_cutoff(capsys):
 
 
 def test_optimize_dicke_exits_3_when_the_cutoff_never_settles(monkeypatch, capsys):
-    import functools
-
-    import medent.cli
-
-    monkeypatch.setattr(
-        medent.cli, "dicke_ground_point", functools.partial(dicke_ground_point, n_max_limit=4)
-    )
+    monkeypatch.setattr(cli, "N_MAX_LIMIT", 4)
     code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "1", "--lower", "1.1", "--upper", "1.2")
     assert code == 3
     assert out == ""
@@ -630,18 +651,30 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
-def test_readme_commands_write_the_recorded_bytes(tmp_path, capsys, monkeypatch):
+def medent_process(argv, threads, cwd):
+    """``python -m medent.cli`` on ``argv`` in a fresh process whose BLAS runs
+    ``threads`` threads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return subprocess.run(
+        [sys.executable, "-m", "medent.cli", *argv], cwd=cwd, env=env, capture_output=True
+    )
+
+
+def test_readme_commands_write_the_recorded_bytes(tmp_path, monkeypatch):
     # the README's sweep and theorem commands, with the exit codes and CSV
-    # digests the benchmark's gate records for them
+    # digests the benchmark's gate records for them, in processes with BLAS
+    # pinned to one thread, as the benchmark runs them, and to two
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     readme_commands = importlib.import_module("workloads").README_COMMANDS
-    got = {}
-    for name, (argv, _, _) in readme_commands.items():
-        path = tmp_path / name
-        code = main(argv + ["--out", str(path)])
-        got[name] = (code, hashlib.sha256(path.read_bytes()).hexdigest())
-    capsys.readouterr()
-    assert got == {name: (code, digest) for name, (_, code, digest) in readme_commands.items()}
+    got, want = {}, {}
+    for threads in ("1", "2"):
+        for name, (argv, code, digest) in readme_commands.items():
+            proc = medent_process([*argv, "--out", name], threads, tmp_path)
+            written = (tmp_path / name).read_bytes()
+            got[threads, name] = (proc.returncode, hashlib.sha256(written).hexdigest())
+            want[threads, name] = (code, digest)
+    assert got == want
 
 
 # sha256 of what the optimize commands below wrote before the optimizer solved
@@ -677,11 +710,7 @@ def test_optimize_commands_write_the_recorded_bytes(name, threads, tmp_path):
     # one with two: both write the same bytes, as each ground level is solved
     # on real blocks (a complex 164 x 164 solve rounded differently)
     argv, digests = OPTIMIZE_DIGESTS[name]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    proc = subprocess.run(
-        [sys.executable, "-m", "medent.cli", *argv], cwd=tmp_path, env=env, capture_output=True
-    )
+    proc = medent_process(argv, threads, tmp_path)
     assert proc.returncode == 0, proc.stderr
     # the solved count is the one line the recorded stderr lacks
     solved, _, stderr = proc.stderr.partition(b"\n")

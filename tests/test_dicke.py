@@ -20,7 +20,7 @@ from medent.dicke import (
     _parity_block_hamiltonian,
     _parity_blocks,
     _sector_blocks,
-    _sector_concurrence,
+    _sector_point,
     bosonic_operators,
     build_dicke,
     dicke_ground_concurrence,
@@ -398,6 +398,11 @@ def parity_block_concurrence(cfg):
     return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
 
 
+def sector_concurrence(cfg):
+    """The concurrence that ``_sector_point`` reads on the exact sectors."""
+    return _sector_point(cfg)[2]
+
+
 KRON_SUM_GRID = [
     DickeConfig(variant=v, kappa=float(k), lam_tilde=t, n_max=n)
     for v, k, t, n in itertools.product(
@@ -498,7 +503,7 @@ def test_block_check_matches_full_solve_across_h1_crossings(variant):
         _, _, full = full_solve(cfg.with_n_max(80))
         assert abs(block.value - full.value) <= 1e-10, kappa
         assert block.degenerate_ground == full.degenerate_ground, kappa
-        sector = _sector_concurrence(cfg.with_n_max(80))
+        sector = sector_concurrence(cfg.with_n_max(80))
         assert abs(sector.value - full.value) <= 1e-10, kappa
         assert sector.degenerate_ground == full.degenerate_ground, kappa
         point = dicke_ground_point(cfg)
@@ -514,7 +519,7 @@ def test_block_check_reads_the_h1_product_ground_state_exactly():
     assert block.value < 1e-15
     assert not block.degenerate_ground
     # a sector of one state, T- x |0> = |g, g> x |0>: exactly zero
-    sector = _sector_concurrence(cfg)
+    sector = sector_concurrence(cfg)
     assert sector.value == 0.0
     assert not sector.degenerate_ground
 
@@ -536,7 +541,7 @@ def test_h1_crossing_points_are_degenerate_on_both_paths(kappa, expected):
     assert (point.nmax_used, point.converged) == (40, True)
     for n_max in (40, 80):
         cfg = DickeConfig(variant="h1", kappa=kappa, n_max=n_max)
-        for confirmation in (parity_block_concurrence, _sector_concurrence):
+        for confirmation in (parity_block_concurrence, sector_concurrence):
             block = confirmation(cfg)
             assert block.value == pytest.approx(expected, abs=1e-9)
             assert block.degenerate_ground
@@ -561,7 +566,7 @@ def test_sector_confirmation_matches_the_parity_blocks(
         variant=variant, kappa=kappa, lam_tilde=lam_tilde, omega_a=omega_a, omega_f=omega_f,
         n_max=max(1, 2 * half + odd),
     )
-    sector, block = _sector_concurrence(cfg), parity_block_concurrence(cfg)
+    sector, block = sector_concurrence(cfg), parity_block_concurrence(cfg)
     assert abs(sector.value - block.value) <= 1e-12
     assert sector.degenerate_ground == block.degenerate_ground
 
@@ -655,14 +660,49 @@ def test_sector_exactness_is_checked_when_the_blocks_are_cut(monkeypatch):
     _sector_blocks.cache_clear()
 
 
+def assert_close_report(point, reference):
+    """Verdicts equal; values within the bounds between the exact sectors and
+    the full complex solve at one cutoff above the start."""
+    assert point.config == reference.config
+    assert (point.nmax_used, point.converged) == (reference.nmax_used, reference.converged)
+    assert point.concurrence.degenerate_ground == reference.concurrence.degenerate_ground
+    assert abs(point.concurrence.value - reference.concurrence.value) <= 1e-12
+    assert abs(point.ground_energy - reference.ground_energy) <= 1e-12 * abs(reference.ground_energy)
+    assert abs(point.gap - reference.gap) <= 1e-11
+
+
 @pytest.mark.parametrize("limit", [2, 4])
-def test_unconverged_point_reports_the_full_path_bit_for_bit(limit):
+def test_unconverged_point_matches_the_full_path(limit):
+    # the reported point is the limit's sectors, the delta theirs against
+    # the previous cutoff's sectors
     cfg = DickeConfig(variant="h2", kappa=1.2, n_max=1)
     point = dicke_ground_point(cfg, n_max_limit=limit)
     reference = full_path_ground_point(cfg, n_max_limit=limit)
     assert not point.converged
-    assert_same_report(point, reference)
-    assert point.convergence_delta == reference.convergence_delta
+    assert_close_report(point, reference)
+    assert abs(point.convergence_delta - reference.convergence_delta) <= 2e-12
+    at_limit = cfg.with_n_max(limit)
+    sectors = DickeGroundPoint(at_limit, *_sector_point(at_limit), limit, False, None)
+    assert_same_report(point, sectors)
+
+
+def test_a_point_accepted_above_the_start_cutoff_costs_one_full_solve(monkeypatch):
+    # accepted at n_max 80: solved in full at 40 only, and reported from the
+    # sectors at 80, which the sectors at 160 confirm
+    cfg = DickeConfig(variant="h3", kappa=2.5, lam_tilde=1.5)
+    reference = full_path_ground_point(cfg)
+    calls = []
+    monkeypatch.setattr(
+        dicke_module, "_evaluate", lambda cfg: calls.append(cfg.n_max) or _evaluate(cfg)
+    )
+    point = dicke_ground_point(cfg)
+    assert calls == [40]
+    at_80 = cfg.with_n_max(80)
+    energy, gap, conc = _sector_point(at_80)
+    delta = abs(sector_concurrence(cfg.with_n_max(160)).value - conc.value)
+    assert point.convergence_delta == delta
+    assert_same_report(point, DickeGroundPoint(at_80, energy, gap, conc, 80, True, delta))
+    assert_close_report(point, reference)
 
 
 def record_hermitian_checks(monkeypatch):
@@ -826,9 +866,8 @@ def test_mediator_concurrence_builds_no_scatter(monkeypatch):
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
     # the README's three-variant grid: each point is solved in full once, at
-    # n_max 40, and confirmed on its sectors at 80, so a rejected confirmation
-    # (a full n_max 80 solve) adds a call; every cutoff's blocks are cut once:
-    # the parity blocks at 40 and each variant's sectors at 80
+    # n_max 40, and confirmed on its sectors at 80; every cutoff's blocks are
+    # cut once: the parity blocks at 40 and each variant's sectors at 80
     calls = []
     monkeypatch.setattr(
         dicke_module, "_evaluate", lambda cfg: calls.append(cfg.n_max) or _evaluate(cfg)
