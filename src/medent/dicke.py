@@ -308,7 +308,13 @@ class DickeGroundPoint:
 def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     """Ground energy, gap and atom-atom concurrence of ``cfg`` from the full
     complex solve of the matrix ``build_dicke`` returns, whose parity blocks
-    are already checked."""
+    are already checked.
+
+    The matrix is exactly real, so ``_eigh_hermitian`` requires exactly real
+    eigenvectors and checks them on their real parts.  It keeps the complex
+    LAPACK call and its phases p·(1/|p|) of each pivot p, which differ from the
+    sector solves' sign(p) by an ulp on about one pivot in seven: the sweep's
+    recorded digests hold these bits."""
     h = _scattered_dicke(cfg, (0, 1, 2)).astype(np.complex128)
     w, v = _eigh_hermitian(h[np.newaxis])
     (size,), (gap,) = _ground_levels(w)

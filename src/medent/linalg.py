@@ -188,19 +188,36 @@ class EigenDecomposition:
         raise IndexError(index)
 
 
-def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
-    """Per column of a matrix or of each matrix in an (n, d, k) stack, the unit
-    phase that turns its largest-magnitude entry real positive (1 for a zero
-    column)."""
-    rows = np.argmax(np.abs(vectors), axis=-2)
+def _pivots(vectors: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """Per column of a matrix or of each matrix in an (n, d, k) stack, its
+    entry of largest ``magnitudes`` (the first of equal ones)."""
+    rows = np.argmax(magnitudes, axis=-2)
     stack = (np.arange(len(vectors))[:, np.newaxis],) if vectors.ndim == 3 else ()
-    pivots = vectors[(*stack, rows, np.arange(vectors.shape[-1]))]
-    if vectors.dtype == np.float64:  # a real pivot's phase is its sign
-        return np.where(pivots < 0, -1.0, 1.0)
+    return vectors[(*stack, rows, np.arange(vectors.shape[-1]))]
+
+
+def _unit_phases(pivots: np.ndarray) -> np.ndarray:
+    """conj(p) / |p| per complex pivot p, 1 for a zero one.
+
+    numpy divides by the real |p| as by |p| + 0j, multiplying by 1/|p|: the
+    phase of an exactly real pivot p is p·(1/|p|) plus a signed zero times i.
+    p·(1/|p|) differs from sign(p) by an ulp on about 14% of pivots.
+    """
     # np.hypot rounds like the scalar abs() of a complex number; array np.abs does not
     mag = np.hypot(pivots.real, pivots.imag)
     nonzero = mag > 0
     return np.where(nonzero, pivots.conj() / np.where(nonzero, mag, 1.0), 1.0)
+
+
+def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
+    """Per column of a matrix or of each matrix in an (n, d, k) stack, the unit
+    phase that turns its largest-magnitude entry real positive (1 for a zero
+    column): sign(p) of a float64 pivot p, ``_unit_phases`` of a complex one,
+    whose real part is p·(1/|p|) when p is exactly real."""
+    pivots = _pivots(vectors, np.abs(vectors))
+    if vectors.dtype == np.float64:
+        return np.where(pivots < 0, -1.0, 1.0)
+    return _unit_phases(pivots)
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -257,19 +274,37 @@ def _ground_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LAPACK call over a stack of Hermitian matrices, then the phase
-    convention and the orthonormality and residual contracts per matrix."""
+    convention and the orthonormality and residual contracts per matrix.
+
+    A complex stack whose imaginary part is exactly zero is still solved as
+    complex, but checked as real data: LAPACK reduces it with real Householder
+    reflectors, so its eigenvectors must be exactly real too (NumericalError
+    if one is not).  Their pivots are found on the real parts, and the Gram
+    and residual checks run on the real parts; the vectors stay complex,
+    turned by the phases ``_unit_phases`` gives their pivots, p·(1/|p|), not
+    sign(p), so every bit is the one the complex checks would return.
+    """
     d = m.shape[-1]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    # fix_phases without its cast to complex: real eigenvectors stay real
-    v *= _pivot_phases(v)[:, np.newaxis, :]
+    if m.dtype == np.complex128 and not m.imag.any():
+        imag = np.abs(v.imag).max(axis=(1, 2))
+        _raise_first(imag > 0, imag, lambda g: NumericalError(
+            f"eigenvector of an exactly real matrix has imaginary part {g:.3e}"
+        ))
+        v *= _unit_phases(_pivots(v, np.abs(v.real)))[:, np.newaxis, :]
+        m, checked = m.real, v.real
+    else:
+        # fix_phases without its cast to complex: real eigenvectors stay real
+        v *= _pivot_phases(v)[:, np.newaxis, :]
+        checked = v
 
-    gram_defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).max(axis=(1, 2))
+    gram_defect = np.abs(checked.conj().swapaxes(1, 2) @ checked - np.eye(d)).max(axis=(1, 2))
     _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
                  lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
-    residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
+    residual = np.linalg.norm(m @ checked - checked * w[:, np.newaxis, :], axis=1).max(axis=1)
     _raise_first_scaled(residual, RESIDUAL_RTOL, m,
                         lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
     return w, v
@@ -282,8 +317,11 @@ def eigh_stack(matrices) -> EigenStack:
     ``eigh`` solves it, bit for bit.  Raises the first failed contract, with
     the type and text ``eigh`` raises for it (NumericalError if LAPACK fails
     on the stack).  A float64 stack is solved in real arithmetic and keeps
-    real eigenvectors (pivot entries positive); any other input is solved as
-    complex128.
+    real eigenvectors, each turned by sign(p) of its pivot p; any other input
+    is solved as complex128.  A complex stack whose imaginary part is exactly
+    zero keeps the complex solve and its bits, pivot phases p·(1/|p|) included,
+    but its vectors must come out exactly real and are checked on their real
+    parts (``_eigh_hermitian``).
     """
     m = np.asarray(matrices)
     if m.dtype != np.float64:

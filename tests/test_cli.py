@@ -1,10 +1,7 @@
 import dataclasses
 import hashlib
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +12,8 @@ from medent import cli
 from medent.cli import main
 from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_point, dicke_ground_point
 from medent.sweeps import SweepResult, format_value
+
+from conftest import medent_process
 
 
 def run(capsys, *argv):
@@ -649,16 +648,6 @@ def test_the_parser_is_built_once_and_keeps_no_value_of_a_call(monkeypatch):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
-
-
-def medent_process(argv, threads, cwd):
-    """``python -m medent.cli`` on ``argv`` in a fresh process whose BLAS runs
-    ``threads`` threads."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    return subprocess.run(
-        [sys.executable, "-m", "medent.cli", *argv], cwd=cwd, env=env, capture_output=True
-    )
 
 
 def test_readme_commands_write_the_recorded_bytes(tmp_path, monkeypatch):

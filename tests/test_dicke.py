@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import operator
@@ -35,6 +36,7 @@ from medent.entanglement import ground_level_concurrence, ground_state_ac_concur
 from medent.linalg import (
     DimensionError,
     HermitianOperator,
+    NumericalError,
     _degeneracy_tol,
     eigh,
     eigh_stack,
@@ -321,6 +323,29 @@ def test_sweep_flags_unconverged_points():
     cfg = DickeConfig(variant="h2", kappa=0.0, n_max=1)
     sweep = dicke_sweep(cfg, [1.2], [1.0], n_max_limit=2)
     assert sweep.rows[0]["status"] == "fock_unconverged"
+
+
+def test_a_complex_eigenvector_of_a_start_cutoff_solve_flags_only_its_row(monkeypatch):
+    # the start-cutoff solve hands LAPACK an exactly real complex matrix; one
+    # imaginary eigenvector entry there, far below the Gram and residual
+    # tolerances, fails that point alone
+    cfg = DickeConfig(variant="h2", kappa=0.0, n_max=12)
+    target = build_dicke(dataclasses.replace(cfg, kappa=0.6)).matrix
+    solve = np.linalg.eigh
+
+    def leaky(m):
+        w, v = solve(m)
+        if m.shape[-1] == target.shape[0] and np.array_equal(m[0], target):
+            v[0, 5, 3] += 1e-20j
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", leaky)
+    with pytest.raises(NumericalError, match="imaginary part 1.000e-20$"):
+        _evaluate(dataclasses.replace(cfg, kappa=0.6))
+    statuses = dicke_sweep(cfg, [0.3, 0.6, 0.9], [1.0]).column("status")
+    assert statuses == [
+        "ok", "error: eigenvector of an exactly real matrix has imaginary part 1.000e-20", "ok"
+    ]
 
 
 # ------------------------------------------- sector and parity-block assembly

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medent.linalg import (
@@ -10,6 +10,7 @@ from medent.linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
+    _hermitian_stack,
     eigh,
     eigh_stack,
     fix_phases,
@@ -258,6 +259,90 @@ def test_eigh_stack_checks_real_stacks():
     with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
         eigh_stack(stack[:2])
     assert eigh_stack(stack[1:2]).eigenvectors.dtype == np.float64
+
+
+def complex_reference(m):
+    """The kernel's complex post-processing of every complex stack, kept as it
+    was before exactly real stacks were checked in real arithmetic: LAPACK,
+    the pivot phases conj(p) / |p|, and the Gram and residual checks."""
+    d = m.shape[-1]
+    w, v = np.linalg.eigh(m)
+    rows = np.argmax(np.abs(v), axis=-2)
+    pivots = v[np.arange(len(v))[:, np.newaxis], rows, np.arange(d)]
+    mag = np.hypot(pivots.real, pivots.imag)
+    nonzero = mag > 0
+    v *= np.where(nonzero, pivots.conj() / np.where(nonzero, mag, 1.0), 1.0)[:, np.newaxis, :]
+    assert (np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(d)).max(axis=(1, 2)) <= 1e-10).all()
+    residual = np.linalg.norm(m @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
+    assert (residual <= 1e-9 * np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)).all()
+    return w, v, pivots
+
+
+@st.composite
+def real_symmetric_stacks(draw):
+    """(n, d, d) exactly real symmetric stacks as complex128: dense or with
+    exact zeros, some with a planted degenerate level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(2, 40))
+    a = rng.standard_normal((n, d, d)) * (rng.random((n, d, d)) < draw(st.sampled_from([0.2, 0.6, 1.0])))
+    stack = (a + a.swapaxes(1, 2)) / 2
+    multiplicity = draw(st.integers(1, d))
+    if multiplicity > 1:
+        # U diag(w) U^T with the lowest value repeated
+        q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
+        w = np.concatenate([np.full(multiplicity, -1.0), rng.standard_normal(d - multiplicity)])
+        stack = (q * w) @ q.swapaxes(1, 2)
+        stack = (stack + stack.swapaxes(1, 2)) / 2
+    return stack.astype(np.complex128)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(stack=real_symmetric_stacks())
+def test_exactly_real_complex_stacks_keep_the_complex_bits(stack):
+    # the reference solves what LAPACK is handed: the Hermitian part, whose
+    # signed zeros (the draws hold -0.0) may differ from the stack's
+    w, v, pivots = complex_reference(_hermitian_stack(stack))
+    # only draws in which some pivot's p·(1/|p|) is not sign(p), as about one
+    # pivot in seven is not
+    assume((pivots.real * (1 / np.abs(pivots.real)) != np.sign(pivots.real)).any())
+    dec = eigh_stack(stack)
+    assert dec.eigenvalues.tobytes() == w.tobytes()
+    assert dec.eigenvectors.dtype == np.complex128
+    assert dec.eigenvectors.tobytes() == v.tobytes()
+    one = eigh(HermitianOperator(stack[0]))
+    assert one.eigenvectors.tobytes() == v[0].tobytes()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(2, 40), real_rows=st.integers(0, 3))
+def test_complex_stacks_keep_the_complex_bits(seed, n, d, real_rows):
+    # a stack with any nonzero imaginary entry takes the complex path, even
+    # with exactly real matrices in it
+    stack = random_hermitian_stack(n, d, np.random.default_rng(seed))
+    stack[: min(real_rows, n - 1)].imag = 0.0
+    w, v, _ = complex_reference(_hermitian_stack(stack))
+    dec = eigh_stack(stack)
+    assert dec.eigenvalues.tobytes() == w.tobytes()
+    assert dec.eigenvectors.tobytes() == v.tobytes()
+
+
+def test_a_complex_eigenvector_of_a_real_matrix_raises(monkeypatch):
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((3, 6, 6))
+    stack = ((a + a.swapaxes(1, 2)) / 2).astype(np.complex128)
+    solve = np.linalg.eigh
+
+    def leaky(m):
+        w, v = solve(m)
+        if np.iscomplexobj(m) and not m.imag.any():
+            v[-1, 2, 4] += 1e-20j  # far below the Gram and residual tolerances
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", leaky)
+    message = r"^eigenvector of an exactly real matrix has imaginary part 1\.000e-20$"
+    for call in (lambda: eigh_stack(stack), lambda: eigh(HermitianOperator(stack[2]))):
+        with pytest.raises(NumericalError, match=message):
+            call()
 
 
 def test_non_contiguous_input_is_checked_like_contiguous_input():

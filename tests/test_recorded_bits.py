@@ -1,16 +1,22 @@
 """The shared ground-level kernels keep every bit they returned when these
 digests were recorded: the chain's and the cavity's ground-level
-concurrences point by point, and one stacked chunk of the chain sweep."""
+concurrences point by point, one stacked chunk of the chain sweep, and the
+complex solves of exactly real matrices: the cavity's start-cutoff solve,
+the chain chunk's ``eigh_stack`` and the Dicke ``spectrum`` command."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from medent.dicke import DickeConfig, mediator_concurrence
+from medent.dicke import VARIANTS, DickeConfig, _evaluate, mediator_concurrence
 from medent.entanglement import ground_state_ac_concurrence
+from medent.linalg import eigh_stack
 from medent.sweeps import ISING_CHUNK, _ising_stack
-from medent.tripartite import IsingParams, build_ising
+from medent.tripartite import IsingParams, build_ising, ising_hamiltonians
+
+from conftest import medent_process, python_process
 
 # delta = 0 gives degenerate ground levels, lambda = 0 or delta = 0 a pattern
 # of several blocks
@@ -20,12 +26,16 @@ CHAIN_LAMS = (0.0, 0.5, 1.0, 1.3, 3.0, -0.7)
 KAPPAS = (0.0, 0.3, 1 / np.sqrt(2), 1 / (np.sqrt(6) - np.sqrt(2)), 1.1)
 
 
+def update_concurrence(h, r) -> None:
+    h.update(r.value.hex().encode())
+    h.update(r.tilde_lambdas.tobytes())
+    h.update(b"1" if r.degenerate_ground else b"0")
+
+
 def concurrence_digest(results) -> str:
     h = hashlib.sha256()
     for r in results:
-        h.update(r.value.hex().encode())
-        h.update(r.tilde_lambdas.tobytes())
-        h.update(b"1" if r.degenerate_ground else b"0")
+        update_concurrence(h, r)
     return h.hexdigest()
 
 
@@ -42,14 +52,39 @@ def cavity_points():
                 yield mediator_concurrence(DickeConfig(variant, kappa, n_max=n_max))
 
 
-def sweep_chunk_digest() -> str:
+def chunk_params() -> list[IsingParams]:
     params = [
         IsingParams(delta=d, lam=lam) for d in np.linspace(0.0, 2.0, 8) for lam in np.linspace(0.0, 3.0, 16)
     ]
     assert len(params) == ISING_CHUNK
+    return params
+
+
+def sweep_chunk_digest() -> str:
     h = hashlib.sha256()
-    for row in _ising_stack(params):
+    for row in _ising_stack(chunk_params()):
         h.update(repr(tuple(row.values())).encode())
+    return h.hexdigest()
+
+
+def evaluate_digest() -> str:
+    """The start-cutoff solve of every variant at the KAPPAS and two points
+    between the h1 crossings, each at two quadratic multipliers."""
+    h = hashlib.sha256()
+    for variant in VARIANTS:
+        for kappa in (*KAPPAS, 0.6, 0.8):
+            for tilde in (0.5, 1.5):
+                energy, gap, conc = _evaluate(DickeConfig(variant, kappa, lam_tilde=tilde, n_max=40))
+                h.update(f"{energy.hex()} {gap.hex()} ".encode())
+                update_concurrence(h, conc)
+    return h.hexdigest()
+
+
+def chunk_eigh_digest() -> str:
+    """The eigenvalues and the eigenvectors' real parts of one chain chunk."""
+    dec = eigh_stack(ising_hamiltonians(chunk_params()))
+    h = hashlib.sha256(dec.eigenvalues.tobytes())
+    h.update(dec.eigenvectors.real.tobytes())
     return h.hexdigest()
 
 
@@ -67,3 +102,34 @@ RECORDED = {
 def test_the_ground_level_kernels_keep_the_recorded_bits(name):
     digest, recorded = RECORDED[name]
     assert digest() == recorded
+
+
+# recorded in a process with BLAS pinned to one thread, as the benchmark runs
+# them (a complex solve of 164 states may round differently with more), and
+# equal in one with two
+REAL_COMPLEX_SOLVES = {
+    "evaluate": (evaluate_digest, "77da1f0b830e87408b634cf24f2f3218048fb49c18d088f4fecb069570f2b65b"),
+    "chunk_eigh": (chunk_eigh_digest, "263bddd17b593134e330ff129712daffa9da8625b0d5ab192eba25ded0a8a833"),
+}
+
+SPECTRUM_H2 = (
+    ["spectrum", "--model", "dicke", "--variant", "h2", "--kappa", "0.6"],
+    "b2985d83a712ed3e14b207c84cd991fc7d587696d87dc2e2cfcbe83dbc2f8595",
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", REAL_COMPLEX_SOLVES)
+def test_the_complex_solves_of_real_matrices_keep_the_recorded_bits(name, threads):
+    code = f"from test_recorded_bits import REAL_COMPLEX_SOLVES as d; print(d[{name!r}][0]())"
+    proc = python_process(["-c", code], threads, Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == REAL_COMPLEX_SOLVES[name][1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_dicke_spectrum_keeps_the_recorded_bytes(threads, tmp_path):
+    argv, recorded = SPECTRUM_H2
+    proc = medent_process(argv, threads, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == recorded
