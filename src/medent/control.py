@@ -70,7 +70,8 @@ class ControlProblem:
         return np.array([b[1] for b in self.bounds])
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, *self._box)
+        # np.clip's ufunc, without the np.clip wrapper
+        return x.clip(*self._box)
 
     def score(self, concurrence_value: float) -> float:
         if self.objective == "maximize_concurrence":

@@ -26,6 +26,8 @@ from .linalg import (
 from .tripartite import SIGMA_2
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)
+# relative noise floor of the spin-flip partner's eigenvalues
+_PARTNER_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,11 @@ def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = np.linalg.eigvalsh(partner)
     # the square root amplifies solver noise near zero (sqrt(1e-17) ~ 3e-9),
     # so eigenvalues below the relative noise floor are treated as exact zeros
-    floor = 100 * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
+    floor = _PARTNER_FLOOR * np.maximum(lam[:, -1:], 0.0)
     lam = np.sqrt(np.maximum(np.where(lam < floor, 0.0, lam), 0.0))[:, ::-1]
-    # l1 - l2 - l3 - l4, subtracted left to right
-    value = np.clip(np.subtract.reduce(lam, axis=1), 0.0, 1.0)
+    # l1 - l2 - l3 - l4, subtracted left to right; the method is np.clip's
+    # ufunc without the np.clip wrapper
+    value = np.subtract.reduce(lam, axis=1).clip(0.0, 1.0)
     return value, lam
 
 

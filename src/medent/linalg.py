@@ -191,7 +191,7 @@ class EigenDecomposition:
 def _pivots(vectors: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     """Per column of a matrix or of each matrix in an (n, d, k) stack, its
     entry of largest ``magnitudes`` (the first of equal ones)."""
-    rows = np.argmax(magnitudes, axis=-2)
+    rows = magnitudes.argmax(axis=-2)
     stack = (np.arange(len(vectors))[:, np.newaxis],) if vectors.ndim == 3 else ()
     return vectors[(*stack, rows, np.arange(vectors.shape[-1]))]
 
@@ -304,7 +304,9 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram_defect = np.abs(checked.conj().swapaxes(1, 2) @ checked - np.eye(d)).max(axis=(1, 2))
     _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
                  lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
-    residual = np.linalg.norm(m @ checked - checked * w[:, np.newaxis, :], axis=1).max(axis=1)
+    # the column norms as np.linalg.norm(r, axis=1) computes them, without its wrapper
+    r = m @ checked - checked * w[:, np.newaxis, :]
+    residual = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)).max(axis=1)
     _raise_first_scaled(residual, RESIDUAL_RTOL, m,
                         lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
     return w, v
@@ -416,12 +418,22 @@ def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Components of equal size form one ``_eigh_hermitian`` stack, with the
     Gram and residual checks per block, solved in the arithmetic of ``m``'s
-    dtype.  ``m`` is not checked again: the caller has checked it, and its
-    pattern, by which the components are cached, is symmetric.
+    dtype.  A lone component holds every index in order, so ``m`` itself is
+    solved, and its ground level read off the ascending spectrum, with the
+    bits the merge would give.  ``m`` is not checked again: the caller has
+    checked it, and its pattern, by which the components are cached, is
+    symmetric.
     """
     dim = len(m)
+    groups = _pattern_components(dim, np.packbits(m != 0).tobytes())
+    if len(groups) == 1 and len(groups[0]) == 1:
+        w, v = _eigh_hermitian(m[np.newaxis])
+        w = w[0]
+        size = np.count_nonzero(w - w[0] <= _degeneracy_tol(w))
+        # a real member gains the +0.0 imaginary parts its embedding would give it
+        return w[:size], v[0, :, :size].astype(np.complex128)
     blocks = []
-    for index in _pattern_components(dim, np.packbits(m != 0).tobytes()):
+    for index in groups:
         w, v = _eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
         blocks.append((index, w, v))
     return _merged_ground_level(dim, blocks)[:2]

@@ -141,38 +141,43 @@ def build_ising(p: IsingParams) -> HermitianOperator:
     return HermitianOperator(ising_hamiltonians([p])[0])
 
 
+@lru_cache(maxsize=1)
+def _ising_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only real chain terms: X x 1 x 1 + 1 x 1 x X, ZZ1 + 1ZZ and 1X1."""
+    ab, bc, b = _pauli_terms()
+    return tuple(_readonly(t.real) for t in (ab[1, 0] + bc[0, 1], ab[3, 3] + bc[3, 3], b[0]))
+
+
 def ising_hamiltonians(params) -> np.ndarray:
     """The chain matrices of a sequence of IsingParams as one (n, 8, 8) stack,
     each equal bit for bit to ``build_pauli_hamiltonian`` of its point's
     ``coefficients``.
 
-    The terms are added in ``build_pauli_hamiltonian``'s order: delta/2 on
-    1 x 1 x X, delta/2 on X x 1 x 1, J on ZZ1, J on 1ZZ, lambda/2 on 1X1.  A
-    zero coefficient, which that function skips, adds only signed zeros to a
-    sum that never holds -0.0, so no bit changes.  The matrices are not yet
-    checked as ``HermitianOperator``.  If a point's coefficients are not
-    finite, the ValueError its ``coefficients`` raise for the first such
-    point is raised.
+    Every term is real, so the stack is summed in float64 from the three
+    terms of ``_ising_terms`` and cast to complex once, with the bits of the
+    five complex terms added one by one.  A real coefficient times a real
+    complex entry has the real product as its real part and a signed zero as
+    its imaginary part; the sum starts from +0.0, which absorbs every signed
+    zero; and the terms' supports are disjoint but on the diagonal, where
+    J·z1 + J·z2 is J·(z1 + z2) exactly (±2J, or a zero that the +0.0 start
+    absorbs).  A zero coefficient, which ``build_pauli_hamiltonian`` skips,
+    adds only signed zeros.  The matrices are not yet checked as
+    ``HermitianOperator``.  If a point's coefficients are not finite, the
+    ValueError its ``coefficients`` raise for the first such point is raised
+    before any term is added; a finite J whose 2J overflows leaves inf on
+    that point's diagonal.
     """
-    outer, coupling, middle = np.array(
+    coefficients = np.array(
         [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
         dtype=float,
-    ).reshape(-1, 3).T[:, :, np.newaxis, np.newaxis]
-    ab, bc, b = _pauli_terms()
-    h = np.zeros((len(params), 8, 8), dtype=np.complex128)
-    # an infinite coefficient times a zero entry is NaN; such points are raised below
-    with np.errstate(invalid="ignore"):
-        for c, term in (
-            (outer, bc[0, 1]),
-            (outer, ab[1, 0]),
-            (coupling, ab[3, 3]),
-            (coupling, bc[3, 3]),
-            (middle, b[0]),
-        ):
-            h += c * term
-    for i in np.flatnonzero(~np.isfinite(h).reshape(len(params), -1).all(axis=1)):
-        params[i].coefficients()  # raises the point's ValueError
-    return h
+    ).reshape(-1, 3)
+    if not np.isfinite(coefficients).all():
+        # a row is not finite exactly where its point's coefficients() raise
+        params[np.isfinite(coefficients).all(axis=1).argmin()].coefficients()
+    h = np.zeros((len(params), 8, 8))
+    for c, term in zip(coefficients.T[:, :, np.newaxis, np.newaxis], _ising_terms()):
+        h += c * term
+    return h.astype(np.complex128)
 
 
 def ising_middle_field(p: IsingParams) -> np.ndarray:

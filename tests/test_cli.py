@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import medent.dicke as dicke_module
-from medent import cli
+from medent import cli, linalg
 from medent.cli import main
 from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_point, dicke_ground_point
 from medent.sweeps import SweepResult, format_value
@@ -395,6 +395,22 @@ def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
     solved = int(re.fullmatch(r"solved (\d+) distinct points for 40 evaluations\n", err)[1])
     point = [("eigh", (1, 8, 8), "f"), ("eigh", (1, 4, 4), "c"), ("eigvalsh", (1, 4, 4), "c")]
     assert calls == point * solved
+
+
+@pytest.mark.parametrize("delta, merged", [("0.1", False), ("0", True)])
+def test_only_an_ising_point_of_several_blocks_merges_its_ground_level(monkeypatch, capsys, delta, merged):
+    # delta, lambda > 0 couple all eight states: one component, solved in place;
+    # delta = 0 splits the chain into blocks, whose ground levels are merged
+    calls = []
+    merge = linalg._merged_ground_level
+    monkeypatch.setattr(linalg, "_merged_ground_level", lambda dim, blocks: calls.append(dim) or merge(dim, blocks))
+    code, _, err = run(
+        capsys, "optimize", "--model", "ising", "--delta", delta, "--lower", "0.5",
+        "--budget", "40", "--seed", "2",
+    )
+    assert code == 0
+    solved = int(re.fullmatch(r"solved (\d+) distinct points for 40 evaluations\n", err)[1])
+    assert calls == ([8] * solved if merged else [])
 
 
 def test_optimize_zero_budget_usage_error(capsys):

@@ -398,6 +398,66 @@ def test_block_path_matches_the_full_solve_on_the_chain(zero, delta, lam, j):
     assert_block_path_matches_full(h, (2, 2, 2), (0, 2))
 
 
+# ------------------------------------------------- a lone component, solved in place
+
+
+def merged_reference(m):
+    """The ground level of a matrix of one component as the merge gives it:
+    the component gathered as a stack of one, solved, then passed through
+    ``_merged_ground_level``."""
+    index = np.arange(len(m))[np.newaxis]
+    w, v = linalg._eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
+    return linalg._merged_ground_level(len(m), [(index, w, v)])[:2]
+
+
+def assert_solved_in_place_with_the_merged_bits(m):
+    groups = linalg._pattern_components(len(m), np.packbits(m != 0).tobytes())
+    assert [group.shape for group in groups] == [(1, len(m))]
+    energies, members = _block_ground_level(m)
+    expected_energies, expected_members = merged_reference(m)
+    assert energies.tobytes() == expected_energies.tobytes()
+    assert members.dtype == expected_members.dtype == np.complex128
+    assert members.shape == expected_members.shape
+    assert members.tobytes() == expected_members.tobytes()
+    return len(energies)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(1e-3, 3.0), st.floats(1e-3, 3.0), st.floats(-2.0, 2.0).filter(lambda j: abs(j) >= 1e-3))
+def test_a_chain_point_of_one_component_keeps_the_merged_bits(delta, lam, j):
+    # delta, lambda > 0 (their scales default to J) couple all eight states;
+    # the real strided view is what ground_state_pair_concurrence hands in
+    h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=lam))
+    assert_solved_in_place_with_the_merged_bits(h.matrix.real)
+    assert_solved_in_place_with_the_merged_bits(h.matrix)
+
+
+@st.composite
+def dense_hermitians(draw):
+    """A dense exactly Hermitian matrix of size 1 to 12, real or complex, and
+    whether its ground level was planted twofold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 12))
+    complex_ = draw(st.booleans())
+    h = random_hermitian(rng, size, complex_)
+    planted = size > 1 and draw(st.booleans())
+    if planted:
+        w, q = np.linalg.eigh(h)
+        w[1] = w[0]
+        h = (q * w) @ q.conj().T
+    # the Hermitian part, as the callers hand it in
+    return linalg._hermitian_stack(h[np.newaxis])[0], planted
+
+
+@PROPERTY_SETTINGS
+@given(dense_hermitians())
+def test_a_dense_matrix_of_one_component_keeps_the_merged_bits(case):
+    h, planted = case
+    size = assert_solved_in_place_with_the_merged_bits(h)
+    if planted:
+        assert size == 2
+
+
 def orthogonal(rng, size):
     return np.linalg.qr(rng.standard_normal((size, size)))[0]
 

@@ -11,6 +11,7 @@ from medent.tripartite import (
     SIGMA_0,
     IsingParams,
     PauliCoefficients,
+    _pauli_terms,
     analytic_ising_spectrum,
     build_ising,
     build_pauli_hamiltonian,
@@ -275,3 +276,90 @@ def test_ising_stack_reports_non_finite_points_as_build_ising_does():
 def test_ising_params_reject_a_non_finite_field(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         IsingParams(**kwargs)
+
+
+def complex_ising_hamiltonians(params) -> np.ndarray:
+    """The chain stack as five complex terms: delta/2 on 1 x 1 x X, delta/2 on
+    X x 1 x 1, J on ZZ1, J on 1ZZ, lambda/2 on 1X1, added one by one to a
+    complex zero in ``build_pauli_hamiltonian``'s order; the ValueError of the
+    first point whose matrix is not finite and whose coefficients raise."""
+    outer, coupling, middle = np.array(
+        [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
+        dtype=float,
+    ).reshape(-1, 3).T[:, :, np.newaxis, np.newaxis]
+    ab, bc, b = _pauli_terms()
+    h = np.zeros((len(params), 8, 8), dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c, term in (
+            (outer, bc[0, 1]),
+            (outer, ab[1, 0]),
+            (coupling, ab[3, 3]),
+            (coupling, bc[3, 3]),
+            (middle, b[0]),
+        ):
+            h += c * term
+    for i in np.flatnonzero(~np.isfinite(h).reshape(len(params), -1).all(axis=1)):
+        params[i].coefficients()
+    return h
+
+
+def assert_assembled_as_complex_terms(params):
+    try:
+        expected = complex_ising_hamiltonians(params)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ising_hamiltonians(params)
+        assert str(raised.value) == str(exc)
+        return
+    with np.errstate(over="ignore"):
+        got = ising_hamiltonians(params)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == expected.tobytes()
+
+
+# signed zeros, subnormals and values whose products or sums overflow
+EDGE_COUPLINGS = [1.0, -0.7, 2.0, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]
+EDGE_FIELDS = [0.0, -0.0, -1.3, 3.0, 1e-300, 5e-324, -5e-324, 1e308, -1e308]
+EDGE_DELTAS = [0.0, -0.0, 0.1, 1.7, 1e-300, 5e-324, 1e308]
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ising_points(draw):
+    return IsingParams(
+        j_coupling=draw(st.sampled_from(EDGE_COUPLINGS) | any_finite),
+        delta=draw(st.sampled_from(EDGE_DELTAS) | st.floats(0.0, allow_infinity=False)),
+        lam=draw(st.sampled_from(EDGE_FIELDS) | any_finite),
+        delta0=draw(st.none() | st.sampled_from(EDGE_COUPLINGS) | any_finite),
+        lambda0=draw(st.none() | st.sampled_from(EDGE_COUPLINGS) | any_finite),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ising_points(), min_size=1, max_size=4))
+def test_the_real_assembly_keeps_the_bits_of_the_complex_terms(params):
+    assert_assembled_as_complex_terms(params)
+
+
+def test_the_real_assembly_keeps_the_bits_on_the_edge_grid():
+    # every J x delta x lambda of the edge values, with the default and with unit scales
+    for delta0, lambda0 in ((None, None), (1.0, 1.0)):
+        params = [
+            IsingParams(j, d, lam, delta0, lambda0)
+            for j in EDGE_COUPLINGS
+            for d in EDGE_DELTAS
+            for lam in EDGE_FIELDS
+        ]
+        finite = []
+        for p in params:
+            assert_assembled_as_complex_terms([p])
+            try:
+                p.coefficients()
+                finite.append(p)
+            except ValueError:
+                pass
+        # the grid holds overflowing 2J diagonals, so inf reaches the stack
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(ising_hamiltonians(finite)).all()
+        assert_assembled_as_complex_terms(finite)
+        assert_assembled_as_complex_terms(params)
