@@ -25,7 +25,7 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
-    _components,
+    _block_ground_level,
     _eigh_hermitian,
     _ground_levels,
     _hermitian_stack,
@@ -213,25 +213,27 @@ def _check_dim(cfg: DickeConfig) -> None:
         )
 
 
-def _ordered_sectors(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
-    """The two sectors of ``_parity_blocks`` as (2, d) indices into the product
-    basis of the subsystems (atom, atom, field) taken in ``order``."""
+@lru_cache(maxsize=16)
+def _scatter_index(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
+    """The entries of the two (d, d) blocks of ``_parity_blocks`` as (2, d, d)
+    flat indices into the dim x dim matrix on the product basis of the
+    subsystems (atom, atom, field) taken in ``order``."""
     dims = (2, 2, n_max + 1)
     labels = np.unravel_index(_parity_blocks(n_max)[0], dims)
-    return np.ravel_multi_index([labels[k] for k in order], [dims[k] for k in order])
+    sectors = np.ravel_multi_index([labels[k] for k in order], [dims[k] for k in order])
+    return _readonly(sectors[:, :, np.newaxis] * prod(dims) + sectors[:, np.newaxis, :])
 
 
 def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> np.ndarray:
     """``cfg``'s Hamiltonian as a real array in the product basis of its
     subsystems (atom, atom, field) taken in ``order``: the two checked parity
-    blocks of ``_parity_block_hamiltonian`` scattered into place, so it is
-    exactly Hermitian without a check of its own."""
+    blocks of ``_parity_block_hamiltonian`` scattered into place by one
+    assignment, so it is exactly symmetric without a check of its own."""
     _check_dim(cfg)
     _, blocks = _parity_block_hamiltonian(cfg)
-    h = np.zeros((cfg.dim, cfg.dim))
-    for sector, block in zip(_ordered_sectors(cfg.n_max, order), blocks):
-        h[np.ix_(sector, sector)] = block
-    return h
+    h = np.zeros(cfg.dim * cfg.dim)
+    h[_scatter_index(cfg.n_max, order)] = blocks
+    return h.reshape(cfg.dim, cfg.dim)
 
 
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
@@ -249,46 +251,16 @@ def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int,
     return HermitianOperator(_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
 
 
-@lru_cache(maxsize=16)
-def _mediator_components(n_max: int, packed: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The connected components that ``linalg._block_ground_level`` finds in
-    the mediator-form scatter of parity blocks whose (2, d, d) nonzero
-    pattern ``np.packbits`` packed to ``packed``, and where they sit in the blocks.
-
-    Every nonzero entry of the scatter is a block entry, so each component
-    lies in one block.  Returns per group of ``linalg._components``, in its
-    order, the (m, s) mediator-form indices and the (m, s, s) flat indices
-    into the blocks whose ``take`` is the group's stack.
-    """
-    sectors = _ordered_sectors(n_max, (0, 2, 1))
-    d = sectors.shape[1]
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=2 * d * d)
-    linked = np.zeros((2 * d, 2 * d), dtype=bool)
-    block, position = np.empty((2, 2 * d), dtype=np.intp)
-    for k, (sector, nonzero) in enumerate(zip(sectors, pattern.reshape(2, d, d).astype(bool))):
-        linked[np.ix_(sector, sector)] = nonzero
-        block[sector], position[sector] = k, np.arange(d)
-    plan = []
-    for index in _components(linked):
-        rows = position[index]
-        flat = (block[index[:, :1, np.newaxis]] * d + rows[:, :, np.newaxis]) * d
-        plan.append((index, _readonly(flat + rows[:, np.newaxis, :])))
-    return tuple(plan)
-
-
 def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     """Ground-level concurrence of the two atoms, the outer qubits of the
     mediator form: ``ground_state_ac_concurrence(*dicke_mediator_form(cfg))``
-    bit for bit.  Each component that the mediator form's block finder would
-    find is gathered straight from the checked parity blocks, so no
-    dim x dim or complex matrix is built and the Hamiltonian is checked once."""
-    _check_dim(cfg)
-    _, blocks = _parity_block_hamiltonian(cfg)
-    solved = []
-    for index, flat in _mediator_components(cfg.n_max, np.packbits(blocks != 0).tobytes()):
-        w, v = _eigh_hermitian(blocks.take(flat))
-        solved.append((index, w, v))
-    _, vectors, _ = _merged_ground_level(cfg.dim, solved)
+    bit for bit.  The parity blocks, checked once, are scattered into the
+    real mediator-form matrix, which goes through the two steps that
+    ``ground_state_pair_concurrence`` runs: ``_block_ground_level``, then
+    ``ground_level_concurrence``.  The ``HermitianOperator`` check of the
+    mediator form returns an exactly symmetric real matrix unchanged, so
+    both solve the same real matrix with the same kernel."""
+    _, vectors = _block_ground_level(_scattered_dicke(cfg, (0, 2, 1)))
     return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
 
 

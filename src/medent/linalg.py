@@ -353,11 +353,16 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
 
 
 @lru_cache(maxsize=16)
-def _pattern_components(dim: int, packed: bytes) -> tuple[np.ndarray, ...]:
+def _pattern_components(dim: int, packed: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """``_components`` of a symmetric dim x dim nonzero pattern, given as the
-    bytes of ``np.packbits`` of its boolean matrix."""
+    bytes of ``np.packbits`` of its boolean matrix: per group, its (m, s)
+    indices and the (m, s, s) flat indices whose ``take`` from a dim x dim
+    matrix is the group's block stack."""
     linked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=dim * dim)
-    return _components(linked.reshape(dim, dim).astype(bool))
+    return tuple(
+        (index, _readonly(index[:, :, np.newaxis] * dim + index[:, np.newaxis, :]))
+        for index in _components(linked.reshape(dim, dim).astype(bool))
+    )
 
 
 def _components(linked: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -397,10 +402,9 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, floa
     w = np.concatenate([values.ravel() for _, values, _ in blocks])
     order = np.argsort(w, kind="stable")
     w = w[order]
-    ground = order[: np.count_nonzero(w - w[0] <= _degeneracy_tol(w))]
-    gap = float(w[ground.size] - w[0]) if ground.size < w.size else 0.0
-    vectors = np.zeros((dim, ground.size), dtype=np.complex128)
-    for member, i in enumerate(ground.tolist()):
+    (size,), (gap,) = _ground_levels(w[np.newaxis])
+    vectors = np.zeros((dim, size), dtype=np.complex128)
+    for member, i in enumerate(order[:size].tolist()):
         # i indexes the concatenated spectrum: find its group, then its block and column
         for index, values, eigenvectors in blocks:
             if i < values.size:
@@ -408,7 +412,7 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, floa
             i -= values.size
         block, column = divmod(i, index.shape[1])
         vectors[index[block], member] = eigenvectors[block, :, column]
-    return w[: ground.size], vectors, gap
+    return w[:size], vectors, float(gap)
 
 
 def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,25 +420,28 @@ def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     complex, as the energies and members ``_merged_ground_level`` returns,
     solved on the connected components of its exact nonzero pattern.
 
-    Components of equal size form one ``_eigh_hermitian`` stack, with the
-    Gram and residual checks per block, solved in the arithmetic of ``m``'s
-    dtype.  A lone component holds every index in order, so ``m`` itself is
-    solved, and its ground level read off the ascending spectrum, with the
+    This is the one block finder of the package: the chain, any operator
+    ``ground_state_pair_concurrence`` is given and the Dicke mediator form
+    (``dicke.mediator_concurrence``, on its real scatter) all reach it.
+    Components of equal size form one ``_eigh_hermitian`` stack, gathered
+    by ``take`` on cached flat indices, with the Gram and residual checks
+    per block, solved in the arithmetic of ``m``'s dtype.  A lone component
+    holds every index in order, so ``m`` itself is solved, and its ground
+    level read off the ascending spectrum by ``_ground_levels``, with the
     bits the merge would give.  ``m`` is not checked again: the caller has
     checked it, and its pattern, by which the components are cached, is
     symmetric.
     """
     dim = len(m)
     groups = _pattern_components(dim, np.packbits(m != 0).tobytes())
-    if len(groups) == 1 and len(groups[0]) == 1:
+    if len(groups) == 1 and len(groups[0][0]) == 1:
         w, v = _eigh_hermitian(m[np.newaxis])
-        w = w[0]
-        size = np.count_nonzero(w - w[0] <= _degeneracy_tol(w))
+        (size,), _ = _ground_levels(w)
         # a real member gains the +0.0 imaginary parts its embedding would give it
-        return w[:size], v[0, :, :size].astype(np.complex128)
+        return w[0, :size], v[0, :, :size].astype(np.complex128)
     blocks = []
-    for index in groups:
-        w, v = _eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
+    for index, flat in groups:
+        w, v = _eigh_hermitian(m.take(flat))
         blocks.append((index, w, v))
     return _merged_ground_level(dim, blocks)[:2]
 

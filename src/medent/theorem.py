@@ -20,6 +20,7 @@ import numpy as np
 
 from .entanglement import concurrence_stack, ground_level_density_stack
 from .linalg import (
+    KRON_DIM_LIMIT,
     DimensionError,
     HermitianOperator,
     _density_stack,
@@ -222,6 +223,14 @@ def _random_hamiltonians(rngs, d_b: int, break_symmetry: bool) -> np.ndarray:
     """
     if d_b < 1:
         raise ValueError(f"mediator dimension d_b must be >= 1, got {d_b}")
+    # the stacks hold 2 |PAULI| + 1 operators per basis matrix, each of side 4 d_b;
+    # together they may hold as many entries as one matrix at the kron limit
+    entries = (2 * len(PAULI) + 1) * d_b**2 * (4 * d_b) ** 2
+    if entries > KRON_DIM_LIMIT**2:
+        raise DimensionError(
+            f"mediator dimension d_b = {d_b} needs {entries} coupling-operator entries, "
+            f"limit is {KRON_DIM_LIMIT}**2 = {KRON_DIM_LIMIT**2}"
+        )
     left, right, local = _operator_stacks(d_b)
     stacks = (left, right, local) if break_symmetry else (left, local)
     sizes = [len(s) for s in stacks]

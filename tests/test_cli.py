@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import medent.dicke as dicke_module
-from medent import cli, linalg
+from medent import cli, linalg, theorem
 from medent.cli import main
 from medent.dicke import CONVERGENCE_TOL, DickeConfig, _sector_point, dicke_ground_point
 from medent.sweeps import SweepResult, format_value
@@ -303,6 +303,23 @@ def test_theorem_mediator_dimension_below_one_exits_2(db_dim, capsys):
     code, _, err = run(capsys, "theorem", "--trials", "3", "--db-dim", db_dim, "--seed", "1")
     assert code == 2
     assert f"mediator dimension d_b must be >= 1, got {db_dim}" in err
+
+
+def test_theorem_mediator_dimension_above_the_limit_exits_2_before_any_operator(monkeypatch, capsys):
+    # 144 d_b^4 coupling-operator entries: d_b = 18 stays within 4096^2, 19 does not
+    def basis(d):
+        raise AssertionError(f"hermitian_basis({d}) called")
+
+    monkeypatch.setattr(theorem, "hermitian_basis", basis)
+    theorem._operator_stacks.cache_clear()
+    code, out, err = run(capsys, "theorem", "--trials", "3", "--db-dim", "19", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid configuration: mediator dimension d_b = 19 needs 18766224 "
+        "coupling-operator entries, limit is 4096**2 = 16777216\n"
+    )
+    with pytest.raises(AssertionError, match=r"hermitian_basis\(18\) called"):
+        theorem._random_hamiltonians([np.random.default_rng(0)], 18, False)
 
 
 def test_theorem_exit_code_reflects_counterexamples(tmp_path, capsys):

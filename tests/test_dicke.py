@@ -862,31 +862,16 @@ def assert_same_concurrence(got, expected):
     assert got.degenerate_ground == expected.degenerate_ground
 
 
-def test_mediator_concurrence_plans_by_pattern_not_by_cutoff():
+def test_mediator_concurrence_shares_the_oracles_components_per_pattern():
     # kappa = 0 leaves every state its own component, kappa = 0.5 two parity
-    # blocks: one cutoff, two patterns, two plans, and the first is reused
+    # blocks: one cutoff, two patterns, and the evaluator and the oracle find
+    # each pattern's components in one shared cache entry
     configs = [DickeConfig("h2", kappa, n_max=12) for kappa in (0.0, 0.5, 0.0)]
-    dicke_module._mediator_components.cache_clear()
+    linalg._pattern_components.cache_clear()
     for cfg in configs:
         assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
-    info = dicke_module._mediator_components.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-
-
-def test_mediator_concurrence_builds_no_scatter(monkeypatch):
-    configs = [
-        DickeConfig("h1", H1_FIRST_CROSSING),
-        DickeConfig("h2", 0.6),
-        DickeConfig("h3", 0.0, n_max=3),
-    ]
-    expected = [mediator_form_concurrence(cfg) for cfg in configs]
-
-    def scatter(cfg, order):
-        raise AssertionError("_scattered_dicke called")
-
-    monkeypatch.setattr(dicke_module, "_scattered_dicke", scatter)
-    for cfg, want in zip(configs, expected):
-        assert_same_concurrence(mediator_concurrence(cfg), want)
+    info = linalg._pattern_components.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):

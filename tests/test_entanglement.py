@@ -359,11 +359,16 @@ def permuted_block_hermitians(draw):
     return HermitianOperator(h[np.ix_(p, p)]), (2, m, 2), sorted(sizes.tolist())
 
 
+def pattern_groups(m):
+    """The (m, s) index arrays of the component groups the block finder finds in ``m``."""
+    return [index for index, _ in linalg._pattern_components(len(m), np.packbits(m != 0).tobytes())]
+
+
 @PROPERTY_SETTINGS
 @given(permuted_block_hermitians())
 def test_block_path_matches_the_full_solve_on_permuted_block_matrices(case):
     h, dims, sizes = case
-    components = linalg._pattern_components(h.dim, np.packbits(h.matrix != 0).tobytes())
+    components = pattern_groups(h.matrix)
     assert sorted(group.shape[1] for group in components for _ in group) == sizes
     assert_block_path_matches_full(h, dims, (0, 2))
 
@@ -411,7 +416,7 @@ def merged_reference(m):
 
 
 def assert_solved_in_place_with_the_merged_bits(m):
-    groups = linalg._pattern_components(len(m), np.packbits(m != 0).tobytes())
+    groups = pattern_groups(m)
     assert [group.shape for group in groups] == [(1, len(m))]
     energies, members = _block_ground_level(m)
     expected_energies, expected_members = merged_reference(m)
@@ -515,5 +520,5 @@ def test_a_dicke_mediator_form_is_solved_on_real_blocks_from_a_cached_pattern(mo
     assert again.degenerate_ground == first.degenerate_ground
     # h1 conserves the excitation number: 43 blocks of at most 4 states
     h1, _ = dicke_mediator_form(DickeConfig("h1", 0.6, n_max=40))
-    groups = linalg._pattern_components(h1.dim, np.packbits(h1.matrix != 0).tobytes())
+    groups = pattern_groups(h1.matrix)
     assert {g.shape[1]: len(g) for g in groups} == {1: 2, 3: 2, 4: 39}
