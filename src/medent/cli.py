@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 from functools import lru_cache
 
@@ -157,6 +159,17 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + _load_config_args(path) + argv[1:]
 
 
+def _check_output_path(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise if its directory is
+    missing or not writable, so that a command fails before it solves
+    anything; the file itself is neither created nor truncated."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_spectrum(args) -> int:
     if args.model == "ising":
         params = IsingParams(j_coupling=args.j, delta=args.delta, lam=args.lam)
@@ -190,6 +203,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_output_path(args.out)
     if args.model == "ising":
         result = ising_sweep(
             parse_grid_spec(args.delta_grid),
@@ -213,20 +227,20 @@ def cmd_sweep(args) -> int:
                 n_max=args.nmax,
             )
             partials.append(dicke_sweep(cfg, kappas, tildes, convergence_tol=args.tol))
+        schema = partials[0].schema
         result = SweepResult(
-            schema=partials[0].schema,
-            rows=tuple(row for part in partials for row in part.rows),
+            schema, tuple([v for part in partials for v in part.column(c)] for c in schema)
         )
 
     result.write_csv(args.out)
-    ok = sum(1 for row in result.rows if row["status"] == "ok")
-    print(f"wrote {len(result.rows)} rows to {args.out} ({ok} ok)")
+    statuses = result.column("status")
+    ok = statuses.count("ok")
+    print(f"wrote {len(statuses)} rows to {args.out} ({ok} ok)")
     if args.model == "dicke":
-        for variant in dict.fromkeys(result.column("variant")):
+        variants, concurrences = result.column("variant"), result.column("concurrence")
+        for variant in dict.fromkeys(variants):
             values = [
-                row["concurrence"]
-                for row in result.rows
-                if row["variant"] == variant and row["status"] == "ok"
+                c for v, c, s in zip(variants, concurrences, statuses) if v == variant and s == "ok"
             ]
             if values:
                 print(f"average concurrence {variant}: {_fmt(float(np.mean(values)))}")
@@ -236,6 +250,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theorem(args) -> int:
+    if args.out:
+        _check_output_path(args.out)
     report = theorem_fuzz(
         args.trials, args.db_dim, args.seed, break_symmetry=args.break_symmetry
     )
@@ -266,8 +282,8 @@ def cmd_theorem(args) -> int:
 
     if args.out:
         schema = tuple(f.name for f in dataclasses.fields(TrialRecord))
-        rows = tuple({name: getattr(r, name) for name in schema} for r in report.trial_records)
-        SweepResult(schema=schema, rows=rows).write_csv(args.out)
+        columns = tuple([getattr(r, name) for r in report.trial_records] for name in schema)
+        SweepResult(schema, columns).write_csv(args.out)
         print(f"wrote trial records to {args.out}")
 
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
@@ -299,6 +315,8 @@ def _check_fock_cutoff(cfg: DickeConfig, best: float) -> None:
 
 
 def cmd_optimize(args) -> int:
+    if args.trace_out:
+        _check_output_path(args.trace_out)
     if args.model == "ising":
         delta = args.delta
         j = args.j
@@ -345,13 +363,12 @@ def cmd_optimize(args) -> int:
     print(f"degenerate ground at best point: {int(result.best_degenerate_ground)}")
 
     if args.trace_out:
-        rows = tuple(
-            {"evaluation": i, "control_0": controls[0], "value": value}
-            for i, (controls, value) in enumerate(result.trace)
+        columns = (
+            range(len(result.trace)),
+            [controls[0] for controls, _ in result.trace],
+            [value for _, value in result.trace],
         )
-        SweepResult(schema=("evaluation", "control_0", "value"), rows=rows).write_csv(
-            args.trace_out
-        )
+        SweepResult(("evaluation", "control_0", "value"), columns).write_csv(args.trace_out)
         print(f"wrote trace to {args.trace_out}")
     return EXIT_OK
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .entanglement import concurrence_stack, ground_level_density_stack
 from .linalg import NumericalError, eigh_stack
-from .tripartite import IsingParams, ising_hamiltonians
+from .tripartite import IsingParams, _ising_matrices
 
 # column name -> python type, shared by every sweep/report schema
 COLUMN_TYPES: dict[str, type] = {
@@ -68,19 +69,37 @@ def parse_value(column: str, text: str):
     return kind(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Ordered column names plus one record per grid point, in grid order."""
+    """Ordered column names plus one value sequence per column, in grid order.
+
+    A column is a numpy array or a sequence of Python values.  ``rows``, one
+    dict per grid point with the schema's keys in order, is derived from the
+    columns when first read.
+    """
 
     schema: tuple[str, ...]
-    rows: tuple[dict, ...]
+    columns: tuple
 
     def __post_init__(self):
-        for row in self.rows:
-            if tuple(row.keys()) != tuple(self.schema):
-                raise ValueError(
-                    f"row keys {tuple(row.keys())} do not match schema {self.schema}"
-                )
+        if len(self.columns) != len(self.schema):
+            raise ValueError(f"{len(self.columns)} columns do not match schema {self.schema}")
+        if len({len(col) for col in self.columns}) > 1:
+            raise ValueError(f"columns of unequal lengths {[len(col) for col in self.columns]}")
+
+    @classmethod
+    def from_rows(cls, schema, rows) -> "SweepResult":
+        """The result holding ``rows``, dicts whose keys are ``schema`` in order."""
+        schema = tuple(schema)
+        for row in rows:
+            if tuple(row.keys()) != schema:
+                raise ValueError(f"row keys {tuple(row.keys())} do not match schema {schema}")
+        return cls(schema, tuple([row[c] for row in rows] for c in schema))
+
+    @cached_property
+    def rows(self) -> tuple[dict, ...]:
+        columns = [self.column(c) for c in self.schema]
+        return tuple(dict(zip(self.schema, values)) for values in zip(*columns))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -99,14 +118,14 @@ class SweepResult:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader))
-            rows = tuple(
-                {c: parse_value(c, cell) for c, cell in zip(header, line)}
-                for line in reader
-            )
-        return cls(schema=header, rows=rows)
+            rows = [{c: parse_value(c, cell) for c, cell in zip(header, line)} for line in reader]
+        return cls.from_rows(header, rows)
 
     def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
+        """The values of column ``name`` as a list of Python values for an
+        array column, else as the values stored."""
+        col = dict(zip(self.schema, self.columns))[name]
+        return col.tolist() if isinstance(col, np.ndarray) else list(col)
 
 
 def linspace_grid(start: float, stop: float, count: int) -> np.ndarray:
@@ -171,7 +190,7 @@ def grid_sweep(schema, points, outcomes) -> SweepResult:
         else:
             row.update(outcome)
         rows.append(row)
-    return SweepResult(schema=tuple(schema), rows=tuple(rows))
+    return SweepResult.from_rows(schema, rows)
 
 
 ISING_SWEEP_SCHEMA = (
@@ -189,38 +208,18 @@ ISING_SWEEP_SCHEMA = (
 ISING_CHUNK = 128
 
 
-def _ising_stack(params: list[IsingParams]) -> list[dict]:
-    """The result columns of each point, evaluated as stacks: one Hamiltonian
-    assembly, one eigh, one ground-level reduction and one concurrence.
+def _ising_stack(coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ground energy, gap, concurrence and degenerate flag of each chain
+    point of (n, 3) coefficient rows (``tripartite._ising_matrices``), evaluated
+    as stacks: one Hamiltonian assembly, one eigh, one ground-level reduction
+    and one concurrence.
 
     Raises the first failure of any point.
     """
-    dec = eigh_stack(ising_hamiltonians(params))
+    dec = eigh_stack(_ising_matrices(coefficients))
     rho = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
     conc, _ = concurrence_stack(rho)
-    columns = zip(
-        dec.eigenvalues[:, 0].tolist(), dec.gaps.tolist(), conc.tolist(), (dec.ground_sizes > 1).tolist()
-    )
-    return [
-        {"ground_energy": e, "gap": g, "concurrence": c, "degenerate": deg}
-        for e, g, c, deg in columns
-    ]
-
-
-def _ising_chunk(points: list[dict], j_coupling: float) -> list:
-    """Each point's result columns, or the POINT_ERRORS exception that fails it.
-
-    Every point's IsingParams is built first, so an invalid parameter fails
-    only its own point.  The valid points are solved as one stack, and one at
-    a time only if that stack fails a numerical check.
-    """
-    outcomes = [_point_outcome(IsingParams, j_coupling, p["delta"], p["lambda"]) for p in points]
-    params = [o for o in outcomes if isinstance(o, IsingParams)]
-    try:
-        solved = iter(_ising_stack(params) if params else ())
-    except POINT_ERRORS:
-        solved = (_point_outcome(lambda q: _ising_stack([q])[0], p) for p in params)
-    return [next(solved) if isinstance(o, IsingParams) else o for o in outcomes]
+    return dec.eigenvalues[:, 0], dec.gaps, conc, dec.ground_sizes > 1
 
 
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:
@@ -229,7 +228,8 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
     The grid is solved ISING_CHUNK points at a time as stacks.  A point with an
     invalid parameter is left out of its chunk's stack, and a chunk whose stack
     fails a numerical check is solved again one point at a time, so a failed
-    point flags only its own row.
+    point flags only its own row.  The results are kept as columns, from the
+    grid to the CSV text.
     """
     deltas = [float(d) for d in delta_grid]
     lams = [float(x) for x in lambda_grid]
@@ -238,10 +238,35 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
     # the coupling is the whole sweep's: a non-finite one fails it before any point
     IsingParams(j_coupling)
 
-    points = [{"delta": d, "lambda": lam} for d in deltas for lam in lams]
-    outcomes = (
-        outcome
-        for start in range(0, len(points), ISING_CHUNK)
-        for outcome in _ising_chunk(points[start:start + ISING_CHUNK], j_coupling)
-    )
-    return grid_sweep(ISING_SWEEP_SCHEMA, points, outcomes)
+    delta = np.repeat(deltas, len(lams))
+    lam = np.tile(lams, len(deltas))
+    n = len(delta)
+    # the checks IsingParams makes of delta and lam, NaN failing each; only an
+    # invalid point builds one, for its error text
+    valid = np.isfinite(lam) & (delta >= 0) & (delta < np.inf)
+    status = np.full(n, "ok", dtype=object)
+    for i in np.flatnonzero(~valid):
+        invalid = _point_outcome(IsingParams, j_coupling, deltas[i // len(lams)], lams[i % len(lams)])
+        status[i] = f"error: {invalid}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.column_stack(
+            (delta * j_coupling / 2, np.full(n, j_coupling, dtype=float), lam * j_coupling / 2)
+        )
+
+    results = (np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool))
+    for start in range(0, n, ISING_CHUNK):
+        stacked = start + np.flatnonzero(valid[start:start + ISING_CHUNK])
+        if not len(stacked):
+            continue
+        try:
+            solved = [(stacked, _ising_stack(coefficients[stacked]))]
+        except POINT_ERRORS:
+            points = np.split(stacked, len(stacked))
+            solved = [(at, _point_outcome(_ising_stack, coefficients[at])) for at in points]
+        for at, outcome in solved:
+            if isinstance(outcome, Exception):
+                status[at] = f"error: {outcome}"
+                continue
+            for column, values in zip(results, outcome):
+                column[at] = values
+    return SweepResult(ISING_SWEEP_SCHEMA, (delta, lam, *results, status))

@@ -124,15 +124,28 @@ class IsingParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def coefficients(self) -> PauliCoefficients:
-        h_ab = np.zeros((4, 4))
-        h_bc = np.zeros((4, 4))
-        h_b = np.zeros(3)
-        h_ab[3, 3] = self.j_coupling
-        h_bc[3, 3] = self.j_coupling
-        h_ab[1, 0] = self.delta * self.delta0 / 2
-        h_bc[0, 1] = self.delta * self.delta0 / 2
-        h_b[0] = self.lam * self.lambda0 / 2
-        return PauliCoefficients(h_ab, h_bc, h_b)
+        return _chain_coefficients(*_ising_coefficients([self])[0])
+
+
+def _chain_coefficients(outer: float, j_coupling: float, middle: float) -> PauliCoefficients:
+    """The Pauli tensors of a chain point: ``outer`` on X x 1 x 1 and 1 x 1 x X,
+    ``j_coupling`` on ZZ1 and 1ZZ, ``middle`` on 1X1."""
+    h_ab = np.zeros((4, 4))
+    h_bc = np.zeros((4, 4))
+    h_b = np.zeros(3)
+    h_ab[3, 3] = h_bc[3, 3] = j_coupling
+    h_ab[1, 0] = h_bc[0, 1] = outer
+    h_b[0] = middle
+    return PauliCoefficients(h_ab, h_bc, h_b)
+
+
+def _ising_coefficients(params) -> np.ndarray:
+    """The (n, 3) coefficient rows (delta * delta0 / 2, J, lam * lambda0 / 2) of
+    a sequence of IsingParams."""
+    return np.array(
+        [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
+        dtype=float,
+    ).reshape(-1, 3)
 
 
 def build_ising(p: IsingParams) -> HermitianOperator:
@@ -151,7 +164,13 @@ def _ising_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def ising_hamiltonians(params) -> np.ndarray:
     """The chain matrices of a sequence of IsingParams as one (n, 8, 8) stack,
     each equal bit for bit to ``build_pauli_hamiltonian`` of its point's
-    ``coefficients``.
+    ``coefficients``; ``_ising_matrices`` of their coefficient rows."""
+    return _ising_matrices(_ising_coefficients(params))
+
+
+def _ising_matrices(coefficients: np.ndarray) -> np.ndarray:
+    """The (n, 8, 8) chain stack of (n, 3) coefficient rows (outer, J, middle),
+    as ``_chain_coefficients`` names them.
 
     Every term is real, so the stack is summed in float64 from the three
     terms of ``_ising_terms`` and cast to complex once, with the bits of the
@@ -162,19 +181,15 @@ def ising_hamiltonians(params) -> np.ndarray:
     J·z1 + J·z2 is J·(z1 + z2) exactly (±2J, or a zero that the +0.0 start
     absorbs).  A zero coefficient, which ``build_pauli_hamiltonian`` skips,
     adds only signed zeros.  The matrices are not yet checked as
-    ``HermitianOperator``.  If a point's coefficients are not finite, the
-    ValueError its ``coefficients`` raise for the first such point is raised
-    before any term is added; a finite J whose 2J overflows leaves inf on
-    that point's diagonal.
+    ``HermitianOperator``.  If a row is not finite, the ValueError that
+    ``_chain_coefficients`` raises for the first such row is raised before any
+    term is added; a finite J whose 2J overflows leaves inf on that point's
+    diagonal.
     """
-    coefficients = np.array(
-        [(p.delta * p.delta0 / 2, p.j_coupling, p.lam * p.lambda0 / 2) for p in params],
-        dtype=float,
-    ).reshape(-1, 3)
-    if not np.isfinite(coefficients).all():
-        # a row is not finite exactly where its point's coefficients() raise
-        params[np.isfinite(coefficients).all(axis=1).argmin()].coefficients()
-    h = np.zeros((len(params), 8, 8))
+    finite = np.isfinite(coefficients).all(axis=1)
+    if not finite.all():
+        _chain_coefficients(*coefficients[finite.argmin()])
+    h = np.zeros((len(coefficients), 8, 8))
     for c, term in zip(coefficients.T[:, :, np.newaxis, np.newaxis], _ising_terms()):
         h += c * term
     return h.astype(np.complex128)

@@ -640,21 +640,44 @@ def test_config_file_malformed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, solver",
     [
-        ["sweep", "--model", "ising", "--delta-grid", "0:1:2", "--lambda-grid", "0:1:2", "--out"],
-        ["optimize", "--model", "ising", "--delta", "0.1", "--budget", "10", "--trace-out"],
-        ["theorem", "--trials", "2", "--seed", "1", "--out"],
+        (["sweep", "--model", "ising", "--delta-grid", "0:1:2", "--lambda-grid", "0:1:2", "--out"],
+         "ising_sweep"),
+        (["optimize", "--model", "ising", "--delta", "0.1", "--budget", "10", "--trace-out"], "optimize"),
+        (["theorem", "--trials", "2", "--seed", "1", "--out"], "theorem_fuzz"),
+        (["sweep", "--model", "dicke", "--variants", "h1", "--kappa-grid", "0:1:2", "--out"], "dicke_sweep"),
     ],
-    ids=["sweep", "optimize", "theorem"],
+    ids=["sweep", "optimize", "theorem", "sweep-dicke"],
 )
-def test_an_unwritable_output_path_exits_2(argv, tmp_path, capsys):
-    # the computation finishes; only writing its file fails
+def test_an_unwritable_output_path_exits_2(argv, solver, tmp_path, capsys, monkeypatch):
+    # the command fails on the path before it solves anything
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, solver, no_solve)
     path = tmp_path / "missing" / "out.csv"
-    code, _, err = run(capsys, *argv, str(path))
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 2
-    assert err.splitlines()[-1] == f"cannot write output: [Errno 2] No such file or directory: '{path}'"
+    assert (out, err) == ("", f"cannot write output: [Errno 2] No such file or directory: '{path}'\n")
     assert not path.exists()
+
+
+def test_an_output_path_is_neither_created_nor_truncated_before_the_solve(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+
+    def no_solve(*args, **kwargs):
+        raise ValueError("no solve")
+
+    monkeypatch.setattr(cli, "ising_sweep", no_solve)
+    code, _, err = run(capsys, "sweep", "--model", "ising", "--out", str(path))
+    assert (code, err) == (2, "invalid configuration: no solve\n")
+    assert path.read_text() == "kept\n"
+    monkeypatch.setattr(cli, "theorem_fuzz", no_solve)
+    code, _, _ = run(capsys, "theorem", "--out", str(tmp_path / "new.csv"))
+    assert code == 2
+    assert not (tmp_path / "new.csv").exists()
 
 
 def test_the_parser_is_built_once_and_keeps_no_value_of_a_call(monkeypatch):

@@ -14,7 +14,7 @@ from medent.dicke import VARIANTS, DickeConfig, _evaluate, mediator_concurrence
 from medent.entanglement import ground_state_ac_concurrence
 from medent.linalg import eigh_stack
 from medent.sweeps import ISING_CHUNK, _ising_stack
-from medent.tripartite import IsingParams, build_ising, ising_hamiltonians
+from medent.tripartite import IsingParams, _ising_coefficients, build_ising, ising_hamiltonians
 
 from conftest import medent_process, python_process
 
@@ -62,8 +62,9 @@ def chunk_params() -> list[IsingParams]:
 
 def sweep_chunk_digest() -> str:
     h = hashlib.sha256()
-    for row in _ising_stack(chunk_params()):
-        h.update(repr(tuple(row.values())).encode())
+    # one (energy, gap, concurrence, degenerate) tuple of Python values per point
+    for row in zip(*(column.tolist() for column in _ising_stack(_ising_coefficients(chunk_params())))):
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 

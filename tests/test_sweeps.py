@@ -1,8 +1,12 @@
+import csv
+import io
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medent.entanglement import (
     concurrence,
@@ -16,7 +20,6 @@ from medent.sweeps import (
     ISING_SWEEP_SCHEMA,
     POINT_ERRORS,
     SweepResult,
-    _ising_chunk,
     _ising_stack,
     _point_outcome,
     format_value,
@@ -26,7 +29,7 @@ from medent.sweeps import (
     parse_grid_spec,
 )
 import medent.sweeps
-from medent.tripartite import IsingParams, build_ising
+from medent.tripartite import IsingParams, _ising_coefficients, build_ising
 
 
 def test_format_round_trip_precision():
@@ -47,7 +50,7 @@ def test_numpy_booleans_round_trip_through_csv(tmp_path):
     # one column of numpy booleans, one mixing them with Python booleans
     rows = ({"degenerate": np.True_, "family_ok": True}, {"degenerate": np.False_, "family_ok": np.True_})
     path = tmp_path / "flags.csv"
-    SweepResult(schema=("degenerate", "family_ok"), rows=rows).write_csv(path)
+    SweepResult.from_rows(("degenerate", "family_ok"), rows).write_csv(path)
     assert path.read_text() == "degenerate,family_ok\n1,1\n0,1\n"
     back = SweepResult.read_csv(path)
     assert back.rows == ({"degenerate": True, "family_ok": True}, {"degenerate": False, "family_ok": True})
@@ -70,7 +73,11 @@ def test_grid_parsing():
 
 def test_sweep_result_schema_enforced():
     with pytest.raises(ValueError):
-        SweepResult(schema=("a", "b"), rows=({"a": 1.0},))
+        SweepResult.from_rows(("a", "b"), ({"a": 1.0},))
+    with pytest.raises(ValueError):
+        SweepResult(("a", "b"), ([1.0],))
+    with pytest.raises(ValueError):
+        SweepResult(("a", "b"), ([1.0], [2.0, 3.0]))
 
 
 def test_ising_sweep_rows_and_order():
@@ -157,18 +164,26 @@ def test_grid_sweep_rejects_a_producer_of_the_wrong_length(count):
         grid_sweep(ISING_SWEEP_SCHEMA, points, iter([{}] * count))
 
 
+def stack_rows(params) -> list[dict]:
+    """``_ising_stack`` of the points' coefficient rows, one dict of Python
+    values per point."""
+    columns = _ising_stack(_ising_coefficients(params))
+    return [dict(zip(ISING_SWEEP_SCHEMA[2:6], values)) for values in zip(*(c.tolist() for c in columns))]
+
+
 def test_failed_chain_points_keep_no_traceback():
     # an invalid parameter fails IsingParams; a field that overflows to inf
     # (lam * lambda0, lambda0 = J) fails the stack, so the chunk is solved
     # again one point at a time
-    invalid, non_finite, solved = _ising_chunk(
-        [{"delta": -0.1, "lambda": 1.0}, {"delta": 0.3, "lambda": 1.7e308}, {"delta": 0.3, "lambda": 1.0}],
-        2.0,
-    )
+    invalid = _point_outcome(IsingParams, 2.0, -0.1, 1.0)
+    non_finite = _point_outcome(stack_rows, [IsingParams(2.0, 0.3, 1.7e308)])
     assert str(invalid) == "delta must be non-negative"
     assert str(non_finite) == "h_b contains non-finite entries"
     assert invalid.__traceback__ is None and non_finite.__traceback__ is None
-    assert solved == _ising_stack([IsingParams(j_coupling=2.0, delta=0.3, lam=1.0)])[0]
+    result = ising_sweep([-0.1, 0.3], [1.0, 1.7e308], j_coupling=2.0)
+    assert result.column("status") == [f"error: {invalid}"] * 2 + ["ok", f"error: {non_finite}"]
+    (solved,) = stack_rows([IsingParams(j_coupling=2.0, delta=0.3, lam=1.0)])
+    assert {c: result.rows[2][c] for c in solved} == solved
 
 
 # ---------------------------------------------------------------- stacked chain sweep
@@ -266,7 +281,7 @@ def test_a_non_finite_coupling_is_rejected_before_any_point(j, monkeypatch):
     def no_point(*args):
         raise AssertionError("evaluated a point")
 
-    monkeypatch.setattr(medent.sweeps, "_ising_chunk", no_point)
+    monkeypatch.setattr(medent.sweeps, "_ising_stack", no_point)
     with pytest.raises(ValueError, match=f"^j_coupling must be finite, got {j}$"):
         ising_sweep([0.0, 1.0], [0.0, 1.0], j_coupling=j)
 
@@ -391,7 +406,7 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     assert sizes == [ISING_CHUNK - 80, ISING_CHUNK, 360 - 2 * ISING_CHUNK]
 
     def alone(point):
-        return _ising_stack([IsingParams(delta=point["delta"], lam=point["lambda"])])[0]
+        return stack_rows([IsingParams(delta=point["delta"], lam=point["lambda"])])[0]
 
     points = [{"delta": float(d), "lambda": float(lam)} for d in deltas for lam in lams]
     expected = [grid_sweep(ISING_SWEEP_SCHEMA, [p], [_point_outcome(alone, p)]).rows[0] for p in points]
@@ -412,6 +427,134 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     ],
 )
 def test_csv_cells_are_formatted_as_format_value_formats_them(rows):
-    text = SweepResult(schema=("a", "b", "c", "d"), rows=tuple(rows)).to_csv_text()
+    text = SweepResult.from_rows(("a", "b", "c", "d"), rows).to_csv_text()
     lines = ["a,b,c,d"] + [",".join(format_value(v) for v in row.values()) for row in rows]
     assert text == "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------- columnar results
+
+def rowwise_csv_text(schema, rows) -> str:
+    """The reference writer: ``csv.writer`` with ``format_value`` per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema)
+    writer.writerows([format_value(row[c]) for c in schema] for row in rows)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]
+floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+int64s = st.integers(-(2**63), 2**63 - 1)
+statuses = st.sampled_from(["", "ok", "error: a, b", 'say "x"', "line\nbreak", "cr\rhere", " padded "]) | st.text(
+    alphabet=st.sampled_from(list(',"\n\r ab')), max_size=6
+)
+CELLS = {
+    "float": floats,
+    "np_float": floats.map(np.float64),
+    "int": st.integers(-(2**70), 2**70),
+    "np_int": int64s.map(np.int64),
+    "bool": st.booleans(),
+    "np_bool": st.booleans().map(np.bool_),
+    "status": statuses,
+}
+ARRAYS = {"float": (floats, np.float64), "int": (int64s, np.int64), "bool": (st.booleans(), np.bool_)}
+
+
+@st.composite
+def columns(draw, n):
+    """A list column of one cell kind, a list column mixing kinds, or a numpy array."""
+    shape = draw(st.sampled_from(["list", "mixed", "array"]))
+    if shape == "array":
+        cells, dtype = ARRAYS[draw(st.sampled_from(sorted(ARRAYS)))]
+        return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
+    if shape == "list":
+        return draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))], min_size=n, max_size=n))
+    return draw(st.lists(st.one_of(*CELLS.values()), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), width=st.integers(1, 4))
+def test_csv_text_matches_the_rowwise_writer(data, n, width):
+    schema = tuple(f"c{k}" for k in range(width))
+    cols = tuple(data.draw(columns(n)) for _ in schema)
+    # the rows the columns hold: numpy scalars where a column is an array
+    rows = [{c: col[i] for c, col in zip(schema, cols)} for i in range(n)]
+    expected = rowwise_csv_text(schema, rows)
+    assert SweepResult(schema, cols).to_csv_text() == expected
+    assert SweepResult.from_rows(schema, rows).to_csv_text() == expected
+
+
+def test_rows_are_a_view_of_the_columns_with_python_values():
+    result = SweepResult(
+        ("x", "flag", "status"), (np.array([0.5, -0.0]), np.array([True, False]), ["ok", "error: x"])
+    )
+    assert result.rows == ({"x": 0.5, "flag": True, "status": "ok"}, {"x": -0.0, "flag": False, "status": "error: x"})
+    assert [type(v) for row in result.rows for v in row.values()] == [float, bool, str] * 2
+    assert result.rows is result.rows
+    assert result.column("x") == [0.5, -0.0] and type(result.column("flag")[0]) is bool
+    with pytest.raises(KeyError):
+        result.column("missing")
+    empty = SweepResult.from_rows(("a", "b"), [])
+    assert (empty.rows, empty.column("a"), empty.to_csv_text()) == ((), [], "a,b\n")
+
+
+# delta, lambda and J at and beyond every check IsingParams makes, and where
+# delta * J / 2 or lambda * J / 2 overflows
+EDGE_DELTAS = [0.0, -0.0, -5e-324, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+EDGE_LAMS = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("j", [1, 4, -0.0])
+def test_the_validity_mask_is_ising_params(j):
+    result = ising_sweep(EDGE_DELTAS, EDGE_LAMS, j_coupling=j)
+    points = [(d, lam) for d in EDGE_DELTAS for lam in EDGE_LAMS]
+    statuses = result.column("status")
+    for (delta, lam), status in zip(points, statuses):
+        params = _point_outcome(IsingParams, j, delta, lam)
+        built = params if isinstance(params, Exception) else _point_outcome(build_ising, params)
+        if isinstance(built, Exception):
+            assert status == f"error: {built}"
+    assert [bits(r) for r in result.rows] == [bits(r) for r in reference_rows(EDGE_DELTAS, EDGE_LAMS, j)]
+    # each kind of failure is reached: an invalid parameter, and for J = 4 an
+    # overflow of the outer and of the middle field
+    assert "error: delta must be non-negative" in statuses
+    assert "error: lam must be finite, got nan" in statuses
+    assert ("error: h_ab contains non-finite entries" in statuses) == (j == 4)
+    assert ("error: h_b contains non-finite entries" in statuses) == (j == 4)
+    assert "ok" in statuses
+
+
+def count_ising_params(monkeypatch) -> list:
+    """Record each IsingParams.__post_init__ call."""
+    calls = []
+    check = IsingParams.__post_init__
+
+    def counting(self):
+        calls.append((self.delta, self.lam))
+        check(self)
+
+    monkeypatch.setattr(IsingParams, "__post_init__", counting)
+    return calls
+
+
+def test_the_chain_sweep_builds_no_point_object_and_no_row_dict(monkeypatch):
+    calls = count_ising_params(monkeypatch)
+    result = ising_sweep(parse_grid_spec("0.01:2:25"), parse_grid_spec("0:3:31"))
+    # the sweep-level check of J, and no point's
+    assert calls == [(0.0, 0.0)]
+    result.to_csv_text()
+    result.column("status")
+    assert "rows" not in vars(result)
+    assert len(result.rows) == 775 and "rows" in vars(result)
+
+
+def test_each_invalid_chain_point_builds_one_ising_params(monkeypatch):
+    calls = count_ising_params(monkeypatch)
+    deltas, lams = [0.5, -0.1, math.nan, 1.0], [0.0, math.inf, 1.0]
+    result = ising_sweep(deltas, lams)
+    invalid = [(d, lam) for d in deltas for lam in lams if not (d >= 0 and math.isfinite(d) and math.isfinite(lam))]
+    assert len(invalid) == 8
+    assert len(calls) == 1 + len(invalid)
+    assert [repr(point) for point in calls[1:]] == [repr(point) for point in invalid]
+    assert sum(s != "ok" for s in result.column("status")) == len(invalid)

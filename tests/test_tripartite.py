@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medent.entanglement import ground_state_ac_concurrence
 from medent.linalg import HermitianOperator, eigh, kron_all, schmidt, swap_operator
 from medent.tripartite import (
     PAULI,
@@ -363,3 +364,53 @@ def test_the_real_assembly_keeps_the_bits_on_the_edge_grid():
             assert not np.isfinite(ising_hamiltonians(finite)).all()
         assert_assembled_as_complex_terms(finite)
         assert_assembled_as_complex_terms(params)
+
+
+# ---------------------------------------------------------------- local unitaries on B
+
+def chain_concurrence(delta, h_b):
+    """C of the J = 1 chain with outer fields delta / 2 on sigma^1 and the full
+    middle field h_b."""
+    h = build_pauli_hamiltonian(
+        coefficients_with(
+            h_ab={(3, 3): 1.0, (1, 0): delta / 2},
+            h_bc={(3, 3): 1.0, (0, 1): delta / 2},
+            h_b={j: h_b[j] for j in range(3)},
+        )
+    )
+    return ground_state_ac_concurrence(h, (2, 2, 2))
+
+
+def entangled_chain_points(seed, count, h_y=True):
+    """(delta, h_b) draws whose concurrence is at least 1e-6; h_b[1] = 0 unless
+    ``h_y``."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        delta, h_b = rng.uniform(0.05, 2.0), rng.uniform(-3.0, 3.0, 3) * (1.0, h_y, 1.0)
+        base = chain_concurrence(delta, h_b)
+        if base.value >= 1e-6:
+            points.append((delta, h_b, base))
+    assert len(points) >= count // 2
+    return points
+
+
+def test_rotating_the_middle_field_about_z_keeps_the_concurrence():
+    # exp(-i phi sigma^3 / 2) on B commutes with both sigma^3 sigma^3 couplings
+    # and turns h_B about z; the outer fields act on A and C only
+    rng = np.random.default_rng(61)
+    for delta, (hx, hy, hz), base in entangled_chain_points(60, 80):
+        phi = rng.uniform(0.0, 2 * math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        turned = chain_concurrence(delta, (c * hx - s * hy, s * hx + c * hy, hz))
+        assert abs(turned.value - base.value) <= 1e-12
+        assert turned.degenerate_ground == base.degenerate_ground
+
+
+def test_flipping_the_longitudinal_middle_field_keeps_the_concurrence():
+    # sigma^1 x sigma^1 x sigma^1 is a product of local unitaries: it keeps the
+    # couplings and the sigma^1 fields and flips h_z (h_y too, held at 0)
+    for delta, (hx, _, hz), base in entangled_chain_points(62, 80, h_y=False):
+        flipped = chain_concurrence(delta, (hx, 0.0, -hz))
+        assert abs(flipped.value - base.value) <= 1e-12
+        assert flipped.degenerate_ground == base.degenerate_ground
