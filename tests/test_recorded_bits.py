@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from medent.dicke import VARIANTS, DickeConfig, _evaluate, mediator_concurrence
-from medent.entanglement import ground_state_ac_concurrence
+from medent.entanglement import ground_level_density_stack, ground_state_ac_concurrence
 from medent.linalg import eigh_stack
 from medent.sweeps import ISING_CHUNK, _ising_stack
 from medent.tripartite import IsingParams, _ising_coefficients, build_ising, ising_hamiltonians
@@ -81,6 +81,31 @@ def evaluate_digest() -> str:
     return h.hexdigest()
 
 
+# a chunk of the chain with no degenerate ground level, and stacks of one
+# point whose ground level is degenerate (delta = 0) or not
+CLEAN_CHUNK = [(d, lam) for d in np.linspace(0.1, 2.0, 8) for lam in np.linspace(0.2, 3.0, 16)]
+DEGENERATE_POINT = [(0.0, 1.3)]
+CLEAN_POINT = [(0.3, 1.3)]
+
+
+def points_params(points) -> list[IsingParams]:
+    return [IsingParams(delta=d, lam=lam) for d, lam in points]
+
+
+def ground_density_stack(params):
+    """The ground sizes and the ground-level rho_AC of the chain points' one
+    stacked solve."""
+    dec = eigh_stack(ising_hamiltonians(params))
+    return dec.ground_sizes, ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
+
+
+def ground_density_digest(params) -> str:
+    sizes, rho = ground_density_stack(params)
+    h = hashlib.sha256(sizes.tobytes())
+    h.update(rho.tobytes())
+    return h.hexdigest()
+
+
 def chunk_eigh_digest() -> str:
     """The eigenvalues and the eigenvectors' real parts of one chain chunk."""
     dec = eigh_stack(ising_hamiltonians(chunk_params()))
@@ -134,3 +159,34 @@ def test_the_dicke_spectrum_keeps_the_recorded_bytes(threads, tmp_path):
     proc = medent_process(argv, threads, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == recorded
+
+
+# the ground-level rho_AC of the chain, recorded with BLAS pinned to one
+# thread and equal with two: a chunk with 23 degenerate ground levels of 128,
+# one with none, and stacks of one with a degenerate ground level and without
+GROUND_DENSITIES = {
+    "chunk": (chunk_params, "e537431a2bae3b869242b6d80dc8a5f232cfe2b99252c14b7c371d964c9c12e0"),
+    "clean_chunk": (lambda: points_params(CLEAN_CHUNK),
+                    "3da4c73906ffc893c619e3230e9b2395ba68080d8419672d2bdc409465a36007"),
+    "degenerate_point": (lambda: points_params(DEGENERATE_POINT),
+                         "75b7991b22aa2fe1abc99063daea9520a89fbd0b206f25e558f01f64e3d08698"),
+    "clean_point": (lambda: points_params(CLEAN_POINT),
+                    "87f01c7f6bd441e275a0d510c6c09aa8403ccd040b31b0fb37d254f944cf84ed"),
+}
+
+
+def test_the_ground_density_pins_cover_both_kinds_of_ground_level():
+    degenerate = {name: int((ground_density_stack(params())[0] > 1).sum())
+                  for name, (params, _) in GROUND_DENSITIES.items()}
+    assert degenerate == {"chunk": 23, "clean_chunk": 0, "degenerate_point": 1, "clean_point": 0}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_ground_level_densities_keep_the_recorded_bits(threads):
+    code = (
+        "from test_recorded_bits import GROUND_DENSITIES as d, ground_density_digest as g; "
+        "print(' '.join(g(params()) for params, _ in d.values()))"
+    )
+    proc = python_process(["-c", code], threads, Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == [recorded for _, recorded in GROUND_DENSITIES.values()]
