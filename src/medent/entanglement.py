@@ -81,35 +81,48 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value=float(values[0]), tilde_lambdas=_readonly(lams[0]))
 
 
+def _mixed_density_stack(vectors: np.ndarray, sizes: np.ndarray, dims, keep) -> np.ndarray:
+    """The equal mixtures of the reductions of the first ``sizes[i]`` columns
+    of each basis ``vectors[i]``: each member is checked as a ``DensityMatrix``,
+    each mixture but for positivity."""
+    k = int(sizes.max())
+    states = vectors[:, :, :k].swapaxes(1, 2).reshape(len(vectors), k, *dims)
+    reduced = _trace_out(dims, keep, ",", states, states.conj())
+    # the columns past a smaller group's size stay zero and unchecked
+    in_group = np.arange(k) < sizes[:, np.newaxis]
+    members = np.zeros_like(reduced)
+    members[in_group] = _density_stack(reduced[in_group])
+    mixed = np.zeros_like(members[:, 0])
+    for j in range(k):
+        # +0 past the end of a smaller group leaves the sum's bits as they are
+        mixed += members[:, j]
+    return _density_stack(mixed / sizes[:, np.newaxis, np.newaxis], psd=False)
+
+
 def ground_level_density_stack(vectors: np.ndarray, ground_sizes: np.ndarray, dims, keep) -> np.ndarray:
     """Reduced density matrices of the ground levels of a stack of eigenbases.
 
     ``vectors`` is (n, D, D) with eigenvectors as columns in ascending energy
     and ``ground_sizes[i]`` the size of basis i's ground group.  A ground
     group of one gives that state's reduction, a degenerate one the equal
-    mixture of its members' reductions.  The reductions are one einsum over
-    the stack; each member of a ground group is checked as a ``DensityMatrix``,
-    and so is each mixture, but for the positivity of the returned matrices,
-    whose verdict comes from the caller's eigh of them (``concurrence_stack``).
-    The first failed check is raised.
+    mixture of its members' reductions.
+
+    Column 0 of every basis is reduced by one einsum over the stack, unless
+    every ground group is degenerate.  Only the degenerate bases have their
+    ground groups reduced in full, by a second einsum, and only their members
+    are checked as ``DensityMatrix``; the returned matrices are checked too,
+    but for positivity, whose verdict comes from the caller's eigh of them
+    (``concurrence_stack``).  A stack of one basis makes one reduction, of
+    either kind.  The first failed check is raised.
     """
     dims = tuple(int(d) for d in dims)
-    n, k = len(vectors), int(ground_sizes.max())
-    states = vectors[:, :, :k].swapaxes(1, 2).reshape(n, k, *dims)
-    reduced = _trace_out(dims, keep, ",", states, states.conj())
-    if k == 1:
-        return _density_stack(reduced[:, 0], psd=False)
-    # the columns past a smaller group's size stay zero and unchecked
-    in_group = np.arange(k) < ground_sizes[:, np.newaxis]
-    members = np.zeros_like(reduced)
-    members[in_group] = _density_stack(reduced[in_group])
-    rho = members[:, 0].copy()
     deg = np.flatnonzero(ground_sizes > 1)
-    mixed = np.zeros((deg.size, *rho.shape[1:]), dtype=np.complex128)
-    for j in range(k):
-        # +0 past the end of a smaller group leaves the sum's bits as they are
-        mixed += members[deg, j]
-    rho[deg] = _density_stack(mixed / ground_sizes[deg, np.newaxis, np.newaxis], psd=False)
+    if deg.size == len(vectors):
+        return _mixed_density_stack(vectors, ground_sizes, dims, keep)
+    states = vectors[:, :, :1].swapaxes(1, 2).reshape(len(vectors), *dims)
+    rho = _density_stack(_trace_out(dims, keep, ",", states, states.conj()), psd=False)
+    if deg.size:
+        rho[deg] = _mixed_density_stack(vectors[deg], ground_sizes[deg], dims, keep)
     return rho
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -272,6 +272,18 @@ def _ground_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sizes, np.where(sizes < d, above - w[:, 0], 0.0)
 
 
+def _raise_infinite_range(w: np.ndarray) -> None:
+    """NumericalError for the first ascending spectrum of an (n, d) stack whose
+    range w[-1] - w[0] is not finite.
+
+    The range scales the degeneracy tolerance, so one that overflowed would
+    merge the whole spectrum into the ground level.  It is taken in Python
+    floats, which overflow to inf without a warning."""
+    for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
+        if not isfinite(high - low):
+            raise NumericalError(f"spectral range is not finite: {low:.3e} to {high:.3e}")
+
+
 def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LAPACK call over a stack of Hermitian matrices, then the phase
     convention and the orthonormality and residual contracts per matrix.
@@ -289,6 +301,7 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    _raise_infinite_range(w)
     if m.dtype == np.complex128 and not m.imag.any():
         imag = np.abs(v.imag).max(axis=(1, 2))
         _raise_first(imag > 0, imag, lambda g: NumericalError(
@@ -402,6 +415,8 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, floa
     w = np.concatenate([values.ravel() for _, values, _ in blocks])
     order = np.argsort(w, kind="stable")
     w = w[order]
+    # each block's range is finite, but the merged one may not be
+    _raise_infinite_range(w[np.newaxis])
     (size,), (gap,) = _ground_levels(w[np.newaxis])
     vectors = np.zeros((dim, size), dtype=np.complex128)
     for member, i in enumerate(order[:size].tolist()):

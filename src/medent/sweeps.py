@@ -52,14 +52,45 @@ def format_value(value) -> str:
 
 
 # exact value type -> the text format_value gives a value of that type
-_FORMATTERS = {bool: lambda v: "1" if v else "0", int: str, float: "{:.17g}".format, str: str}
+_FORMATTERS = {bool: lambda v: "1" if v else "0", int: str, float: "{:.17g}".format}
 
 
-def _column_formatter(values: list):
-    """The formatter of a column whose values all have one type in _FORMATTERS,
-    else format_value."""
+def _float_fields(col: np.ndarray) -> list[str]:
+    """The text of each value of a float64 array, each distinct bit pattern
+    formatted once (0.0 and -0.0 apart, as a float-keyed cache would not keep
+    them)."""
+    keys = col.view(np.int64).tolist()
+    values = dict(zip(keys, col.tolist()))
+    text = dict(zip(values, map(_FORMATTERS[float], values.values())))
+    return list(map(text.__getitem__, keys))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` quotes a field of a row of several
+    (alone in its row, an empty field is written "")."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _column_fields(col) -> list[str]:
+    """The CSV fields of one column, as ``format_value`` formats its values
+    and ``csv.writer`` quotes them: each distinct float formatted once and
+    each distinct text quoted once."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return _float_fields(col)
+    values = col.tolist() if isinstance(col, np.ndarray) else list(col)
     kinds = set(map(type, values))
-    return _FORMATTERS.get(kinds.pop(), format_value) if len(kinds) == 1 else format_value
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return _float_fields(np.array(values))
+    if kind in (bool, int):
+        # a formatted number never needs quoting
+        return list(map(_FORMATTERS[kind], values))
+    # a text column, or the format_value texts of a column of other or mixed types
+    texts = values if kind is str else list(map(format_value, values))
+    quoted = {text: _csv_field(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
 
 
 def parse_value(column: str, text: str):
@@ -102,12 +133,16 @@ class SweepResult:
         return tuple(dict(zip(self.schema, values)) for values in zip(*columns))
 
     def to_csv_text(self) -> str:
+        """The header as ``csv.writer`` writes it, then one line per row of
+        its columns' fields (``_column_fields``) joined by commas."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.schema)
-        columns = [self.column(c) for c in self.schema]
-        writer.writerows(zip(*(map(_column_formatter(col), col) for col in columns)))
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(self.schema)
+        lines = list(map(",".join, zip(*map(_column_fields, self.columns))))
+        if len(self.schema) == 1:
+            # as csv.writer writes a row of one empty field, so it reads as a row
+            lines = [line or '""' for line in lines]
+        lines.append("")
+        return buf.getvalue() + "\n".join(lines)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

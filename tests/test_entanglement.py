@@ -13,7 +13,7 @@ from medent.entanglement import (
     ground_state_ac_concurrence,
     ground_state_pair_concurrence,
 )
-from medent import linalg
+from medent import entanglement, linalg
 from medent.dicke import DickeConfig, build_dicke, dicke_mediator_form
 from medent.linalg import (
     DensityMatrix,
@@ -180,6 +180,28 @@ def test_closed_form_limit_scales_with_lambda():
         assert got == pytest.approx(lam / np.sqrt(lam**2 + 16), abs=1e-3)
 
 
+def chain_concurrence(delta, lam):
+    """C of the chain's non-degenerate ground state at J = 1."""
+    res = ground_state_ac_concurrence(build_ising(IsingParams(delta=delta, lam=lam)), (2, 2, 2))
+    assert not res.degenerate_ground
+    return res.value
+
+
+@pytest.mark.parametrize("delta", [1e-2, 3e-3, 1e-3, 1e-4])
+def test_the_control_frontier_closes_on_full_entanglement(delta):
+    # at lam = sqrt(8 / delta), 1 - C = 2 delta - 3 delta^2 + c3 delta^3 (J = 1):
+    # 1 - C reads 0.01970 at delta = 1e-2, and the excess over 2 delta - 3 delta^2
+    # reads 4.191, 4.232, 4.244 and 4.43 delta^3 down the four deltas, so c3 is
+    # about 4.25.  The 1e-11 is the solver noise: relative changes of lam of up
+    # to 1e-11 move the excess by up to 3e-12 at delta = 1e-4 and 3e-13 at 1e-3
+    lam = np.sqrt(8 / delta)
+    c = chain_concurrence(delta, lam)
+    excess = (1 - c) - (2 * delta - 3 * delta**2)
+    assert abs(excess - 4.25 * delta**3) <= 0.1 * delta**3 + 1e-11
+    # and the optimum is near: 5% off that lam either way entangles less
+    assert chain_concurrence(delta, 0.95 * lam) < c and chain_concurrence(delta, 1.05 * lam) < c
+
+
 def test_pair_concurrence_respects_pair_argument():
     h = build_ising(IsingParams(delta=0.01, lam=1.0))
     outer = ground_state_pair_concurrence(h, (2, 2, 2), (0, 2))
@@ -263,8 +285,18 @@ def test_concurrence_stack_raises_when_lapack_fails(monkeypatch):
 
 def test_ground_level_density_stack_matches_member_by_member_mixture():
     # eigenbases with ground groups of different sizes in one stack, on a qubit x qutrit x qubit
+    assert_member_by_member_mixture([1, 3, 2, 1, 4])
+
+
+@pytest.mark.parametrize("sizes", [[2, 3], [1, 1], [3], [1]])
+def test_ground_level_density_stack_of_one_kind_of_ground_level(sizes):
+    # all degenerate, none, and stacks of one
+    assert_member_by_member_mixture(sizes)
+
+
+def assert_member_by_member_mixture(sizes):
     rng = np.random.default_rng(12)
-    dims, keep, sizes = (2, 3, 2), (0, 2), np.array([1, 3, 2, 1, 4])
+    dims, keep, sizes = (2, 3, 2), (0, 2), np.array(sizes)
     a = rng.standard_normal((len(sizes), 12, 12)) + 1j * rng.standard_normal((len(sizes), 12, 12))
     bases = np.linalg.qr(a)[0]
     rho = ground_level_density_stack(bases, sizes, dims, keep)
@@ -275,7 +307,7 @@ def test_ground_level_density_stack_matches_member_by_member_mixture():
 
 
 def test_ground_level_density_stack_checks_only_ground_group_members():
-    # the columns past a smaller group's size are reduced with the stack but never checked
+    # the columns past a group's size are never checked
     rng = np.random.default_rng(13)
     dims, keep, sizes = (2, 3, 2), (0, 2), np.array([1, 2])
     a = rng.standard_normal((2, 12, 12)) + 1j * rng.standard_normal((2, 12, 12))
@@ -286,6 +318,41 @@ def test_ground_level_density_stack_checks_only_ground_group_members():
     bases[1, :, 1] *= 2  # inside basis 1's ground group
     with pytest.raises(ValueError, match=r"^trace = \S+, expected 1 within 1e-10$"):
         ground_level_density_stack(bases, sizes, dims, keep)
+
+
+def record_reductions(monkeypatch) -> list:
+    """Record, per ground-level einsum, the number of states it reduces and,
+    per density check, the number of matrices and whether it checks positivity."""
+    calls = []
+    trace_out, density_stack = entanglement._trace_out, entanglement._density_stack
+
+    def tracing(dims, keep, separator, *tensors):
+        calls.append(("einsum", tensors[0].size // np.prod(dims)))
+        return trace_out(dims, keep, separator, *tensors)
+
+    def checking(m, psd=True):
+        calls.append(("density", len(m), psd))
+        return density_stack(m, psd)
+
+    monkeypatch.setattr(entanglement, "_trace_out", tracing)
+    monkeypatch.setattr(entanglement, "_density_stack", checking)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "delta, expected",
+    [
+        # one state reduced and checked but for positivity
+        (0.3, [("einsum", 1), ("density", 1, False)]),
+        # a ground pair: both members reduced and checked, then their mixture
+        (0.0, [("einsum", 2), ("density", 2, True), ("density", 1, False)]),
+    ],
+)
+def test_a_stack_of_one_basis_makes_one_reduction(delta, expected, monkeypatch):
+    dec = eigh(build_ising(IsingParams(delta=delta, lam=1.3)))
+    calls = record_reductions(monkeypatch)
+    ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), (2, 2, 2), (0, 2))
+    assert calls == expected
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from medent.linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
+    _block_ground_level,
     _hermitian_stack,
+    _merged_ground_level,
     eigh,
     eigh_stack,
     fix_phases,
@@ -372,6 +375,27 @@ def test_degeneracy_grouping():
     assert dec.ground_group == (0, 1)
     assert dec.gap() == pytest.approx(1.0)
     assert dec.is_degenerate(2) and not dec.is_degenerate(5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_spectral_range_that_overflows_raises_on_every_path(dtype):
+    # entries of 5e307 and eigenvalues -1e308, 0, 0, 1e308: the range overflows,
+    # and as the degeneracy tolerance it would merge the whole spectrum into
+    # one ground level.  No overflow warning comes before the error
+    m = 5e307 * (np.kron(SX, I2) + np.kron(I2, SX)).real.astype(dtype)
+    message = r"^spectral range is not finite: -1\.000e\+308 to 1\.000e\+308$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=message):
+            eigh_stack(np.stack([np.eye(4, dtype=dtype), m]))
+        with pytest.raises(NumericalError, match=message):
+            eigh(HermitianOperator(m))
+        with pytest.raises(NumericalError, match=message):
+            _block_ground_level(m)
+        # blocks whose own ranges are finite, merged
+        blocks = [(np.array([[0], [1]]), np.array([[-1e308], [1e308]]), np.ones((2, 1, 1)))]
+        with pytest.raises(NumericalError, match=message):
+            _merged_ground_level(2, blocks)
 
 
 def test_hermitian_operator_rejects_nonhermitian():

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from medent.entanglement import (
     ground_level_density,
     ground_state_ac_concurrence,
 )
-from medent.linalg import DensityMatrix, eigh, reduced_density
+from medent.linalg import DensityMatrix, eigh, eigh_stack, reduced_density
 from medent.sweeps import (
     ISING_CHUNK,
     ISING_SWEEP_SCHEMA,
@@ -28,8 +29,9 @@ from medent.sweeps import (
     linspace_grid,
     parse_grid_spec,
 )
+import medent.entanglement
 import medent.sweeps
-from medent.tripartite import IsingParams, _ising_coefficients, build_ising
+from medent.tripartite import IsingParams, _ising_coefficients, build_ising, ising_hamiltonians
 
 
 def test_format_round_trip_precision():
@@ -389,6 +391,34 @@ def test_readme_grid_makes_two_stacked_eigh_calls_per_chunk(monkeypatch):
     assert shapes == [(n, d, d) for n in chunks for d in (8, 4)]
 
 
+def test_a_readme_chunk_checks_positivity_only_on_degenerate_members(monkeypatch):
+    # per chunk: column 0 of every basis is checked but for positivity, whose
+    # verdict is the concurrence's eigh; only the members of degenerate ground
+    # groups (the lambda = 0 column) get the eigvalsh of the full check
+    deltas, lams = parse_grid_spec("0.01:2:25"), parse_grid_spec("0:3:31")
+    params = [IsingParams(delta=d, lam=lam) for d in deltas for lam in lams]
+    expected = []
+    for start in range(0, len(params), ISING_CHUNK):
+        chunk = params[start:start + ISING_CHUNK]
+        sizes = eigh_stack(ising_hamiltonians(chunk)).ground_sizes
+        degenerate = sizes[sizes > 1]
+        expected.append((len(chunk), False))
+        if degenerate.size:
+            expected += [(int(degenerate.sum()), True), (degenerate.size, False)]
+    check = medent.entanglement._density_stack
+    calls = []
+
+    def recording(m, psd=True):
+        calls.append((len(m), psd))
+        return check(m, psd)
+
+    monkeypatch.setattr(medent.entanglement, "_density_stack", recording)
+    result = ising_sweep(deltas, lams)
+    assert calls == expected
+    assert sum(size for size, psd in calls if psd) == 2 * 25
+    assert sum(result.column("degenerate")) == 25
+
+
 def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     # 80 points with a negative delta, all in the first chunk: its 48 valid
     # points are still solved as one stack, and each invalid one flags its row
@@ -485,6 +515,42 @@ def test_csv_text_matches_the_rowwise_writer(data, n, width):
     assert SweepResult.from_rows(schema, rows).to_csv_text() == expected
 
 
+def distinct_float_bits(result) -> list[bytes]:
+    """Per float64 column of ``result``, each distinct bit pattern in the order
+    of its first cell."""
+    bits = []
+    for column in result.columns:
+        values = np.asarray(column)
+        if values.dtype == np.float64:
+            bits += dict.fromkeys(struct.pack("<d", v) for v in values.tolist())
+    return bits
+
+
+def test_each_distinct_float_is_formatted_once_per_column(monkeypatch):
+    fmt = medent.sweeps._FORMATTERS[float]
+    formatted = []
+
+    def recording(value):
+        formatted.append(struct.pack("<d", value))
+        return fmt(value)
+
+    monkeypatch.setitem(medent.sweeps._FORMATTERS, float, recording)
+    # the landscape's delta and lambda columns hold 25 and 31 distinct values in 775 cells
+    landscape = ising_sweep(parse_grid_spec("0.01:2:25"), parse_grid_spec("0:3:31"))
+    landscape.to_csv_text()
+    assert formatted == distinct_float_bits(landscape)
+    assert len(formatted) <= 25 + 31 + 3 * 775
+    # 0.0 and -0.0 are formatted apart, in an array and in a list column
+    signed = SweepResult(
+        ("array", "list", "flag"),
+        (np.array([0.0, -0.0, 0.0, math.nan, math.nan, -0.0]), [0.5, 0.5, -0.0, 0.0, 0.5, 0.0], [True] * 6),
+    )
+    formatted.clear()
+    text = signed.to_csv_text()
+    assert formatted == distinct_float_bits(signed) and len(formatted) == 6
+    assert text == "array,list,flag\n0,0.5,1\n-0,0.5,1\n0,-0,1\nnan,0,1\nnan,0.5,1\n-0,0,1\n"
+
+
 def test_rows_are_a_view_of_the_columns_with_python_values():
     result = SweepResult(
         ("x", "flag", "status"), (np.array([0.5, -0.0]), np.array([True, False]), ["ok", "error: x"])
@@ -507,7 +573,10 @@ EDGE_LAMS = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
 
 @pytest.mark.parametrize("j", [1, 4, -0.0])
 def test_the_validity_mask_is_ising_params(j):
-    result = ising_sweep(EDGE_DELTAS, EDGE_LAMS, j_coupling=j)
+    with warnings.catch_warnings():
+        # an overflow is a flagged row, not a warning and a plausible number
+        warnings.simplefilter("error", RuntimeWarning)
+        result = ising_sweep(EDGE_DELTAS, EDGE_LAMS, j_coupling=j)
     points = [(d, lam) for d in EDGE_DELTAS for lam in EDGE_LAMS]
     statuses = result.column("status")
     for (delta, lam), status in zip(points, statuses):
@@ -523,6 +592,15 @@ def test_the_validity_mask_is_ising_params(j):
     assert ("error: h_ab contains non-finite entries" in statuses) == (j == 4)
     assert ("error: h_b contains non-finite entries" in statuses) == (j == 4)
     assert "ok" in statuses
+    # for J = 1 the outer fields delta * J / 2 = 5e307 are finite, but the
+    # spectrum's range is not, and as the degeneracy tolerance it would merge
+    # the whole spectrum into one ground level
+    overflowed = [point for point, status in zip(points, statuses) if status.startswith("error: spectral range")]
+    assert overflowed == ([(1e308, lam) for lam in (0.0, -0.0, 1e308, -1e308)] if j == 1 else [])
+    assert statuses[points.index((1e308, 0.0))] == (
+        "error: spectral range is not finite: -1.000e+308 to 1.000e+308" if j == 1
+        else "error: h_ab contains non-finite entries" if j == 4 else "ok"
+    )
 
 
 def count_ising_params(monkeypatch) -> list:
