@@ -25,12 +25,12 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
+    _assembled_operator,
     _block_ground_level,
-    _eigh_hermitian,
-    _ground_levels,
     _hermitian_stack,
     _merged_ground_level,
     _readonly,
+    eigh,
     eigh_stack,
     kron,
 )
@@ -237,18 +237,20 @@ def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> np.ndarra
 
 
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
-    """``cfg``'s Hamiltonian in the basis atom x atom x field."""
-    return HermitianOperator(_scattered_dicke(cfg, (0, 1, 2)))
+    """``cfg``'s Hamiltonian in the basis atom x atom x field, checked once, on
+    its parity blocks: their exactly symmetric real scatter is not checked again."""
+    return _assembled_operator(_scattered_dicke(cfg, (0, 1, 2)))
 
 
 def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int, int, int]]:
-    """The same operator in the basis atom x field x atom.
+    """The same operator in the basis atom x field x atom, checked once, on
+    its parity blocks, as ``build_dicke``'s is.
 
     Puts the field in the middle slot so the exchange-symmetry and theorem
     machinery (which expects the mediator between the two outer qubits) can
     consume it directly.
     """
-    return HermitianOperator(_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
+    return _assembled_operator(_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
 
 
 def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
@@ -257,9 +259,9 @@ def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     bit for bit.  The parity blocks, checked once, are scattered into the
     real mediator-form matrix, which goes through the two steps that
     ``ground_state_pair_concurrence`` runs: ``_block_ground_level``, then
-    ``ground_level_concurrence``.  The ``HermitianOperator`` check of the
-    mediator form returns an exactly symmetric real matrix unchanged, so
-    both solve the same real matrix with the same kernel."""
+    ``ground_level_concurrence``.  The mediator form holds that real matrix
+    as complex with zero imaginary parts, which that function takes back
+    to real, so both solve the same real matrix with the same kernel."""
     _, vectors = _block_ground_level(_scattered_dicke(cfg, (0, 2, 1)))
     return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
 
@@ -275,23 +277,6 @@ class DickeGroundPoint:
     nmax_used: int
     converged: bool
     convergence_delta: float
-
-
-def _evaluate(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
-    """Ground energy, gap and atom-atom concurrence of ``cfg`` from the full
-    complex solve of the matrix ``build_dicke`` returns, whose parity blocks
-    are already checked.
-
-    The matrix is exactly real, so ``_eigh_hermitian`` requires exactly real
-    eigenvectors and checks them on their real parts.  It keeps the complex
-    LAPACK call and its phases p·(1/|p|) of each pivot p, which differ from the
-    sector solves' sign(p) by an ulp on about one pivot in seven: the sweep's
-    recorded digests hold these bits."""
-    h = _scattered_dicke(cfg, (0, 1, 2)).astype(np.complex128)
-    w, v = _eigh_hermitian(h[np.newaxis])
-    (size,), (gap,) = _ground_levels(w)
-    conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
-    return float(w[0, 0]), float(gap), conc
 
 
 @lru_cache(maxsize=8)
@@ -381,8 +366,8 @@ def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]
     """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
     real diagonal blocks (2, d, d); every entry outside them is zero.
 
-    This is the one Hermiticity check of a Dicke Hamiltonian: the blocks are
-    returned as ``_hermitian_stack`` returns them.
+    This is the one Hermiticity check of a Dicke Hamiltonian on every route:
+    the blocks are returned as ``_hermitian_stack`` returns them.
     """
     group = _parity_blocks(cfg.n_max)
     return group[0], _hermitian_stack(_block_stack(group, _dicke_coefficients(cfg)))
@@ -436,15 +421,17 @@ def dicke_ground_point(
     by more than ``convergence_tol`` at the cutoff limit the point is returned
     with ``converged=False`` rather than silently accepted.
 
-    ``cfg``'s own cutoff is solved in full (``_evaluate``), every doubled one only
-    on its exact sectors (``_settled_cutoff``): (J, N) for h1 and (J, N mod 2) for
-    h2 and h3 in the atoms' collective basis, which report any value above it.
+    ``cfg``'s own cutoff is solved in full, ``eigh(build_dicke(cfg))``, whose complex
+    bits the recorded digests hold; every doubled one only on its exact sectors
+    (``_settled_cutoff``): (J, N) for h1 and (J, N mod 2) for h2 and h3 in the
+    atoms' collective basis, which report any value above it.
     """
     if not convergence_tol >= 0:
         raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
-    energy, gap, conc = _evaluate(cfg)
+    dec = eigh(build_dicke(cfg))
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
     n, converged, delta, point = _settled_cutoff(cfg, conc.value, convergence_tol, n_max_limit)
-    energy, gap, conc = point or (energy, gap, conc)
+    energy, gap, conc = point or (dec.ground_energy, dec.gap(), conc)
     return DickeGroundPoint(cfg.with_n_max(n), energy, gap, conc, n, converged, delta)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite, prod
+from math import frexp, isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,12 @@ DEGENERACY_RTOL = 1e-9
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-8
+
+# the largest |entry| whose Hermitian part (M + M^dag) / 2 cannot overflow
+ENTRY_LIMIT = np.finfo(float).max / 2
+# the largest magnitude whose squares, summed over a matrix of KRON_DIM_LIMIT^2
+# entries, stay finite
+_SQUARE_SAFE = 2.0**480
 
 
 class DimensionError(ValueError):
@@ -47,7 +53,12 @@ def as_complex_matrix(entries) -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """||m||_F, taken of m scaled by a power of two where its squares would overflow."""
+    top = float(np.maximum.reduce(np.abs(m), axis=None, initial=0.0))
+    if top <= _SQUARE_SAFE:
+        return float(np.linalg.norm(m))
+    s = 2.0 ** -frexp(top)[1]
+    return float(np.linalg.norm(m * s)) / s
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -72,26 +83,46 @@ def _raise_first(failed: np.ndarray, values: np.ndarray, make) -> None:
         raise make(values[failed.argmax()].item())
 
 
-def _raise_first_scaled(values: np.ndarray, rtol: float, m: np.ndarray, make) -> None:
+def _raise_first_scaled(values: np.ndarray, rtol: float, m: np.ndarray, make, scales=None) -> None:
     """Raise ``make(value, tolerance)`` for the first matrix i whose value
-    exceeds rtol * max(||m[i]||_F, 1)."""
-    # the tolerance is never below rtol, so the norm is needed only above it
-    for i in (values > rtol).nonzero()[0].tolist():
-        tol = rtol * max(frobenius_norm(m[i]), 1.0)
+    exceeds rtol * max(||m[i]||_F, 1).
+
+    Where given, ``scales[i]`` is the power of two that matrix i and its value
+    were scaled by: they are compared with rtol * max(||m[i]||_F, scales[i]),
+    the same verdict, and reported unscaled."""
+    floors = 1.0 if scales is None else scales
+    # the tolerance is never below rtol * floor, so the norm is needed only above it
+    for i in (values > rtol * floors).nonzero()[0].tolist():
+        s = 1.0 if scales is None else scales[i].item()
+        tol = rtol * max(frobenius_norm(m[i]), s)
         if values[i] > tol:
-            raise make(values[i].item(), tol)
+            # Python floats, which overflow to inf without a warning
+            raise make(values[i].item() / s, tol / s)
+
+
+def _raise_unbounded_entry(m: np.ndarray) -> None:
+    """ValueError for a NaN or Inf entry of the (n, d, d) stack ``m``, or else
+    for its first entry of largest magnitude, which exceeds ENTRY_LIMIT."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    magnitude = np.abs(m)
+    i, row, col = np.unravel_index(magnitude.argmax(), m.shape)
+    raise ValueError(
+        f"entry ({row}, {col}) has magnitude {magnitude[i, row, col]:.3e}: "
+        f"the Hermitian part (M + M^dag) / 2 overflows above {ENTRY_LIMIT:.3e}"
+    )
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     """The Hermitian part of every matrix in an (n, d, d) complex or real stack.
 
-    Raises ValueError if a matrix has a NaN or Inf entry, or else for the
+    Raises ValueError if a matrix has a NaN or Inf entry, or an entry of
+    magnitude above ENTRY_LIMIT, before any sum can overflow; or else for the
     first matrix whose max|M - M^dag| exceeds HERMITICITY_RTOL * max(||M||_F, 1).
     """
-    # np.isfinite of the complex entries, not of a float64 view: a view needs
-    # a contiguous last axis, and a ground-level reduction hands in strided stacks
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    # one reduction, on strided stacks too: NaN, Inf and too large an entry fail it
+    if not np.maximum.reduce(np.abs(m), axis=None) <= ENTRY_LIMIT:
+        _raise_unbounded_entry(m)
     mh = m.conj().swapaxes(1, 2)
     defect = np.abs(m - mh).max(axis=(1, 2))
     _raise_first_scaled(defect, HERMITICITY_RTOL, m, lambda dv, tol: ValueError(
@@ -133,6 +164,14 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _assembled_operator(m: np.ndarray) -> HermitianOperator:
+    """``HermitianOperator(m)`` of a real, exactly symmetric ``m`` built of checked
+    parts, without the second check, which would return it unchanged, bit for bit."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "matrix", _readonly(m.astype(np.complex128)))
+    return op
 
 
 @dataclass(frozen=True)
@@ -235,8 +274,9 @@ def _degeneracy_tol(w: np.ndarray):
 def degeneracy_groups(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Partition sorted eigenvalues into groups of bounded spread."""
     w = np.asarray(eigenvalues, dtype=float)
-    n = w.shape[0]
-    tol = _degeneracy_tol(w)
+    tol = float(_degeneracy_tol(w))
+    w = w.tolist()  # Python floats: numpy scalars' arithmetic, at less cost per step
+    n = len(w)
     groups = []
     start = 0
     while start < n:
@@ -272,16 +312,18 @@ def _ground_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sizes, np.where(sizes < d, above - w[:, 0], 0.0)
 
 
-def _raise_infinite_range(w: np.ndarray) -> None:
+def _raise_infinite_range(w: np.ndarray) -> float:
     """NumericalError for the first ascending spectrum of an (n, d) stack whose
-    range w[-1] - w[0] is not finite.
+    range w[-1] - w[0] is not finite; else the largest |eigenvalue| of the stack.
 
     The range scales the degeneracy tolerance, so one that overflowed would
     merge the whole spectrum into the ground level.  It is taken in Python
     floats, which overflow to inf without a warning."""
-    for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
+    lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+    for low, high in zip(lows, highs):
         if not isfinite(high - low):
             raise NumericalError(f"spectral range is not finite: {low:.3e} to {high:.3e}")
+    return max(-min(lows), max(highs))
 
 
 def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,13 +337,17 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and residual checks run on the real parts; the vectors stay complex,
     turned by the phases ``_unit_phases`` gives their pivots, p·(1/|p|), not
     sign(p), so every bit is the one the complex checks would return.
+
+    Where a matrix has an eigenvalue above _SQUARE_SAFE, its squared residual
+    and the norm of its tolerance would overflow: they are then taken of it
+    and its eigenvalues scaled by a power of two (``_raise_first_scaled``).
     """
     d = m.shape[-1]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    _raise_infinite_range(w)
+    top = _raise_infinite_range(w)
     if m.dtype == np.complex128 and not m.imag.any():
         imag = np.abs(v.imag).max(axis=(1, 2))
         _raise_first(imag > 0, imag, lambda g: NumericalError(
@@ -317,11 +363,16 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram_defect = np.abs(checked.conj().swapaxes(1, 2) @ checked - np.eye(d)).max(axis=(1, 2))
     _raise_first(gram_defect > ORTHONORMALITY_ATOL, gram_defect,
                  lambda g: NumericalError(f"eigenvector orthonormality defect {g:.3e}"))
+    shifts, scales = w, None
+    if top > _SQUARE_SAFE:
+        tops = np.maximum(-w[:, 0], w[:, -1])
+        scales = np.where(tops > _SQUARE_SAFE, np.ldexp(1.0, -np.frexp(tops)[1]), 1.0)
+        m, shifts = m * scales[:, np.newaxis, np.newaxis], w * scales[:, np.newaxis]
     # the column norms as np.linalg.norm(r, axis=1) computes them, without its wrapper
-    r = m @ checked - checked * w[:, np.newaxis, :]
+    r = m @ checked - checked * shifts[:, np.newaxis, :]
     residual = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)).max(axis=1)
     _raise_first_scaled(residual, RESIDUAL_RTOL, m,
-                        lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"))
+                        lambda r, _: NumericalError(f"eigendecomposition residual {r:.3e}"), scales)
     return w, v
 
 

@@ -24,6 +24,7 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     _density_stack,
+    _eigh_hermitian,
     _hermitian_stack,
     _purity_stack,
     _readonly,
@@ -31,7 +32,6 @@ from .linalg import (
     _trace_out,
     degeneracy_groups,
     eigh,
-    eigh_stack,
     kron_all,
     permute_subsystems,
 )
@@ -363,8 +363,8 @@ def _fuzz_chunk(seed: int, trials: range, d_b: int, break_symmetry: bool):
     """The counterexamples, family checks, trial records and counterexample
     swap expectations of a run of consecutive trials.
 
-    The run is drawn, solved and analysed as stacks; every trial keeps the
-    bits it has when solved alone.
+    The run is drawn, checked once, solved and analysed as stacks; every
+    trial keeps the bits it has when solved alone.
     """
     dims = (2, d_b, 2)
     rngs = [
@@ -377,11 +377,11 @@ def _fuzz_chunk(seed: int, trials: range, d_b: int, break_symmetry: bool):
     if not symmetric.size:
         return [], [], records, np.zeros(0)
     h = h[symmetric]
-    dec = eigh_stack(h)
+    energies, vectors = _eigh_hermitian(h)
 
     dim = h.shape[-1]
     # row s * dim + i: eigenstate i of the s-th symmetric trial
-    states = np.ascontiguousarray(dec.eigenvectors.swapaxes(1, 2)).reshape(-1, dim)
+    states = np.ascontiguousarray(vectors.swapaxes(1, 2)).reshape(-1, dim)
     split = _middle_split(states, dims)
     ranks = split.ranks()
     # with qubit outer parties, rank >= 2 is rank 2
@@ -403,7 +403,7 @@ def _fuzz_chunk(seed: int, trials: range, d_b: int, break_symmetry: bool):
     for k in np.flatnonzero(purity_b >= 1.0 - PURITY_PURE_ATOL).tolist():
         s = int(owner[k])
         if s not in level_sizes:
-            groups = degeneracy_groups(dec.eigenvalues[s])
+            groups = degeneracy_groups(energies[s])
             level_sizes[s] = [len(group) for group in groups for _ in group]
         if level_sizes[s][index[k]] == 1:
             found.append(k)
@@ -413,7 +413,7 @@ def _fuzz_chunk(seed: int, trials: range, d_b: int, break_symmetry: bool):
         Counterexample(
             trials[symmetric[owner[k]]],
             int(index[k]),
-            float(dec.eigenvalues[owner[k], index[k]]),
+            float(energies[owner[k], index[k]]),
             float(purity_b[k]),
             int(ranks[hits[k]]),
         )

@@ -522,10 +522,10 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
 def test_optimize_dicke_confirms_the_printed_best_without_a_full_solve(monkeypatch, capsys):
     # the doubled cutoff's sectors confirm the printed best, so no complex
     # full solve runs, neither at the optimum's cutoff nor at its double
-    def full_solve(cfg):
-        raise AssertionError(f"full solve at n_max = {cfg.n_max}")
+    def full_solve(h):
+        raise AssertionError(f"full solve of a {h.dim} x {h.dim} matrix")
 
-    monkeypatch.setattr(dicke_module, "_evaluate", full_solve)
+    monkeypatch.setattr(dicke_module, "eigh", full_solve)
     code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1")
     assert code == 0
     assert err.splitlines()[1].endswith(" at n_max = 40")
@@ -572,10 +572,10 @@ def test_optimize_dicke_lets_the_next_doubling_decide_when_the_sectors_reject(mo
 def test_optimize_dicke_solves_each_doubled_cutoff_once_when_the_sectors_reject(monkeypatch, capsys):
     # sectors that reject at every cutoff: the Fock check solves n_max 80
     # and 160 once each on their sectors, and no cutoff in full
-    def full_solve(cfg):
-        raise AssertionError(f"full solve at n_max = {cfg.n_max}")
+    def full_solve(h):
+        raise AssertionError(f"full solve of a {h.dim} x {h.dim} matrix")
 
-    monkeypatch.setattr(dicke_module, "_evaluate", full_solve)
+    monkeypatch.setattr(dicke_module, "eigh", full_solve)
     solved = shift_the_sectors(monkeypatch, lambda n: n * CONVERGENCE_TOL)
     code, out, err = run(capsys, *DICKE_OPTIMIZE, "--nmax", "40", "--lower", "0.1", "--upper", "1.1")
     assert code == 3

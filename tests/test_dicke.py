@@ -17,9 +17,9 @@ from medent.dicke import (
     FockConvergenceError,
     _dicke_coefficients,
     _dicke_terms,
-    _evaluate,
     _parity_block_hamiltonian,
     _parity_blocks,
+    _scattered_dicke,
     _sector_blocks,
     _sector_point,
     bosonic_operators,
@@ -310,7 +310,7 @@ def test_a_negative_or_nan_tolerance_is_rejected_before_any_point(tol, monkeypat
     def no_solve(cfg):
         raise AssertionError("solved a point")
 
-    monkeypatch.setattr(dicke_module, "_evaluate", no_solve)
+    monkeypatch.setattr(dicke_module, "build_dicke", no_solve)
     cfg = DickeConfig(variant="h2", kappa=0.5, n_max=8)
     message = f"convergence_tol must be >= 0, got {tol}"
     with pytest.raises(ValueError, match=message):
@@ -341,7 +341,7 @@ def test_a_complex_eigenvector_of_a_start_cutoff_solve_flags_only_its_row(monkey
 
     monkeypatch.setattr(np.linalg, "eigh", leaky)
     with pytest.raises(NumericalError, match="imaginary part 1.000e-20$"):
-        _evaluate(dataclasses.replace(cfg, kappa=0.6))
+        dicke_ground_point(dataclasses.replace(cfg, kappa=0.6))
     statuses = dicke_sweep(cfg, [0.3, 0.6, 0.9], [1.0]).column("status")
     assert statuses == [
         "ok", "error: eigenvector of an exactly real matrix has imaginary part 1.000e-20", "ok"
@@ -351,8 +351,14 @@ def test_a_complex_eigenvector_of_a_start_cutoff_solve_flags_only_its_row(monkey
 # ------------------------------------------- sector and parity-block assembly
 
 
-# the full complex solve of one configuration, shared by the tests below
-full_solve = functools.lru_cache(maxsize=None)(_evaluate)
+@functools.lru_cache(maxsize=None)
+def full_solve(cfg):
+    """Ground energy, gap and atom-atom concurrence of ``cfg`` from the full
+    complex solve that ``dicke_ground_point`` makes at its start cutoff,
+    shared by the tests below."""
+    dec = eigh(build_dicke(cfg))
+    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
+    return dec.ground_energy, dec.gap(), conc
 
 
 def full_path_ground_point(cfg, convergence_tol=1e-6, n_max_limit=160):
@@ -485,16 +491,45 @@ def test_every_dicke_path_keeps_the_kron_dimension_bound(path):
 
 
 def test_each_basis_order_is_checked_once(monkeypatch):
-    # both orders are scattered straight from the parity blocks: one
-    # HermitianOperator check each, not a check of a permuted checked matrix
+    # both orders, the start cutoff of a sweep point and the optimizer's
+    # point are scattered straight from the parity blocks: one real check of
+    # the (2, d, d) blocks each, and none of a full (1, dim, dim) matrix
     cfg = DickeConfig(variant="h2", kappa=0.6, n_max=8)
-    calls = []
-    check = linalg._hermitian_stack
-    monkeypatch.setattr(linalg, "_hermitian_stack", lambda m: calls.append(m.shape) or check(m))
-    for form in (build_dicke, dicke_mediator_form):
-        calls.clear()
-        form(cfg)
-        assert calls == [(1, cfg.dim, cfg.dim)]
+    checks = record_hermitian_checks(monkeypatch)
+    sector_point = dicke_module._sector_point
+
+    def unrecorded(c):
+        # the doubled cutoffs' sector stacks are not the start cutoff's checks
+        n = len(checks)
+        point = sector_point(c)
+        del checks[n:]
+        return point
+
+    monkeypatch.setattr(dicke_module, "_sector_point", unrecorded)
+    routes = (build_dicke, dicke_mediator_form, dicke_ground_point, mediator_concurrence)
+    for route in routes:
+        checks.clear()
+        route(cfg)
+        got, expected = parity_block_checks(checks, [cfg])
+        assert got == expected, route.__name__
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from(["h1", "h2", "h3"]),
+    st.one_of(st.sampled_from([0.0, H1_FIRST_CROSSING, H1_SECOND_CROSSING]), st.floats(0.0, 3.0)),
+    st.floats(0.0, 2.0),
+    st.sampled_from([1, 12, 40]),
+)
+def test_the_skipped_check_of_the_scatter_is_the_identity(variant, kappa, lam_tilde, n_max):
+    # the oracle: HermitianOperator's check of the scatter, which build_dicke
+    # and dicke_mediator_form skip, returns their matrices bit for bit
+    cfg = DickeConfig(variant, kappa, lam_tilde=lam_tilde, n_max=n_max)
+    for got, order in ((build_dicke(cfg), (0, 1, 2)), (dicke_mediator_form(cfg)[0], (0, 2, 1))):
+        expected = HermitianOperator(_scattered_dicke(cfg, order)).matrix
+        assert got.matrix.dtype == expected.dtype
+        assert got.matrix.tobytes() == expected.tobytes()
+        assert not got.matrix.flags.writeable
 
 
 def test_parity_blocks_are_keyed_by_integers():
@@ -717,11 +752,9 @@ def test_a_point_accepted_above_the_start_cutoff_costs_one_full_solve(monkeypatc
     cfg = DickeConfig(variant="h3", kappa=2.5, lam_tilde=1.5)
     reference = full_path_ground_point(cfg)
     calls = []
-    monkeypatch.setattr(
-        dicke_module, "_evaluate", lambda cfg: calls.append(cfg.n_max) or _evaluate(cfg)
-    )
+    monkeypatch.setattr(dicke_module, "eigh", lambda h: calls.append(h.dim) or eigh(h))
     point = dicke_ground_point(cfg)
-    assert calls == [40]
+    assert calls == [cfg.dim]
     at_80 = cfg.with_n_max(80)
     energy, gap, conc = _sector_point(at_80)
     delta = abs(sector_concurrence(cfg.with_n_max(160)).value - conc.value)
@@ -753,10 +786,11 @@ def parity_block_checks(checks, configs):
     return rest, [(np.float64, (2, cfg.dim // 2, cfg.dim // 2)) for cfg in configs]
 
 
-def test_evaluate_reads_the_ground_level_without_the_partition(monkeypatch):
-    # the full solve's ground energy, gap and concurrence, bit for bit those
-    # of eigh(build_dicke(cfg)), without the degeneracy_groups partition; the
-    # Hamiltonian is checked once, on its real parity blocks, never in full
+def test_the_start_cutoff_solve_reads_the_ground_level_as_the_stack_kernel(monkeypatch):
+    # a sweep point's start-cutoff solve, eigh(build_dicke(cfg)) and its
+    # degeneracy_groups partition, reports the ground energy, gap and
+    # concurrence bit for bit that the stack kernel and _ground_levels give
+    # for the complex scatter
     configs = [
         DickeConfig(variant="h1", kappa=0.0, n_max=1),
         DickeConfig(variant="h1", kappa=H1_FIRST_CROSSING),
@@ -769,26 +803,24 @@ def test_evaluate_reads_the_ground_level_without_the_partition(monkeypatch):
     ]
     expected = []
     for cfg in configs:
-        dec = eigh(build_dicke(cfg))
-        conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
-        expected.append((dec.ground_energy, dec.gap(), conc))
+        w, v = linalg._eigh_hermitian(_scattered_dicke(cfg, (0, 1, 2)).astype(complex)[np.newaxis])
+        (size,), (gap,) = linalg._ground_levels(w)
+        conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
+        expected.append((float(w[0, 0]), float(gap), conc))
     degenerate = [e[2].degenerate_ground for e in expected]
     assert degenerate == [False, True, True, False, False, False, False, False]
-
-    def partition(w):
-        raise AssertionError("degeneracy_groups called")
-
-    monkeypatch.setattr(linalg, "degeneracy_groups", partition)
-    checks = record_hermitian_checks(monkeypatch)
+    # every point accepted at its start cutoff, which it then reports
+    monkeypatch.setattr(
+        dicke_module, "_settled_cutoff", lambda cfg, value, tol, limit: (cfg.n_max, True, 0.0, None)
+    )
     for cfg, (energy, gap, conc) in zip(configs, expected):
-        got_energy, got_gap, got = _evaluate(cfg)
-        assert got_energy.hex() == energy.hex()
-        assert got_gap.hex() == gap.hex()
+        point = dicke_ground_point(cfg)
+        got = point.concurrence
+        assert point.ground_energy.hex() == energy.hex()
+        assert point.gap.hex() == gap.hex()
         assert got.value.hex() == conc.value.hex()
         assert got.tilde_lambdas.tobytes() == conc.tilde_lambdas.tobytes()
         assert got.degenerate_ground == conc.degenerate_ground
-    got, expected_checks = parity_block_checks(checks, configs)
-    assert got == expected_checks
 
 
 def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch, capsys):
@@ -879,14 +911,12 @@ def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
     # n_max 40, and confirmed on its sectors at 80; every cutoff's blocks are
     # cut once: the parity blocks at 40 and each variant's sectors at 80
     calls = []
-    monkeypatch.setattr(
-        dicke_module, "_evaluate", lambda cfg: calls.append(cfg.n_max) or _evaluate(cfg)
-    )
+    monkeypatch.setattr(dicke_module, "eigh", lambda h: calls.append(h.dim) or eigh(h))
     _sector_blocks.cache_clear()
     for variant in ("h1", "h2", "h3"):
         cfg = DickeConfig(variant=variant, kappa=0.0)
         sweep = dicke_sweep(cfg, parse_grid_spec("0:1.2:25"), [1.0])
         assert sweep.column("status") == ["ok"] * 25
-    assert calls == [40] * 75
+    assert calls == [DickeConfig(variant="h1", kappa=0.0).dim] * 75
     info = _sector_blocks.cache_info()
     assert (info.misses, info.currsize) == (4, 4)

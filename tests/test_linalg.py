@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medent.linalg import (
+    ENTRY_LIMIT,
     DensityMatrix,
     DimensionError,
     HermitianOperator,
@@ -406,6 +407,57 @@ def test_hermitian_operator_rejects_nonhermitian():
 def test_hermitian_operator_rejects_nonfinite():
     with pytest.raises(ValueError):
         HermitianOperator(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
+def test_an_entry_whose_hermitian_part_would_overflow_is_rejected():
+    # (M + M^dag) / 2 overflows above half the largest float: the check names
+    # the entry before any sum is formed, so no overflow warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=(
+            r"^entry \(0, 0\) has magnitude 1\.000e\+308: "
+            r"the Hermitian part \(M \+ M\^dag\) / 2 overflows above 8\.988e\+307$"
+        )):
+            HermitianOperator(np.diag([1e308, 0.0, -1.0]))
+        # the modulus counts, and the entry is named within its matrix of a stack
+        big = np.zeros((3, 3), dtype=complex)
+        big[1, 2], big[2, 1] = 7e307 + 7e307j, 7e307 - 7e307j
+        with pytest.raises(ValueError, match=r"^entry \(1, 2\) has magnitude 9\.899e\+307: "):
+            eigh_stack(np.stack([np.eye(3, dtype=complex), big]))
+        # at the limit the matrix passes unchanged and solves
+        m = np.diag([ENTRY_LIMIT, 0.0, -ENTRY_LIMIT])
+        op = HermitianOperator(m)
+        assert op.matrix.tobytes() == m.astype(complex).tobytes()
+        assert eigh(op).eigenvalues == pytest.approx([-ENTRY_LIMIT, 0.0, ENTRY_LIMIT], rel=1e-15)
+
+
+def test_the_residual_and_hermiticity_checks_hold_near_the_float_limit(monkeypatch):
+    # squared residuals and the Frobenius norm of their tolerance overflow
+    # here; both are taken at a power-of-two scale instead, so the matrix
+    # solves without a warning and the checks still fail a wrong answer
+    m = np.diag([-8.9e307, 0.0, 8.9e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert eigh(HermitianOperator(m)).eigenvalues == pytest.approx(np.diag(m), rel=1e-15)
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max\|M - M\^dag\| = 1\.000e\+200"):
+            HermitianOperator(np.array([[1.0, 1e200], [0.0, 1.0]]))
+
+    solve = np.linalg.eigh
+    turn = np.array([[1.0, 0.0, 1.0], [0.0, np.sqrt(2), 0.0], [-1.0, 0.0, 1.0]]) / np.sqrt(2)
+
+    def corrupted(stack):
+        # columns 0 and 2 turned into each other: still orthonormal and real
+        w, v = solve(stack)
+        return w, v @ turn
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^eigendecomposition residual 1\.259e\+308$"):
+            eigh(HermitianOperator(m))
+        # an ordinary matrix stacked with it keeps its own tolerance floor of 1
+        with pytest.raises(NumericalError, match=r"^eigendecomposition residual 1\.414e\+00$"):
+            eigh_stack(np.stack([np.diag([1.0, 2.0, 3.0]), m]))
 
 
 # ---------------------------------------------------------------- density / partial trace

@@ -10,9 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medent.dicke import VARIANTS, DickeConfig, _evaluate, mediator_concurrence
-from medent.entanglement import ground_level_density_stack, ground_state_ac_concurrence
-from medent.linalg import eigh_stack
+from medent.dicke import VARIANTS, DickeConfig, build_dicke, mediator_concurrence
+from medent.entanglement import (
+    ground_level_concurrence,
+    ground_level_density_stack,
+    ground_state_ac_concurrence,
+)
+from medent.linalg import eigh, eigh_stack
 from medent.sweeps import ISING_CHUNK, _ising_stack
 from medent.tripartite import IsingParams, _ising_coefficients, build_ising, ising_hamiltonians
 
@@ -69,14 +73,17 @@ def sweep_chunk_digest() -> str:
 
 
 def evaluate_digest() -> str:
-    """The start-cutoff solve of every variant at the KAPPAS and two points
-    between the h1 crossings, each at two quadratic multipliers."""
+    """The start-cutoff solve, eigh(build_dicke(cfg)), of every variant at the
+    KAPPAS and two points between the h1 crossings, each at two quadratic
+    multipliers."""
     h = hashlib.sha256()
     for variant in VARIANTS:
         for kappa in (*KAPPAS, 0.6, 0.8):
             for tilde in (0.5, 1.5):
-                energy, gap, conc = _evaluate(DickeConfig(variant, kappa, lam_tilde=tilde, n_max=40))
-                h.update(f"{energy.hex()} {gap.hex()} ".encode())
+                cfg = DickeConfig(variant, kappa, lam_tilde=tilde, n_max=40)
+                dec = eigh(build_dicke(cfg))
+                conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
+                h.update(f"{dec.ground_energy.hex()} {dec.gap().hex()} ".encode())
                 update_concurrence(h, conc)
     return h.hexdigest()
 

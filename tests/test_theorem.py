@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import medent.theorem as theorem_module
+from medent import linalg
 from medent.dicke import DickeConfig, dicke_mediator_form
 from medent.entanglement import concurrence, ground_level_density
 from medent.linalg import (
@@ -606,6 +608,45 @@ def test_stacked_fuzz_matches_per_trial_oracle(d_b, break_symmetry, trials):
     assert [f.spread for f in report.family_checks] == [f.spread for f in expected.family_checks]
     if not break_symmetry:
         assert report.counterexamples_odd == d_b * trials
+
+
+def exact(value):
+    """``value`` with every float, in nested tuples too, as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value
+
+
+# seed 42, two full chunks and one trial: every field of the report, energies,
+# purities and spreads bit for bit, recorded with BLAS on one thread and equal
+# on two
+FUZZ_REPORT_DIGESTS = {
+    2: "8c369af4a10ddae09fbdb8c25ae09ec5666d111af91abd6b1cb288cd010e6d02",
+    3: "aa12559bb39a1a2e0250274cdb7b4a327ae8bea3c740b9e98181007e2d77d23e",
+}
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_a_fuzz_chunk_checks_its_hamiltonians_once(d_b, monkeypatch):
+    # the stack is checked where it is drawn and solved as it is: one check
+    # of (trials, dim, dim) per chunk, and the report keeps its recorded bits
+    checks = []
+    check = linalg._hermitian_stack
+
+    def recorded(m):
+        checks.append(m.shape)
+        return check(m)
+
+    monkeypatch.setattr(linalg, "_hermitian_stack", recorded)
+    monkeypatch.setattr(theorem_module, "_hermitian_stack", recorded)
+    report = theorem_fuzz(2 * THEOREM_CHUNK + 1, d_b, 42)
+    dim = 4 * d_b
+    hamiltonians = [shape for shape in checks if shape[1:] == (dim, dim)]
+    assert hamiltonians == [(THEOREM_CHUNK, dim, dim)] * 2 + [(1, dim, dim)]
+    digest = hashlib.sha256(repr(exact(dataclasses.astuple(report))).encode()).hexdigest()
+    assert digest == FUZZ_REPORT_DIGESTS[d_b]
 
 
 # ---------------------------------------------------------------- properties (hypothesis)
