@@ -227,10 +227,8 @@ def cmd_sweep(args) -> int:
                 n_max=args.nmax,
             )
             partials.append(dicke_sweep(cfg, kappas, tildes, convergence_tol=args.tol))
-        schema = partials[0].schema
-        result = SweepResult(
-            schema, tuple([v for part in partials for v in part.column(c)] for c in schema)
-        )
+        columns = zip(*(part.columns for part in partials))
+        result = SweepResult(partials[0].schema, tuple(map(np.concatenate, columns)))
 
     result.write_csv(args.out)
     statuses = result.column("status")

@@ -34,7 +34,7 @@ from .linalg import (
     eigh_stack,
     kron,
 )
-from .sweeps import SweepResult, _point_outcome, grid_sweep
+from .sweeps import SweepResult, _point_outcome
 from .tripartite import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 VARIANTS = ("h1", "h2", "h3")
@@ -469,8 +469,9 @@ def dicke_sweep(
 ) -> SweepResult:
     """Grid sweep over (kappa, lam_tilde) for one variant template.
 
-    Rows follow lexicographic grid order.  An invalid parameter aborts the
-    sweep; numerical failures at one point are recorded in its status column.
+    Rows follow lexicographic grid order, kappa outermost, and the results are
+    kept as columns.  An invalid parameter aborts the sweep; numerical failures
+    at one point are recorded in its status column.
     """
     kappas = [float(k) for k in kappa_grid]
     tildes = [float(t) for t in lam_tilde_grid]
@@ -484,19 +485,26 @@ def dicke_sweep(
     # parameter aborts the sweep instead of becoming an error row
     configs = [dataclasses.replace(cfg, kappa=k, lam_tilde=t) for k in kappas for t in tildes]
 
-    def columns(c: DickeConfig) -> dict:
-        ground = dicke_ground_point(c, convergence_tol=convergence_tol, n_max_limit=n_max_limit)
-        return {
-            "nmax_used": ground.nmax_used,
-            "ground_energy": ground.ground_energy,
-            "gap": ground.gap,
-            "concurrence": ground.concurrence.value,
-            "degenerate": ground.concurrence.degenerate_ground,
-            "status": "ok" if ground.converged else "fock_unconverged",
-        }
-
-    points = (
-        {"variant": c.variant, "kappa": c.kappa, "lam_tilde": c.lam_tilde, "nmax_used": cfg.n_max}
-        for c in configs
+    n = len(configs)
+    variant = np.full(n, cfg.variant, dtype=object)
+    kappa, lam_tilde = np.repeat(kappas, len(tildes)), np.tile(tildes, len(kappas))
+    # a failed point keeps the start cutoff, NaN results and degenerate False
+    nmax_used = np.full(n, cfg.n_max, dtype=np.int64)
+    energy, gap, conc = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    degenerate = np.zeros(n, dtype=bool)
+    status = np.full(n, "ok", dtype=object)
+    for i, c in enumerate(configs):
+        ground = _point_outcome(
+            dicke_ground_point, c, convergence_tol=convergence_tol, n_max_limit=n_max_limit
+        )
+        if isinstance(ground, Exception):
+            status[i] = f"error: {ground}"
+            continue
+        nmax_used[i], energy[i], gap[i] = ground.nmax_used, ground.ground_energy, ground.gap
+        conc[i], degenerate[i] = ground.concurrence.value, ground.concurrence.degenerate_ground
+        if not ground.converged:
+            status[i] = "fock_unconverged"
+    return SweepResult(
+        DICKE_SWEEP_SCHEMA,
+        (variant, kappa, lam_tilde, nmax_used, energy, gap, conc, degenerate, status),
     )
-    return grid_sweep(DICKE_SWEEP_SCHEMA, points, (_point_outcome(columns, c) for c in configs))

@@ -513,7 +513,8 @@ def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
+    """Kronecker product with a guard on the resulting dimension; a product
+    of finite factors that overflows raises ValueError."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
@@ -521,7 +522,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"kron would produce a {rows}x{cols} matrix, limit is {KRON_DIM_LIMIT}"
         )
-    return np.kron(a, b)
+    try:
+        with np.errstate(over="raise"):
+            return np.kron(a, b)
+    except FloatingPointError:
+        raise ValueError(
+            f"kron of a {a.shape[0]}x{a.shape[1]} and a {b.shape[0]}x{b.shape[1]} matrix "
+            "overflows the float range"
+        ) from None
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:

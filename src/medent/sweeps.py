@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,15 +119,6 @@ class SweepResult:
         if len({len(col) for col in self.columns}) > 1:
             raise ValueError(f"columns of unequal lengths {[len(col) for col in self.columns]}")
 
-    @classmethod
-    def from_rows(cls, schema, rows) -> "SweepResult":
-        """The result holding ``rows``, dicts whose keys are ``schema`` in order."""
-        schema = tuple(schema)
-        for row in rows:
-            if tuple(row.keys()) != schema:
-                raise ValueError(f"row keys {tuple(row.keys())} do not match schema {schema}")
-        return cls(schema, tuple([row[c] for row in rows] for c in schema))
-
     @cached_property
     def rows(self) -> tuple[dict, ...]:
         columns = [self.column(c) for c in self.schema]
@@ -150,11 +142,20 @@ class SweepResult:
 
     @classmethod
     def read_csv(cls, path) -> "SweepResult":
+        """The result a ``write_csv`` file holds, each column parsed from the
+        file's lines; a line whose field count is not the header's raises."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader))
-            rows = [{c: parse_value(c, cell) for c, cell in zip(header, line)} for line in reader]
-        return cls.from_rows(header, rows)
+            lines = []
+            for line in reader:
+                if len(line) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(line)} fields, "
+                        f"the header {len(header)}"
+                    )
+                lines.append(line)
+        return cls(header, tuple([parse_value(c, line[k]) for line in lines] for k, c in enumerate(header)))
 
     def column(self, name: str) -> list:
         """The values of column ``name`` as a list of Python values for an
@@ -166,8 +167,14 @@ class SweepResult:
 def linspace_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("grid count must be >= 1")
+    start, stop = float(start), float(stop)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid bounds must be finite, got {start} and {stop}")
     if start > stop:
         raise ValueError("grid start must be <= stop")
+    # in Python floats, so an overflow is inf, not a numpy warning
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid width {stop} - {start} is not finite")
     return np.linspace(start, stop, count)
 
 
@@ -188,44 +195,17 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 # numpy directly; anything else is a programming error and aborts the sweep
 POINT_ERRORS = (NumericalError, ValueError, np.linalg.LinAlgError)
 
-# result columns of a point whose evaluation failed, by column type
-_UNEVALUATED = {float: float("nan"), bool: False}
 
-
-def _point_outcome(fn, *args):
-    """``fn(*args)``, or the POINT_ERRORS exception that fails the point.
+def _point_outcome(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the POINT_ERRORS exception that fails the point.
 
     The exception loses its traceback, which would keep the failed solve's
     arrays alive; any other exception is a programming error and propagates.
     """
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except POINT_ERRORS as exc:
         return exc.with_traceback(None)
-
-
-def grid_sweep(schema, points, outcomes) -> SweepResult:
-    """One row per grid point, in the order ``points`` yields them.
-
-    Each point is a dict of the row's leading columns, and ``outcomes`` yields
-    that point's outcome, in the same order: a dict of the remaining columns
-    (``status`` defaults to "ok"), or the exception that failed the point.  A
-    failed point keeps NaN results and ``degenerate`` False, and its status
-    reads "error: <message>".  Each outcome is drawn only when its point's row
-    is built, so a lazy producer stops at the first exception it raises; a
-    producer with more or fewer outcomes than points raises ValueError.
-    """
-    unevaluated = {c: _UNEVALUATED.get(COLUMN_TYPES.get(c)) for c in schema}
-    rows = []
-    for point, outcome in zip(points, outcomes, strict=True):
-        row = dict(unevaluated)
-        row.update(point, status="ok")
-        if isinstance(outcome, Exception):
-            row["status"] = f"error: {outcome}"
-        else:
-            row.update(outcome)
-        rows.append(row)
-    return SweepResult.from_rows(schema, rows)
 
 
 ISING_SWEEP_SCHEMA = (

@@ -3,6 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
+# a failing property prints the @reproduce_failure blob that replays its exact
+# draw; no example count, deadline or other setting changes
+settings.register_profile("medent", print_blob=True)
+settings.load_profile("medent")
+
 
 def python_process(args, threads, cwd):
     """``python args`` in a fresh process that imports the package from this

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,25 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
         "--delta-grid", "0.1:0.2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "ising", "--delta-grid", "0:inf:3"], "grid bounds must be finite, got 0.0 and inf"),
+        (["--model", "ising", "--delta-grid", "nan:1:2"], "grid bounds must be finite, got nan and 1.0"),
+        (["--model", "ising", "--lambda-grid", "-1e308:1e308:3"], "grid width 1e+308 - -1e+308 is not finite"),
+        (["--model", "dicke", "--kappa-grid", "0:inf:2"], "grid bounds must be finite, got 0.0 and inf"),
+    ],
+)
+def test_sweep_rejects_a_non_finite_grid_bound_or_width_before_any_point(argv, message, tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    grids = ["--delta-grid", "0:1:2", "--lambda-grid", "0:1:2", "--kappa-grid", "0:1:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "sweep", *grids, *argv, "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"invalid configuration: {message}\n")
+    assert not out_path.exists()
 
 
 # 4 (n_max + 1) states at --nmax 1100

@@ -80,6 +80,62 @@ def test_kron_dimension_limit():
         kron(big, I2)
 
 
+def test_an_overflowing_kron_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^kron of a 1x1 and a 1x1 matrix overflows the float range$"):
+            kron(np.array([[1e200]]), np.array([[1e200]]))
+        # an imaginary product, i * i, overflowing the real part in the last factor
+        with pytest.raises(ValueError, match="^kron of a 2x2 and a 2x2 matrix overflows the float range$"):
+            kron_all(np.array([[1e200j]]), I2, 1e200j * SX)
+        assert kron(np.array([[1e154]]), np.array([[1e154]]))[0, 0] == 1e154 * 1e154
+
+
+def bit_pattern(a):
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def test_kron_keeps_the_bits_of_every_finite_product():
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.integers(-300, 150, (2, 3, 3))
+    a, b = (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))) * scales
+    a[0, 0], b[1, 1] = -0.0, complex(0.0, -0.0)
+    assert np.array_equal(bit_pattern(kron(a, b)), bit_pattern(np.kron(a, b)))
+    assert np.array_equal(bit_pattern(kron_all(a, b, a)), bit_pattern(np.kron(np.kron(a, b), a)))
+    # the cached operator stacks built with kron
+    from medent.dicke import _ATOM_BASES, SIGMA_MINUS, SIGMA_PLUS
+    from medent.theorem import _operator_stacks, hermitian_basis
+    from medent.tripartite import PAULI, SIGMA_0, SIGMA_3, _pauli_terms
+
+    def np_kron_all(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = np.kron(out, f)
+        return out
+
+    ab, bc, field = _pauli_terms()
+    assert np.array_equal(bit_pattern(ab), bit_pattern([[np_kron_all(x, y, SIGMA_0) for y in PAULI] for x in PAULI]))
+    assert np.array_equal(bit_pattern(bc), bit_pattern([[np_kron_all(SIGMA_0, x, y) for y in PAULI] for x in PAULI]))
+    assert np.array_equal(bit_pattern(field), bit_pattern([np_kron_all(SIGMA_0, x, SIGMA_0) for x in PAULI[1:]]))
+    atoms = _ATOM_BASES["product"]
+    sigma3 = [np.kron(SIGMA_3, SIGMA_0), np.kron(SIGMA_0, SIGMA_3)]
+    assert np.array_equal(bit_pattern(atoms.sigma3), bit_pattern(sigma3))
+    ladders = [[np.kron(SIGMA_PLUS, SIGMA_0), np.kron(SIGMA_MINUS, SIGMA_0)],
+               [np.kron(SIGMA_0, SIGMA_PLUS), np.kron(SIGMA_0, SIGMA_MINUS)]]
+    assert np.array_equal(bit_pattern(atoms.ladders), bit_pattern(ladders))
+    assert np.array_equal(bit_pattern(atoms.identity), bit_pattern(np.kron(SIGMA_0, SIGMA_0)))
+    eye = np.eye(2, dtype=np.complex128)
+    for d_b in (2, 3):
+        basis = hermitian_basis(d_b)
+        expected = (
+            [np_kron_all(sig, g, eye) for sig in PAULI for g in basis],
+            [np_kron_all(eye, g, sig) for g in basis for sig in PAULI],
+            [np_kron_all(eye, g, eye) for g in basis],
+        )
+        for stack, terms in zip(_operator_stacks(d_b), expected):
+            assert np.array_equal(bit_pattern(stack), bit_pattern(terms))
+
+
 # ---------------------------------------------------------------- eigh
 
 def test_eigh_identity():

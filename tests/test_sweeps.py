@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import struct
 import warnings
 
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medent.cli import main
+from medent.dicke import DICKE_SWEEP_SCHEMA, DickeConfig, dicke_sweep
 from medent.entanglement import (
     concurrence,
     ground_level_concurrence,
     ground_level_density,
     ground_state_ac_concurrence,
 )
-from medent.linalg import DensityMatrix, eigh, eigh_stack, reduced_density
+from medent.linalg import DensityMatrix, NumericalError, eigh, eigh_stack, reduced_density
 from medent.sweeps import (
+    COLUMN_TYPES,
     ISING_CHUNK,
     ISING_SWEEP_SCHEMA,
     POINT_ERRORS,
@@ -24,11 +28,11 @@ from medent.sweeps import (
     _ising_stack,
     _point_outcome,
     format_value,
-    grid_sweep,
     ising_sweep,
     linspace_grid,
     parse_grid_spec,
 )
+import medent.dicke
 import medent.entanglement
 import medent.sweeps
 from medent.tripartite import IsingParams, _ising_coefficients, build_ising, ising_hamiltonians
@@ -50,9 +54,9 @@ def test_format_bool_and_int():
 
 def test_numpy_booleans_round_trip_through_csv(tmp_path):
     # one column of numpy booleans, one mixing them with Python booleans
-    rows = ({"degenerate": np.True_, "family_ok": True}, {"degenerate": np.False_, "family_ok": np.True_})
+    columns = ([np.True_, np.False_], [True, np.True_])
     path = tmp_path / "flags.csv"
-    SweepResult.from_rows(("degenerate", "family_ok"), rows).write_csv(path)
+    SweepResult(("degenerate", "family_ok"), columns).write_csv(path)
     assert path.read_text() == "degenerate,family_ok\n1,1\n0,1\n"
     back = SweepResult.read_csv(path)
     assert back.rows == ({"degenerate": True, "family_ok": True}, {"degenerate": False, "family_ok": True})
@@ -63,6 +67,9 @@ def test_grid_parsing():
     assert len(grid) == 31
     assert grid[0] == 0.0 and grid[-1] == 3.0
     assert len(parse_grid_spec("1:1:1")) == 1
+    # the widest finite grids are kept
+    assert parse_grid_spec("-1e308:0:3").tolist() == [-1e308, -5e307, 0.0]
+    assert parse_grid_spec("0:1.7e308:2").tolist() == [0.0, 1.7e308]
     with pytest.raises(ValueError):
         parse_grid_spec("0:3")
     with pytest.raises(ValueError):
@@ -74,8 +81,6 @@ def test_grid_parsing():
 
 
 def test_sweep_result_schema_enforced():
-    with pytest.raises(ValueError):
-        SweepResult.from_rows(("a", "b"), ({"a": 1.0},))
     with pytest.raises(ValueError):
         SweepResult(("a", "b"), ([1.0],))
     with pytest.raises(ValueError):
@@ -140,30 +145,6 @@ def test_failed_point_is_flagged_not_raised():
     assert row["status"].startswith("error: ")
     assert all(math.isnan(row[c]) for c in ("ground_energy", "gap", "concurrence"))
     assert row["degenerate"] is False
-
-
-def test_grid_sweep_propagates_programming_errors():
-    # a lazy producer runs each point as its row is built: a bug at the second
-    # point stops the sweep before the third is drawn
-    points = [{"delta": 0.1 * k, "lambda": 1.0} for k in range(3)]
-    drawn = []
-
-    def evaluate(k):
-        drawn.append(k)
-        if k == 1:
-            raise TypeError("bug in the evaluator")
-        return {}
-
-    with pytest.raises(TypeError, match="bug in the evaluator"):
-        grid_sweep(ISING_SWEEP_SCHEMA, points, (_point_outcome(evaluate, k) for k in range(3)))
-    assert drawn == [0, 1]
-
-
-@pytest.mark.parametrize("count", [1, 3])
-def test_grid_sweep_rejects_a_producer_of_the_wrong_length(count):
-    points = [{"delta": 0.1, "lambda": 1.0}, {"delta": 0.2, "lambda": 1.0}]
-    with pytest.raises(ValueError, match="zip"):
-        grid_sweep(ISING_SWEEP_SCHEMA, points, iter([{}] * count))
 
 
 def stack_rows(params) -> list[dict]:
@@ -438,8 +419,16 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     def alone(point):
         return stack_rows([IsingParams(delta=point["delta"], lam=point["lambda"])])[0]
 
-    points = [{"delta": float(d), "lambda": float(lam)} for d in deltas for lam in lams]
-    expected = [grid_sweep(ISING_SWEEP_SCHEMA, [p], [_point_outcome(alone, p)]).rows[0] for p in points]
+    expected = []
+    for d in deltas:
+        for lam in lams:
+            row = dict(zip(ISING_SWEEP_SCHEMA, (float(d), float(lam), math.nan, math.nan, math.nan, False, "ok")))
+            outcome = _point_outcome(alone, row)
+            if isinstance(outcome, Exception):
+                row["status"] = f"error: {outcome}"
+            else:
+                row.update(outcome)
+            expected.append(row)
     assert [bits(r) for r in result.rows] == [bits(r) for r in expected]
     assert [bits(r) for r in result.rows] == [bits(r) for r in reference_rows(deltas, lams)]
     statuses = [r["status"] for r in result.rows]
@@ -457,7 +446,8 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     ],
 )
 def test_csv_cells_are_formatted_as_format_value_formats_them(rows):
-    text = SweepResult.from_rows(("a", "b", "c", "d"), rows).to_csv_text()
+    schema = ("a", "b", "c", "d")
+    text = SweepResult(schema, tuple([row[c] for row in rows] for c in schema)).to_csv_text()
     lines = ["a,b,c,d"] + [",".join(format_value(v) for v in row.values()) for row in rows]
     assert text == "\n".join(lines) + "\n"
 
@@ -512,7 +502,9 @@ def test_csv_text_matches_the_rowwise_writer(data, n, width):
     rows = [{c: col[i] for c, col in zip(schema, cols)} for i in range(n)]
     expected = rowwise_csv_text(schema, rows)
     assert SweepResult(schema, cols).to_csv_text() == expected
-    assert SweepResult.from_rows(schema, rows).to_csv_text() == expected
+    # the same cells as list columns
+    lists = tuple([row[c] for row in rows] for c in schema)
+    assert SweepResult(schema, lists).to_csv_text() == expected
 
 
 def distinct_float_bits(result) -> list[bytes]:
@@ -561,7 +553,7 @@ def test_rows_are_a_view_of_the_columns_with_python_values():
     assert result.column("x") == [0.5, -0.0] and type(result.column("flag")[0]) is bool
     with pytest.raises(KeyError):
         result.column("missing")
-    empty = SweepResult.from_rows(("a", "b"), [])
+    empty = SweepResult(("a", "b"), ([], []))
     assert (empty.rows, empty.column("a"), empty.to_csv_text()) == ((), [], "a,b\n")
 
 
@@ -636,3 +628,126 @@ def test_each_invalid_chain_point_builds_one_ising_params(monkeypatch):
     assert len(calls) == 1 + len(invalid)
     assert [repr(point) for point in calls[1:]] == [repr(point) for point in invalid]
     assert sum(s != "ok" for s in result.column("status")) == len(invalid)
+
+
+# ---------------------------------------------------------------- one column path
+
+# the array dtype of each COLUMN_TYPES type
+DTYPES = {float: np.float64, bool: np.bool_, int: np.int64, str: np.object_}
+
+
+def assert_typed_columns(result):
+    for name, col in zip(result.schema, result.columns):
+        assert isinstance(col, np.ndarray) and col.dtype == DTYPES[COLUMN_TYPES[name]], name
+
+
+def test_every_sweep_fills_typed_arrays_and_no_row_dict(tmp_path, monkeypatch, capsys):
+    assert_typed_columns(ising_sweep([-0.1, 0.3], [0.0, 1.0]))
+    cavity = dicke_sweep(DickeConfig(variant="h1", kappa=0.0, n_max=4), [0.0, 0.3], [0.5, 1.0])
+    assert_typed_columns(cavity)
+    cavity.to_csv_text()
+    assert "rows" not in vars(cavity)
+    # cmd_sweep's result, the variants' columns joined
+    written = []
+    write = SweepResult.write_csv
+
+    def recording(self, path):
+        written.append(self)
+        write(self, path)
+
+    monkeypatch.setattr(SweepResult, "write_csv", recording)
+    argv = ["sweep", "--model", "dicke", "--variants", "h1,h2", "--kappa-grid", "0:0.3:2", "--nmax", "4"]
+    assert main([*argv, "--out", str(tmp_path / "cavity.csv")]) == 0
+    capsys.readouterr()
+    (joined,) = written
+    assert_typed_columns(joined)
+    assert joined.column("variant") == ["h1", "h1", "h2", "h2"]
+
+
+def test_dicke_sweep_propagates_programming_errors(monkeypatch):
+    # a bug at the second kappa stops the sweep before the third is solved
+    solve = medent.dicke.dicke_ground_point
+    solved = []
+
+    def buggy(cfg, **kwargs):
+        solved.append(cfg.kappa)
+        if len(solved) == 2:
+            raise TypeError("bug in the evaluator")
+        return solve(cfg, **kwargs)
+
+    monkeypatch.setattr(medent.dicke, "dicke_ground_point", buggy)
+    with pytest.raises(TypeError, match="bug in the evaluator"):
+        dicke_sweep(DickeConfig(variant="h1", kappa=0.0, n_max=4), [0.1, 0.2, 0.3], [1.0])
+    assert solved == [0.1, 0.2]
+
+
+def test_dicke_sweep_writes_the_rows_its_points_give(monkeypatch):
+    # an ok, an error and a fock_unconverged row, against the rows built from
+    # dicke_ground_point one point at a time
+    cfg = DickeConfig(variant="h2", kappa=0.0, n_max=1)
+    kappas = [0.0, 0.6, 1.2]
+    solve = medent.dicke.dicke_ground_point
+
+    def failing(c, **kwargs):
+        if c.kappa == 0.6:
+            raise NumericalError("planted failure")
+        return solve(c, **kwargs)
+
+    rows = []
+    for kappa in kappas:
+        row = dict(zip(DICKE_SWEEP_SCHEMA, ("h2", kappa, 1.0, 1, math.nan, math.nan, math.nan, False, "ok")))
+        point = _point_outcome(failing, DickeConfig(variant="h2", kappa=kappa, n_max=1), n_max_limit=2)
+        if isinstance(point, Exception):
+            row["status"] = f"error: {point}"
+        else:
+            row.update(
+                nmax_used=point.nmax_used,
+                ground_energy=point.ground_energy,
+                gap=point.gap,
+                concurrence=point.concurrence.value,
+                degenerate=point.concurrence.degenerate_ground,
+                status="ok" if point.converged else "fock_unconverged",
+            )
+        rows.append(row)
+    assert [row["status"] for row in rows] == ["ok", "error: planted failure", "fock_unconverged"]
+    monkeypatch.setattr(medent.dicke, "dicke_ground_point", failing)
+    result = dicke_sweep(cfg, kappas, [1.0], n_max_limit=2)
+    assert result.to_csv_text() == rowwise_csv_text(DICKE_SWEEP_SCHEMA, rows)
+
+
+def test_both_sweeps_round_trip_through_csv(tmp_path):
+    cavity = DickeConfig(variant="h2", kappa=0.0, n_max=1)
+    for result in (
+        ising_sweep([-0.1, 0.3], [0.0, math.nan, 1.0]),
+        dicke_sweep(cavity, [0.0, 0.4, 1.2], [0.5, 1.0], n_max_limit=2),
+    ):
+        path = tmp_path / "sweep.csv"
+        result.write_csv(path)
+        back = SweepResult.read_csv(path)
+        assert back.schema == result.schema
+        assert [bits(r) for r in back.rows] == [bits(r) for r in result.rows]
+        assert back.to_csv_text() == path.read_text()
+
+
+@pytest.mark.parametrize("line, fields", [("1,2,3", 3), ("4", 1), ("", 0)])
+def test_read_csv_rejects_a_line_whose_field_count_is_not_the_header_s(line, fields, tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"a,b\n1,2\n{line}\n4,5\n")
+    with pytest.raises(ValueError, match=f"line 3 has {fields} fields, the header 2$"):
+        SweepResult.read_csv(path)
+
+
+NON_FINITE_SPECS = {
+    "0:inf:3": "grid bounds must be finite, got 0.0 and inf",
+    "nan:1:2": "grid bounds must be finite, got nan and 1.0",
+    "-inf:0:2": "grid bounds must be finite, got -inf and 0.0",
+    "-1e308:1e308:3": "grid width 1e+308 - -1e+308 is not finite",
+}
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_a_grid_spec_with_a_non_finite_bound_or_width_is_rejected(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(NON_FINITE_SPECS[spec])}$"):
+            parse_grid_spec(spec)
