@@ -343,7 +343,7 @@ def cmd_optimize(args) -> int:
 
         control_name = "kappa"
 
-    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((args.lower, args.upper),))
+    problem = ControlProblem(evaluate=evaluate, bounds=((args.lower, args.upper),))
     result = optimize(problem, args.budget, args.seed)
     print(
         f"solved {result.solved} distinct points for {result.evaluations} evaluations",

@@ -29,54 +29,35 @@ SHRINK = 0.5
 VALUE_SPREAD_TOL = 1e-12
 SIMPLEX_SIZE_TOL = 1e-9
 
-OBJECTIVES = ("maximize_concurrence", "target_concurrence")
-
-
 @dataclass(frozen=True)
 class ControlProblem:
-    """Search space and objective over locally controllable parameters.
+    """A box of locally controllable parameters and the evaluator to maximize over it.
 
     ``evaluate`` maps a control vector to the ground-level concurrence of the
     outer qubit pair.  It may raise one of ``sweeps.POINT_ERRORS`` at a point
     where the model cannot be solved; the search then discards that point.
+    ``bounds`` holds one finite (lower, upper) interval per control.
     """
 
     evaluate: Callable[[np.ndarray], ConcurrenceResult]
-    control_dim: int
     bounds: tuple[tuple[float, float], ...]
-    objective: str = "maximize_concurrence"
-    target: float | None = None
 
     def __post_init__(self):
-        if self.control_dim < 1:
-            raise ValueError("control_dim must be >= 1")
-        if len(self.bounds) != self.control_dim:
-            raise ValueError(f"need {self.control_dim} bounds, got {len(self.bounds)}")
+        if not self.bounds:
+            raise ValueError("bounds must hold at least one interval")
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bounds must be finite non-empty intervals, got ({lo}, {hi})")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.objective == "target_concurrence" and not (
-            self.target is not None and np.isfinite(self.target)
-        ):
-            raise ValueError(f"target_concurrence objective needs a finite target, got {self.target}")
-        object.__setattr__(self, "_box", (self.lower(), self.upper()))  # for clamp
+        box = tuple(np.array([b[k] for b in self.bounds]) for k in (0, 1))
+        object.__setattr__(self, "_box", box)  # for clamp and the start points
 
-    def lower(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds])
-
-    def upper(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds])
+    @property
+    def control_dim(self) -> int:
+        return len(self.bounds)
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         # np.clip's ufunc, without the np.clip wrapper
         return x.clip(*self._box)
-
-    def score(self, concurrence_value: float) -> float:
-        if self.objective == "maximize_concurrence":
-            return concurrence_value
-        return -abs(concurrence_value - float(self.target))
 
 
 @dataclass(frozen=True)
@@ -98,16 +79,17 @@ class _BudgetSpent(Exception):
 def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationResult:
     """Multi-start Nelder-Mead search, restarting until the budget is spent.
 
-    The search sees only ``problem``'s score, its box and ``budget``, the
-    number of evaluations it requests, the re-verification included.  Each
-    distinct control point is passed to ``problem.evaluate`` once: a point
-    whose bits repeat an earlier one reuses that outcome, yet still counts as
-    an evaluation.  Evaluations that fail with one of ``sweeps.POINT_ERRORS``
-    are logged (once per evaluation) and discarded (the point is treated as
-    arbitrarily bad); any other exception is a bug and propagates.  The last
-    evaluation re-verifies the best value by a fresh ``problem.evaluate`` call
-    at the best controls, and any claim of essentially maximal concurrence on
-    a non-degenerate ground level is rejected as an implementation-bug alarm.
+    The search maximizes ``problem.evaluate(x).value`` and sees only that
+    value, the box and ``budget``, the number of evaluations it requests, the
+    re-verification included.  Each distinct control point is passed to
+    ``problem.evaluate`` once: a point whose bits repeat an earlier one reuses
+    that outcome, yet still counts as an evaluation.  Evaluations that fail
+    with one of ``sweeps.POINT_ERRORS`` are logged (once per evaluation) and
+    discarded (the point is treated as arbitrarily bad); any other exception
+    is a bug and propagates.  The last evaluation re-verifies the best value
+    by a fresh ``problem.evaluate`` call at the best controls, and any claim
+    of essentially maximal concurrence on a non-degenerate ground level is
+    rejected as an implementation-bug alarm.
     """
     if budget < problem.control_dim + 2:
         raise ValueError(f"budget must be at least control_dim + 2 = {problem.control_dim + 2}")
@@ -122,7 +104,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
     outcomes: dict[bytes, object] = {}
 
     def evaluate(x: np.ndarray) -> float:
-        """Score ``x``; raise _BudgetSpent if that used the search's last evaluation."""
+        """The value at ``x``; raise _BudgetSpent if that used the search's last evaluation."""
         nonlocal best_x, best_value, used
         used += 1
         key = np.asarray(x, dtype=float).tobytes()
@@ -133,7 +115,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
             log.warning("objective failed at %s: %s", x, res)
             value = -np.inf
         else:
-            value = problem.score(res.value)
+            value = res.value
             trace.append((tuple(map(float, x)), value))
             if value > best_value:
                 best_x, best_value = np.array(x), value
@@ -141,7 +123,7 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
             raise _BudgetSpent
         return value
 
-    lo, hi = problem.lower(), problem.upper()
+    lo, hi = problem._box
     n = problem.control_dim
 
     try:
@@ -205,15 +187,11 @@ def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationRes
     # re-verify the reported optimum with the reserved evaluation: a fresh
     # call, not the memo, so that it checks the result
     res = problem.evaluate(best_x)
-    verified = problem.score(res.value)
+    verified = res.value
     if abs(verified - best_value) > 1e-12:
         raise NumericalError(f"best value failed re-verification: {best_value!r} vs {verified!r}")
 
-    if (
-        problem.objective == "maximize_concurrence"
-        and verified > 1.0 - 1e-6
-        and not res.degenerate_ground
-    ):
+    if verified > 1.0 - 1e-6 and not res.degenerate_ground:
         raise NumericalError(
             "optimizer reports essentially maximal concurrence on a non-degenerate "
             "ground level; this contradicts the factorization theorem and signals a bug"

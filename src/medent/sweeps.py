@@ -95,10 +95,17 @@ def _column_fields(col) -> list[str]:
 
 
 def parse_value(column: str, text: str):
+    """The value of a ``column`` cell that reads ``text``; a cell its column's
+    type cannot read, a bool cell other than 0 or 1 included, raises."""
     kind = COLUMN_TYPES.get(column, str)
     if kind is bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"{column} cell {text!r} is not 0 or 1")
         return text == "1"
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{column} cell {text!r} is not a valid {kind.__name__}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +150,28 @@ class SweepResult:
     @classmethod
     def read_csv(cls, path) -> "SweepResult":
         """The result a ``write_csv`` file holds, each column parsed from the
-        file's lines; a line whose field count is not the header's raises."""
+        file's lines.  An empty file, a line whose field count is not the
+        header's, and a cell its column cannot read (``parse_value``) raise a
+        ValueError naming the file."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = tuple(next(reader))
-            lines = []
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, no header line")
+            header = tuple(header)
+            columns = tuple([] for _ in header)
             for line in reader:
                 if len(line) != len(header):
                     raise ValueError(
                         f"{path}: line {reader.line_num} has {len(line)} fields, "
                         f"the header {len(header)}"
                     )
-                lines.append(line)
-        return cls(header, tuple([parse_value(c, line[k]) for line in lines] for k, c in enumerate(header)))
+                try:
+                    for column, name, text in zip(columns, header, line):
+                        column.append(parse_value(name, text))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        return cls(header, columns)
 
     def column(self, name: str) -> list:
         """The values of column ``name`` as a list of Python values for an

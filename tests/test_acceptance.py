@@ -420,7 +420,7 @@ def test_criterion_12_optimizer_fidelity():
             build_ising(IsingParams(delta=0.1, lam=float(x[0]))), (2, 2, 2)
         )
 
-    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, 3.0),))
+    problem = ControlProblem(evaluate=evaluate, bounds=((0.0, 3.0),))
 
     grid_best = max(evaluate([lam]).value for lam in np.linspace(0.0, 3.0, 3001))
     result = optimize(problem, budget=300, seed=0)

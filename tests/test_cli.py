@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -740,6 +741,18 @@ def test_readme_commands_write_the_recorded_bytes(tmp_path, monkeypatch):
             got[threads, name] = (proc.returncode, hashlib.sha256(written).hexdigest())
             want[threads, name] = (code, digest)
     assert got == want
+
+
+def test_the_benchmark_control_search_oracle_accepts_the_cli(tmp_path, monkeypatch, capsys):
+    # the benchmark's first two Ising optimizations and its Dicke h2 one, each
+    # checked by its own oracle, which re-solves the printed best bit for bit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    ops = list(itertools.islice(workloads.control_search_ops(np.random.default_rng(801), tmp_path), 3))
+    assert [op.kind for op in ops] == ["ising", "ising", "dicke"]
+    for op, budget in zip(ops, [workloads.ISING_BUDGET] * 2 + [workloads.DICKE_BUDGET]):
+        code, out, _ = run(capsys, *op.argv)
+        assert op.check(code, out) == budget
 
 
 # sha256 of what the optimize commands below wrote before the optimizer solved

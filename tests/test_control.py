@@ -26,14 +26,8 @@ def ising_lambda(delta):
     return evaluate
 
 
-def ising_lambda_problem(delta, lower=0.0, upper=3.0, objective="maximize_concurrence", target=None):
-    return ControlProblem(
-        evaluate=ising_lambda(delta),
-        control_dim=1,
-        bounds=((lower, upper),),
-        objective=objective,
-        target=target,
-    )
+def ising_lambda_problem(delta, lower=0.0, upper=3.0):
+    return ControlProblem(evaluate=ising_lambda(delta), bounds=((lower, upper),))
 
 
 def grid_scan_max(delta, count=3001, upper=3.0):
@@ -50,27 +44,22 @@ def grid_scan_max(delta, count=3001, upper=3.0):
 
 def test_problem_validation():
     evaluate = ising_lambda(0.0)
+    with pytest.raises(ValueError, match="at least one interval"):
+        ControlProblem(evaluate=evaluate, bounds=())
     with pytest.raises(ValueError):
-        ControlProblem(evaluate=evaluate, control_dim=0, bounds=())
+        ControlProblem(evaluate=evaluate, bounds=((0.0, np.inf),))
     with pytest.raises(ValueError):
-        ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, np.inf),))
-    with pytest.raises(ValueError):
-        ControlProblem(evaluate=evaluate, control_dim=1, bounds=((1.0, 0.0),))
-    with pytest.raises(ValueError):
-        ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, 1.0),), objective="bogus")
-    with pytest.raises(ValueError):
-        ControlProblem(
-            evaluate=evaluate, control_dim=1, bounds=((0.0, 1.0),), objective="target_concurrence"
-        )
-    for target in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="needs a finite target"):
-            ControlProblem(
-                evaluate=evaluate,
-                control_dim=1,
-                bounds=((0.0, 1.0),),
-                objective="target_concurrence",
-                target=target,
-            )
+        ControlProblem(evaluate=evaluate, bounds=((1.0, 0.0),))
+
+
+def test_control_dim_is_the_number_of_bounds():
+    problem = ControlProblem(evaluate=ising_lambda(0.0), bounds=((0.0, 1.0), (-1.0, 2.0)))
+    assert problem.control_dim == 2
+    # derived, so neither settable nor a constructor argument
+    with pytest.raises(AttributeError):
+        problem.control_dim = 1
+    with pytest.raises(TypeError):
+        ControlProblem(evaluate=ising_lambda(0.0), control_dim=1, bounds=((0.0, 1.0),))
 
 
 def test_budget_precondition():
@@ -123,7 +112,7 @@ def test_failed_evaluations_are_discarded():
             raise NumericalError("synthetic failure region")
         return ising_lambda(0.1)(x)
 
-    problem = ControlProblem(evaluate=flaky, control_dim=1, bounds=((0.0, 3.0),))
+    problem = ControlProblem(evaluate=flaky, bounds=((0.0, 3.0),))
     result = optimize(problem, budget=150, seed=0)
     # the feasible maximum (at the working-region edge) is still found
     feasible_best, _ = grid_scan_max(0.1, count=1001, upper=2.0)
@@ -135,7 +124,7 @@ def test_all_failures_raises_numerical_error():
     def broken(x):
         raise NumericalError("always down")
 
-    problem = ControlProblem(evaluate=broken, control_dim=1, bounds=((0.0, 1.0),))
+    problem = ControlProblem(evaluate=broken, bounds=((0.0, 1.0),))
     with pytest.raises(NumericalError):
         optimize(problem, budget=20, seed=0)
 
@@ -144,18 +133,9 @@ def test_programming_error_propagates():
     def buggy(x):
         raise TypeError("not a numerical failure")
 
-    problem = ControlProblem(evaluate=buggy, control_dim=1, bounds=((0.0, 1.0),))
+    problem = ControlProblem(evaluate=buggy, bounds=((0.0, 1.0),))
     with pytest.raises(TypeError):
         optimize(problem, budget=20, seed=0)
-
-
-def test_target_objective():
-    problem = ising_lambda_problem(0.1, objective="target_concurrence", target=0.3)
-    result = optimize(problem, budget=200, seed=4)
-    achieved = ground_state_ac_concurrence(
-        build_ising(IsingParams(delta=0.1, lam=float(result.best_controls[0]))), (2, 2, 2)
-    ).value
-    assert abs(achieved - 0.3) <= 1e-3
 
 
 def counting_evaluator(fail_at=None):
@@ -175,7 +155,7 @@ def counting_evaluator(fail_at=None):
 def test_each_distinct_point_is_solved_once():
     # the optimum sits on the upper bound, so clamped points repeat
     evaluate, calls = counting_evaluator()
-    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, 3.0),))
+    problem = ControlProblem(evaluate=evaluate, bounds=((0.0, 3.0),))
     result = optimize(problem, budget=300, seed=0)
     searched = {np.array(controls).tobytes() for controls, _ in result.trace}
     # every search point once, then the re-verification of the best
@@ -191,7 +171,7 @@ def test_each_distinct_point_is_solved_once():
 def test_a_repeated_failure_is_logged_at_every_request(caplog):
     # the model fails at the upper bound, where the search keeps clamping
     evaluate, calls = counting_evaluator(fail_at=3.0)
-    problem = ControlProblem(evaluate=evaluate, control_dim=1, bounds=((0.0, 3.0),))
+    problem = ControlProblem(evaluate=evaluate, bounds=((0.0, 3.0),))
     with caplog.at_level(logging.WARNING, logger="medent.control"):
         result = optimize(problem, budget=150, seed=0)
     messages = [r.getMessage() for r in caplog.records]
@@ -215,7 +195,7 @@ class SignedZeroProblem(ControlProblem):
 
 def test_signed_zeros_are_distinct_points():
     evaluate, calls = counting_evaluator()
-    problem = SignedZeroProblem(evaluate=evaluate, control_dim=1, bounds=((-1.0, 1.0),))
+    problem = SignedZeroProblem(evaluate=evaluate, bounds=((-1.0, 1.0),))
     result = optimize(problem, budget=40, seed=0)
     assert set(calls) == {np.array([0.0]).tobytes(), np.array([-0.0]).tobytes()}
     assert len(calls) == result.solved == 3
@@ -236,8 +216,6 @@ class ReferenceProblem:
     control_dim: int
     bounds: tuple[tuple[float, float], ...]
     dims: tuple[int, int, int] = (2, 2, 2)
-    objective: str = "maximize_concurrence"
-    target: float | None = None
 
     def lower(self) -> np.ndarray:
         return np.array([b[0] for b in self.bounds])
@@ -247,11 +225,6 @@ class ReferenceProblem:
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower(), self.upper())
-
-    def score(self, concurrence_value: float) -> float:
-        if self.objective == "maximize_concurrence":
-            return concurrence_value
-        return -abs(concurrence_value - float(self.target))
 
 
 class _Budget:
@@ -290,7 +263,7 @@ def reference_optimize(problem: ReferenceProblem, budget: int, seed: int) -> Opt
             ref_log.warning("objective failed at %s: %s", x, res)
             return -np.inf
         any_success = True
-        value = problem.score(res.value)
+        value = res.value
         trace.append((tuple(float(c) for c in x), value))
         if value > best["value"]:
             best.update(x=np.array(x), value=value, degenerate=res.degenerate_ground)
@@ -367,17 +340,13 @@ def reference_optimize(problem: ReferenceProblem, budget: int, seed: int) -> Opt
         raise NumericalError("objective evaluation failed at every sampled point")
 
     res = solve(best["x"])
-    verified = problem.score(res.value)
+    verified = res.value
     evaluations = budget_state.used + 1
     if abs(verified - best["value"]) > 1e-12:
         raise NumericalError(
             f"best value failed re-verification: {best['value']!r} vs {verified!r}"
         )
-    if (
-        problem.objective == "maximize_concurrence"
-        and verified > 1.0 - 1e-6
-        and not res.degenerate_ground
-    ):
+    if verified > 1.0 - 1e-6 and not res.degenerate_ground:
         raise NumericalError(
             "optimizer reports essentially maximal concurrence on a non-degenerate "
             "ground level; this contradicts the factorization theorem and signals a bug"
@@ -452,12 +421,9 @@ def search_cases(draw):
         lower = draw(st.sampled_from([0.0, 0.5]) | st.floats(-3.0, 3.0))
         width = draw(st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0))
         bounds.append((lower, lower + width))
-    objective = draw(st.sampled_from(["maximize_concurrence", "target_concurrence"]))
     return dict(
         control_dim=control_dim,
         bounds=tuple(bounds),
-        objective=objective,
-        target=draw(st.floats(0.0, 1.0)) if objective == "target_concurrence" else None,
         delta=draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 2.0)),
         # where the model fails: a band of lambda (the first control), its start
         # and width in units of lambda's interval; a band inside the box makes
@@ -484,12 +450,6 @@ def test_evaluator_search_matches_the_reference_bit_for_bit(case):
     def evaluate(x):
         return ground_state_ac_concurrence(model(x), (2, 2, 2))
 
-    common = dict(
-        control_dim=case["control_dim"],
-        bounds=case["bounds"],
-        objective=case["objective"],
-        target=case["target"],
-    )
     new_cls, ref_cls = (
         (SignedZeroProblem, SignedZeroReference)
         if case["signed_zero"]
@@ -497,10 +457,9 @@ def test_evaluator_search_matches_the_reference_bit_for_bit(case):
     )
     budget, seed = case["budget"], case["seed"]
     got, got_warnings = run_search(
-        optimize, new_cls(evaluate=evaluate, **common), budget, seed, "medent.control"
+        optimize, new_cls(evaluate=evaluate, bounds=case["bounds"]), budget, seed, "medent.control"
     )
-    want, want_warnings = run_search(
-        reference_optimize, ref_cls(model=model, **common), budget, seed, ref_log.name
-    )
+    reference = ref_cls(model=model, control_dim=case["control_dim"], bounds=case["bounds"])
+    want, want_warnings = run_search(reference_optimize, reference, budget, seed, ref_log.name)
     assert result_bits(got) == result_bits(want)
     assert got_warnings == want_warnings

@@ -737,6 +737,30 @@ def test_read_csv_rejects_a_line_whose_field_count_is_not_the_header_s(line, fie
         SweepResult.read_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["True", "yes", "2", "", " 1", "1.0"])
+def test_read_csv_rejects_a_bool_cell_other_than_0_or_1(cell, tmp_path):
+    path = tmp_path / "flags.csv"
+    path.write_text(f'delta,degenerate\n0.1,1\n0.2,0\n0.3,"{cell}"\n')
+    with pytest.raises(ValueError) as raised:
+        SweepResult.read_csv(path)
+    assert str(raised.value) == f"{path}: line 4: degenerate cell {cell!r} is not 0 or 1"
+
+
+def test_read_csv_names_the_line_and_column_of_an_unreadable_number(tmp_path):
+    path = tmp_path / "numbers.csv"
+    path.write_text("delta,nmax_used\n0.1,3\n0.2,x\n")
+    with pytest.raises(ValueError, match=r"line 3: nmax_used cell 'x' is not a valid int$"):
+        SweepResult.read_csv(path)
+
+
+def test_read_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError) as raised:
+        SweepResult.read_csv(path)
+    assert str(raised.value) == f"{path}: empty file, no header line"
+
+
 NON_FINITE_SPECS = {
     "0:inf:3": "grid bounds must be finite, got 0.0 and inf",
     "nan:1:2": "grid bounds must be finite, got nan and 1.0",
