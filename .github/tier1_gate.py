@@ -18,7 +18,7 @@ DESIGNED_FAILS = {
     "tests.test_acceptance::test_criterion_09_theorem_fuzz",
 }
 # the tier-1 pass count recorded in CHANGES.md
-MIN_PASSED = 537
+MIN_PASSED = 548
 
 
 def problems(path) -> list[str]:

@@ -28,9 +28,8 @@ from .dicke import (
     dicke_sweep,
     mediator_concurrence,
 )
-from .entanglement import ground_state_ac_concurrence
 from .linalg import NumericalError, eigh
-from .sweeps import SweepResult, format_value, ising_sweep, parse_grid_spec
+from .sweeps import SweepResult, _ising_outcomes, _point_outcome, format_value, ising_sweep, parse_grid_spec
 from .theorem import TrialRecord, theorem_fuzz
 from .tripartite import IsingParams, analytic_ising_spectrum, build_ising, ising_middle_field
 
@@ -102,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     op.add_argument("--config", default=None)
     op.add_argument("--model", required=True, choices=("ising", "dicke"))
     op.add_argument("--budget", type=int, default=300)
-    op.add_argument("--seed", type=int, default=0)
+    op.add_argument("--seed", type=int, default=0, help="accepted, unused: the search is deterministic")
     op.add_argument("--lower", type=float, default=0.0, help="control lower bound")
     op.add_argument("--upper", type=float, default=3.0, help="control upper bound")
     op.add_argument("--trace-out", default=None, help="optional evaluation-trace CSV")
@@ -322,8 +321,7 @@ def cmd_optimize(args) -> int:
         IsingParams(j_coupling=j, delta=delta)
 
         def evaluate(x):
-            h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=float(x[0])))
-            return ground_state_ac_concurrence(h, (2, 2, 2))
+            return _ising_outcomes(x[:, 0], delta, j)
 
         control_name = "lambda"
     else:
@@ -338,13 +336,16 @@ def cmd_optimize(args) -> int:
         # an invalid model constant fails the search before any point
         DickeConfig(kappa=0.0, **base)
 
+        def point(kappa):
+            return mediator_concurrence(DickeConfig(kappa=kappa, **base))
+
         def evaluate(x):
-            return mediator_concurrence(DickeConfig(kappa=float(x[0]), **base))
+            return [_point_outcome(point, kappa) for kappa in x[:, 0].tolist()]
 
         control_name = "kappa"
 
     problem = ControlProblem(evaluate=evaluate, bounds=((args.lower, args.upper),))
-    result = optimize(problem, args.budget, args.seed)
+    result = optimize(problem, args.budget)
     print(
         f"solved {result.solved} distinct points for {result.evaluations} evaluations",
         file=sys.stderr,

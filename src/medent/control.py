@@ -1,8 +1,8 @@
-"""Derivative-free maximization of ground-state outer-pair concurrence.
+"""Bracketed maximization of ground-state outer-pair concurrence over one control.
 
-The objective is cheap (one dense diagonalization per point), low-dimensional
-and non-smooth at ground-level crossings, so a multi-start Nelder-Mead simplex
-with box clamping is used.  Runs are deterministic for a fixed seed.
+Every CLI search varies one scalar, so the box is scanned in one stacked
+evaluation and the best scan cell's neighbours bracket a golden-section
+refine.  Runs are deterministic: the search draws nothing at random.
 """
 
 from __future__ import annotations
@@ -10,36 +10,34 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .entanglement import ConcurrenceResult
 from .linalg import NumericalError
-from .sweeps import _point_outcome
+from .sweeps import linspace_grid
 
 log = logging.getLogger(__name__)
 
-# standard simplex coefficients
-REFLECTION = 1.0
-EXPANSION = 2.0
-CONTRACTION = 0.5
-SHRINK = 0.5
+# the refine solves no new point once its bracket is this narrow, relative to the box
+BRACKET_RTOL = 1e-7
+# 1 / golden ratio: each refine step keeps this share of the bracket
+INVERSE_PHI = (math.sqrt(5) - 1) / 2
 
-VALUE_SPREAD_TOL = 1e-12
-SIMPLEX_SIZE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ControlProblem:
     """A box of locally controllable parameters and the evaluator to maximize over it.
 
-    ``evaluate`` maps a control vector to the ground-level concurrence of the
-    outer qubit pair.  It may raise one of ``sweeps.POINT_ERRORS`` at a point
-    where the model cannot be solved; the search then discards that point.
+    ``evaluate`` maps an (n, control_dim) stack of control vectors to one
+    outcome per row: the ground-level concurrence of the outer qubit pair
+    at that point, or the ``sweeps.POINT_ERRORS`` exception that failed it
+    (the search then discards that point).  Any other exception propagates.
     ``bounds`` holds one finite (lower, upper) interval per control.
     """
 
-    evaluate: Callable[[np.ndarray], ConcurrenceResult]
+    evaluate: Callable[[np.ndarray], Sequence[ConcurrenceResult | Exception]]
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
@@ -48,16 +46,10 @@ class ControlProblem:
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bounds must be finite non-empty intervals, got ({lo}, {hi})")
-        box = tuple(np.array([b[k] for b in self.bounds]) for k in (0, 1))
-        object.__setattr__(self, "_box", box)  # for clamp and the start points
 
     @property
     def control_dim(self) -> int:
         return len(self.bounds)
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        # np.clip's ufunc, without the np.clip wrapper
-        return x.clip(*self._box)
 
 
 @dataclass(frozen=True)
@@ -66,127 +58,99 @@ class OptimizationResult:
     best_value: float
     evaluations: int
     trace: tuple[tuple[tuple[float, ...], float], ...]
+    # the refine's bracket closed below BRACKET_RTOL of the box within the budget
     converged: bool
     best_degenerate_ground: bool
     # distinct control points passed to the evaluator, the re-verification included
     solved: int
 
 
-class _BudgetSpent(Exception):
-    """Ends the search once it has used every evaluation but the re-verification."""
+def optimize(problem: ControlProblem, budget: int) -> OptimizationResult:
+    """Scan the box, refine the best scan cell by golden section, re-verify.
 
+    The search maximizes ``problem.evaluate(x).value`` over one control and
+    sees only that value, the box and ``budget``, the number of evaluations
+    it requests, the re-verification included:
 
-def optimize(problem: ControlProblem, budget: int, seed: int) -> OptimizationResult:
-    """Multi-start Nelder-Mead search, restarting until the budget is spent.
+    - a uniform grid of ``max(2, (budget - 1) // 4)`` points over the box, in
+      one stacked evaluation;
+    - golden-section search on the bracket of the best grid point's
+      neighbours (or of the box edge and its neighbour), one point per
+      step, until the bracket is narrower than BRACKET_RTOL of the box;
+    - repeated requests of the best point for what is left;
+    - a fresh evaluation of the best point, not the memo, which must give
+      the same value.
 
-    The search maximizes ``problem.evaluate(x).value`` and sees only that
-    value, the box and ``budget``, the number of evaluations it requests, the
-    re-verification included.  Each distinct control point is passed to
-    ``problem.evaluate`` once: a point whose bits repeat an earlier one reuses
-    that outcome, yet still counts as an evaluation.  Evaluations that fail
-    with one of ``sweeps.POINT_ERRORS`` are logged (once per evaluation) and
-    discarded (the point is treated as arbitrarily bad); any other exception
-    is a bug and propagates.  The last evaluation re-verifies the best value
-    by a fresh ``problem.evaluate`` call at the best controls, and any claim
-    of essentially maximal concurrence on a non-degenerate ground level is
-    rejected as an implementation-bug alarm.
+    Each distinct control point is passed to ``problem.evaluate`` once: a
+    point whose bits repeat an earlier one reuses that outcome, yet still
+    counts as an evaluation and gets its trace entry.  A failed point is
+    logged at every request and discarded.  A claim of essentially maximal
+    concurrence on a non-degenerate ground level is rejected as an
+    implementation-bug alarm.
     """
-    if budget < problem.control_dim + 2:
-        raise ValueError(f"budget must be at least control_dim + 2 = {problem.control_dim + 2}")
+    if problem.control_dim != 1:
+        raise ValueError(f"optimize searches one control, got control_dim = {problem.control_dim}")
+    if budget < 3:
+        raise ValueError("budget must be at least 3")
 
-    rng = np.random.default_rng(seed)
     trace: list[tuple[tuple[float, ...], float]] = []
     best_x, best_value = None, -np.inf
-    converged = False
-    used = 0
-    # exact bits of a clamped point (0.0 and -0.0 differ) -> its ConcurrenceResult,
+    # exact bits of a control (0.0 and -0.0 differ) -> its ConcurrenceResult,
     # or the POINT_ERRORS exception its evaluation raised
     outcomes: dict[bytes, object] = {}
 
-    def evaluate(x: np.ndarray) -> float:
-        """The value at ``x``; raise _BudgetSpent if that used the search's last evaluation."""
-        nonlocal best_x, best_value, used
-        used += 1
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in outcomes:
-            outcomes[key] = _point_outcome(problem.evaluate, x)
-        res = outcomes[key]
-        if isinstance(res, Exception):
-            log.warning("objective failed at %s: %s", x, res)
-            value = -np.inf
-        else:
-            value = res.value
-            trace.append((tuple(map(float, x)), value))
-            if value > best_value:
-                best_x, best_value = np.array(x), value
-        if used == budget - 1:  # one evaluation stays for the re-verification
-            raise _BudgetSpent
-        return value
+    def request(points: np.ndarray) -> list[float]:
+        """The value at each control of ``points`` (-inf where it failed); the
+        points not solved before are solved in one stacked evaluation."""
+        nonlocal best_x, best_value
+        rows = points.reshape(-1, 1)
+        keys = [row.tobytes() for row in rows]
+        new = {key: row for key, row in zip(keys, rows) if key not in outcomes}
+        if new:
+            outcomes.update(zip(new, problem.evaluate(np.array(list(new.values())))))
+        for row, key in zip(rows, keys):
+            res = outcomes[key]
+            if isinstance(res, Exception):
+                log.warning("objective failed at %s: %s", row, res)
+            else:
+                trace.append(((float(row[0]),), res.value))
+                if res.value > best_value:
+                    best_x, best_value = row, res.value
+        return [-np.inf if isinstance(outcomes[k], Exception) else outcomes[k].value for k in keys]
 
-    lo, hi = problem._box
-    n = problem.control_dim
-
-    try:
-        while True:
-            x0 = lo + rng.uniform(size=n) * (hi - lo)
-            simplex = [problem.clamp(x0)]
-            for i in range(n):
-                step = np.zeros(n)
-                step[i] = 0.1 * (hi[i] - lo[i]) if hi[i] > lo[i] else 0.1
-                simplex.append(problem.clamp(x0 + step))
-            values = [evaluate(p) for p in simplex]
-
-            while True:
-                order = np.argsort(values)[::-1]  # maximizing: best first
-                simplex = [simplex[k] for k in order]
-                values = [values[k] for k in order]
-
-                # math.hypot, not np.linalg.norm, whose squares overflow above ~1e154
-                size = max(math.hypot(*(p - simplex[0])) for p in simplex[1:])
-                # a flat or collapsed simplex cannot make progress: mark the
-                # restart converged and let multi-start spend the rest of the
-                # budget elsewhere
-                if all(map(math.isfinite, values)) and (
-                    max(values) - min(values) <= VALUE_SPREAD_TOL or size <= SIMPLEX_SIZE_TOL
-                ):
-                    converged = True
-                    break
-
-                # np.mean's sum and division, without its wrapper
-                centroid = np.add.reduce(simplex[:-1]) / n
-                worst = simplex[-1]
-                reflected = problem.clamp(centroid + REFLECTION * (centroid - worst))
-                r_val = evaluate(reflected)
-
-                if r_val > values[0]:
-                    expanded = problem.clamp(centroid + EXPANSION * (reflected - centroid))
-                    e_val = evaluate(expanded)
-                    if e_val > r_val:
-                        simplex[-1], values[-1] = expanded, e_val
-                    else:
-                        simplex[-1], values[-1] = reflected, r_val
-                elif r_val > values[-2]:
-                    simplex[-1], values[-1] = reflected, r_val
-                else:
-                    contracted = problem.clamp(centroid + CONTRACTION * (worst - centroid))
-                    c_val = evaluate(contracted)
-                    if c_val > values[-1]:
-                        simplex[-1], values[-1] = contracted, c_val
-                    else:
-                        simplex = [simplex[0]] + [
-                            problem.clamp(simplex[0] + SHRINK * (p - simplex[0]))
-                            for p in simplex[1:]
-                        ]
-                        values = [values[0]] + [evaluate(p) for p in simplex[1:]]
-    except _BudgetSpent:
-        pass
+    [(lo, hi)] = problem.bounds
+    grid = linspace_grid(lo, hi, max(2, (budget - 1) // 4))
+    left = budget - 1 - len(grid)
+    i = int(np.argmax(request(grid)))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    tol = BRACKET_RTOL * (hi - lo)
+    if b - a > tol and left >= 2:
+        c, d = b - INVERSE_PHI * (b - a), a + INVERSE_PHI * (b - a)
+        fc, fd = request(np.array([c, d]))
+        left -= 2
+        while b - a > tol and left:
+            # keep the sub-bracket around the better interior point
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - INVERSE_PHI * (b - a)
+                (fc,) = request(np.array([c]))
+            else:
+                a, c, fc = c, d, fd
+                d = a + INVERSE_PHI * (b - a)
+                (fd,) = request(np.array([d]))
+            left -= 1
+    converged = not b - a > tol
+    if left:
+        request(np.repeat(grid[i] if best_x is None else best_x, left))
 
     if best_x is None:
         raise NumericalError("objective evaluation failed at every sampled point")
 
     # re-verify the reported optimum with the reserved evaluation: a fresh
     # call, not the memo, so that it checks the result
-    res = problem.evaluate(best_x)
+    (res,) = problem.evaluate(best_x[np.newaxis])
+    if isinstance(res, Exception):
+        raise res
     verified = res.value
     if abs(verified - best_value) > 1e-12:
         raise NumericalError(f"best value failed re-verification: {best_value!r} vs {verified!r}")

@@ -334,9 +334,10 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     complex, but checked as real data: LAPACK reduces it with real Householder
     reflectors, so its eigenvectors must be exactly real too (NumericalError
     if one is not).  Their pivots are found on the real parts, and the Gram
-    and residual checks run on the real parts; the vectors stay complex,
-    turned by the phases ``_unit_phases`` gives their pivots, p·(1/|p|), not
-    sign(p), so every bit is the one the complex checks would return.
+    and residual checks run on contiguous copies of the real parts (faster
+    than strided views); the vectors stay complex, turned by the phases
+    ``_unit_phases`` gives their pivots, p·(1/|p|), not sign(p), so every
+    bit is the one the complex checks would return.
 
     Where a matrix has an eigenvalue above _SQUARE_SAFE, its squared residual
     and the norm of its tolerance would overflow: they are then taken of it
@@ -354,7 +355,7 @@ def _eigh_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"eigenvector of an exactly real matrix has imaginary part {g:.3e}"
         ))
         v *= _unit_phases(_pivots(v, np.abs(v.real)))[:, np.newaxis, :]
-        m, checked = m.real, v.real
+        m, checked = m.real.copy(), v.real.copy()
     else:
         # fix_phases without its cast to complex: real eigenvectors stay real
         v *= _pivot_phases(v)[:, np.newaxis, :]
@@ -491,20 +492,12 @@ def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (``dicke.mediator_concurrence``, on its real scatter) all reach it.
     Components of equal size form one ``_eigh_hermitian`` stack, gathered
     by ``take`` on cached flat indices, with the Gram and residual checks
-    per block, solved in the arithmetic of ``m``'s dtype.  A lone component
-    holds every index in order, so ``m`` itself is solved, and its ground
-    level read off the ascending spectrum by ``_ground_levels``, with the
-    bits the merge would give.  ``m`` is not checked again: the caller has
-    checked it, and its pattern, by which the components are cached, is
-    symmetric.
+    per block, solved in the arithmetic of ``m``'s dtype.  ``m`` is not
+    checked again: the caller has checked it, and its pattern, by which the
+    components are cached, is symmetric.
     """
     dim = len(m)
     groups = _pattern_components(dim, np.packbits(m != 0).tobytes())
-    if len(groups) == 1 and len(groups[0][0]) == 1:
-        w, v = _eigh_hermitian(m[np.newaxis])
-        (size,), _ = _ground_levels(w)
-        # a real member gains the +0.0 imaginary parts its embedding would give it
-        return w[0, :size], v[0, :, :size].astype(np.complex128)
     blocks = []
     for index, flat in groups:
         w, v = _eigh_hermitian(m.take(flat))

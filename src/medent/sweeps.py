@@ -14,9 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .entanglement import concurrence_stack, ground_level_density_stack
-from .linalg import NumericalError, eigh_stack
-from .tripartite import IsingParams, _ising_matrices
+from .entanglement import (
+    ConcurrenceResult,
+    concurrence_stack,
+    ground_level_density_stack,
+    ground_state_ac_concurrence,
+)
+from .linalg import NumericalError, _readonly, eigh_stack
+from .tripartite import IsingParams, _ising_matrices, build_ising
 
 # column name -> python type, shared by every sweep/report schema
 COLUMN_TYPES: dict[str, type] = {
@@ -239,18 +244,54 @@ ISING_SWEEP_SCHEMA = (
 ISING_CHUNK = 128
 
 
-def _ising_stack(coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ground energy, gap, concurrence and degenerate flag of each chain
-    point of (n, 3) coefficient rows (``tripartite._ising_matrices``), evaluated
-    as stacks: one Hamiltonian assembly, one eigh, one ground-level reduction
-    and one concurrence.
+def _ising_stack(coefficients: np.ndarray, dtype=np.complex128) -> tuple[np.ndarray, ...]:
+    """The ground energy, gap, concurrence, degenerate flag and tilde lambdas
+    of each chain point of (n, 3) coefficient rows (``tripartite._ising_matrices``),
+    evaluated as stacks: one Hamiltonian assembly and one eigh, in ``dtype``,
+    then one ground-level reduction and one concurrence, in complex arithmetic.
 
     Raises the first failure of any point.
     """
-    dec = eigh_stack(_ising_matrices(coefficients))
-    rho = ground_level_density_stack(dec.eigenvectors, dec.ground_sizes, (2, 2, 2), (0, 2))
-    conc, _ = concurrence_stack(rho)
-    return dec.eigenvalues[:, 0], dec.gaps, conc, dec.ground_sizes > 1
+    dec = eigh_stack(_ising_matrices(coefficients, dtype))
+    vectors = dec.eigenvectors.astype(np.complex128, copy=False)
+    rho = ground_level_density_stack(vectors, dec.ground_sizes, (2, 2, 2), (0, 2))
+    conc, lams = concurrence_stack(rho)
+    return dec.eigenvalues[:, 0], dec.gaps, conc, dec.ground_sizes > 1, lams
+
+
+def _ising_outcomes(lams, delta: float, j_coupling: float) -> list:
+    """Per middle field of ``lams``, ``ground_state_ac_concurrence`` of
+    ``build_ising(IsingParams(j_coupling, delta, lam))``, bit for bit, or the
+    POINT_ERRORS exception that fails it.
+
+    A point whose outer and middle fields are both nonzero is one block,
+    which the point path solves whole in real arithmetic: such points are
+    solved as one float64 ``_ising_stack``, with the same bits.  The
+    others split into blocks whose ground levels the point path merges, and
+    go through it, as does every point of a stack that fails a check, so a
+    failure flags only its own row, with the point path's error text.
+    """
+    lams = np.asarray(lams, dtype=float)
+
+    def point(lam):
+        h = build_ising(IsingParams(j_coupling=j_coupling, delta=delta, lam=lam))
+        return ground_state_ac_concurrence(h, (2, 2, 2))
+
+    # the rows _ising_coefficients gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = np.broadcast_arrays(delta * j_coupling / 2, float(j_coupling), lams * j_coupling / 2)
+    coefficients = np.column_stack(fields)
+    stacked = np.flatnonzero((coefficients[:, 0] != 0) & (coefficients[:, 2] != 0))
+    outcomes = {}
+    if len(stacked):
+        try:
+            _, _, values, degenerate, tilde = _ising_stack(coefficients[stacked], np.float64)
+        except POINT_ERRORS:
+            pass
+        else:
+            for i, value, deg, row in zip(stacked.tolist(), values.tolist(), degenerate.tolist(), tilde):
+                outcomes[i] = ConcurrenceResult(value, _readonly(row), degenerate_ground=deg)
+    return [outcomes[i] if i in outcomes else _point_outcome(point, lam) for i, lam in enumerate(lams.tolist())]
 
 
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:
@@ -298,6 +339,6 @@ def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult
             if isinstance(outcome, Exception):
                 status[at] = f"error: {outcome}"
                 continue
-            for column, values in zip(results, outcome):
+            for column, values in zip(results, outcome[:4]):
                 column[at] = values
     return SweepResult(ISING_SWEEP_SCHEMA, (delta, lam, *results, status))

@@ -168,9 +168,9 @@ def ising_hamiltonians(params) -> np.ndarray:
     return _ising_matrices(_ising_coefficients(params))
 
 
-def _ising_matrices(coefficients: np.ndarray) -> np.ndarray:
+def _ising_matrices(coefficients: np.ndarray, dtype=np.complex128) -> np.ndarray:
     """The (n, 8, 8) chain stack of (n, 3) coefficient rows (outer, J, middle),
-    as ``_chain_coefficients`` names them.
+    as ``_chain_coefficients`` names them, in ``dtype`` (complex128 or float64).
 
     Every term is real, so the stack is summed in float64 from the three
     terms of ``_ising_terms`` and cast to complex once, with the bits of the
@@ -192,7 +192,7 @@ def _ising_matrices(coefficients: np.ndarray) -> np.ndarray:
     h = np.zeros((len(coefficients), 8, 8))
     for c, term in zip(coefficients.T[:, :, np.newaxis, np.newaxis], _ising_terms()):
         h += c * term
-    return h.astype(np.complex128)
+    return h.astype(dtype, copy=False)
 
 
 def ising_middle_field(p: IsingParams) -> np.ndarray:

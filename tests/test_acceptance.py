@@ -415,16 +415,19 @@ def test_criterion_11_concurrence_oracle():
 
 
 def test_criterion_12_optimizer_fidelity():
-    def evaluate(x):
+    def point(lam):
         return ground_state_ac_concurrence(
-            build_ising(IsingParams(delta=0.1, lam=float(x[0]))), (2, 2, 2)
+            build_ising(IsingParams(delta=0.1, lam=float(lam))), (2, 2, 2)
         )
+
+    def evaluate(x):
+        return [point(row[0]) for row in x]
 
     problem = ControlProblem(evaluate=evaluate, bounds=((0.0, 3.0),))
 
-    grid_best = max(evaluate([lam]).value for lam in np.linspace(0.0, 3.0, 3001))
-    result = optimize(problem, budget=300, seed=0)
-    again = optimize(problem, budget=300, seed=0)
+    grid_best = max(point(lam).value for lam in np.linspace(0.0, 3.0, 3001))
+    result = optimize(problem, budget=300)
+    again = optimize(problem, budget=300)
     deterministic = result.trace == again.trace
     ok = (
         abs(result.best_value - grid_best) <= 1e-3

@@ -305,7 +305,7 @@ def test_sweep_dicke_rejects_an_h3_quadratic_coefficient_beyond_the_float_range(
 def test_optimize_dicke_discards_each_h3_point_beyond_the_float_range(capsys, caplog):
     # every point's kappa**2 overflows: each is discarded as a failed point,
     # and the search fails as a numerical failure, not with a traceback; the
-    # simplex size of controls near 1e200 does not overflow either
+    # golden-section steps between controls near 1e200 do not overflow either
     code, out, err = run(
         capsys,
         "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "4",
@@ -407,7 +407,8 @@ def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
     assert code == 0
     controls = SweepResult.read_csv(trace_path).column("control_0")
     assert len(controls) == 299
-    # the optimum sits on the upper bound, which the search keeps returning to
+    # the optimum sits on the upper bound, a grid point, which the search
+    # requests again for the budget left once the refine's bracket closed
     assert controls.count(3.0) > 100
     # every distinct search point once, plus the re-verification
     assert err == f"solved {len(set(controls)) + 1} distinct points for 300 evaluations\n"
@@ -415,9 +416,11 @@ def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
 
 
 def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
-    # per distinct point: the real eigh of H (one block, as delta, lambda > 0),
-    # the eigh of rho_AC, which also gives its positivity verdict, and the
-    # eigvalsh of the spin-flip partner
+    # per stacked evaluation: the real eigh of every H (one block each, as
+    # delta, lambda > 0), the eigh of every rho_AC, which also gives its
+    # positivity verdict, and the eigvalsh of the spin-flip partners; the
+    # grid's 9 points make one evaluation, the first two golden-section
+    # points one, and every later point one of its own
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, name=name, solve=getattr(np.linalg, name)):
@@ -431,14 +434,18 @@ def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
     )
     assert code == 0
     solved = int(re.fullmatch(r"solved (\d+) distinct points for 40 evaluations\n", err)[1])
-    point = [("eigh", (1, 8, 8), "f"), ("eigh", (1, 4, 4), "c"), ("eigvalsh", (1, 4, 4), "c")]
-    assert calls == point * solved
+
+    def evaluation(n):
+        return [("eigh", (n, 8, 8), "f"), ("eigh", (n, 4, 4), "c"), ("eigvalsh", (n, 4, 4), "c")]
+
+    assert calls == evaluation(9) + evaluation(2) + evaluation(1) * (solved - 11)
 
 
 @pytest.mark.parametrize("delta, merged", [("0.1", False), ("0", True)])
 def test_only_an_ising_point_of_several_blocks_merges_its_ground_level(monkeypatch, capsys, delta, merged):
-    # delta, lambda > 0 couple all eight states: one component, solved in place;
-    # delta = 0 splits the chain into blocks, whose ground levels are merged
+    # delta, lambda > 0 couple all eight states: one block, solved in a real
+    # stack with no merge; delta = 0 splits the chain into blocks, whose
+    # ground levels the point path merges
     calls = []
     merge = linalg._merged_ground_level
     monkeypatch.setattr(linalg, "_merged_ground_level", lambda dim, blocks: calls.append(dim) or merge(dim, blocks))
@@ -755,27 +762,27 @@ def test_the_benchmark_control_search_oracle_accepts_the_cli(tmp_path, monkeypat
         assert op.check(code, out) == budget
 
 
-# sha256 of what the optimize commands below wrote before the optimizer solved
-# each distinct point only once; the search must keep every byte.  The Dicke
-# stderr is the Fock check's line, whose convergence delta is the doubled
-# cutoff's sectors against the printed best concurrence
-# (6.2450045135165055e-16; 7.0776717819853729e-16 against the full solve at
-# the optimum's cutoff, which differs from the printed best by up to 1.43e-8)
+# sha256 of what the optimize commands below write since the search became a
+# stacked scan and a golden-section refine.  The Ising stdout kept its bytes
+# (best lambda 3 at the box edge, a grid point); its trace moved with the
+# points requested.  The Dicke stderr is the Fock check's line, whose
+# convergence delta is the doubled cutoff's sectors against the printed best
+# concurrence (3.6082248300317588e-16)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
         {
             "stdout": "b942f8b48ca2b5b09e3dcba7f8245fed3f67cd9afc5d793cdcc70895d6aa6c44",
             "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "trace.csv": "2d0e647b365d8593d0bb17b7cf64f6ab36244ad2a4a53ec8ce1dcf7aa3983d35",
+            "trace.csv": "2951c5f78794f8e272f20256929ca45e2f8079f276783b13e3b005d382208385",
         },
     ),
     "dicke": (
         ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40",
          "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
         {
-            "stdout": "77ef7e6f092260ee419de3e71caea899a3ca2e855cbf919e07a5a4fa9a4d26a9",
-            "stderr": "8b92e09cd1dc7e23656a715aa2c857eb807ce8df84948d4e9bca5641a10d57da",
+            "stdout": "0a768c572f96c52beb5c890573b8e5e87e68b364b0299c1459a416db68c0e78c",
+            "stderr": "f5c7462b7f909101414e180f636abd888be593c0c5339de5a6787f22a9291075",
         },
     ),
 }

@@ -843,7 +843,7 @@ def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch,
         HermitianOperator, "__post_init__", lambda op: operators.append(op) or post_init(op)
     )
     checks = record_hermitian_checks(monkeypatch)
-    got = problems[0].evaluate(np.array([cfg.kappa]))
+    (got,) = problems[0].evaluate(np.array([[cfg.kappa]]))
     assert operators == []
     got_checks, expected_checks = parity_block_checks(checks, [cfg])
     assert got_checks == expected_checks

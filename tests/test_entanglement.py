@@ -470,7 +470,7 @@ def test_block_path_matches_the_full_solve_on_the_chain(zero, delta, lam, j):
     assert_block_path_matches_full(h, (2, 2, 2), (0, 2))
 
 
-# ------------------------------------------------- a lone component, solved in place
+# ------------------------------------------------- a lone component, gathered whole
 
 
 def merged_reference(m):
@@ -482,7 +482,7 @@ def merged_reference(m):
     return linalg._merged_ground_level(len(m), [(index, w, v)])[:2]
 
 
-def assert_solved_in_place_with_the_merged_bits(m):
+def assert_one_component_keeps_the_merged_bits(m):
     groups = pattern_groups(m)
     assert [group.shape for group in groups] == [(1, len(m))]
     energies, members = _block_ground_level(m)
@@ -500,8 +500,8 @@ def test_a_chain_point_of_one_component_keeps_the_merged_bits(delta, lam, j):
     # delta, lambda > 0 (their scales default to J) couple all eight states;
     # the real strided view is what ground_state_pair_concurrence hands in
     h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=lam))
-    assert_solved_in_place_with_the_merged_bits(h.matrix.real)
-    assert_solved_in_place_with_the_merged_bits(h.matrix)
+    assert_one_component_keeps_the_merged_bits(h.matrix.real)
+    assert_one_component_keeps_the_merged_bits(h.matrix)
 
 
 @st.composite
@@ -525,7 +525,7 @@ def dense_hermitians(draw):
 @given(dense_hermitians())
 def test_a_dense_matrix_of_one_component_keeps_the_merged_bits(case):
     h, planted = case
-    size = assert_solved_in_place_with_the_merged_bits(h)
+    size = assert_one_component_keeps_the_merged_bits(h)
     if planted:
         assert size == 2
 

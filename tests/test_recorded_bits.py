@@ -67,7 +67,7 @@ def chunk_params() -> list[IsingParams]:
 def sweep_chunk_digest() -> str:
     h = hashlib.sha256()
     # one (energy, gap, concurrence, degenerate) tuple of Python values per point
-    for row in zip(*(column.tolist() for column in _ising_stack(_ising_coefficients(chunk_params())))):
+    for row in zip(*(column.tolist() for column in _ising_stack(_ising_coefficients(chunk_params()))[:4])):
         h.update(repr(row).encode())
     return h.hexdigest()
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import math
 import re
 import struct
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medent.cli import main
+from medent.control import ControlProblem, optimize
 from medent.dicke import DICKE_SWEEP_SCHEMA, DickeConfig, dicke_sweep
 from medent.entanglement import (
     concurrence,
@@ -25,6 +27,7 @@ from medent.sweeps import (
     ISING_SWEEP_SCHEMA,
     POINT_ERRORS,
     SweepResult,
+    _ising_outcomes,
     _ising_stack,
     _point_outcome,
     format_value,
@@ -433,6 +436,63 @@ def test_invalid_points_leave_the_rest_of_their_chunk_stacked(monkeypatch):
     assert [bits(r) for r in result.rows] == [bits(r) for r in reference_rows(deltas, lams)]
     statuses = [r["status"] for r in result.rows]
     assert statuses == ["error: delta must be non-negative"] * 80 + ["ok"] * 280
+
+
+def point_path(lam, delta, j=1.0):
+    """What ``optimize --model ising`` solved per point before it stacked its
+    points, and what the benchmark's oracle re-solves: the outcome of
+    ``ground_state_ac_concurrence(build_ising(...))``."""
+    return _point_outcome(
+        lambda: ground_state_ac_concurrence(build_ising(IsingParams(j, delta, lam)), (2, 2, 2))
+    )
+
+
+def outcome_bits(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome.value.hex(), outcome.degenerate_ground, outcome.tilde_lambdas.tobytes()
+
+
+@pytest.mark.parametrize(
+    "delta, lams, stacked",
+    [
+        # lambda = 0 (both signs) splits the chain into blocks, as does a
+        # middle field that underflows to 0 (5e-324 * J / 2); 1e-300 does not
+        (0.1, [0.0, -0.0, -1.3, 1e-300, 5e-324, math.sqrt(80.0), 1.7, 3.0], 5),
+        # delta = 0 splits it at every lambda
+        (0.0, [0.0, -1.3, 1e-300, 1.7], 0),
+        # the frontier, lambda near sqrt(8 / delta), where C is close to 1
+        (1e-4, [math.sqrt(8e4), math.sqrt(8e4) * (1 + 1e-9), 1e4], 3),
+    ],
+)
+def test_the_optimizer_chain_evaluator_gives_the_point_path_bits(delta, lams, stacked, monkeypatch):
+    # the points that couple all eight states are solved as one real stack,
+    # the rest by the point path; every row has the point path's bits
+    solve = medent.sweeps.eigh_stack
+    stacks = []
+    monkeypatch.setattr(medent.sweeps, "eigh_stack", lambda m: stacks.append((m.shape, m.dtype)) or solve(m))
+    got = _ising_outcomes(np.array(lams), delta, 1.0)
+    assert stacks == ([((stacked, 8, 8), np.float64)] if stacked else [])
+    assert [outcome_bits(o) for o in got] == [outcome_bits(point_path(lam, delta)) for lam in lams]
+
+
+def test_a_failed_optimizer_chain_point_flags_only_its_row(caplog):
+    # J = 2 and lambda = 1e308: the middle field lambda * J / 2 overflows, and
+    # the stack fails; its other points keep their bits, and the failed one
+    # gives the point path's error, which the search logs
+    lams = [0.5, 1e308, 1.7, 0.0]
+    got = _ising_outcomes(np.array(lams), 0.1, 2.0)
+    want = [point_path(lam, 0.1, 2.0) for lam in lams]
+    assert [outcome_bits(o) for o in got] == [outcome_bits(o) for o in want]
+    assert str(got[1]) == "h_b contains non-finite entries"
+    assert got[1].__traceback__ is None
+    problem = ControlProblem(evaluate=lambda x: _ising_outcomes(x[:, 0], 0.1, 2.0), bounds=((0.5, 1e308),))
+    with caplog.at_level(logging.WARNING, logger="medent.control"):
+        result = optimize(problem, budget=3)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"objective failed at {np.array([1e308])}: h_b contains non-finite entries"
+    ]
+    assert result.best_value.hex() == want[0].value.hex()
 
 
 @pytest.mark.parametrize(
