@@ -26,10 +26,10 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     _assembled_operator,
-    _block_ground_level,
     _hermitian_stack,
     _merged_ground_level,
     _readonly,
+    _sector_ground_level,
     eigh,
     eigh_stack,
     kron,
@@ -213,56 +213,76 @@ def _check_dim(cfg: DickeConfig) -> None:
         )
 
 
+def _product_index(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
+    """Per state of the product basis of the subsystems (atom, atom, field)
+    taken in ``order``, its index in the product basis atom x atom x field."""
+    return np.arange(4 * (n_max + 1)).reshape(2, 2, n_max + 1).transpose(order).ravel()
+
+
 @lru_cache(maxsize=16)
 def _scatter_index(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
     """The entries of the two (d, d) blocks of ``_parity_blocks`` as (2, d, d)
     flat indices into the dim x dim matrix on the product basis of the
     subsystems (atom, atom, field) taken in ``order``."""
-    dims = (2, 2, n_max + 1)
-    labels = np.unravel_index(_parity_blocks(n_max)[0], dims)
-    sectors = np.ravel_multi_index([labels[k] for k in order], [dims[k] for k in order])
-    return _readonly(sectors[:, :, np.newaxis] * prod(dims) + sectors[:, np.newaxis, :])
+    sectors = _product_index(n_max, order).argsort()[_parity_blocks(n_max)[0]]
+    dim = 4 * (n_max + 1)
+    return _readonly(sectors[:, :, np.newaxis] * dim + sectors[:, np.newaxis, :])
 
 
-def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _declared_sectors(n_max: int, order: tuple[int, int, int], n_terms: int) -> tuple[np.ndarray, ...]:
+    """The exact sectors of the first ``n_terms`` of ``_dicke_terms`` on the
+    product basis of the subsystems (atom, atom, field) taken in ``order``,
+    N for h1 and N mod 2 for h2 and h3, keyed by the labels ``_sector_keys``
+    gives and ``_sector_blocks`` checks, laid out as ``HermitianOperator.sectors``."""
+    keys = _sector_keys(n_max, "product", n_terms)[_product_index(n_max, order)]
+    # each sector ascending, in the order of its first index
+    sectors = [np.flatnonzero(keys == key) for key in dict.fromkeys(keys.tolist())]
+    sizes = sorted({s.size for s in sectors})
+    return tuple(_readonly(np.stack([s for s in sectors if s.size == size])) for size in sizes)
+
+
+def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> tuple[np.ndarray, tuple]:
     """``cfg``'s Hamiltonian as a real array in the product basis of its
-    subsystems (atom, atom, field) taken in ``order``: the two checked parity
+    subsystems (atom, atom, field) taken in ``order``, and its exact sectors
+    there (``_declared_sectors``).  The array is the two checked parity
     blocks of ``_parity_block_hamiltonian`` scattered into place by one
     assignment, so it is exactly symmetric without a check of its own."""
     _check_dim(cfg)
     _, blocks = _parity_block_hamiltonian(cfg)
     h = np.zeros(cfg.dim * cfg.dim)
     h[_scatter_index(cfg.n_max, order)] = blocks
-    return h.reshape(cfg.dim, cfg.dim)
+    return h.reshape(cfg.dim, cfg.dim), _declared_sectors(cfg.n_max, order, _TERM_COUNTS[cfg.variant])
 
 
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
     """``cfg``'s Hamiltonian in the basis atom x atom x field, checked once, on
-    its parity blocks: their exactly symmetric real scatter is not checked again."""
-    return _assembled_operator(_scattered_dicke(cfg, (0, 1, 2)))
+    its parity blocks: their exactly symmetric real scatter, declaring its exact
+    sectors (``HermitianOperator.sectors``), is not checked again."""
+    return _assembled_operator(*_scattered_dicke(cfg, (0, 1, 2)))
 
 
 def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int, int, int]]:
     """The same operator in the basis atom x field x atom, checked once, on
-    its parity blocks, as ``build_dicke``'s is.
+    its parity blocks, and declaring its exact sectors, as ``build_dicke``'s.
 
     Puts the field in the middle slot so the exchange-symmetry and theorem
     machinery (which expects the mediator between the two outer qubits) can
     consume it directly.
     """
-    return _assembled_operator(_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
+    return _assembled_operator(*_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
 
 
 def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     """Ground-level concurrence of the two atoms, the outer qubits of the
     mediator form: ``ground_state_ac_concurrence(*dicke_mediator_form(cfg))``
     bit for bit.  The parity blocks, checked once, are scattered into the
-    real mediator-form matrix, which goes through the two steps that
-    ``ground_state_pair_concurrence`` runs: ``_block_ground_level``, then
-    ``ground_level_concurrence``.  The mediator form holds that real matrix
+    real mediator-form matrix, which goes with its declared sectors through
+    the two steps of ``ground_state_pair_concurrence``: ``_sector_ground_level``,
+    then ``ground_level_concurrence``.  The mediator form holds that real matrix
     as complex with zero imaginary parts, which that function takes back
     to real, so both solve the same real matrix with the same kernel."""
-    _, vectors = _block_ground_level(_scattered_dicke(cfg, (0, 2, 1)))
+    _, vectors = _sector_ground_level(*_scattered_dicke(cfg, (0, 2, 1)))
     return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
 
 
@@ -279,6 +299,19 @@ class DickeGroundPoint:
     convergence_delta: float
 
 
+def _sector_keys(n_max: int, basis: str, n_terms: int) -> np.ndarray:
+    """The integer sector key of each basis state (atoms in ``basis``, field
+    fastest) under the first ``n_terms`` of ``_dicke_terms``: (J, N), N the
+    excitation number, if every such term conserves N, else (J, N mod 2)."""
+    atoms, dim_f = _ATOM_BASES[basis], n_max + 1
+    atom, n = np.divmod(np.arange(4 * dim_f), dim_f)
+    excitations = atoms.excited[atom] + n
+    if n_terms > _N_CONSERVING_TERMS:
+        excitations %= 2
+    # N <= n_max + 2, so J and N never share a key
+    return atoms.spin[atom] * (n_max + 3) + excitations
+
+
 @lru_cache(maxsize=8)
 def _sector_blocks(n_max: int, basis: str, n_terms: int) -> tuple[tuple[np.ndarray, tuple], ...]:
     """The first ``n_terms`` of ``_dicke_terms`` at one cutoff, the atoms in
@@ -293,32 +326,30 @@ def _sector_blocks(n_max: int, basis: str, n_terms: int) -> tuple[tuple[np.ndarr
     blocks as (index, values) into a real (m, s, s) stack.  Every term is
     checked once to be exactly real with no entry between two sectors: no
     (atom, field) pair of it may have a nonzero imaginary part or take a basis
-    state into another sector.
+    state into another sector; one that conserves N, into another (J, N)
+    sector, so the parity blocks' cut checks the h1 ``_declared_sectors``.
 
     The blocks are gathered from the real parts of the factors, after a
     check that these are real, so no full-size or complex term is built.
     """
     atoms, dim_f = _ATOM_BASES[basis], n_max + 1
     atom, n = np.divmod(np.arange(4 * dim_f), dim_f)
-    excitations = atoms.excited[atom] + n
-    if n_terms > _N_CONSERVING_TERMS:
-        excitations %= 2
-    # N <= n_max + 2, so J and N never share a key
-    _, sector_of, sizes = np.unique(
-        atoms.spin[atom] * (n_max + 3) + excitations, return_inverse=True, return_counts=True
-    )
+    keys = _sector_keys(n_max, basis, n_terms)
+    _, sector_of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     members = np.split(np.argsort(sector_of, kind="stable"), np.cumsum(sizes)[:-1])
     terms = _dicke_terms(n_max, atoms)[:n_terms]
 
-    def leaves(a: np.ndarray, f: np.ndarray) -> bool:
-        """Whether kron(a, f) has a nonzero entry between two sectors."""
+    def leaves(a: np.ndarray, f: np.ndarray, keys: np.ndarray) -> bool:
+        """Whether kron(a, f) has a nonzero entry between two states of different ``keys``."""
         (ai, aj), (fi, fj) = np.nonzero(a), np.nonzero(f)
         rows = (ai[:, np.newaxis] * dim_f + fi).ravel()
         cols = (aj[:, np.newaxis] * dim_f + fj).ravel()
-        return bool((sector_of[rows] != sector_of[cols]).any())
+        return bool((keys[rows] != keys[cols]).any())
 
+    n_keys = _sector_keys(n_max, basis, _N_CONSERVING_TERMS)
     for i, pairs in enumerate(terms):
-        if any(a.imag.any() or f.imag.any() or leaves(a, f) for a, f in pairs):
+        exact = n_keys if i < _N_CONSERVING_TERMS else keys
+        if any(a.imag.any() or f.imag.any() or leaves(a, f, exact) for a, f in pairs):
             raise AssertionError(f"Dicke term {i} at n_max = {n_max} leaves the real {basis} sectors")
     groups = []
     # not np.unique, which would import numpy.ma

@@ -17,10 +17,10 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
-    _block_ground_level,
     _density_stack,
     _raise_negative,
     _readonly,
+    _sector_ground_level,
     _trace_out,
 )
 from .tripartite import SIGMA_2
@@ -147,6 +147,8 @@ def ground_level_concurrence(vectors, size: int, dims, pair: tuple[int, int]) ->
     """
     dims = tuple(int(d) for d in dims)
     i, j = pair
+    if i == j or not (0 <= i < len(dims) and 0 <= j < len(dims)):
+        raise DimensionError(f"pair={pair} does not name two distinct subsystems of dims={dims}")
     if dims[i] != 2 or dims[j] != 2:
         raise DimensionError(f"kept subsystems must be qubits, dims={dims}, pair={pair}")
     rho = ground_level_density_stack(vectors[np.newaxis], np.array([size]), dims, pair)
@@ -162,12 +164,13 @@ def ground_state_pair_concurrence(
     ``dims`` are the tensor-factor dimensions, ``pair`` the indices of the two
     dimension-2 factors to keep.  A degenerate ground level is averaged over
     its subspace and flagged.  The ground level is found on the exact blocks
-    of ``h``, in real arithmetic when ``h`` is real (``_block_ground_level``).
+    that ``h.sectors`` declares, or on all of ``h``, in real arithmetic when
+    ``h`` is real (``_sector_ground_level``).
     """
     dims = tuple(int(d) for d in dims)
     if prod(dims) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    _, vectors = _block_ground_level(h.matrix if h.matrix.imag.any() else h.matrix.real)
+    _, vectors = _sector_ground_level(h.matrix if h.matrix.imag.any() else h.matrix.real, h.sectors)
     return ground_level_concurrence(vectors, vectors.shape[1], dims, pair)
 
 

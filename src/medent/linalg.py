@@ -68,12 +68,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _square_stack(entries) -> np.ndarray:
-    """``entries`` as a stack of one complex matrix; it must be square."""
+    """``entries`` as a stack of one complex matrix; it must be square and not empty."""
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"operator must be square, got {m.shape}")
+    if not m.size:
+        raise DimensionError(f"operator must not be empty, got {m.shape}")
     return m[np.newaxis]
 
 
@@ -153,9 +155,15 @@ def _raise_negative(low: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A square complex matrix verified to be Hermitian at construction."""
+    """A square complex matrix verified to be Hermitian at construction.
+
+    ``sectors`` holds its exact diagonal blocks where its builder declares them
+    (``_assembled_operator``), else (): per block size, ascending, an (m, s) array
+    of blocks, each ascending, in the order of their first index.
+    """
 
     matrix: np.ndarray
+    sectors: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _hermitian_stack(_square_stack(self.matrix))
@@ -166,11 +174,13 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-def _assembled_operator(m: np.ndarray) -> HermitianOperator:
+def _assembled_operator(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> HermitianOperator:
     """``HermitianOperator(m)`` of a real, exactly symmetric ``m`` built of checked
-    parts, without the second check, which would return it unchanged, bit for bit."""
+    parts, declaring ``sectors``, without the second check, which would return
+    it unchanged, bit for bit."""
     op = object.__new__(HermitianOperator)
     object.__setattr__(op, "matrix", _readonly(m.astype(np.complex128)))
+    object.__setattr__(op, "sectors", sectors)
     return op
 
 
@@ -417,42 +427,6 @@ def eigh(h: HermitianOperator) -> EigenDecomposition:
     )
 
 
-@lru_cache(maxsize=16)
-def _pattern_components(dim: int, packed: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``_components`` of a symmetric dim x dim nonzero pattern, given as the
-    bytes of ``np.packbits`` of its boolean matrix: per group, its (m, s)
-    indices and the (m, s, s) flat indices whose ``take`` from a dim x dim
-    matrix is the group's block stack."""
-    linked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=dim * dim)
-    return tuple(
-        (index, _readonly(index[:, :, np.newaxis] * dim + index[:, np.newaxis, :]))
-        for index in _components(linked.reshape(dim, dim).astype(bool))
-    )
-
-
-def _components(linked: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The connected components of a symmetric boolean dim x dim pattern.
-
-    Components of equal size form a group.  Returns per group, in ascending
-    size, an (m, s) read-only array: one component per row, its indices
-    ascending, the rows in the order of their first index.
-    """
-    dim = len(linked)
-    components, unreached = [], np.ones(dim, dtype=bool)
-    while unreached.any():
-        frontier = np.zeros(dim, dtype=bool)
-        frontier[np.argmax(unreached)] = True
-        reached = frontier.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        unreached &= ~reached
-        components.append(np.flatnonzero(reached))
-    # not np.unique, which would import numpy.ma
-    sizes = sorted({c.size for c in components})
-    return tuple(_readonly(np.stack([c for c in components if c.size == s])) for s in sizes)
-
-
 def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, float]:
     """The ground level of a dim x dim operator from the eigendecompositions
     of its exact diagonal blocks.
@@ -482,25 +456,19 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, floa
     return w[:size], vectors, float(gap)
 
 
-def _block_ground_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sector_ground_level(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The ground level of the exactly Hermitian matrix ``m``, real or
     complex, as the energies and members ``_merged_ground_level`` returns,
-    solved on the connected components of its exact nonzero pattern.
-
-    This is the one block finder of the package: the chain, any operator
-    ``ground_state_pair_concurrence`` is given and the Dicke mediator form
-    (``dicke.mediator_concurrence``, on its real scatter) all reach it.
-    Components of equal size form one ``_eigh_hermitian`` stack, gathered
-    by ``take`` on cached flat indices, with the Gram and residual checks
-    per block, solved in the arithmetic of ``m``'s dtype.  ``m`` is not
-    checked again: the caller has checked it, and its pattern, by which the
-    components are cached, is symmetric.
+    solved on its declared ``sectors`` (``HermitianOperator.sectors``), or
+    whole where there are none.  Blocks of equal size form one
+    ``_eigh_hermitian`` stack, gathered by ``take``, solved in the arithmetic
+    of ``m``'s dtype.  ``m`` is not checked again: its caller and the
+    builder that declared the sectors have checked it.
     """
     dim = len(m)
-    groups = _pattern_components(dim, np.packbits(m != 0).tobytes())
     blocks = []
-    for index, flat in groups:
-        w, v = _eigh_hermitian(m.take(flat))
+    for index in sectors or (np.arange(dim)[np.newaxis],):
+        w, v = _eigh_hermitian(m.take(index[:, :, np.newaxis] * dim + index[:, np.newaxis, :]))
         blocks.append((index, w, v))
     return _merged_ground_level(dim, blocks)[:2]
 

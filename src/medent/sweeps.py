@@ -264,11 +264,9 @@ def _ising_outcomes(lams, delta: float, j_coupling: float) -> list:
     ``build_ising(IsingParams(j_coupling, delta, lam))``, bit for bit, or the
     POINT_ERRORS exception that fails it.
 
-    A point whose outer and middle fields are both nonzero is one block,
-    which the point path solves whole in real arithmetic: such points are
-    solved as one float64 ``_ising_stack``, with the same bits.  The
-    others split into blocks whose ground levels the point path merges, and
-    go through it, as does every point of a stack that fails a check, so a
+    The point path solves the chain whole in real arithmetic, so every point
+    is one row of a float64 ``_ising_stack``, with the same bits.  Only the
+    points of a stack that fails a check go through the point path, so a
     failure flags only its own row, with the point path's error text.
     """
     lams = np.asarray(lams, dtype=float)
@@ -280,18 +278,14 @@ def _ising_outcomes(lams, delta: float, j_coupling: float) -> list:
     # the rows _ising_coefficients gives
     with np.errstate(over="ignore", invalid="ignore"):
         fields = np.broadcast_arrays(delta * j_coupling / 2, float(j_coupling), lams * j_coupling / 2)
-    coefficients = np.column_stack(fields)
-    stacked = np.flatnonzero((coefficients[:, 0] != 0) & (coefficients[:, 2] != 0))
-    outcomes = {}
-    if len(stacked):
-        try:
-            _, _, values, degenerate, tilde = _ising_stack(coefficients[stacked], np.float64)
-        except POINT_ERRORS:
-            pass
-        else:
-            for i, value, deg, row in zip(stacked.tolist(), values.tolist(), degenerate.tolist(), tilde):
-                outcomes[i] = ConcurrenceResult(value, _readonly(row), degenerate_ground=deg)
-    return [outcomes[i] if i in outcomes else _point_outcome(point, lam) for i, lam in enumerate(lams.tolist())]
+    try:
+        _, _, values, degenerate, tilde = _ising_stack(np.column_stack(fields), np.float64)
+    except POINT_ERRORS:
+        return [_point_outcome(point, lam) for lam in lams.tolist()]
+    return [
+        ConcurrenceResult(value, _readonly(row), degenerate_ground=deg)
+        for value, deg, row in zip(values.tolist(), degenerate.tolist(), tilde)
+    ]
 
 
 def ising_sweep(delta_grid, lambda_grid, j_coupling: float = 1.0) -> SweepResult:

@@ -526,7 +526,7 @@ def test_the_skipped_check_of_the_scatter_is_the_identity(variant, kappa, lam_ti
     # and dicke_mediator_form skip, returns their matrices bit for bit
     cfg = DickeConfig(variant, kappa, lam_tilde=lam_tilde, n_max=n_max)
     for got, order in ((build_dicke(cfg), (0, 1, 2)), (dicke_mediator_form(cfg)[0], (0, 2, 1))):
-        expected = HermitianOperator(_scattered_dicke(cfg, order)).matrix
+        expected = HermitianOperator(_scattered_dicke(cfg, order)[0]).matrix
         assert got.matrix.dtype == expected.dtype
         assert got.matrix.tobytes() == expected.tobytes()
         assert not got.matrix.flags.writeable
@@ -803,7 +803,7 @@ def test_the_start_cutoff_solve_reads_the_ground_level_as_the_stack_kernel(monke
     ]
     expected = []
     for cfg in configs:
-        w, v = linalg._eigh_hermitian(_scattered_dicke(cfg, (0, 1, 2)).astype(complex)[np.newaxis])
+        w, v = linalg._eigh_hermitian(_scattered_dicke(cfg, (0, 1, 2))[0].astype(complex)[np.newaxis])
         (size,), (gap,) = linalg._ground_levels(w)
         conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
         expected.append((float(w[0, 0]), float(gap), conc))
@@ -877,9 +877,9 @@ def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch,
 def test_mediator_concurrence_is_the_mediator_form_oracle_bit_for_bit(
     variant, kappa, lam_tilde, omega_a, omega_f, n_max
 ):
-    # the components gathered from the parity blocks are those the block
-    # finder finds in the checked complex mediator form, entry for entry,
-    # hence the same stacks and the same bits
+    # the evaluator solves the real scatter on the sectors the mediator form
+    # declares, as the oracle solves the mediator form: the same stacks and
+    # the same bits
     cfg = DickeConfig(variant, kappa, omega_a, omega_f, lam_tilde=lam_tilde, n_max=n_max)
     assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
 
@@ -894,16 +894,55 @@ def assert_same_concurrence(got, expected):
     assert got.degenerate_ground == expected.degenerate_ground
 
 
-def test_mediator_concurrence_shares_the_oracles_components_per_pattern():
-    # kappa = 0 leaves every state its own component, kappa = 0.5 two parity
-    # blocks: one cutoff, two patterns, and the evaluator and the oracle find
-    # each pattern's components in one shared cache entry
+def test_mediator_concurrence_shares_the_oracles_declared_sectors():
+    # kappa = 0 leaves every state its own block, kappa = 0.5 not: the sectors
+    # are declared per cutoff and variant, not found per pattern, and the
+    # evaluator and the oracle share one cached entry
     configs = [DickeConfig("h2", kappa, n_max=12) for kappa in (0.0, 0.5, 0.0)]
-    linalg._pattern_components.cache_clear()
+    dicke_module._declared_sectors.cache_clear()
     for cfg in configs:
         assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
-    info = linalg._pattern_components.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    info = dicke_module._declared_sectors.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+
+def product_positions(n_max, order):
+    """Per product-basis state (atom, atom, field), its index in the product
+    basis of those subsystems taken in ``order``."""
+    dims = (2, 2, n_max + 1)
+    dim = int(np.prod(dims))
+    positions = np.empty(dim, dtype=int)
+    positions[np.arange(dim).reshape(dims).transpose(order).ravel()] = np.arange(dim)
+    return positions
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 40])
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+def test_the_declared_sectors_are_the_checked_product_sectors(variant, n_max):
+    # the sectors _sector_blocks cuts and checks in the product basis, moved
+    # into each builder's subsystem order and laid out as HermitianOperator.sectors
+    # holds them: in ascending size, each sorted, the rows by their first index
+    n_terms = dicke_module._TERM_COUNTS[variant]
+    checked = [s for sectors, _ in _sector_blocks.__wrapped__(n_max, "product", n_terms) for s in sectors]
+    cfg = DickeConfig(variant, 0.6, n_max=n_max)
+    for order, h in (((0, 1, 2), build_dicke(cfg)), ((0, 2, 1), dicke_mediator_form(cfg)[0])):
+        rows = sorted((sorted(product_positions(n_max, order)[s].tolist()) for s in checked), key=len)
+        expected = [sorted(r for r in rows if len(r) == size) for size in sorted({len(r) for r in rows})]
+        assert [group.tolist() for group in h.sectors] == expected
+        assert all(not group.flags.writeable for group in h.sectors)
+
+
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+@pytest.mark.parametrize("kappa", [5e-324, 0.3, H1_FIRST_CROSSING, H1_SECOND_CROSSING, 2.5])
+def test_no_entry_of_a_dicke_operator_lies_outside_its_declared_sectors(variant, kappa):
+    cfg = DickeConfig(variant, kappa, lam_tilde=0.7, n_max=9)
+    for h in (build_dicke(cfg), dicke_mediator_form(cfg)[0]):
+        outside = h.matrix.copy()
+        for group in h.sectors:
+            outside[group[:, :, np.newaxis], group[:, np.newaxis, :]] = 0
+        assert not outside.any()
+        # every state in one sector
+        assert sorted(i for group in h.sectors for i in group.ravel().tolist()) == list(range(cfg.dim))
 
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):

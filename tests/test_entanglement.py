@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +21,9 @@ from medent.linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
-    _block_ground_level,
+    _sector_ground_level,
     eigh,
+    eigh_stack,
     reduced_density,
 )
 from medent.tripartite import IsingParams, build_ising
@@ -219,6 +222,14 @@ def test_pair_concurrence_dimension_guards():
         ground_state_ac_concurrence(h, (2, 2, 2, 2))
 
 
+@pytest.mark.parametrize("pair", [(0, 0), (2, 2), (0, 5), (-1, 2), (3, 0)])
+def test_a_repeated_or_out_of_range_pair_is_a_dimension_error(pair):
+    dec = eigh(build_ising(IsingParams(delta=0.1, lam=1.0)))
+    message = rf"^pair={re.escape(str(pair))} does not name two distinct subsystems of dims=\(2, 2, 2\)$"
+    with pytest.raises(DimensionError, match=message):
+        ground_level_concurrence(dec.eigenvectors, 1, (2, 2, 2), pair)
+
+
 # ---------------------------------------------------------------- properties (hypothesis)
 
 UNIT_FLOATS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -375,7 +386,7 @@ def test_ground_concurrence_is_checked_once_and_unchanged(h, dims, pair):
     assert got.degenerate_ground == (len(dec.ground_group) > 1)
 
 
-# ------------------------------------------------- the ground level on the exact blocks of H
+# ------------------------------------------------- the ground level on the declared blocks of H
 
 
 def full_path(h, dims, pair):
@@ -387,7 +398,7 @@ def full_path(h, dims, pair):
 
 def assert_block_path_matches_full(h, dims, pair):
     energy, expected = full_path(h, dims, pair)
-    energies, _ = _block_ground_level(h.matrix)
+    energies, _ = _sector_ground_level(h.matrix, h.sectors)
     got = ground_state_pair_concurrence(h, dims, pair)
     assert abs(energies[0] - energy) <= 1e-12 * max(1.0, abs(energy))
     assert got.degenerate_ground == expected.degenerate_ground
@@ -426,18 +437,29 @@ def permuted_block_hermitians(draw):
     return HermitianOperator(h[np.ix_(p, p)]), (2, m, 2), sorted(sizes.tolist())
 
 
-def pattern_groups(m):
-    """The (m, s) index arrays of the component groups the block finder finds in ``m``."""
-    return [index for index, _ in linalg._pattern_components(len(m), np.packbits(m != 0).tobytes())]
+def stacked_path(h, dims, pair):
+    """``eigh_stack`` of h's matrix, real where its imaginary part is zero, as a
+    stack of one, then ``ground_level_concurrence`` of its vectors as complex."""
+    m = h.matrix if h.matrix.imag.any() else h.matrix.real
+    dec = eigh_stack(m[np.newaxis])
+    vectors = dec.eigenvectors[0].astype(np.complex128)
+    return ground_level_concurrence(vectors, dec.ground_sizes[0], dims, pair)
+
+
+def assert_same_bits(got, expected):
+    assert got.value.hex() == expected.value.hex()
+    assert got.tilde_lambdas.tobytes() == expected.tilde_lambdas.tobytes()
+    assert got.degenerate_ground == expected.degenerate_ground
 
 
 @PROPERTY_SETTINGS
 @given(permuted_block_hermitians())
 def test_block_path_matches_the_full_solve_on_permuted_block_matrices(case):
-    h, dims, sizes = case
-    components = pattern_groups(h.matrix)
-    assert sorted(group.shape[1] for group in components for _ in group) == sizes
-    assert_block_path_matches_full(h, dims, (0, 2))
+    # an operator its builder declares no sectors of is solved whole, in real
+    # arithmetic when it is real: the bits of eigh_stack and the ground level
+    h, dims, _ = case
+    assert h.sectors == ()
+    assert_same_bits(ground_state_pair_concurrence(h, dims, (0, 2)), stacked_path(h, dims, (0, 2)))
 
 
 @PROPERTY_SETTINGS
@@ -457,7 +479,8 @@ def test_block_path_matches_the_full_solve_on_the_dicke_mediator_forms(variant, 
 
 @PROPERTY_SETTINGS
 @given(
-    # delta = 0 or lambda = 0 splits the chain's pattern into blocks of 2 or 4
+    # the chain declares no sectors: it is solved whole, also where delta = 0
+    # or lambda = 0 splits its pattern into blocks of 2 or 4
     st.sampled_from(["delta", "lambda", None]),
     st.floats(0.0, 3.0),
     st.floats(0.0, 3.0),
@@ -470,12 +493,12 @@ def test_block_path_matches_the_full_solve_on_the_chain(zero, delta, lam, j):
     assert_block_path_matches_full(h, (2, 2, 2), (0, 2))
 
 
-# ------------------------------------------------- a lone component, gathered whole
+# ------------------------------------------------- an operator without sectors, solved whole
 
 
 def merged_reference(m):
-    """The ground level of a matrix of one component as the merge gives it:
-    the component gathered as a stack of one, solved, then passed through
+    """The ground level of a matrix solved whole as the merge gives it: the
+    matrix gathered as a stack of one, solved, then passed through
     ``_merged_ground_level``."""
     index = np.arange(len(m))[np.newaxis]
     w, v = linalg._eigh_hermitian(m[index[:, :, np.newaxis], index[:, np.newaxis, :]])
@@ -483,9 +506,7 @@ def merged_reference(m):
 
 
 def assert_one_component_keeps_the_merged_bits(m):
-    groups = pattern_groups(m)
-    assert [group.shape for group in groups] == [(1, len(m))]
-    energies, members = _block_ground_level(m)
+    energies, members = _sector_ground_level(m, ())
     expected_energies, expected_members = merged_reference(m)
     assert energies.tobytes() == expected_energies.tobytes()
     assert members.dtype == expected_members.dtype == np.complex128
@@ -497,7 +518,6 @@ def assert_one_component_keeps_the_merged_bits(m):
 @PROPERTY_SETTINGS
 @given(st.floats(1e-3, 3.0), st.floats(1e-3, 3.0), st.floats(-2.0, 2.0).filter(lambda j: abs(j) >= 1e-3))
 def test_a_chain_point_of_one_component_keeps_the_merged_bits(delta, lam, j):
-    # delta, lambda > 0 (their scales default to J) couple all eight states;
     # the real strided view is what ground_state_pair_concurrence hands in
     h = build_ising(IsingParams(j_coupling=j, delta=delta, lam=lam))
     assert_one_component_keeps_the_merged_bits(h.matrix.real)
@@ -530,6 +550,12 @@ def test_a_dense_matrix_of_one_component_keeps_the_merged_bits(case):
         assert size == 2
 
 
+def declared_sectors(blocks):
+    """The index groups of ``blocks`` laid out as ``HermitianOperator.sectors``."""
+    rows = sorted((sorted(int(i) for i in b) for b in blocks), key=lambda r: r[0])
+    return tuple(np.array([r for r in rows if len(r) == s]) for s in sorted({len(r) for r in rows}))
+
+
 def orthogonal(rng, size):
     return np.linalg.qr(rng.standard_normal((size, size)))[0]
 
@@ -547,7 +573,10 @@ def test_the_degeneracy_tolerance_is_taken_from_the_merged_spectrum():
         start += len(w)
     p = rng.permutation(8)
     h = HermitianOperator(h[np.ix_(p, p)])
-    energies, _ = _block_ground_level(h.matrix)
+    # the blocks' indices after the permutation
+    where = np.argsort(p)
+    sectors = declared_sectors([where[[0]], where[[1, 2]], where[[3, 4, 5]], where[[6, 7]]])
+    energies, _ = _sector_ground_level(h.matrix.real, sectors)
     assert energies == pytest.approx([0.0, 5e-7], abs=1e-13)
     assert ground_state_ac_concurrence(h, (2, 2, 2)).degenerate_ground
     assert full_path(h, (2, 2, 2), (0, 2))[1].degenerate_ground
@@ -559,7 +588,7 @@ def test_ground_members_are_embedded_in_ascending_energy_order():
     h = HermitianOperator(
         np.array([[3e-10, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 9.0]])
     )
-    energies, vectors = _block_ground_level(h.matrix)
+    energies, vectors = _sector_ground_level(h.matrix, declared_sectors([[0], [1, 2], [3]]))
     dec = eigh(h)
     assert energies == pytest.approx(dec.eigenvalues[:2], abs=1e-15)
     assert energies[0] < energies[1]
@@ -567,25 +596,17 @@ def test_ground_members_are_embedded_in_ascending_energy_order():
     assert np.abs(overlaps - np.eye(2)).max() <= 1e-12
 
 
-def test_a_dicke_mediator_form_is_solved_on_real_blocks_from_a_cached_pattern(monkeypatch):
+def test_a_dicke_mediator_form_is_solved_on_its_declared_real_blocks(monkeypatch):
     h, dims = dicke_mediator_form(DickeConfig("h2", 0.6, n_max=40))
     solved = []
     lapack_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append((a.shape, a.dtype)) or lapack_eigh(a))
-    linalg._pattern_components.cache_clear()
     first = ground_state_ac_concurrence(h, dims)
-    assert linalg._pattern_components.cache_info().misses == 1
     # the two parity blocks as one real stack; the rest are 4 x 4 density matrices
     assert ((2, 82, 82), np.float64) in solved
     assert max(shape[-1] for shape, _ in solved) == 82
     again = ground_state_ac_concurrence(h, dims)
-    ground_state_ac_concurrence(*dicke_mediator_form(DickeConfig("h2", 0.9, n_max=40)))
-    info = linalg._pattern_components.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    assert again.value.hex() == first.value.hex()
-    assert again.tilde_lambdas.tobytes() == first.tilde_lambdas.tobytes()
-    assert again.degenerate_ground == first.degenerate_ground
+    assert_same_bits(again, first)
     # h1 conserves the excitation number: 43 blocks of at most 4 states
     h1, _ = dicke_mediator_form(DickeConfig("h1", 0.6, n_max=40))
-    groups = pattern_groups(h1.matrix)
-    assert {g.shape[1]: len(g) for g in groups} == {1: 2, 3: 2, 4: 39}
+    assert {g.shape[1]: len(g) for g in h1.sectors} == {1: 2, 3: 2, 4: 39}

@@ -12,9 +12,9 @@ from medent.linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
-    _block_ground_level,
     _hermitian_stack,
     _merged_ground_level,
+    _sector_ground_level,
     eigh,
     eigh_stack,
     fix_phases,
@@ -281,6 +281,12 @@ def test_eigh_stack_raises_when_lapack_fails(monkeypatch):
         assert dec.eigenvectors[row].tobytes() == eigh(HermitianOperator(stack[i])).eigenvectors.tobytes()
 
 
+@pytest.mark.parametrize("kind", [HermitianOperator, DensityMatrix])
+def test_an_empty_matrix_is_a_dimension_error(kind):
+    with pytest.raises(DimensionError, match=r"^operator must not be empty, got \(0, 0\)$"):
+        kind(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 0)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_eigh_stack_rejects_an_empty_stack(shape, dtype):
@@ -448,7 +454,7 @@ def test_a_spectral_range_that_overflows_raises_on_every_path(dtype):
         with pytest.raises(NumericalError, match=message):
             eigh(HermitianOperator(m))
         with pytest.raises(NumericalError, match=message):
-            _block_ground_level(m)
+            _sector_ground_level(m, ())
         # blocks whose own ranges are finite, merged
         blocks = [(np.array([[0], [1]]), np.array([[-1e308], [1e308]]), np.ones((2, 1, 1)))]
         with pytest.raises(NumericalError, match=message):

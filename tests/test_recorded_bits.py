@@ -23,7 +23,7 @@ from medent.tripartite import IsingParams, _ising_coefficients, build_ising, isi
 from conftest import medent_process, python_process
 
 # delta = 0 gives degenerate ground levels, lambda = 0 or delta = 0 a pattern
-# of several blocks
+# of several blocks, which the chain, declaring no sectors, solves whole
 CHAIN_DELTAS = (0.0, 0.01, 0.1, 0.3, 1.0, 2.0)
 CHAIN_LAMS = (0.0, 0.5, 1.0, 1.3, 3.0, -0.7)
 # kappa = 0 and both h1 crossings (1/sqrt(2) and 1/(sqrt(6) - sqrt(2)) at resonance)
@@ -123,7 +123,7 @@ def chunk_eigh_digest() -> str:
 
 RECORDED = {
     "chain": (lambda: concurrence_digest(chain_points()),
-              "11256bfc837616f49af484c80c2953ae5d3c88c1ea35b664897940db4971fafe"),
+              "e5582a50f465863ce98f1926b82a803e06570d0d863040192492d033221ce723"),
     "cavity": (lambda: concurrence_digest(cavity_points()),
                "6f16de9a6e27cdb507f8e73caf84eca28bc1cad15755238ea878afccb4069c0a"),
     "sweep_chunk": (sweep_chunk_digest,

@@ -456,23 +456,23 @@ def outcome_bits(outcome):
 @pytest.mark.parametrize(
     "delta, lams, stacked",
     [
-        # lambda = 0 (both signs) splits the chain into blocks, as does a
-        # middle field that underflows to 0 (5e-324 * J / 2); 1e-300 does not
-        (0.1, [0.0, -0.0, -1.3, 1e-300, 5e-324, math.sqrt(80.0), 1.7, 3.0], 5),
-        # delta = 0 splits it at every lambda
-        (0.0, [0.0, -1.3, 1e-300, 1.7], 0),
+        # lambda = 0 (both signs) splits the chain's pattern into blocks, as
+        # does a middle field that underflows to 0 (5e-324 * J / 2); 1e-300 does not
+        (0.1, [0.0, -0.0, -1.3, 1e-300, 5e-324, math.sqrt(80.0), 1.7, 3.0], 8),
+        # delta = 0 splits it at every lambda, and every ground level is degenerate
+        (0.0, [0.0, -1.3, 1e-300, 1.7], 4),
         # the frontier, lambda near sqrt(8 / delta), where C is close to 1
         (1e-4, [math.sqrt(8e4), math.sqrt(8e4) * (1 + 1e-9), 1e4], 3),
     ],
 )
 def test_the_optimizer_chain_evaluator_gives_the_point_path_bits(delta, lams, stacked, monkeypatch):
-    # the points that couple all eight states are solved as one real stack,
-    # the rest by the point path; every row has the point path's bits
+    # the point path solves the chain whole, split pattern or not, so every
+    # point is a row of one real stack, with the point path's bits
     solve = medent.sweeps.eigh_stack
     stacks = []
     monkeypatch.setattr(medent.sweeps, "eigh_stack", lambda m: stacks.append((m.shape, m.dtype)) or solve(m))
     got = _ising_outcomes(np.array(lams), delta, 1.0)
-    assert stacks == ([((stacked, 8, 8), np.float64)] if stacked else [])
+    assert stacks == [((stacked, 8, 8), np.float64)]
     assert [outcome_bits(o) for o in got] == [outcome_bits(point_path(lam, delta)) for lam in lams]
 
 
