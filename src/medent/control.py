@@ -1,8 +1,10 @@
 """Bracketed maximization of ground-state outer-pair concurrence over one control.
 
 Every CLI search varies one scalar, so the box is scanned in one stacked
-evaluation and the best scan cell's neighbours bracket a golden-section
-refine.  Runs are deterministic: the search draws nothing at random.
+evaluation and the best scan cell's neighbours bracket a refine by Brent's
+method: parabolic interpolation with a golden-section fallback (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 5).  Runs are
+deterministic: the search draws nothing at random.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ log = logging.getLogger(__name__)
 
 # the refine solves no new point once its bracket is this narrow, relative to the box
 BRACKET_RTOL = 1e-7
-# 1 / golden ratio: each refine step keeps this share of the bracket
+# 1 / golden ratio: a golden step moves 1 - INVERSE_PHI of the way into the
+# bracket's longer side
 INVERSE_PHI = (math.sqrt(5) - 1) / 2
 
 
@@ -66,7 +69,7 @@ class OptimizationResult:
 
 
 def optimize(problem: ControlProblem, budget: int) -> OptimizationResult:
-    """Scan the box, refine the best scan cell by golden section, re-verify.
+    """Scan the box, refine the best scan cell by Brent's method, re-verify.
 
     The search maximizes ``problem.evaluate(x).value`` over one control and
     sees only that value, the box and ``budget``, the number of evaluations
@@ -74,9 +77,13 @@ def optimize(problem: ControlProblem, budget: int) -> OptimizationResult:
 
     - a uniform grid of ``max(2, (budget - 1) // 4)`` points over the box, in
       one stacked evaluation;
-    - golden-section search on the bracket of the best grid point's
-      neighbours (or of the box edge and its neighbour), one point per
-      step, until the bracket is narrower than BRACKET_RTOL of the box;
+    - Brent's maximizer on the bracket of the best grid point's neighbours
+      (or of the box edge and its neighbour), started from that grid point
+      and its scanned value, one point per step, until the bracket is
+      narrower than BRACKET_RTOL of the box: the vertex of the parabola
+      through the best point and two earlier ones where it falls well inside
+      the bracket, else a golden step, always a golden step while one of the
+      three failed;
     - repeated requests of the best point for what is left;
     - a fresh evaluation of the best point, not the memo, which must give
       the same value.
@@ -121,24 +128,61 @@ def optimize(problem: ControlProblem, budget: int) -> OptimizationResult:
     [(lo, hi)] = problem.bounds
     grid = linspace_grid(lo, hi, max(2, (budget - 1) // 4))
     left = budget - 1 - len(grid)
-    i = int(np.argmax(request(grid)))
+    values = request(grid)
+    i = int(np.argmax(values))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     tol = BRACKET_RTOL * (hi - lo)
-    if b - a > tol and left >= 2:
-        c, d = b - INVERSE_PHI * (b - a), a + INVERSE_PHI * (b - a)
-        fc, fd = request(np.array([c, d]))
-        left -= 2
-        while b - a > tol and left:
-            # keep the sub-bracket around the better interior point
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - INVERSE_PHI * (b - a)
-                (fc,) = request(np.array([c]))
+    # Brent's maximizer from the best grid point, whose value the scan gave:
+    # x the best point so far, w the next best and v the w before it; d the
+    # last step and e the one before it
+    x = w = v = grid[i]
+    fx = fw = fv = values[i]
+    d = e = 0.0
+    # Brent's tolerance: no step is shorter, and his own stop leaves a
+    # bracket of at most four of them
+    step = tol / 4
+    while b - a > tol and left:
+        m = a + (b - a) / 2
+        parabola = False
+        # a parabola through x, w and v, unless one of them failed
+        if abs(e) > step and -np.inf not in (fx, fw, fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            # its vertex, if it falls inside the bracket and the step is
+            # shorter than half the step before last
+            parabola = abs(p) < abs(q * e / 2) and q * (a - x) < p < q * (b - x)
+            e = d
+            if parabola:
+                d = p / q
+                # never within two steps of an end: one step toward the middle
+                if x + d - a < 2 * step or b - (x + d) < 2 * step:
+                    d = step if x < m else -step
+        if not parabola:
+            # a golden step into the longer side of the bracket
+            e = a - x if x >= m else b - x
+            d = (1 - INVERSE_PHI) * e
+        u = x + d if abs(d) >= step else x + (step if d > 0 else -step)
+        (fu,) = request(np.array([u]))
+        left -= 1
+        if fu >= fx:
+            if u >= x:
+                a = x
             else:
-                a, c, fc = c, d, fd
-                d = a + INVERSE_PHI * (b - a)
-                (fd,) = request(np.array([d]))
-            left -= 1
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     converged = not b - a > tol
     if left:
         request(np.repeat(grid[i] if best_x is None else best_x, left))

@@ -305,7 +305,7 @@ def test_sweep_dicke_rejects_an_h3_quadratic_coefficient_beyond_the_float_range(
 def test_optimize_dicke_discards_each_h3_point_beyond_the_float_range(capsys, caplog):
     # every point's kappa**2 overflows: each is discarded as a failed point,
     # and the search fails as a numerical failure, not with a traceback; the
-    # golden-section steps between controls near 1e200 do not overflow either
+    # refine steps between controls near 1e200 do not overflow either
     code, out, err = run(
         capsys,
         "optimize", "--model", "dicke", "--variant", "h3", "--nmax", "4",
@@ -410,8 +410,10 @@ def test_optimize_writes_the_solved_count_to_stderr(tmp_path, capsys):
     # the optimum sits on the upper bound, a grid point, which the search
     # requests again for the budget left once the refine's bracket closed
     assert controls.count(3.0) > 100
-    # every distinct search point once, plus the re-verification
+    # every distinct search point once, plus the re-verification: the 74 grid
+    # points and 13 refine steps
     assert err == f"solved {len(set(controls)) + 1} distinct points for 300 evaluations\n"
+    assert len(set(controls)) + 1 == 88
     assert "evaluations: 300" in out.splitlines()
 
 
@@ -419,8 +421,8 @@ def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
     # per stacked evaluation: the real eigh of every H (one block each, as
     # delta, lambda > 0), the eigh of every rho_AC, which also gives its
     # positivity verdict, and the eigvalsh of the spin-flip partners; the
-    # grid's 9 points make one evaluation, the first two golden-section
-    # points one, and every later point one of its own
+    # grid's 9 points make one evaluation, and every later point one of its
+    # own
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, name=name, solve=getattr(np.linalg, name)):
@@ -438,7 +440,7 @@ def test_an_ising_optimizer_point_makes_three_lapack_calls(monkeypatch, capsys):
     def evaluation(n):
         return [("eigh", (n, 8, 8), "f"), ("eigh", (n, 4, 4), "c"), ("eigvalsh", (n, 4, 4), "c")]
 
-    assert calls == evaluation(9) + evaluation(2) + evaluation(1) * (solved - 11)
+    assert calls == evaluation(9) + evaluation(1) * (solved - 9)
 
 
 @pytest.mark.parametrize("delta", ["0.1", "0"])
@@ -764,27 +766,30 @@ def test_the_benchmark_control_search_oracle_accepts_the_cli(tmp_path, monkeypat
 
 
 # sha256 of what the optimize commands below write since the search became a
-# stacked scan and a golden-section refine.  The Ising stdout kept its bytes
-# (best lambda 3 at the box edge, a grid point); its trace moved with the
-# points requested, and again in one cell, lambda = 0, whose chain is now
-# solved whole (5.55e-17 to 2.78e-16).  The Dicke stderr is the Fock check's
-# line, whose convergence delta is the doubled cutoff's sectors against the
-# printed best concurrence (3.6082248300317588e-16)
+# stacked scan and a refine by Brent's method, and the number of distinct
+# points each solves.  The Ising stdout kept its bytes (best lambda 3 at the
+# box edge, a grid point); its trace moved with the points requested.  The
+# Dicke stdout moved with the best point (kappa 0.48013478257292136, C
+# 0.073106210836566474), and its stderr is the Fock check's line, whose
+# convergence delta is the doubled cutoff's sectors against the printed best
+# concurrence (8.3266726846886741e-17)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
+        88,
         {
             "stdout": "b942f8b48ca2b5b09e3dcba7f8245fed3f67cd9afc5d793cdcc70895d6aa6c44",
             "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "trace.csv": "dce8e2abfb4079af70a047c12a59d1af12a641b3e8cebb2211453d640a51881e",
+            "trace.csv": "35dcfabfb3b2919e617e46d2c9595c52d875ea76b7d33cd660c38847fd2fba47",
         },
     ),
     "dicke": (
         ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40",
          "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
+        23,
         {
-            "stdout": "0a768c572f96c52beb5c890573b8e5e87e68b364b0299c1459a416db68c0e78c",
-            "stderr": "f5c7462b7f909101414e180f636abd888be593c0c5339de5a6787f22a9291075",
+            "stdout": "121aae65ba771efcb18c9612499e1148c25c91e50486bbb63db2477f394caaf9",
+            "stderr": "b7c42b6870b6a9d9423d0fe207934071bb54bbe6411976664862511786fea09b",
         },
     ),
 }
@@ -796,12 +801,13 @@ def test_optimize_commands_write_the_recorded_bytes(name, threads, tmp_path):
     # a process with BLAS pinned to one thread, as the benchmark runs it, and
     # one with two: both write the same bytes, as each ground level is solved
     # on real blocks (a complex 164 x 164 solve rounded differently)
-    argv, digests = OPTIMIZE_DIGESTS[name]
+    argv, solved, digests = OPTIMIZE_DIGESTS[name]
     proc = medent_process(argv, threads, tmp_path)
     assert proc.returncode == 0, proc.stderr
     # the solved count is the one line the recorded stderr lacks
-    solved, _, stderr = proc.stderr.partition(b"\n")
-    assert re.fullmatch(rb"solved \d+ distinct points for \d+ evaluations", solved)
+    line, _, stderr = proc.stderr.partition(b"\n")
+    budget = argv[argv.index("--budget") + 1]
+    assert line.decode() == f"solved {solved} distinct points for {budget} evaluations"
     got = {"stdout": proc.stdout, "stderr": stderr}
     got.update({f: (tmp_path / f).read_bytes() for f in digests if f not in got})
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == digests

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medent.cli import main
-from medent.control import BRACKET_RTOL, ControlProblem, OptimizationResult, optimize
+from medent.control import BRACKET_RTOL, INVERSE_PHI, ControlProblem, OptimizationResult, optimize
 from medent.dicke import DickeConfig, mediator_concurrence
 from medent.entanglement import ConcurrenceResult, ground_state_ac_concurrence
 from medent.linalg import NumericalError
@@ -89,7 +89,7 @@ def test_budget_precondition():
 def test_constant_objective_converges():
     # degenerate ground at delta = 0 forces the zero-concurrence convention
     # everywhere, so the landscape is exactly constant; 60 evaluations let the
-    # bracket close (14 grid points and 32 golden-section steps)
+    # bracket close (14 grid points and 29 refine steps)
     result = optimize(ising_lambda_problem(0.0), budget=60)
     assert result.converged
     assert result.best_value == pytest.approx(0.0, abs=1e-12)
@@ -164,16 +164,10 @@ def test_programming_error_propagates():
         optimize(problem, budget=20)
 
 
-def counting_evaluator(fail_at=None):
-    """The delta = 0.1 Ising lambda evaluator, recording the bits of every point
-    it is asked to solve and the number of rows of each call, and failing
-    with a NumericalError at ``fail_at``."""
+def counting(point):
+    """The stack evaluator of ``point``, recording the bits of every point it
+    is asked to solve and the number of rows of each call."""
     calls, sizes = [], []
-
-    def point(lam):
-        if lam == fail_at:
-            raise NumericalError("synthetic failure region")
-        return ising_point(0.1)(lam)
 
     def evaluate(x):
         sizes.append(len(x))
@@ -181,6 +175,18 @@ def counting_evaluator(fail_at=None):
         return stacked(point)(x)
 
     return evaluate, calls, sizes
+
+
+def counting_evaluator(fail_at=None):
+    """The counted delta = 0.1 Ising lambda evaluator, failing with a
+    NumericalError at ``fail_at``."""
+
+    def point(lam):
+        if lam == fail_at:
+            raise NumericalError("synthetic failure region")
+        return ising_point(0.1)(lam)
+
+    return counting(point)
 
 
 def test_each_distinct_point_is_solved_once():
@@ -197,9 +203,10 @@ def test_each_distinct_point_is_solved_once():
     assert result.evaluations == 300
     assert len(result.trace) == 299
     assert result.solved < 200
-    # the grid in one call, the first two golden-section points in one, then
-    # one point per call, and the re-verification alone
-    assert sizes[:2] == [74, 2] and set(sizes[2:]) == {1}
+    # the grid in one call, then one refine point per call (the refine starts
+    # from the best grid point and its scanned value, and does not request
+    # it again), and the re-verification alone
+    assert sizes[0] == 74 and set(sizes[1:]) == {1}
 
 
 def test_the_scan_brackets_a_golden_section_refine():
@@ -212,7 +219,14 @@ def test_the_scan_brackets_a_golden_section_refine():
     # refine, which closes below BRACKET_RTOL of the box within the budget
     refine = points[25:-1]
     assert all(grid[-2] < x < grid[-1] for x in refine)
-    assert result.converged and abs(refine[-1] - 2.5) <= BRACKET_RTOL * 2.0
+    # the objective rises to the bound, so every parabola through the bound
+    # and two points below it peaks beyond the bracket, and every step is a
+    # golden step from the bound, 1 - INVERSE_PHI of the way to the bracket's
+    # lower end, which the worse point it finds then becomes
+    gaps = [2.5 - x for x in refine]
+    shares = (1 - INVERSE_PHI) ** np.arange(1, len(refine) + 1)
+    assert gaps == pytest.approx(list((grid[-1] - grid[-2]) * shares), rel=1e-6)
+    assert result.converged and gaps[-1] <= BRACKET_RTOL * 2.0 < gaps[-2]
     assert result.best_controls[0] == 2.5
     # the rest of the budget repeats the best point, which no call solves again
     assert sum(sizes) == len(points) == result.solved < 100
@@ -248,23 +262,28 @@ def test_signed_zeros_are_distinct_points():
     assert result.evaluations == 40
 
 
+# a broad decoy of height 0.5 and a triangular peak of height 0.9 off the grid
+# of a 300-evaluation scan of [0, 10], whose half-width is twice the scan's
+# resolution
+PLANTED_LO, PLANTED_HI, PLANTED_BUDGET = 0.0, 10.0, 300
+PLANTED_PEAK = 7.3141
+PLANTED_WIDTH = 2 * (PLANTED_HI - PLANTED_LO) / ((PLANTED_BUDGET - 1) // 4 - 1)
+
+
+def planted_point(x):
+    value = max(0.5 - 0.01 * abs(x - 2.0), 0.9 * (1 - abs(x - PLANTED_PEAK) / PLANTED_WIDTH))
+    return ConcurrenceResult(value, np.zeros(4))
+
+
 def test_a_planted_narrow_peak_is_found():
-    # a broad decoy of height 0.5 and a triangular peak of height 0.9 off the
-    # grid, whose half-width is twice the scan's resolution: some grid point
-    # sits within half a resolution of it and reads at least 0.675, so the
-    # scan picks its cell and the refine closes on the peak
-    lo, hi, budget = 0.0, 10.0, 300
-    resolution = (hi - lo) / ((budget - 1) // 4 - 1)
-    peak, width = 7.3141, 2 * resolution
-
-    def point(x):
-        value = max(0.5 - 0.01 * abs(x - 2.0), 0.9 * (1 - abs(x - peak) / width))
-        return ConcurrenceResult(value, np.zeros(4))
-
-    result = optimize(ControlProblem(evaluate=stacked(point), bounds=((lo, hi),)), budget)
+    # some grid point sits within half a resolution of the peak and reads at
+    # least 0.675, so the scan picks its cell and the refine closes on the peak
+    lo, hi = PLANTED_LO, PLANTED_HI
+    problem = ControlProblem(evaluate=stacked(planted_point), bounds=((lo, hi),))
+    result = optimize(problem, PLANTED_BUDGET)
     assert result.converged
-    assert abs(result.best_controls[0] - peak) <= BRACKET_RTOL * (hi - lo)
-    assert result.best_value >= 0.9 * (1 - BRACKET_RTOL * (hi - lo) / width)
+    assert abs(result.best_controls[0] - PLANTED_PEAK) <= BRACKET_RTOL * (hi - lo)
+    assert result.best_value >= 0.9 * (1 - BRACKET_RTOL * (hi - lo) / PLANTED_WIDTH)
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
@@ -272,7 +291,7 @@ def test_the_search_finds_the_control_frontier(delta):
     # over lambda in [1, 1e4] the best lambda is sqrt(8 / delta) and
     # 1 - C* = 2 delta - 3 delta^2 + 4.25 delta^3 as pinned at that lambda
     # (tests/test_entanglement.py); measured: lambda* sqrt(delta) - sqrt(8)
-    # reads 6.0e-5, -1.6e-5 and -1.4e-4 down the three deltas
+    # reads 5.5e-5, 1.1e-6 and -6.8e-6 down the three deltas
     problem = ControlProblem(evaluate=lambda x: _ising_outcomes(x[:, 0], delta, 1.0), bounds=((1.0, 1e4),))
     result = optimize(problem, budget=300)
     assert result.converged and not result.best_degenerate_ground
@@ -281,14 +300,88 @@ def test_the_search_finds_the_control_frontier(delta):
     assert abs(excess - 4.25 * delta**3) <= 0.1 * delta**3 + 1e-11
 
 
-# ------------------------------------------------------------ per-point reference
-# The scan and refine as a plain loop over requested points: no memo, no
-# stacked evaluation; the oracle of the bookkeeping of ``optimize``.
+# ------------------------------------------------------------ per-point references
+# The scan and refine as plain loops over requested points: no memo, no
+# stacked evaluation.  With Brent's refine it is the oracle of the
+# bookkeeping of ``optimize``; with the golden-section refine that
+# ``optimize`` ran before it, the bar its quality is held to.
 
 ref_log = logging.getLogger(__name__ + ".reference")
 
 
-def reference_search(point, lo, hi, budget) -> OptimizationResult:
+def brent_refine(f, x, fx, a, b, tol, left):
+    """Brent's localmin (Brent 1973, ch. 5) on g = -f, from the best grid point
+    x and its value fx, over the bracket (a, b), for at most ``left`` points;
+    returns the final bracket and the points left."""
+    w = v = x
+    gx = gw = gv = -fx
+    d = e = 0.0
+    t = tol / 4
+    while b - a > tol and left > 0:
+        m = a + (b - a) / 2
+        golden = True
+        if abs(e) > t and np.inf not in (gx, gw, gv):
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            if q > 0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < 2 * t or b - (x + d) < 2 * t:
+                    d = t if x < m else -t
+        if golden:
+            e = (b if x < m else a) - x
+            d = (1 - (math.sqrt(5) - 1) / 2) * e
+        u = x + (d if abs(d) >= t else t if d > 0 else -t)
+        gu = -f(u)
+        left -= 1
+        if gu <= gx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
+    return a, b, left
+
+
+def golden_refine(f, x, fx, a, b, tol, left):
+    """Golden-section search over the bracket (a, b), for at most ``left``
+    points, two to start; returns the final bracket and the points left."""
+    phi = (math.sqrt(5) - 1) / 2
+    if b - a > tol and left >= 2:
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc, fd = f(c), f(d)
+        left -= 2
+        while b - a > tol and left > 0:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = f(d)
+            left -= 1
+    return a, b, left
+
+
+def reference_search(point, lo, hi, budget, refine=brent_refine):
+    """The result of the search with ``refine`` and its final bracket."""
     trace, solved = [], set()
     best = [None, -np.inf]
 
@@ -307,30 +400,18 @@ def reference_search(point, lo, hi, budget) -> OptimizationResult:
     values = [f(x) for x in grid]
     i = values.index(max(values))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    spent, tol, phi = len(grid), 1e-7 * (hi - lo), (math.sqrt(5) - 1) / 2
-    if b - a > tol and spent + 2 < budget:
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = f(c), f(d)
-        spent += 2
-        while b - a > tol and spent < budget - 1:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = f(d)
-            spent += 1
-    for _ in range(budget - 1 - spent):
+    tol = 1e-7 * (hi - lo)
+    a, b, left = refine(f, grid[i], values[i], a, b, tol, budget - 1 - len(grid))
+    for _ in range(left):
         f(grid[i] if best[0] is None else best[0])
     if best[0] is None:
         raise NumericalError("objective evaluation failed at every sampled point")
     res = point(best[0])
-    return OptimizationResult(
+    result = OptimizationResult(
         np.array([best[0]]), res.value, budget, tuple(trace), b - a <= tol,
         res.degenerate_ground, len(solved) + 1,
     )
+    return result, (a, b)
 
 
 @contextmanager
@@ -419,9 +500,126 @@ def test_search_matches_the_per_point_reference_bit_for_bit(case):
 
     problem = ControlProblem(evaluate=evaluate, bounds=case["bounds"])
     got, got_warnings = run_search(lambda: optimize(problem, case["budget"]), "medent.control")
-    want, want_warnings = run_search(lambda: reference_search(point, lo, hi, case["budget"]), ref_log.name)
+    want, want_warnings = run_search(lambda: reference_search(point, lo, hi, case["budget"])[0], ref_log.name)
     assert result_bits(got) == result_bits(want)
     assert got_warnings == want_warnings
+
+
+# ------------------------------------------------------------ golden-section bar
+# Brent's refine against the golden-section refine it replaced, after the same
+# scan: it finds no less and solves no more distinct points.
+
+
+def dicke_point(variant, n_max):
+    """The per-point evaluator of the cavity coupling kappa, as the CLI solves it."""
+
+    def evaluate(kappa):
+        return mediator_concurrence(DickeConfig(variant=variant, kappa=float(kappa), n_max=n_max))
+
+    return evaluate
+
+
+def brent_and_golden(point, lo, hi, budget):
+    """The results of ``optimize`` and of the golden-section reference; the
+    first solves no more distinct points."""
+    brent = optimize(ControlProblem(evaluate=stacked(point), bounds=((lo, hi),)), budget)
+    golden, _ = reference_search(point, lo, hi, budget, golden_refine)
+    assert brent.solved <= golden.solved
+    return brent, golden
+
+
+# name: per-point evaluator, box, budget, whether the peak is inside the box
+SMOOTH_PEAKS = {
+    "README ising": (ising_point(0.1), (0.0, 3.0), 300, False),
+    "recorded dicke": (dicke_point("h2", 40), (0.1, 1.1), 60, True),
+    "ising box [0, 30]": (ising_point(0.1), (0.0, 30.0), 300, True),
+    "constant": (ising_point(0.0), (0.0, 3.0), 60, False),
+}
+
+
+@pytest.mark.parametrize("name", SMOOTH_PEAKS)
+def test_brent_matches_golden_section_on_smooth_peaks(name):
+    point, (lo, hi), budget, interior = SMOOTH_PEAKS[name]
+    brent, golden = brent_and_golden(point, lo, hi, budget)
+    assert brent.best_value >= golden.best_value - 1e-14
+    if interior:
+        assert abs(brent.best_controls[0] - golden.best_controls[0]) <= 2 * BRACKET_RTOL * (hi - lo)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_brent_matches_golden_section_on_the_control_frontier(delta):
+    lo, hi = 1.0, 1e4
+    brent, golden = brent_and_golden(ising_point(delta), lo, hi, 300)
+    # the top is flat to within the rounding noise of C, which decides which of
+    # two points inside the bracket tolerance reads higher: the spread of C
+    # over 41 points 1e-9 apart around golden's best, where its smooth
+    # variation is below 1e-15 (measured: 4.4e-14, 4.7e-13 and 5.4e-12 down
+    # the three deltas; Brent reads 7.8e-14 below golden at delta = 1e-3)
+    lams = golden.best_controls[0] + 1e-9 * np.arange(-20, 21)
+    noise = np.ptp([res.value for res in _ising_outcomes(lams, delta, 1.0)])
+    assert brent.best_value >= golden.best_value - max(1e-14, noise)
+    # rounding moves the best point too: golden's lies 1.4e-2 below Brent's
+    # at delta = 1e-4, 14 bracket tolerances, so Brent must lie no farther
+    # from the frontier law sqrt(8 / delta) than golden, to within two
+    frontier = math.sqrt(8 / delta)
+    off = [abs(r.best_controls[0] - frontier) for r in (brent, golden)]
+    assert off[0] <= off[1] + 2 * BRACKET_RTOL * (hi - lo)
+
+
+def test_brent_matches_golden_section_on_the_planted_peak():
+    lo, hi = PLANTED_LO, PLANTED_HI
+    brent, golden = brent_and_golden(planted_point, lo, hi, PLANTED_BUDGET)
+    tol = BRACKET_RTOL * (hi - lo)
+    assert abs(brent.best_controls[0] - golden.best_controls[0]) <= 2 * tol
+    # the peak is a kink, so the value falls linearly with the distance from
+    # it: each search is within tol of it, and golden reads at most 0.9
+    # (measured: Brent 4.8e-8 and golden 1.1e-8 from the peak)
+    assert brent.best_value >= golden.best_value - 0.9 / PLANTED_WIDTH * tol
+
+
+# ------------------------------------------------------------ small budgets
+
+
+def failing_inside(lam):
+    """The delta = 0.1 chain, failing on the open box (0, 3)."""
+    if 0.0 < lam < 3.0:
+        raise NumericalError("synthetic failure region")
+    return ising_point(0.1)(lam)
+
+
+# name: per-point evaluator, box
+SMALL_BUDGET_CASES = {
+    "interior peak": (ising_point(0.1), (0.0, 30.0)),
+    "edge peak": (ising_point(0.1), (0.0, 3.0)),
+    "zero-width box": (ising_point(0.1), (1.3, 1.3)),
+    "one-ulp box": (ising_point(0.1), (3.0, math.nextafter(3.0, 4.0))),
+    "failing bracket": (failing_inside, (0.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("budget", range(3, 9))
+@pytest.mark.parametrize("name", SMALL_BUDGET_CASES)
+def test_a_small_budget_is_spent_exactly(name, budget):
+    point, (lo, hi) = SMALL_BUDGET_CASES[name]
+    evaluate, calls, _ = counting(point)
+    problem = ControlProblem(evaluate=evaluate, bounds=((lo, hi),))
+    result, warnings = run_search(lambda: optimize(problem, budget), "medent.control")
+    want, (a, b) = reference_search(point, lo, hi, budget)
+    assert result_bits(result) == result_bits(want)
+    # every request is a trace row or a failure warning, and then the
+    # re-verification
+    assert result.evaluations == len(result.trace) + len(warnings) + 1 == budget
+    # no point is solved twice but the best, by its re-verification
+    assert len(calls) == len(set(calls)) + 1 == result.solved
+    assert calls[-1] == result.best_controls.tobytes()
+    # the final bracket lies between requested points around the best, and
+    # closes below BRACKET_RTOL of the box only when the box has no width, or
+    # holds two floats, both solved by the scan: the first step from the
+    # better one rounds back onto it, and the bracket closes there
+    requested = {np.frombuffer(c)[0] for c in calls}
+    assert a in requested and b in requested and a <= result.best_controls[0] <= b
+    closes = lo == hi or (hi == math.nextafter(lo, hi) and budget > 3)
+    assert result.converged == (b - a <= BRACKET_RTOL * (hi - lo)) == closes
 
 
 # ------------------------------------------------------------ simplex lower bound
@@ -529,10 +727,7 @@ def test_the_search_finds_no_less_than_the_simplex(monkeypatch, capsys):
         if flag(argv, "--model") == "ising":
             point = ising_point(float(flag(argv, "--delta")))
         else:
-            variant, n_max = flag(argv, "--variant"), int(flag(argv, "--nmax"))
-
-            def point(kappa):
-                return mediator_concurrence(DickeConfig(variant=variant, kappa=float(kappa), n_max=n_max))
+            point = dicke_point(flag(argv, "--variant"), int(flag(argv, "--nmax")))
 
         simplex_best, simplex_solved = simplex_optimize(point, bounds, budget, seed)
         assert best >= simplex_best, argv

@@ -3,7 +3,7 @@ with their closed-form reasons and enough passes, and names what else it sees.""
 
 import importlib.util
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -19,9 +19,9 @@ MESSAGES = {
 }
 
 
-def case(name, outcome="", message=""):
+def case(name, outcome="", message="", text="text"):
     classname, test = name.split("::")
-    body = f"<{outcome} message={quoteattr(message)}>text</{outcome}>" if outcome else ""
+    body = f"<{outcome} message={quoteattr(message)}>{escape(text)}</{outcome}>" if outcome else ""
     return f'<testcase classname="{classname}" name="{test}" time="0.1">{body}</testcase>'
 
 
@@ -64,3 +64,35 @@ def test_a_designed_fail_that_passes_or_loses_its_reason_fails_the_gate(tmp_path
     ]
     assert gate.main([str(path)]) == 1
 
+
+
+
+def traceback(reason, source):
+    """A junit failure body as pytest writes it: the failing source line,
+    which quotes ``source``, then the E lines of the exception, which hold
+    ``reason``."""
+    return (
+        f"def test_criterion():\n>       assert report({source!r})\n"
+        f"E       AssertionError: assert False\n"
+        f"E        +  where False = report('... [{reason}] ...')\n\n"
+        f"tests/test_acceptance.py:326: AssertionError"
+    )
+
+
+CRITERION_9 = "tests.test_acceptance::test_criterion_09_theorem_fuzz"
+OTHER_MESSAGES = {name: m for name, m in MESSAGES.items() if name != CRITERION_9}
+
+
+def test_a_reason_cut_from_the_message_passes_whole_in_the_e_lines(tmp_path):
+    reason = gate.DESIGNED_FAILS[CRITERION_9]
+    cut = f"AssertionError: assert False ... [{reason[:-10]}...] ..."
+    failure = case(CRITERION_9, "failure", cut, traceback(reason, "the test's source"))
+    path = report(tmp_path, messages=OTHER_MESSAGES, extra=[failure])
+    assert gate.problems(path) == []
+
+
+def test_a_reason_only_in_a_source_line_fails_the_gate(tmp_path):
+    reason = gate.DESIGNED_FAILS[CRITERION_9]
+    failure = case(CRITERION_9, "failure", "AssertionError: assert False", traceback("cut", reason))
+    path = report(tmp_path, messages=OTHER_MESSAGES, extra=[failure])
+    assert gate.problems(path) == [f"{path}: designed FAIL {CRITERION_9} lacks its reason {reason!r}"]
