@@ -26,10 +26,10 @@ from .dicke import (
     _settled_cutoff,
     build_dicke,
     dicke_sweep,
-    mediator_concurrence,
+    mediator_outcomes,
 )
 from .linalg import NumericalError, eigh
-from .sweeps import SweepResult, _ising_outcomes, _point_outcome, format_value, ising_sweep, parse_grid_spec
+from .sweeps import SweepResult, _ising_outcomes, format_value, ising_sweep, parse_grid_spec
 from .theorem import TrialRecord, theorem_fuzz
 from .tripartite import IsingParams, analytic_ising_spectrum, build_ising, ising_middle_field
 
@@ -293,7 +293,8 @@ def _check_fock_cutoff(cfg: DickeConfig, best: float) -> None:
 
     ``best`` is the base of the sweep's cutoff doubling (``_settled_cutoff``),
     which solves each doubled cutoff once, on its exact sectors, and none in
-    full.  Raises FockConvergenceError if the concurrence needs a larger
+    full; the search solved ``best`` on the same sectors at ``cfg``'s cutoff
+    (``_sector_point``), so both sides of the first delta are one solve.  Raises FockConvergenceError if the concurrence needs a larger
     cutoff or never settles below the cutoff limit.
     """
     nmax_used, converged, delta, _ = _settled_cutoff(cfg, best, CONVERGENCE_TOL, N_MAX_LIMIT)
@@ -336,11 +337,8 @@ def cmd_optimize(args) -> int:
         # an invalid model constant fails the search before any point
         DickeConfig(kappa=0.0, **base)
 
-        def point(kappa):
-            return mediator_concurrence(DickeConfig(kappa=kappa, **base))
-
         def evaluate(x):
-            return [_point_outcome(point, kappa) for kappa in x[:, 0].tolist()]
+            return mediator_outcomes(x[:, 0].tolist(), base)
 
         control_name = "kappa"
 

@@ -4,8 +4,15 @@ Variant "h1" keeps only co-rotating exchange terms, "h2" adds the
 counter-rotating ones, and "h3" further adds a quadratic field term whose
 coefficient defaults to kappa^2 / omega_a (scaled by the free multiplier
 lam_tilde).  Basis ordering: atom1 x atom2 x field, field index fastest.
-The Fock-cutoff confirmation works in the collective basis {T-, T0, T+, S}
-of the atoms instead, whose total spin J every term conserves.
+
+Every ground level but the sweep's start-cutoff solve is found on the exact
+sectors of the collective basis {T-, T0, T+, S} of the atoms, whose total
+spin J every term conserves: (J, N) for h1, which conserves the excitation
+number N, and (J, N mod 2) for h2 and h3.  ``build_dicke`` and
+``dicke_mediator_form`` declare them (``HermitianOperator.sectors``), and
+the optimizer's points (``mediator_concurrence``, stacked by
+``mediator_outcomes``) and the Fock-cutoff confirmation (``_sector_point``)
+solve them as ``ground_state_pair_concurrence`` solves those operators.
 """
 
 from __future__ import annotations
@@ -25,16 +32,17 @@ from .linalg import (
     DimensionError,
     HermitianOperator,
     NumericalError,
+    Sectors,
     _assembled_operator,
+    _block_stack,
+    _declared_ground_levels,
     _hermitian_stack,
-    _merged_ground_level,
     _readonly,
     _sector_ground_level,
     eigh,
-    eigh_stack,
     kron,
 )
-from .sweeps import SweepResult, _point_outcome
+from .sweeps import POINT_ERRORS, SweepResult, _point_outcome
 from .tripartite import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 VARIANTS = ("h1", "h2", "h3")
@@ -213,10 +221,11 @@ def _check_dim(cfg: DickeConfig) -> None:
         )
 
 
+@lru_cache(maxsize=16)
 def _product_index(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
     """Per state of the product basis of the subsystems (atom, atom, field)
     taken in ``order``, its index in the product basis atom x atom x field."""
-    return np.arange(4 * (n_max + 1)).reshape(2, 2, n_max + 1).transpose(order).ravel()
+    return _readonly(np.arange(4 * (n_max + 1)).reshape(2, 2, n_max + 1).transpose(order).ravel())
 
 
 @lru_cache(maxsize=16)
@@ -229,37 +238,34 @@ def _scatter_index(n_max: int, order: tuple[int, int, int]) -> np.ndarray:
     return _readonly(sectors[:, :, np.newaxis] * dim + sectors[:, np.newaxis, :])
 
 
-@lru_cache(maxsize=16)
-def _declared_sectors(n_max: int, order: tuple[int, int, int], n_terms: int) -> tuple[np.ndarray, ...]:
-    """The exact sectors of the first ``n_terms`` of ``_dicke_terms`` on the
-    product basis of the subsystems (atom, atom, field) taken in ``order``,
-    N for h1 and N mod 2 for h2 and h3, keyed by the labels ``_sector_keys``
-    gives and ``_sector_blocks`` checks, laid out as ``HermitianOperator.sectors``."""
-    keys = _sector_keys(n_max, "product", n_terms)[_product_index(n_max, order)]
-    # each sector ascending, in the order of its first index
-    sectors = [np.flatnonzero(keys == key) for key in dict.fromkeys(keys.tolist())]
-    sizes = sorted({s.size for s in sectors})
-    return tuple(_readonly(np.stack([s for s in sectors if s.size == size])) for size in sizes)
-
-
-def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> tuple[np.ndarray, tuple]:
+def _scattered_dicke(cfg: DickeConfig, order: tuple[int, int, int]) -> np.ndarray:
     """``cfg``'s Hamiltonian as a real array in the product basis of its
-    subsystems (atom, atom, field) taken in ``order``, and its exact sectors
-    there (``_declared_sectors``).  The array is the two checked parity
+    subsystems (atom, atom, field) taken in ``order``: the two checked parity
     blocks of ``_parity_block_hamiltonian`` scattered into place by one
     assignment, so it is exactly symmetric without a check of its own."""
     _check_dim(cfg)
     _, blocks = _parity_block_hamiltonian(cfg)
     h = np.zeros(cfg.dim * cfg.dim)
     h[_scatter_index(cfg.n_max, order)] = blocks
-    return h.reshape(cfg.dim, cfg.dim), _declared_sectors(cfg.n_max, order, _TERM_COUNTS[cfg.variant])
+    return h.reshape(cfg.dim, cfg.dim)
+
+
+def _collective_sectors(cfg: DickeConfig, order: tuple[int, int, int]) -> Sectors:
+    """The exact sectors of ``cfg``'s Hamiltonian, declared for the product
+    basis of its subsystems (atom, atom, field) taken in ``order``: the
+    collective sectors of ``_sector_blocks``, (J, N) for h1 and (J, N mod 2)
+    for h2 and h3, with ``cfg``'s coefficients, mapped by
+    ``COLLECTIVE_TO_PRODUCT`` and then into ``order``."""
+    coefficients = _dicke_coefficients(cfg)
+    groups = _sector_blocks(cfg.n_max, "collective", len(coefficients))
+    return Sectors(groups, tuple(coefficients), COLLECTIVE_TO_PRODUCT, _product_index(cfg.n_max, order))
 
 
 def build_dicke(cfg: DickeConfig) -> HermitianOperator:
     """``cfg``'s Hamiltonian in the basis atom x atom x field, checked once, on
     its parity blocks: their exactly symmetric real scatter, declaring its exact
-    sectors (``HermitianOperator.sectors``), is not checked again."""
-    return _assembled_operator(*_scattered_dicke(cfg, (0, 1, 2)))
+    collective sectors (``HermitianOperator.sectors``), is not checked again."""
+    return _assembled_operator(_scattered_dicke(cfg, (0, 1, 2)), _collective_sectors(cfg, (0, 1, 2)))
 
 
 def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int, int, int]]:
@@ -270,20 +276,57 @@ def dicke_mediator_form(cfg: DickeConfig) -> tuple[HermitianOperator, tuple[int,
     machinery (which expects the mediator between the two outer qubits) can
     consume it directly.
     """
-    return _assembled_operator(*_scattered_dicke(cfg, (0, 2, 1))), (2, cfg.n_max + 1, 2)
+    h = _assembled_operator(_scattered_dicke(cfg, (0, 2, 1)), _collective_sectors(cfg, (0, 2, 1)))
+    return h, (2, cfg.n_max + 1, 2)
+
+
+def _mediator_stack(configs: list[DickeConfig]) -> list[ConcurrenceResult]:
+    """``mediator_concurrence`` of each of ``configs``, which differ only in
+    kappa: the sectors of every point solved together, one real stack per
+    block size (``_declared_ground_levels``), each point's bits those of a
+    stack of it alone.  Raises the first failure of any point."""
+    _check_dim(configs[0])
+    sectors = _collective_sectors(configs[0], (0, 2, 1))
+    coefficients = np.array([_dicke_coefficients(cfg) for cfg in configs])
+    dims = (2, configs[0].n_max + 1, 2)
+    return [
+        ground_level_concurrence(vectors, len(energies), dims, (0, 2))
+        for energies, vectors, _ in _declared_ground_levels(sectors, coefficients)
+    ]
 
 
 def mediator_concurrence(cfg: DickeConfig) -> ConcurrenceResult:
     """Ground-level concurrence of the two atoms, the outer qubits of the
     mediator form: ``ground_state_ac_concurrence(*dicke_mediator_form(cfg))``
-    bit for bit.  The parity blocks, checked once, are scattered into the
-    real mediator-form matrix, which goes with its declared sectors through
-    the two steps of ``ground_state_pair_concurrence``: ``_sector_ground_level``,
-    then ``ground_level_concurrence``.  The mediator form holds that real matrix
-    as complex with zero imaginary parts, which that function takes back
-    to real, so both solve the same real matrix with the same kernel."""
-    _, vectors = _sector_ground_level(*_scattered_dicke(cfg, (0, 2, 1)))
-    return ground_level_concurrence(vectors, vectors.shape[1], (2, cfg.n_max + 1, 2), (0, 2))
+    bit for bit, with no full matrix.  Both solve the collective sectors
+    that the mediator form declares (``_sector_ground_level``), the ones
+    ``_sector_point`` solves, and reduce the ground level in the mediator
+    form's basis; the parity blocks are neither built nor checked."""
+    (conc,) = _mediator_stack([cfg])
+    return conc
+
+
+def mediator_outcomes(kappas, base: dict) -> list:
+    """Per coupling of ``kappas``, ``mediator_concurrence`` of
+    ``DickeConfig(kappa=kappa, **base)``, bit for bit, or the POINT_ERRORS
+    exception that fails it, its config's or its solve's: the evaluator of
+    a ``ControlProblem`` over kappa, as ``optimize --model dicke`` runs it.
+
+    The points with valid configs are one ``_mediator_stack``.  Only the
+    points of a stack that fails a check are solved alone, so a failure flags
+    only its own point, with the point path's error text.
+    """
+    outcomes = [_point_outcome(DickeConfig, kappa=kappa, **base) for kappa in kappas]
+    valid = [i for i, cfg in enumerate(outcomes) if isinstance(cfg, DickeConfig)]
+    if valid:
+        configs = [outcomes[i] for i in valid]
+        try:
+            solved = _mediator_stack(configs)
+        except POINT_ERRORS:
+            solved = [_point_outcome(mediator_concurrence, cfg) for cfg in configs]
+        for i, outcome in zip(valid, solved):
+            outcomes[i] = outcome
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -323,11 +366,11 @@ def _sector_blocks(n_max: int, basis: str, n_terms: int) -> tuple[tuple[np.ndarr
     otherwise; never by a float diagonal.  Sectors of equal size form a group.
     Returns per group, in ascending size, the sectors' index arrays (m, s) in
     ascending key order and, per term, the nonzero entries of its m diagonal
-    blocks as (index, values) into a real (m, s, s) stack.  Every term is
-    checked once to be exactly real with no entry between two sectors: no
-    (atom, field) pair of it may have a nonzero imaginary part or take a basis
-    state into another sector; one that conserves N, into another (J, N)
-    sector, so the parity blocks' cut checks the h1 ``_declared_sectors``.
+    blocks as (index, values) into a real (m, s, s) stack: the layout of
+    ``Sectors.groups``.  Every term is checked once to be exactly real with
+    no entry between two sectors: no (atom, field) pair of it may have a
+    nonzero imaginary part or take a basis state into another sector; one
+    that conserves N, into another (J, N) sector.
 
     The blocks are gathered from the real parts of the factors, after a
     check that these are real, so no full-size or complex term is built.
@@ -382,17 +425,6 @@ def _parity_blocks(n_max: int) -> tuple[np.ndarray, tuple]:
     return group
 
 
-def _block_stack(group: tuple[np.ndarray, tuple], coefficients) -> np.ndarray:
-    """The coefficient-weighted sum of the terms of one group of
-    ``_sector_blocks``, added in order, as its real (m, s, s) block stack."""
-    sectors, terms = group
-    m, s = sectors.shape
-    h = np.zeros((m, s, s))
-    for c, (index, values) in zip(coefficients, terms):
-        h[index] += c * values
-    return h
-
-
 def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sectors of ``_parity_blocks`` and ``cfg``'s Hamiltonian as their two
     real diagonal blocks (2, d, d); every entry outside them is zero.
@@ -401,24 +433,20 @@ def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]
     the blocks are returned as ``_hermitian_stack`` returns them.
     """
     group = _parity_blocks(cfg.n_max)
-    return group[0], _hermitian_stack(_block_stack(group, _dicke_coefficients(cfg)))
+    return group[0], _hermitian_stack(_block_stack(group, np.array([_dicke_coefficients(cfg)])))
 
 
 def _sector_point(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
-    """Ground energy, gap and atom-atom concurrence of ``cfg`` on its exact
-    sectors in the collective basis, one real ``eigh_stack`` per group of equal-size blocks.
+    """Ground energy, gap and atom-atom concurrence of ``cfg`` on the exact
+    collective sectors that ``build_dicke(cfg)`` declares, as
+    ``ground_state_pair_concurrence`` solves them, one real stack per group
+    of equal-size blocks; no full matrix is built.
 
     The ground level may span several sectors (the h1 crossings); its
-    members, merged and embedded in the full basis by ``_merged_ground_level``,
-    are taken to the product basis for the reduction.
+    members are merged by ``_merged_ground_level`` and taken to the product
+    basis for the reduction.
     """
-    coefficients = _dicke_coefficients(cfg)
-    blocks = []
-    for group in _sector_blocks(cfg.n_max, "collective", len(coefficients)):
-        dec = eigh_stack(_block_stack(group, coefficients))
-        blocks.append((group[0], dec.eigenvalues, dec.eigenvectors))
-    energies, vectors, gap = _merged_ground_level(cfg.dim, blocks)
-    vectors = (COLLECTIVE_TO_PRODUCT @ vectors.reshape(4, -1)).reshape(cfg.dim, -1)
+    energies, vectors, gap = _sector_ground_level(None, _collective_sectors(cfg, (0, 1, 2)))
     conc = ground_level_concurrence(vectors, len(energies), cfg.dims, (0, 1))
     return float(energies[0]), gap, conc
 

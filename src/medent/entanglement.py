@@ -164,13 +164,14 @@ def ground_state_pair_concurrence(
     ``dims`` are the tensor-factor dimensions, ``pair`` the indices of the two
     dimension-2 factors to keep.  A degenerate ground level is averaged over
     its subspace and flagged.  The ground level is found on the exact blocks
-    that ``h.sectors`` declares, or on all of ``h``, in real arithmetic when
-    ``h`` is real (``_sector_ground_level``).
+    that ``h.sectors`` declares, in real arithmetic, or on all of ``h``, in
+    real arithmetic when ``h`` is real (``_sector_ground_level``).
     """
     dims = tuple(int(d) for d in dims)
     if prod(dims) != h.dim:
         raise DimensionError(f"prod({dims}) != operator dim {h.dim}")
-    _, vectors = _sector_ground_level(h.matrix if h.matrix.imag.any() else h.matrix.real, h.sectors)
+    m = h.matrix if h.matrix.imag.any() else h.matrix.real
+    _, vectors, _ = _sector_ground_level(m, h.sectors)
     return ground_level_concurrence(vectors, vectors.shape[1], dims, pair)
 
 

@@ -153,17 +153,46 @@ def _raise_negative(low: np.ndarray) -> None:
                  lambda low: ValueError(f"negative eigenvalue {low:.3e} below -{PSD_ATOL}"))
 
 
+class Sectors(NamedTuple):
+    """The exact real diagonal blocks of an operator, as its builder declares
+    them, in the builder's basis.
+
+    ``groups`` holds, per group of equal-size blocks, the blocks' states (m, s)
+    in the builder's basis and, per term, the nonzero entries of the term's m
+    blocks as (index, values) into a real (m, s, s) stack; the blocks are the
+    ``coefficients``-weighted sum of the terms, assembled when they are solved
+    (``_block_stack``).  A builder that has its blocks declares them as one
+    term of coefficient 1.  The constant map from the builder's basis to the
+    operator's is ``change``, a real (r, r) basis change of the builder's
+    leading factor of r states, then ``states``: operator state i is state
+    ``states[i]`` of the changed basis.
+    """
+
+    groups: tuple[tuple[np.ndarray, tuple], ...]
+    coefficients: tuple[float, ...]
+    change: np.ndarray
+    states: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.states)
+
+    def to_operator(self, vectors: np.ndarray) -> np.ndarray:
+        """Columns of ``vectors`` (dim, k), given in the builder's basis, in the operator's."""
+        changed = self.change @ vectors.reshape(len(self.change), -1)
+        return changed.reshape(len(vectors), -1)[self.states]
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A square complex matrix verified to be Hermitian at construction.
 
     ``sectors`` holds its exact diagonal blocks where its builder declares them
-    (``_assembled_operator``), else (): per block size, ascending, an (m, s) array
-    of blocks, each ascending, in the order of their first index.
+    (``_assembled_operator``), else None.
     """
 
     matrix: np.ndarray
-    sectors: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
+    sectors: Sectors | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _hermitian_stack(_square_stack(self.matrix))
@@ -174,7 +203,7 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-def _assembled_operator(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> HermitianOperator:
+def _assembled_operator(m: np.ndarray, sectors: Sectors) -> HermitianOperator:
     """``HermitianOperator(m)`` of a real, exactly symmetric ``m`` built of checked
     parts, declaring ``sectors``, without the second check, which would return
     it unchanged, bit for bit."""
@@ -456,21 +485,54 @@ def _merged_ground_level(dim: int, blocks) -> tuple[np.ndarray, np.ndarray, floa
     return w[:size], vectors, float(gap)
 
 
-def _sector_ground_level(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The ground level of the exactly Hermitian matrix ``m``, real or
-    complex, as the energies and members ``_merged_ground_level`` returns,
-    solved on its declared ``sectors`` (``HermitianOperator.sectors``), or
-    whole where there are none.  Blocks of equal size form one
-    ``_eigh_hermitian`` stack, gathered by ``take``, solved in the arithmetic
-    of ``m``'s dtype.  ``m`` is not checked again: its caller and the
-    builder that declared the sectors have checked it.
+def _block_stack(group: tuple[np.ndarray, tuple], coefficients: np.ndarray) -> np.ndarray:
+    """The blocks of one group of ``Sectors.groups`` at each row of the (n, t)
+    ``coefficients``: the weighted sum of its terms, added in order, as one
+    real (n m, s, s) stack, point-major."""
+    index, terms = group
+    m, s = index.shape
+    h = np.zeros((len(coefficients), m, s, s))
+    for c, (at, values) in zip(coefficients.T, terms):
+        h[(slice(None), *at)] += c[:, np.newaxis] * values
+    return h.reshape(-1, s, s)
+
+
+def _declared_ground_levels(sectors: Sectors, coefficients: np.ndarray) -> list[tuple]:
+    """The ground level of the operator that ``sectors`` declares, at each row
+    of the (n, t) ``coefficients``, as ``_merged_ground_level`` returns it, its
+    members mapped to the operator's basis (``Sectors.to_operator``).
+
+    Per group, the blocks of every row form one stack, checked as
+    ``eigh_stack`` checks it and solved by one real LAPACK call; each matrix
+    gets the bits it gets alone, so a row's ground level is the one a stack
+    of that row alone gives.  Raises the first failed check of any row.
     """
-    dim = len(m)
-    blocks = []
-    for index in sectors or (np.arange(dim)[np.newaxis],):
-        w, v = _eigh_hermitian(m.take(index[:, :, np.newaxis] * dim + index[:, np.newaxis, :]))
-        blocks.append((index, w, v))
-    return _merged_ground_level(dim, blocks)[:2]
+    n, dim = len(coefficients), sectors.dim
+    solved = []
+    for group in sectors.groups:
+        m, s = group[0].shape
+        w, v = _eigh_hermitian(_hermitian_stack(_block_stack(group, coefficients)))
+        solved.append((group[0], w.reshape(n, m, s), v.reshape(n, m, s, s)))
+    levels = []
+    for i in range(n):
+        energies, vectors, gap = _merged_ground_level(dim, [(index, w[i], v[i]) for index, w, v in solved])
+        levels.append((energies, sectors.to_operator(vectors), gap))
+    return levels
+
+
+def _sector_ground_level(m: np.ndarray | None, sectors: Sectors | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ground level of an operator as ``_merged_ground_level`` returns it,
+    in the operator's basis: solved on its declared ``sectors``
+    (``HermitianOperator.sectors``, ``_declared_ground_levels``), which
+    ignores ``m``, or else whole, the exactly Hermitian matrix ``m``, real
+    or complex, in the arithmetic of its dtype.  ``m`` is not checked
+    again: its caller has checked it.
+    """
+    if sectors is not None:
+        (level,) = _declared_ground_levels(sectors, np.array([sectors.coefficients], dtype=float))
+        return level
+    w, v = _eigh_hermitian(m[np.newaxis])
+    return _merged_ground_level(len(m), [(np.arange(len(m))[np.newaxis], w, v)])
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -550,6 +550,42 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     )
 
 
+def printed(out, label):
+    """The value ``optimize`` printed after ``label``."""
+    return float(next(line for line in out.splitlines() if line.startswith(label + ":")).split(":")[1])
+
+
+def bench_dicke_argv(seed):
+    """The argv of the first Dicke optimization of the benchmark's control_search at ``seed``."""
+    workloads = importlib.import_module("workloads")
+    ops = workloads.control_search_ops(np.random.default_rng(seed), Path("."))
+    return next(op.argv for op in ops if op.kind == "dicke")
+
+
+@pytest.mark.parametrize("source", ["recorded", 801, 802, 803])
+def test_the_printed_best_is_the_fock_checks_own_solve(source, monkeypatch, capsys):
+    # the search scores its points on the collective sectors that the Fock
+    # check doubles, so the printed best concurrence is _sector_point at the
+    # printed kappa and --nmax, bit for bit, and the check compares its
+    # doubled cutoff against that very solve
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    argv = OPTIMIZE_DIGESTS["dicke"][0] if source == "recorded" else bench_dicke_argv(source)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    cfg = DickeConfig(variant=flag_value(argv, "--variant"), kappa=printed(out, "best kappa"),
+                      n_max=int(flag_value(argv, "--nmax")))
+    best = printed(out, "best concurrence")
+    assert best.hex() == _sector_point(cfg)[2].value.hex()
+    delta = abs(_sector_point(cfg.with_n_max(2 * cfg.n_max))[2].value - best)
+    assert err.splitlines()[1] == (
+        f"fock check at best kappa: convergence delta {format_value(delta)} at n_max = {cfg.n_max}"
+    )
+
+
+def flag_value(argv, flag):
+    return argv[list(argv).index(flag) + 1]
+
+
 def test_optimize_dicke_confirms_the_printed_best_without_a_full_solve(monkeypatch, capsys):
     # the doubled cutoff's sectors confirm the printed best, so no complex
     # full solve runs, neither at the optimum's cutoff nor at its double
@@ -769,10 +805,11 @@ def test_the_benchmark_control_search_oracle_accepts_the_cli(tmp_path, monkeypat
 # stacked scan and a refine by Brent's method, and the number of distinct
 # points each solves.  The Ising stdout kept its bytes (best lambda 3 at the
 # box edge, a grid point); its trace moved with the points requested.  The
-# Dicke stdout moved with the best point (kappa 0.48013478257292136, C
-# 0.073106210836566474), and its stderr is the Fock check's line, whose
-# convergence delta is the doubled cutoff's sectors against the printed best
-# concurrence (8.3266726846886741e-17)
+# Dicke stdout moved when its points moved onto the collective sectors (best
+# kappa 0.48013478260546649, C 0.073106210836566987), and its stderr is the
+# Fock check's line, whose convergence delta is the doubled cutoff's sectors
+# against the printed best concurrence, the same solve at --nmax
+# (5.5511151231257827e-16)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
@@ -788,8 +825,8 @@ OPTIMIZE_DIGESTS = {
          "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"],
         23,
         {
-            "stdout": "121aae65ba771efcb18c9612499e1148c25c91e50486bbb63db2477f394caaf9",
-            "stderr": "b7c42b6870b6a9d9423d0fe207934071bb54bbe6411976664862511786fea09b",
+            "stdout": "8417c18678c51640757e1c1e30d4db1c512a66e66bd142516cf9522cad0d5c8f",
+            "stderr": "5fe68227483f910578dd2a31c435d6f9e0d977ebd317f5e8d5438603a6e5c72f",
         },
     ),
 }

@@ -505,6 +505,27 @@ def test_search_matches_the_per_point_reference_bit_for_bit(case):
     assert got_warnings == want_warnings
 
 
+def terraced_point(x):
+    """A tent of flat terraces 1/128 high around 0.55: distinct points of one
+    terrace tie exactly."""
+    return ConcurrenceResult(0.5 - math.floor(64 * abs(x - 0.55)) / 128, np.zeros(4))
+
+
+def test_a_point_that_ties_the_third_best_replaces_it():
+    # Brent's update of v: a point below x and w that ties v (fu == fv) takes
+    # v's place, so the next parabola runs through it.  Here the fifth refine
+    # point, 0.4722, ties v = 0.6180, the first, below x = 0.5279 and
+    # w = 0.5890; the parabola through x, w and the new v then lands on
+    # 0.5448, through the old v on 0.5444
+    result = optimize(ControlProblem(evaluate=stacked(terraced_point), bounds=((0.0, 1.0),)), 9)
+    reference, _ = reference_search(terraced_point, 0.0, 1.0, 9)
+    assert result_bits(result) == result_bits(reference)
+    controls = [round(c, 4) for (c,), _ in result.trace]
+    values = [f for _, f in result.trace]
+    assert controls[2:] == [0.618, 0.382, 0.589, 0.5279, 0.4722, 0.5448]
+    assert values[6] == values[2] < values[4] < values[5]
+
+
 # ------------------------------------------------------------ golden-section bar
 # Brent's refine against the golden-section refine it replaced, after the same
 # scan: it finds no less and solves no more distinct points.

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from medent.linalg import (
 )
 from medent.sweeps import parse_grid_spec
 from medent.theorem import is_exchange_symmetric
+
+from conftest import python_process
 
 # exact closed forms for the co-rotating model at resonance: the ground level
 # hops between excitation sectors, whose energies and atom states are
@@ -491,9 +494,11 @@ def test_every_dicke_path_keeps_the_kron_dimension_bound(path):
 
 
 def test_each_basis_order_is_checked_once(monkeypatch):
-    # both orders, the start cutoff of a sweep point and the optimizer's
-    # point are scattered straight from the parity blocks: one real check of
-    # the (2, d, d) blocks each, and none of a full (1, dim, dim) matrix
+    # both orders and the start cutoff of a sweep point are scattered straight
+    # from the parity blocks: one real check of the (2, d, d) blocks each, and
+    # none of a full (1, dim, dim) matrix; declaring the collective sectors
+    # checks nothing, and the optimizer's point builds no parity block
+    # (test_a_dicke_optimizer_evaluation_checks_only_its_sector_stacks)
     cfg = DickeConfig(variant="h2", kappa=0.6, n_max=8)
     checks = record_hermitian_checks(monkeypatch)
     sector_point = dicke_module._sector_point
@@ -506,7 +511,7 @@ def test_each_basis_order_is_checked_once(monkeypatch):
         return point
 
     monkeypatch.setattr(dicke_module, "_sector_point", unrecorded)
-    routes = (build_dicke, dicke_mediator_form, dicke_ground_point, mediator_concurrence)
+    routes = (build_dicke, dicke_mediator_form, dicke_ground_point)
     for route in routes:
         checks.clear()
         route(cfg)
@@ -526,7 +531,7 @@ def test_the_skipped_check_of_the_scatter_is_the_identity(variant, kappa, lam_ti
     # and dicke_mediator_form skip, returns their matrices bit for bit
     cfg = DickeConfig(variant, kappa, lam_tilde=lam_tilde, n_max=n_max)
     for got, order in ((build_dicke(cfg), (0, 1, 2)), (dicke_mediator_form(cfg)[0], (0, 2, 1))):
-        expected = HermitianOperator(_scattered_dicke(cfg, order)[0]).matrix
+        expected = HermitianOperator(_scattered_dicke(cfg, order)).matrix
         assert got.matrix.dtype == expected.dtype
         assert got.matrix.tobytes() == expected.tobytes()
         assert not got.matrix.flags.writeable
@@ -685,7 +690,7 @@ def test_sector_blocks_reassemble_the_rotated_hamiltonian(variant):
     n_terms = len(_dicke_coefficients(cfg))
     h = np.zeros((cfg.dim, cfg.dim))
     for sectors, terms in _sector_blocks(cfg.n_max, "collective", n_terms):
-        blocks = dicke_module._block_stack((sectors, terms), _dicke_coefficients(cfg))
+        blocks = linalg._block_stack((sectors, terms), np.array([_dicke_coefficients(cfg)]))
         for sector, block in zip(sectors, blocks):
             h[np.ix_(sector, sector)] = block
     u = np.kron(COLLECTIVE_TO_PRODUCT, np.eye(cfg.n_max + 1))
@@ -803,7 +808,7 @@ def test_the_start_cutoff_solve_reads_the_ground_level_as_the_stack_kernel(monke
     ]
     expected = []
     for cfg in configs:
-        w, v = linalg._eigh_hermitian(_scattered_dicke(cfg, (0, 1, 2))[0].astype(complex)[np.newaxis])
+        w, v = linalg._eigh_hermitian(_scattered_dicke(cfg, (0, 1, 2)).astype(complex)[np.newaxis])
         (size,), (gap,) = linalg._ground_levels(w)
         conc = ground_level_concurrence(v[0], int(size), cfg.dims, (0, 1))
         expected.append((float(w[0, 0]), float(gap), conc))
@@ -823,19 +828,37 @@ def test_the_start_cutoff_solve_reads_the_ground_level_as_the_stack_kernel(monke
         assert got.degenerate_ground == conc.degenerate_ground
 
 
-def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch, capsys):
-    # the evaluator cmd_optimize hands the search: no HermitianOperator, no
-    # complex matrix wider than the 4 x 4 reductions, one real parity-block check
+def cli_dicke_evaluator(monkeypatch, capsys, variant):
+    """The evaluator ``cmd_optimize`` hands the search for ``variant`` at n_max 40."""
     problems = []
     search = cli.optimize
     monkeypatch.setattr(
         cli, "optimize", lambda problem, *args: problems.append(problem) or search(problem, *args)
     )
-    argv = ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40"]
+    argv = ["optimize", "--model", "dicke", "--variant", variant, "--nmax", "40"]
     assert cli.main([*argv, "--lower", "0.2", "--upper", "1.2", "--budget", "3", "--seed", "0"]) == 0
     capsys.readouterr()
-    cfg = DickeConfig(variant="h2", kappa=0.6)
-    reference = ground_state_ac_concurrence(*dicke_mediator_form(cfg))
+    monkeypatch.undo()
+    return problems[0].evaluate
+
+
+def sector_stack_checks(checks, variant, n_points):
+    """``checks`` less the complex 4 x 4 density checks of the reductions, and
+    what they should be: one real stack per group of equal-size collective
+    sectors at n_max 40, holding that group's blocks of every point."""
+    rest = [c for c in checks if not (c[0] == np.complex128 and c[1][1:] == (4, 4))]
+    groups = _sector_blocks(40, "collective", dicke_module._TERM_COUNTS[variant])
+    return rest, [(np.float64, (n_points * len(index), index.shape[1], index.shape[1])) for index, _ in groups]
+
+
+def test_a_dicke_optimizer_evaluation_checks_only_its_sector_stacks(monkeypatch, capsys):
+    # no HermitianOperator, no parity block, no complex matrix wider than the
+    # 4 x 4 reductions: one real check per block size of the collective
+    # sectors, 62, 61, 21 and 20 states for h2, each stack holding every
+    # point of the request
+    evaluate = cli_dicke_evaluator(monkeypatch, capsys, "h2")
+    kappas = [0.6, 0.2, 0.9]
+    references = [ground_state_ac_concurrence(*dicke_mediator_form(DickeConfig("h2", k))) for k in kappas]
 
     operators = []
     post_init = HermitianOperator.__post_init__
@@ -843,13 +866,88 @@ def test_a_dicke_optimizer_evaluation_checks_only_the_parity_blocks(monkeypatch,
         HermitianOperator, "__post_init__", lambda op: operators.append(op) or post_init(op)
     )
     checks = record_hermitian_checks(monkeypatch)
-    (got,) = problems[0].evaluate(np.array([[cfg.kappa]]))
+    got = evaluate(np.array(kappas)[:, np.newaxis])
     assert operators == []
-    got_checks, expected_checks = parity_block_checks(checks, [cfg])
+    got_checks, expected_checks = sector_stack_checks(checks, "h2", len(kappas))
     assert got_checks == expected_checks
-    assert got.value.hex() == reference.value.hex()
-    assert got.tilde_lambdas.tobytes() == reference.tilde_lambdas.tobytes()
-    assert got.degenerate_ground == reference.degenerate_ground
+    assert [shape[1] for _, shape in got_checks] == [20, 21, 61, 62]
+    for conc, reference in zip(got, references):
+        assert_same_concurrence(conc, reference)
+
+
+# kappa = 0, both h1 crossings and both sides of each, and a point past them
+STACK_KAPPAS = [
+    0.0, 0.3, H1_FIRST_CROSSING - 1e-6, H1_FIRST_CROSSING, H1_FIRST_CROSSING + 1e-6, 0.9,
+    H1_SECOND_CROSSING - 1e-6, H1_SECOND_CROSSING, H1_SECOND_CROSSING + 1e-6, 1.1,
+]
+
+
+def stacked_and_point_bits(variant):
+    """Per kappa of STACK_KAPPAS, the bits of the CLI's stacked evaluation
+    and of the one-point public path, ``ground_state_ac_concurrence`` of
+    ``dicke_mediator_form``, at n_max 40."""
+    stacked = dicke_module.mediator_outcomes(STACK_KAPPAS, dict(variant=variant, n_max=40))
+    points = [ground_state_ac_concurrence(*dicke_mediator_form(DickeConfig(variant, k))) for k in STACK_KAPPAS]
+    return [
+        [(r.value.hex(), r.tilde_lambdas.tobytes().hex(), r.degenerate_ground) for r in results]
+        for results in (stacked, points)
+    ]
+
+
+@pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
+def test_the_stacked_evaluation_is_the_one_point_path_bit_for_bit(variant):
+    stacked, points = stacked_and_point_bits(variant)
+    assert stacked == points
+    # the degenerate flags of the product-sector solve it replaced
+    flags = [parity_block_concurrence(DickeConfig(variant, k)).degenerate_ground for k in STACK_KAPPAS]
+    assert [deg for _, _, deg in stacked] == flags
+    assert any(flags) == (variant == "h1")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_stacked_evaluation_keeps_its_bits_under_blas_threads(threads):
+    code = (
+        "from test_dicke import stacked_and_point_bits as b; "
+        "print(repr([b(v) for v in ('h1', 'h2', 'h3')]))"
+    )
+    proc = python_process(["-c", code], threads, Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
+    got = eval(proc.stdout.decode())
+    assert got == [list(stacked_and_point_bits(v)) for v in ("h1", "h2", "h3")]
+    assert all(stacked == points for stacked, points in got)
+
+
+def test_a_failed_check_flags_only_its_point_of_the_stack(monkeypatch):
+    # a NaN coupling planted at one kappa fails the Hermiticity check of the
+    # whole stack; the points are then solved alone, and only that one fails,
+    # with the error its one-point solve raises
+    planted = STACK_KAPPAS[3]
+    coefficients = dicke_module._dicke_coefficients
+
+    def planted_coefficients(cfg):
+        c = coefficients(cfg)
+        return c[:2] + [float("nan")] + c[3:] if cfg.kappa == planted else c
+
+    clean = dicke_module.mediator_outcomes(STACK_KAPPAS, dict(variant="h2", n_max=40))
+    monkeypatch.setattr(dicke_module, "_dicke_coefficients", planted_coefficients)
+    got = dicke_module.mediator_outcomes(STACK_KAPPAS, dict(variant="h2", n_max=40))
+    with pytest.raises(ValueError) as point_error:
+        mediator_concurrence(DickeConfig("h2", planted))
+    assert str(point_error.value) == "matrix contains NaN or Inf entries"
+    for kappa, outcome, expected in zip(STACK_KAPPAS, got, clean):
+        if kappa == planted:
+            assert type(outcome) is ValueError and str(outcome) == str(point_error.value)
+        else:
+            assert_same_concurrence(outcome, expected)
+
+
+def test_an_invalid_config_flags_only_its_point():
+    # a negative kappa fails its config, not the stack of the others
+    kappas = [0.5, -0.1, 0.7]
+    got = dicke_module.mediator_outcomes(kappas, dict(variant="h3", n_max=12))
+    assert type(got[1]) is ValueError and "non-negative" in str(got[1])
+    for kappa, outcome in zip(kappas[::2], got[::2]):
+        assert_same_concurrence(outcome, mediator_concurrence(DickeConfig("h3", kappa, n_max=12)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -897,65 +995,109 @@ def assert_same_concurrence(got, expected):
 def test_mediator_concurrence_shares_the_oracles_declared_sectors():
     # kappa = 0 leaves every state its own block, kappa = 0.5 not: the sectors
     # are declared per cutoff and variant, not found per pattern, and the
-    # evaluator and the oracle share one cached entry
+    # evaluator and the oracle share one cached cut of the collective sectors
     configs = [DickeConfig("h2", kappa, n_max=12) for kappa in (0.0, 0.5, 0.0)]
-    dicke_module._declared_sectors.cache_clear()
+    _sector_blocks.cache_clear()
     for cfg in configs:
         assert_same_concurrence(mediator_concurrence(cfg), mediator_form_concurrence(cfg))
-    info = dicke_module._declared_sectors.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+        assert dicke_mediator_form(cfg)[0].sectors.groups is _sector_blocks(12, "collective", 4)
+    info = _sector_blocks.cache_info()
+    # the collective sectors and the mediator form's parity blocks
+    assert (info.misses, info.currsize) == (2, 2)
 
 
-def product_positions(n_max, order):
-    """Per product-basis state (atom, atom, field), its index in the product
-    basis of those subsystems taken in ``order``."""
-    dims = (2, 2, n_max + 1)
-    dim = int(np.prod(dims))
-    positions = np.empty(dim, dtype=int)
-    positions[np.arange(dim).reshape(dims).transpose(order).ravel()] = np.arange(dim)
-    return positions
+def product_sector_keys(n_max, n_terms):
+    """Per product-basis state (atom, atom, field), its excitation number N if
+    the first ``n_terms`` terms conserve it, else N mod 2: the exact product
+    sectors, which every term is checked against when the parity blocks are cut."""
+    return dicke_module._sector_keys(n_max, "product", n_terms)
 
 
 @pytest.mark.parametrize("n_max", [1, 5, 40])
 @pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
 def test_the_declared_sectors_are_the_checked_product_sectors(variant, n_max):
-    # the sectors _sector_blocks cuts and checks in the product basis, moved
-    # into each builder's subsystem order and laid out as HermitianOperator.sectors
-    # holds them: in ascending size, each sorted, the rows by their first index
+    # each builder declares the collective sectors that _sector_blocks cuts and
+    # checks, with the variant's coefficients; mapped into the operator's
+    # basis, each spans states of one exact product sector, N for h1 and
+    # N mod 2 for h2 and h3, in the builder's subsystem order
     n_terms = dicke_module._TERM_COUNTS[variant]
-    checked = [s for sectors, _ in _sector_blocks.__wrapped__(n_max, "product", n_terms) for s in sectors]
     cfg = DickeConfig(variant, 0.6, n_max=n_max)
+    keys = product_sector_keys(n_max, n_terms)
     for order, h in (((0, 1, 2), build_dicke(cfg)), ((0, 2, 1), dicke_mediator_form(cfg)[0])):
-        rows = sorted((sorted(product_positions(n_max, order)[s].tolist()) for s in checked), key=len)
-        expected = [sorted(r for r in rows if len(r) == size) for size in sorted({len(r) for r in rows})]
-        assert [group.tolist() for group in h.sectors] == expected
-        assert all(not group.flags.writeable for group in h.sectors)
+        sectors = h.sectors
+        assert sectors.groups is _sector_blocks(n_max, "collective", n_terms)
+        assert sectors.coefficients == tuple(_dicke_coefficients(cfg))
+        assert sectors.change is COLLECTIVE_TO_PRODUCT
+        operator_keys = keys[sectors.states]
+        assert sorted(sectors.states.tolist()) == list(range(cfg.dim))
+        for index, _ in sectors.groups:
+            for block in index:
+                basis = np.zeros((cfg.dim, block.size))
+                basis[block, np.arange(block.size)] = 1.0
+                support = np.abs(sectors.to_operator(basis)).sum(axis=1) > 0
+                assert len(set(operator_keys[support].tolist())) == 1
+        assert not sectors.states.flags.writeable
 
 
 @pytest.mark.parametrize("variant", ["h1", "h2", "h3"])
 @pytest.mark.parametrize("kappa", [5e-324, 0.3, H1_FIRST_CROSSING, H1_SECOND_CROSSING, 2.5])
 def test_no_entry_of_a_dicke_operator_lies_outside_its_declared_sectors(variant, kappa):
+    # the operator taken to the builder's basis by the declared map: its
+    # entries between two sectors are rounding of the basis change, and the
+    # declared blocks are its diagonal blocks, every state in one of them
     cfg = DickeConfig(variant, kappa, lam_tilde=0.7, n_max=9)
     for h in (build_dicke(cfg), dicke_mediator_form(cfg)[0]):
-        outside = h.matrix.copy()
-        for group in h.sectors:
-            outside[group[:, :, np.newaxis], group[:, np.newaxis, :]] = 0
-        assert not outside.any()
-        # every state in one sector
-        assert sorted(i for group in h.sectors for i in group.ravel().tolist()) == list(range(cfg.dim))
+        sectors = h.sectors
+        u = sectors.to_operator(np.eye(cfg.dim))
+        rotated = u.T @ h.matrix.real @ u
+        scale = np.abs(h.matrix).max()
+        outside = rotated.copy()
+        for group in sectors.groups:
+            index = group[0]
+            blocks = linalg._block_stack(group, np.array([sectors.coefficients]))
+            assert np.abs(rotated[index[:, :, np.newaxis], index[:, np.newaxis, :]] - blocks).max() <= 1e-14 * scale
+            outside[index[:, :, np.newaxis], index[:, np.newaxis, :]] = 0
+        assert np.abs(outside).max() <= 1e-15 * scale
+        assert sorted(i for index, _ in sectors.groups for i in index.ravel().tolist()) == list(range(cfg.dim))
+
+
+def distinct_sector_keys(monkeypatch):
+    """Record the key of every ``_sector_blocks`` request; returns the set of them."""
+    keys = set()
+    cached = dicke_module._sector_blocks
+    monkeypatch.setattr(dicke_module, "_sector_blocks", lambda *key: keys.add(key) or cached(*key))
+    return keys
 
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
     # the README's three-variant grid: each point is solved in full once, at
     # n_max 40, and confirmed on its sectors at 80; every cutoff's blocks are
-    # cut once: the parity blocks at 40 and each variant's sectors at 80
+    # cut once: the parity blocks at 40 and each variant's collective sectors
+    # at 40, which build_dicke declares, and at 80
     calls = []
     monkeypatch.setattr(dicke_module, "eigh", lambda h: calls.append(h.dim) or eigh(h))
     _sector_blocks.cache_clear()
+    keys = distinct_sector_keys(monkeypatch)
     for variant in ("h1", "h2", "h3"):
         cfg = DickeConfig(variant=variant, kappa=0.0)
         sweep = dicke_sweep(cfg, parse_grid_spec("0:1.2:25"), [1.0])
         assert sweep.column("status") == ["ok"] * 25
     assert calls == [DickeConfig(variant="h1", kappa=0.0).dim] * 75
     info = _sector_blocks.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert keys == {(40, "product", 5)} | {(n, "collective", t) for n in (40, 80) for t in (3, 4, 5)}
+    assert (info.misses, info.currsize) == (7, 7)
+
+
+def test_the_readme_sweep_and_optimize_cut_each_sector_key_once(monkeypatch, tmp_path, capsys):
+    # the README cavity sweep and then the README Dicke optimize in one
+    # process: every distinct key misses the cache once, so it holds them all
+    _sector_blocks.cache_clear()
+    keys = distinct_sector_keys(monkeypatch)
+    sweep = ["sweep", "--model", "dicke", "--variants", "h1,h2,h3", "--kappa-grid", "0:1.2:25"]
+    assert cli.main([*sweep, "--out", str(tmp_path / "cavity.csv")]) == 0
+    optimize = ["optimize", "--model", "dicke", "--variant", "h2", "--nmax", "40",
+                "--lower", "0.1", "--upper", "1.1", "--budget", "60", "--seed", "1"]
+    assert cli.main(optimize) == 0
+    capsys.readouterr()
+    info = _sector_blocks.cache_info()
+    assert info.misses == info.currsize == len(keys) <= info.maxsize

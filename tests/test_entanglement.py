@@ -21,6 +21,7 @@ from medent.linalg import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
+    Sectors,
     _sector_ground_level,
     eigh,
     eigh_stack,
@@ -398,7 +399,7 @@ def full_path(h, dims, pair):
 
 def assert_block_path_matches_full(h, dims, pair):
     energy, expected = full_path(h, dims, pair)
-    energies, _ = _sector_ground_level(h.matrix, h.sectors)
+    energies, _, _ = _sector_ground_level(h.matrix if h.sectors is None else None, h.sectors)
     got = ground_state_pair_concurrence(h, dims, pair)
     assert abs(energies[0] - energy) <= 1e-12 * max(1.0, abs(energy))
     assert got.degenerate_ground == expected.degenerate_ground
@@ -458,7 +459,7 @@ def test_block_path_matches_the_full_solve_on_permuted_block_matrices(case):
     # an operator its builder declares no sectors of is solved whole, in real
     # arithmetic when it is real: the bits of eigh_stack and the ground level
     h, dims, _ = case
-    assert h.sectors == ()
+    assert h.sectors is None
     assert_same_bits(ground_state_pair_concurrence(h, dims, (0, 2)), stacked_path(h, dims, (0, 2)))
 
 
@@ -506,7 +507,7 @@ def merged_reference(m):
 
 
 def assert_one_component_keeps_the_merged_bits(m):
-    energies, members = _sector_ground_level(m, ())
+    energies, members, _ = _sector_ground_level(m, None)
     expected_energies, expected_members = merged_reference(m)
     assert energies.tobytes() == expected_energies.tobytes()
     assert members.dtype == expected_members.dtype == np.complex128
@@ -550,10 +551,19 @@ def test_a_dense_matrix_of_one_component_keeps_the_merged_bits(case):
         assert size == 2
 
 
-def declared_sectors(blocks):
-    """The index groups of ``blocks`` laid out as ``HermitianOperator.sectors``."""
+def declared_sectors(m, blocks):
+    """The diagonal blocks of the real matrix ``m`` on the index groups
+    ``blocks``, declared as ``Sectors`` in the basis of ``m`` (the identity
+    map): per group of equal-size blocks, the blocks as one term of
+    coefficient 1."""
     rows = sorted((sorted(int(i) for i in b) for b in blocks), key=lambda r: r[0])
-    return tuple(np.array([r for r in rows if len(r) == s]) for s in sorted({len(r) for r in rows}))
+    groups = []
+    for size in sorted({len(r) for r in rows}):
+        index = np.array([r for r in rows if len(r) == size])
+        stack = m[index[:, :, np.newaxis], index[:, np.newaxis, :]]
+        at = np.nonzero(stack)
+        groups.append((index, ((at, stack[at]),)))
+    return Sectors(tuple(groups), (1.0,), np.eye(1), np.arange(len(m)))
 
 
 def orthogonal(rng, size):
@@ -575,8 +585,8 @@ def test_the_degeneracy_tolerance_is_taken_from_the_merged_spectrum():
     h = HermitianOperator(h[np.ix_(p, p)])
     # the blocks' indices after the permutation
     where = np.argsort(p)
-    sectors = declared_sectors([where[[0]], where[[1, 2]], where[[3, 4, 5]], where[[6, 7]]])
-    energies, _ = _sector_ground_level(h.matrix.real, sectors)
+    sectors = declared_sectors(h.matrix.real, [where[[0]], where[[1, 2]], where[[3, 4, 5]], where[[6, 7]]])
+    energies, _, _ = _sector_ground_level(None, sectors)
     assert energies == pytest.approx([0.0, 5e-7], abs=1e-13)
     assert ground_state_ac_concurrence(h, (2, 2, 2)).degenerate_ground
     assert full_path(h, (2, 2, 2), (0, 2))[1].degenerate_ground
@@ -588,7 +598,7 @@ def test_ground_members_are_embedded_in_ascending_energy_order():
     h = HermitianOperator(
         np.array([[3e-10, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 9.0]])
     )
-    energies, vectors = _sector_ground_level(h.matrix, declared_sectors([[0], [1, 2], [3]]))
+    energies, vectors, _ = _sector_ground_level(None, declared_sectors(h.matrix.real, [[0], [1, 2], [3]]))
     dec = eigh(h)
     assert energies == pytest.approx(dec.eigenvalues[:2], abs=1e-15)
     assert energies[0] < energies[1]
@@ -602,11 +612,12 @@ def test_a_dicke_mediator_form_is_solved_on_its_declared_real_blocks(monkeypatch
     lapack_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append((a.shape, a.dtype)) or lapack_eigh(a))
     first = ground_state_ac_concurrence(h, dims)
-    # the two parity blocks as one real stack; the rest are 4 x 4 density matrices
-    assert ((2, 82, 82), np.float64) in solved
-    assert max(shape[-1] for shape, _ in solved) == 82
+    # the collective (J, N mod 2) sectors, each a real stack of one; the rest
+    # are 4 x 4 density matrices
+    blocks = [((1, s, s), np.float64) for s in (20, 21, 61, 62)]
+    assert [c for c in solved if c[0][-1] > 4] == blocks
     again = ground_state_ac_concurrence(h, dims)
     assert_same_bits(again, first)
-    # h1 conserves the excitation number: 43 blocks of at most 4 states
+    # h1 conserves the excitation number: (J, N) sectors of at most 3 states
     h1, _ = dicke_mediator_form(DickeConfig("h1", 0.6, n_max=40))
-    assert {g.shape[1]: len(g) for g in h1.sectors} == {1: 2, 3: 2, 4: 39}
+    assert {index.shape[1]: len(index) for index, _ in h1.sectors.groups} == {1: 43, 2: 2, 3: 39}

@@ -454,7 +454,7 @@ def test_a_spectral_range_that_overflows_raises_on_every_path(dtype):
         with pytest.raises(NumericalError, match=message):
             eigh(HermitianOperator(m))
         with pytest.raises(NumericalError, match=message):
-            _sector_ground_level(m, ())
+            _sector_ground_level(m, None)
         # blocks whose own ranges are finite, merged
         blocks = [(np.array([[0], [1]]), np.array([[-1e308], [1e308]]), np.ones((2, 1, 1)))]
         with pytest.raises(NumericalError, match=message):

@@ -121,11 +121,13 @@ def chunk_eigh_digest() -> str:
     return h.hexdigest()
 
 
+# the cavity's pin was recorded when the optimizer's points moved from the
+# product-basis sectors onto the collective (J, N) and (J, N mod 2) sectors
 RECORDED = {
     "chain": (lambda: concurrence_digest(chain_points()),
               "e5582a50f465863ce98f1926b82a803e06570d0d863040192492d033221ce723"),
     "cavity": (lambda: concurrence_digest(cavity_points()),
-               "6f16de9a6e27cdb507f8e73caf84eca28bc1cad15755238ea878afccb4069c0a"),
+               "e788ab711b5ce877a2da2437a04011423f1ab2618cd170c8965de4e6556a09db"),
     "sweep_chunk": (sweep_chunk_digest,
                     "9b986c94961b446705c67c9d4fa90a40a42541025275ba21b70a3e304ce9893f"),
 }
