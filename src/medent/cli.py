@@ -23,6 +23,7 @@ from .dicke import (
     N_MAX_LIMIT,
     DickeConfig,
     FockConvergenceError,
+    _sector_level,
     _settled_cutoff,
     build_dicke,
     dicke_sweep,
@@ -291,13 +292,17 @@ def _check_fock_cutoff(cfg: DickeConfig, best: float) -> None:
     optimum ``cfg``, is converged at ``cfg``'s own cutoff; write the
     convergence delta to stderr.
 
-    ``best`` is the base of the sweep's cutoff doubling (``_settled_cutoff``),
-    which solves each doubled cutoff once, on its exact sectors, and none in
-    full; the search solved ``best`` on the same sectors at ``cfg``'s cutoff
-    (``_sector_point``), so both sides of the first delta are one solve.  Raises FockConvergenceError if the concurrence needs a larger
-    cutoff or never settles below the cutoff limit.
+    The rule is the sweep's (``_settled_cutoff``): the ground level at
+    ``cfg``'s cutoff, solved on its exact sectors as the search solved
+    ``best`` (``_sector_level``), first tries to prove the cutoff converged,
+    and the delta is then the proven bound; where it cannot, each doubled
+    cutoff is solved once, on its exact sectors, and none in full, and the
+    delta is the measured change against ``best``.  Raises
+    FockConvergenceError if the concurrence needs a larger cutoff or never
+    settles below the cutoff limit.
     """
-    nmax_used, converged, delta, _ = _settled_cutoff(cfg, best, CONVERGENCE_TOL, N_MAX_LIMIT)
+    _, vectors, _ = _sector_level(cfg)
+    nmax_used, converged, delta, _, _ = _settled_cutoff(cfg, best, vectors, CONVERGENCE_TOL, N_MAX_LIMIT)
     print(
         f"fock check at best kappa: convergence delta {_fmt(delta)} at n_max = {nmax_used}",
         file=sys.stderr,

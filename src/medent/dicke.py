@@ -13,6 +13,13 @@ number N, and (J, N mod 2) for h2 and h3.  ``build_dicke`` and
 the optimizer's points (``mediator_concurrence``, stacked by
 ``mediator_outcomes``) and the Fock-cutoff confirmation (``_sector_point``)
 solve them as ``ground_state_pair_concurrence`` solves those operators.
+
+A Fock cutoff is verified by a certificate first and by doubling as the
+fallback (``_settled_cutoff``): the start cutoff's ground vector, padded with
+zeros, proves the concurrence at twice the cutoff within the tolerance where
+it can (``_cutoff_certificate``), from its residual and a lower bound on the
+next level there, and no doubled cutoff is solved; where it cannot, every
+doubled cutoff is solved on its sectors and compared with the previous one.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 
 from .entanglement import ConcurrenceResult, ground_level_concurrence
 from .linalg import (
+    DEGENERACY_RTOL,
     KRON_DIM_LIMIT,
     DimensionError,
     HermitianOperator,
@@ -99,6 +107,12 @@ _N_CONSERVING_TERMS = 3
 DEFAULT_N_MAX = 40
 CONVERGENCE_TOL = 1e-6
 N_MAX_LIMIT = 160
+# how far two measured concurrences of (nearly) one vector may differ by the
+# kernel's rounding alone: the square root in ``concurrence_stack`` turns
+# eigenvalue rounding of about 1e-16 into about 1e-8 (a full complex solve
+# reads up to 1.9e-8 where the sectors read an exact 0); a Fock-cutoff
+# certificate leaves this much of its tolerance to the two readings
+NOISE = 1e-7
 
 
 class FockConvergenceError(NumericalError):
@@ -331,7 +345,13 @@ def mediator_outcomes(kappas, base: dict) -> list:
 
 @dataclass(frozen=True)
 class DickeGroundPoint:
-    """Ground-level summary of one parameter point at an accepted Fock cutoff."""
+    """Ground-level summary of one parameter point at an accepted Fock cutoff.
+
+    ``certified`` says which rule decided the cutoff: True when the start
+    cutoff's certificate (``_cutoff_certificate``) proved it, and
+    ``convergence_delta`` is then the proven bound on the change at twice the
+    cutoff; False when the doubling decided, and it is the measured change.
+    """
 
     config: DickeConfig
     ground_energy: float
@@ -340,6 +360,7 @@ class DickeGroundPoint:
     nmax_used: int
     converged: bool
     convergence_delta: float
+    certified: bool = False
 
 
 def _sector_keys(n_max: int, basis: str, n_terms: int) -> np.ndarray:
@@ -436,6 +457,13 @@ def _parity_block_hamiltonian(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray]
     return group[0], _hermitian_stack(_block_stack(group, np.array([_dicke_coefficients(cfg)])))
 
 
+def _sector_level(cfg: DickeConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ground level of ``cfg`` on the exact collective sectors that
+    ``build_dicke(cfg)`` declares, as ``_sector_ground_level`` returns it, its
+    members in the basis atom x atom x field."""
+    return _sector_ground_level(None, _collective_sectors(cfg, (0, 1, 2)))
+
+
 def _sector_point(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     """Ground energy, gap and atom-atom concurrence of ``cfg`` on the exact
     collective sectors that ``build_dicke(cfg)`` declares, as
@@ -446,26 +474,215 @@ def _sector_point(cfg: DickeConfig) -> tuple[float, float, ConcurrenceResult]:
     members are merged by ``_merged_ground_level`` and taken to the product
     basis for the reduction.
     """
-    energies, vectors, gap = _sector_ground_level(None, _collective_sectors(cfg, (0, 1, 2)))
+    energies, vectors, gap = _sector_level(cfg)
     conc = ground_level_concurrence(vectors, len(energies), cfg.dims, (0, 1))
     return float(energies[0]), gap, conc
 
 
-def _settled_cutoff(cfg: DickeConfig, value: float, tol: float, limit: int) -> tuple:
-    """Double ``cfg``'s cutoff until the concurrence, ``value`` at its own, settles
-    within ``tol``: each doubled cutoff's ``_sector_point`` is compared with the
-    previous cutoff's value, and a rejected one becomes the next base.  Returns the
+class _PaddedGround(NamedTuple):
+    """What the start cutoff's ground vector tells of the cutoff doubled
+    (``_padded_ground``)."""
+
+    rho: float  # Rayleigh quotient of its part in block b0
+    residual: float  # ||r||, r that part's residual
+    off: float  # ||y||, its norm outside b0
+    nu0: float  # a lower bound on the second eigenvalue of H_b0
+    nu1: float  # a lower bound on every eigenvalue of the other blocks
+    spread: float  # an upper bound on the spectral range of H
+
+
+def _padded_ground(cfg: DickeConfig, vectors: np.ndarray) -> _PaddedGround | None:
+    """The start cutoff's ground vector in ``vectors`` (D, 1), in the basis
+    atom x atom x field, against the Hamiltonian at twice ``cfg``'s cutoff;
+    None for a ground level of more than one vector or a complex one.
+
+    Let psi be the vector in the collective basis, padded with zeros to
+    cutoff 2n and normalized, and H = (+)_b H_b the collective sector blocks
+    at 2n (``_sector_blocks``).  b0 is the block that holds most of psi,
+    x-hat its normalized part there and y the rest; rho = x-hat^T H_b0 x-hat
+    and r = H_b0 x-hat - rho x-hat.
+
+    *Lower bounds without eigenvectors.*  Split each block at field level n,
+    H_b = [[A, C], [C^T, B]], A on the states m <= n, and take t > 0 and Pi
+    the projector onto the rows of C that are nonzero.  Then
+    L_b = blockdiag(A - t Pi, B - C^T C / t) <= H_b, since
+    H_b - L_b = [[t Pi, C], [C^T, C^T C / t]] = M^T M with
+    M = [sqrt(t) Pi, C / sqrt(t)] (Pi C = C).  By Courant-Fischer every
+    eigenvalue of H_b is at least the one of L_b of the same index.  The
+    spectrum of L_b is that of A - t Pi, solved by ``eigvalsh`` (a_1 <= a_2),
+    and that of B - C^T C / t, which is >= g by Gershgorin's theorem, g the
+    least B row's diagonal less the absolute sums of its other B entries and
+    of its row of C^T C / t, the latter bounded by (|C|^T |C| 1) / t.  The
+    second least of the union of two spectra is >= the least of the second
+    of one and the first of the other, so the second eigenvalue of H_b0 is
+    >= nu0 = min(a_2(b0), g(b0)), and every eigenvalue of the other blocks
+    >= nu1 = min over b != b0 of min(a_1(b), g(b)).  t is half the distance
+    from rho to the least diagonal entry of a cut row, which keeps both
+    halves of L above rho, or 1 if that is less (any t > 0 is valid).
+
+    A is the start cutoff's block of the same sector but for its diagonal:
+    the field operators 1, a^dag a, a and a^dag at cutoff 2n truncate to
+    theirs at n, and (a + a^dag)^2 does but for its entry (n, n).  So each
+    A - t Pi is solved from the start cutoff's blocks, their diagonal that
+    of H less t on the cut rows.
+    """
+    n, dim_f = cfg.n_max, 2 * cfg.n_max + 1
+    if vectors.shape[1] != 1 or vectors.imag.any():
+        return None
+    coefficients = np.array([_dicke_coefficients(cfg)])
+    start = COLLECTIVE_TO_PRODUCT.T @ vectors.real.reshape(4, n + 1)
+    start /= np.linalg.norm(start)
+    padded = np.zeros((4, dim_f))
+    padded[:, : n + 1] = start
+    padded = padded.ravel()
+
+    blocks = []
+    for group in _sector_blocks(2 * n, "collective", len(coefficients[0])):
+        h = _block_stack(group, coefficients)
+        inner = group[0] % dim_f <= n
+        magnitude, diagonal = np.abs(h), h.diagonal(axis1=1, axis2=2)
+        # |C| in H's shape: the entries from a state m <= n to one above
+        c = np.where(inner[:, :, np.newaxis] & ~inner[:, np.newaxis, :], magnitude, 0.0)
+        blocks.append((group[0], h, padded[group[0]], inner, magnitude, c, c.any(axis=2), diagonal))
+    b0, off, states, h, x = _most_weight([(index, h, x) for index, h, x, *_ in blocks])
+    hx = h @ x
+    rho = x @ hx
+    residual = np.linalg.norm(hx - rho * x)
+
+    # half the distance from rho to the least diagonal entry of a cut row,
+    # and at least 1 (any t > 0 is valid, as where no row is cut)
+    cut_diagonals = np.concatenate([d[cut] for *_, cut, d in blocks])
+    t = max((cut_diagonals.min() - rho) / 2, 1.0) if cut_diagonals.size else 1.0
+    # the diagonal of A - t Pi, at every state m <= n
+    shifted = np.empty(4 * dim_f)
+    bottoms, tops, g = [], [], []
+    for index, h, _, inner, magnitude, c, cut, diagonal in blocks:
+        shifted[index] = diagonal - t * cut
+        radius = magnitude.sum(axis=2) - np.abs(diagonal)
+        bottoms.append((diagonal - radius).min())
+        tops.append((diagonal + radius).max())
+        # Gershgorin on B - C^T C / t, per block (inf without B): a B row's
+        # entries in A are its column of C
+        coupled = np.einsum("bij,bi->bj", c, c.sum(axis=2))
+        others = radius - c.sum(axis=1)
+        g.append(np.where(inner, np.inf, diagonal - others - coupled / t).min(axis=1))
+    g = np.concatenate(g)
+    shifted = shifted.reshape(4, dim_f)[:, : n + 1].ravel()
+
+    parts, a = [], []
+    for group in _sector_blocks(n, "collective", len(coefficients[0])):
+        part = _block_stack(group, coefficients)
+        s = part.shape[1]
+        part[:, np.arange(s), np.arange(s)] = shifted[group[0]]
+        try:
+            w = np.linalg.eigvalsh(part)
+        except np.linalg.LinAlgError:
+            return None
+        # inf as the second of a block of one state
+        a.append(np.column_stack([w[:, 0], w[:, 1] if s > 1 else np.full(len(w), np.inf)]))
+        parts.append((group[0], part, start.ravel()[group[0]]))
+    a = np.concatenate(a)
+    a0, _, inside, _, _ = _most_weight(parts)
+    # the same sector as b0 (each sector at n lies in one at 2n): its first
+    # state is among b0's
+    if not (states == inside[0] // (n + 1) * dim_f + inside[0] % (n + 1)).any():
+        return None
+    nu0 = min(a[a0, 1], g[b0])
+    nu1 = min(np.delete(a[:, 0], a0).min(initial=np.inf), np.delete(g, b0).min(initial=np.inf))
+    return _PaddedGround(float(rho), float(residual), off, float(nu0), float(nu1), max(tops) - min(bottoms))
+
+
+def _cutoff_certificate(cfg: DickeConfig, vectors: np.ndarray, tol: float) -> float | None:
+    """A proven bound on |C(2n) - C(n)|, the change of the atom-atom
+    concurrence from ``cfg``'s cutoff n to 2n, from the start cutoff's own
+    ground level ``vectors`` (D, k) in the basis atom x atom x field; None
+    where it cannot prove the bound <= ``tol - NOISE``, and then the cutoff
+    must be doubled.  No eigenvector at 2n is computed.  In the terms of
+    ``_padded_ground``:
+
+    *One ground state at 2n.*  rho >= the least eigenvalue lambda_1 of
+    H_b0, so if nu = min(nu0, nu1) > rho, lambda_1 is the ground energy of
+    H, in b0, simple, with gap >= nu - rho.  The 2n ground group of
+    ``_ground_levels`` then has size 1 where nu - rho exceeds twice its
+    tolerance DEGENERACY_RTOL * max(1, range), the range bounded by
+    Gershgorin's theorem on every row of H; the factor 2 covers LAPACK's
+    rounding of the eigenvalues, some 1e-14 of the range.
+
+    *sin Theta.*  Write x-hat = cos(theta) u + sin(theta) w, u the ground
+    vector of H_b0, w a unit vector orthogonal to it; (H_b0 - rho) keeps the
+    two parts orthogonal, and on w it is >= lambda_2 - rho >= nu0 - rho > 0,
+    so ||r|| >= sin(theta) (nu0 - rho) (Davis & Kahan, SIAM J. Numer. Anal.
+    7, 1 (1970)).  With the sign of u that makes cos(theta) >= 0,
+    ||x-hat - u||^2 = 2 (1 - cos(theta)) <= 2 sin(theta)^2.  And
+    ||psi - x-hat||^2 = ||y||^2 + (1 - ||x||)^2 <= 2 ||y||^2, as
+    1 - ||x|| <= 1 - ||x||^2 = ||y||^2.  So
+    ||psi - u|| <= sqrt(2) (||y|| + ||r|| / (nu0 - rho)).
+
+    *Lipschitz constant 8.*  For a unit vector with X its (AC) x (rest)
+    reshape, Wootters' lambda_i are the singular values of
+    tau = X^T S X, S = s2 x s2 (Wootters, PRL 80, 2245 (1998)): the nonzero
+    eigenvalues of rho rho~ = X X^dag S X* X^T S are those of M^dag M with
+    M = X^T S X.  For unit X, Y:
+    tau_X - tau_Y = (X - Y)^T S X + Y^T S (X - Y), S real orthogonal, so
+    ||delta tau||_2 <= 2 ||X - Y||_2 <= 2 ||X - Y||_F.  By Weyl's
+    inequality for singular values each lambda_i moves by at most that,
+    lambda_1 - lambda_2 - lambda_3 - lambda_4 by at most 4 times it, and
+    max(0, .) is 1-Lipschitz: |C(X) - C(Y)| <= 8 ||X - Y||_F.  Padding with
+    zeros and the orthogonal collective basis change leave C and the norm
+    as they are, and C(u) = C(-u).
+
+    Hence |C(2n) - C(n)| <= 8 sqrt(2) (||y|| + ||r|| / (nu0 - rho)) for the
+    exact concurrences; the measured ones each carry the kernel's rounding,
+    which ``NOISE`` covers.
+    """
+    if not tol > NOISE:
+        return None
+    ground = _padded_ground(cfg, vectors)
+    if ground is None:
+        return None
+    margin = 2 * DEGENERACY_RTOL * max(1.0, ground.spread)
+    if not min(ground.nu0, ground.nu1) - ground.rho > margin:
+        return None
+    bound = 8 * np.sqrt(2) * (ground.off + ground.residual / (ground.nu0 - ground.rho))
+    return float(bound) if bound <= tol - NOISE else None
+
+
+def _most_weight(groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple:
+    """Of the blocks (m, s, s) of ``groups``, each with its states (m, s) and
+    a vector's parts (m, s), the one that holds most of the vector's weight:
+    its index over all groups, the norm of the vector outside it, its states,
+    and the block and its normalized part."""
+    weights = np.concatenate([np.einsum("bs,bs->b", x, x) for *_, x in groups])
+    i = block = int(weights.argmax())
+    for index, h, x in groups:
+        if block < len(h):
+            off = float(np.sqrt(max(weights.sum() - weights[i], 0.0)))
+            return i, off, index[block], h[block], x[block] / np.sqrt(weights[i])
+        block -= len(h)
+
+
+def _settled_cutoff(cfg: DickeConfig, value: float, vectors: np.ndarray, tol: float, limit: int) -> tuple:
+    """Accept ``cfg``'s cutoff where ``_cutoff_certificate`` proves the
+    concurrence, ``value`` at that cutoff and ground level ``vectors``, settled
+    within ``tol``; else double the cutoff until the concurrence settles:
+    each doubled cutoff's ``_sector_point`` is compared with the previous
+    cutoff's value, and a rejected one becomes the next base.  Returns the
     accepted cutoff (or the first >= ``limit``), whether it was accepted, the
-    deciding change and its sector point (None at ``cfg``'s own cutoff)."""
+    deciding change (the certificate's bound, or the measured change), its
+    sector point (None at ``cfg``'s own cutoff) and whether the certificate
+    decided."""
+    bound = _cutoff_certificate(cfg, vectors, tol)
+    if bound is not None:
+        return cfg.n_max, True, bound, None, True
     n, point = cfg.n_max, None
     while True:
         doubled = _sector_point(cfg.with_n_max(2 * n))
         delta = abs(doubled[2].value - value)
         if delta <= tol:
-            return n, True, delta, point
+            return n, True, delta, point, False
         n, point, value = 2 * n, doubled, doubled[2].value
         if n >= limit:
-            return n, False, delta, point
+            return n, False, delta, point, False
 
 
 def dicke_ground_point(
@@ -474,24 +691,33 @@ def dicke_ground_point(
     convergence_tol: float = CONVERGENCE_TOL,
     n_max_limit: int = N_MAX_LIMIT,
 ) -> DickeGroundPoint:
-    """Evaluate one point, doubling the Fock cutoff until the concurrence settles.
+    """Evaluate one point, certifying its Fock cutoff or doubling it until the
+    concurrence settles.
+
+    ``cfg``'s own cutoff is solved in full, ``eigh(build_dicke(cfg))``, whose
+    complex bits the recorded digests hold.  Its ground vector first tries to
+    prove that the concurrence at twice the cutoff lies within
+    ``convergence_tol`` (``_cutoff_certificate``), without solving it; where
+    the proof fails, every doubled cutoff is solved on its exact sectors
+    (``_settled_cutoff``): (J, N) for h1 and (J, N mod 2) for h2 and h3 in the
+    atoms' collective basis, which report any value above the start.  Both
+    rules accept the same cutoffs, so the reported values do not depend on
+    which decided (``DickeGroundPoint.certified``).
 
     The accepted cutoff is reported as ``nmax_used``; if the value still moves
     by more than ``convergence_tol`` at the cutoff limit the point is returned
     with ``converged=False`` rather than silently accepted.
-
-    ``cfg``'s own cutoff is solved in full, ``eigh(build_dicke(cfg))``, whose complex
-    bits the recorded digests hold; every doubled one only on its exact sectors
-    (``_settled_cutoff``): (J, N) for h1 and (J, N mod 2) for h2 and h3 in the
-    atoms' collective basis, which report any value above it.
     """
     if not convergence_tol >= 0:
         raise ValueError(f"convergence_tol must be >= 0, got {convergence_tol}")
     dec = eigh(build_dicke(cfg))
-    conc = ground_level_concurrence(dec.eigenvectors, len(dec.ground_group), cfg.dims, (0, 1))
-    n, converged, delta, point = _settled_cutoff(cfg, conc.value, convergence_tol, n_max_limit)
+    size = len(dec.ground_group)
+    conc = ground_level_concurrence(dec.eigenvectors, size, cfg.dims, (0, 1))
+    n, converged, delta, point, certified = _settled_cutoff(
+        cfg, conc.value, dec.eigenvectors[:, :size], convergence_tol, n_max_limit
+    )
     energy, gap, conc = point or (dec.ground_energy, dec.gap(), conc)
-    return DickeGroundPoint(cfg.with_n_max(n), energy, gap, conc, n, converged, delta)
+    return DickeGroundPoint(cfg.with_n_max(n), energy, gap, conc, n, converged, delta, certified)
 
 
 def dicke_ground_concurrence(cfg: DickeConfig, **kwargs) -> ConcurrenceResult:

@@ -539,15 +539,26 @@ def test_optimize_dicke_writes_the_fock_check_to_stderr(tmp_path, capsys):
     assert len(SweepResult.read_csv(trace).rows) == int(out.splitlines()[3].split(":")[1]) - 1
     best = float(out.splitlines()[1].split(":")[1])
     printed = float(out.splitlines()[2].split(":")[1])
-    # the delta is the doubled cutoff's sectors against the printed best
-    _, _, sectors = _sector_point(DickeConfig(variant="h2", kappa=best, n_max=80))
-    delta = abs(sectors.value - printed)
+    delta = fock_delta(DickeConfig(variant="h2", kappa=best, n_max=40), printed)
     assert delta <= CONVERGENCE_TOL
     solved = len(set(SweepResult.read_csv(trace).column("control_0"))) + 1
     assert err == (
         f"solved {solved} distinct points for 20 evaluations\n"
         f"fock check at best kappa: convergence delta {format_value(delta)} at n_max = 40\n"
     )
+
+
+def fock_delta(cfg, best):
+    """The delta the Fock check prints for the printed ``best`` at ``cfg``: the
+    certificate's bound, from the ground vector of ``cfg``'s sectors, where it
+    proves one, which the doubled cutoff's sectors must then confirm, else
+    their measured change against ``best``."""
+    bound = dicke_module._cutoff_certificate(cfg, dicke_module._sector_level(cfg)[1], CONVERGENCE_TOL)
+    measured = abs(_sector_point(cfg.with_n_max(2 * cfg.n_max))[2].value - best)
+    if bound is None:
+        return measured
+    assert measured <= bound + dicke_module.NOISE
+    return bound
 
 
 def printed(out, label):
@@ -576,7 +587,7 @@ def test_the_printed_best_is_the_fock_checks_own_solve(source, monkeypatch, caps
                       n_max=int(flag_value(argv, "--nmax")))
     best = printed(out, "best concurrence")
     assert best.hex() == _sector_point(cfg)[2].value.hex()
-    delta = abs(_sector_point(cfg.with_n_max(2 * cfg.n_max))[2].value - best)
+    delta = fock_delta(cfg, best)
     assert err.splitlines()[1] == (
         f"fock check at best kappa: convergence delta {format_value(delta)} at n_max = {cfg.n_max}"
     )
@@ -599,8 +610,10 @@ def test_optimize_dicke_confirms_the_printed_best_without_a_full_solve(monkeypat
 
 
 def shift_the_sectors(monkeypatch, shift):
-    """Make every sector solve read its concurrence ``shift(n_max)`` higher;
-    returns the list of the cutoffs solved."""
+    """Make every sector solve read its concurrence ``shift(n_max)`` higher,
+    and let the doubling decide, as the certificate reads the ground vector,
+    not the shifted value; returns the list of the cutoffs solved."""
+    monkeypatch.setattr(dicke_module, "_cutoff_certificate", lambda *_: None)
     solved = []
 
     def shifted(cfg):
@@ -807,9 +820,10 @@ def test_the_benchmark_control_search_oracle_accepts_the_cli(tmp_path, monkeypat
 # box edge, a grid point); its trace moved with the points requested.  The
 # Dicke stdout moved when its points moved onto the collective sectors (best
 # kappa 0.48013478260546649, C 0.073106210836566987), and its stderr is the
-# Fock check's line, whose convergence delta is the doubled cutoff's sectors
-# against the printed best concurrence, the same solve at --nmax
-# (5.5511151231257827e-16)
+# Fock check's line, whose convergence delta is the certificate's proven bound
+# from the ground vector at --nmax (8.1762072119578006e-15; it was the
+# doubled cutoff's measured change, 5.5511151231257827e-16, before the
+# certificate decided the cutoff)
 OPTIMIZE_DIGESTS = {
     "ising": (
         [*README_OPTIMIZE_ISING, "--trace-out", "trace.csv"],
@@ -826,7 +840,7 @@ OPTIMIZE_DIGESTS = {
         23,
         {
             "stdout": "8417c18678c51640757e1c1e30d4db1c512a66e66bd142516cf9522cad0d5c8f",
-            "stderr": "5fe68227483f910578dd2a31c435d6f9e0d977ebd317f5e8d5438603a6e5c72f",
+            "stderr": "4b66b7100577247119c0c4da5d4ba42f3246e34dcec97bf3486d3cacb459986b",
         },
     ),
 }

@@ -13,6 +13,8 @@ from medent.dicke import (
     COLLECTIVE_TO_PRODUCT,
     J_PLUS,
     J_Z,
+    NOISE,
+    VARIANTS,
     DickeConfig,
     DickeGroundPoint,
     FockConvergenceError,
@@ -33,7 +35,11 @@ from medent.dicke import (
 )
 import medent.dicke as dicke_module
 from medent import cli, linalg
-from medent.entanglement import ground_level_concurrence, ground_state_ac_concurrence
+from medent.entanglement import (
+    ground_level_concurrence,
+    ground_level_density_stack,
+    ground_state_ac_concurrence,
+)
 from medent.linalg import (
     DimensionError,
     HermitianOperator,
@@ -421,6 +427,13 @@ def parity_block_concurrence(cfg):
     one, so a ground level may span both blocks (the h1 crossings); its
     members are embedded in the full basis for the reduction.
     """
+    vectors, size = parity_block_level(cfg)
+    return ground_level_concurrence(vectors, size, cfg.dims, (0, 1))
+
+
+def parity_block_level(cfg):
+    """The ground level of ``parity_block_concurrence``: its members in the
+    full basis (D, k) and their number."""
     sectors, h = _parity_block_hamiltonian(cfg)
     dec = eigh_stack(h)
     w = dec.eigenvalues.ravel()
@@ -429,7 +442,7 @@ def parity_block_concurrence(cfg):
     block, column = np.divmod(ground, sectors.shape[1])
     vectors = np.zeros((cfg.dim, ground.size), dtype=np.complex128)
     vectors[sectors[block], np.arange(ground.size)[:, np.newaxis]] = dec.eigenvectors[block, :, column]
-    return ground_level_concurrence(vectors, ground.size, cfg.dims, (0, 1))
+    return vectors, ground.size
 
 
 def sector_concurrence(cfg):
@@ -573,7 +586,11 @@ def test_block_check_matches_full_solve_across_h1_crossings(variant):
         assert sector.degenerate_ground == full.degenerate_ground, kappa
         point = dicke_ground_point(cfg)
         assert_same_report(point, full_path_ground_point(cfg))
-        assert point.convergence_delta == abs(sector.value - point.concurrence.value)
+        measured = abs(sector.value - point.concurrence.value)
+        if point.certified:
+            assert measured <= point.convergence_delta + NOISE
+        else:
+            assert point.convergence_delta == measured
 
 
 def test_block_check_reads_the_h1_product_ground_state_exactly():
@@ -624,15 +641,29 @@ def test_h1_crossing_points_are_degenerate_on_both_paths(kappa, expected):
     st.integers(0, 40),
     st.sampled_from([0, 1]),
 )
+# a near product: the sectors read C = 0, the parity blocks 1.08e-8, as the
+# square root in concurrence_stack turns rounding of about 1e-16 in the
+# spin-flip spectrum into about 1e-8; the exact value is 0
+@example("h2", 1.175494351e-38, 0.0, 0.9095953310058332, 1.0089510613304387, 10, 1)
 def test_sector_confirmation_matches_the_parity_blocks(
     variant, kappa, lam_tilde, omega_a, omega_f, half, odd
 ):
+    # what both paths share, the reduced state of the atoms, within a tight
+    # bound; the concurrence read from it within the kernel's rounding
     cfg = DickeConfig(
         variant=variant, kappa=kappa, lam_tilde=lam_tilde, omega_a=omega_a, omega_f=omega_f,
         n_max=max(1, 2 * half + odd),
     )
+    _, sector_vectors, _ = dicke_module._sector_level(cfg)
+    block_vectors, size = parity_block_level(cfg)
+    assert sector_vectors.shape[1] == size
+    rho_ac = [
+        ground_level_density_stack(v[np.newaxis], np.array([size]), cfg.dims, (0, 1))[0]
+        for v in (sector_vectors, block_vectors)
+    ]
+    assert np.abs(rho_ac[0] - rho_ac[1]).max() <= 1e-12
     sector, block = sector_concurrence(cfg), parity_block_concurrence(cfg)
-    assert abs(sector.value - block.value) <= 1e-12
+    assert abs(sector.value - block.value) <= NOISE
     assert sector.degenerate_ground == block.degenerate_ground
 
 
@@ -816,7 +847,7 @@ def test_the_start_cutoff_solve_reads_the_ground_level_as_the_stack_kernel(monke
     assert degenerate == [False, True, True, False, False, False, False, False]
     # every point accepted at its start cutoff, which it then reports
     monkeypatch.setattr(
-        dicke_module, "_settled_cutoff", lambda cfg, value, tol, limit: (cfg.n_max, True, 0.0, None)
+        dicke_module, "_settled_cutoff", lambda cfg, *_: (cfg.n_max, True, 0.0, None, False)
     )
     for cfg, (energy, gap, conc) in zip(configs, expected):
         point = dicke_ground_point(cfg)
@@ -1071,7 +1102,7 @@ def distinct_sector_keys(monkeypatch):
 
 def test_the_readme_cavity_grid_costs_one_full_solve_per_point(monkeypatch):
     # the README's three-variant grid: each point is solved in full once, at
-    # n_max 40, and confirmed on its sectors at 80; every cutoff's blocks are
+    # n_max 40, and certified or confirmed on its sectors at 80; every cutoff's blocks are
     # cut once: the parity blocks at 40 and each variant's collective sectors
     # at 40, which build_dicke declares, and at 80
     calls = []
@@ -1101,3 +1132,208 @@ def test_the_readme_sweep_and_optimize_cut_each_sector_key_once(monkeypatch, tmp
     capsys.readouterr()
     info = _sector_blocks.cache_info()
     assert info.misses == info.currsize == len(keys) <= info.maxsize
+
+
+# ------------------------------------------------ the Fock-cutoff certificate
+
+CERTIFICATE_TOLS = [1e-6, 1e-8, 1e-9, 1e-12, 0.0]
+CERTIFICATE_GRIDS = {
+    "readme": [(v, float(k), 1.0) for v in VARIANTS for k in parse_grid_spec("0:1.2:25")],
+    # the benchmark's ranges, kappa in [0.55, 1.1] and lam_tilde in [0.5, 1.5]
+    "bench": [
+        (v, float(k), float(t))
+        for v in VARIANTS
+        for k in np.linspace(0.55, 1.1, 6)
+        for t in (0.5, 1.0, 1.5)
+    ],
+    "wide": [(v, float(k), t) for v in VARIANTS for k in np.linspace(0.0, 3.0, 16) for t in (0.5, 1.0, 1.5)],
+}
+# points certified at tol 1e-6 per grid, of 75, 54 and 144 (measured: 72, 50
+# and 80), a floor that a certificate which declines everything fails
+CERTIFIED_AT_LEAST = {"readme": 70, "bench": 48, "wide": 76}
+
+
+def start_level(cfg):
+    """The start cutoff's full complex solve, as ``dicke_ground_point`` makes
+    it: the ground level's members and the concurrence read from them."""
+    dec = eigh(build_dicke(cfg))
+    size = len(dec.ground_group)
+    return dec.eigenvectors[:, :size], ground_level_concurrence(dec.eigenvectors, size, cfg.dims, (0, 1))
+
+
+@pytest.mark.parametrize("grid", CERTIFICATE_GRIDS)
+def test_the_certificate_never_accepts_what_the_doubling_rejects(grid):
+    # the oracle is today's doubling: the measured change from n_max 40 to
+    # 80, the full complex solve against the sectors
+    certified = 0
+    for variant, kappa, lam_tilde in CERTIFICATE_GRIDS[grid]:
+        cfg = DickeConfig(variant=variant, kappa=kappa, lam_tilde=lam_tilde)
+        vectors, conc = start_level(cfg)
+        measured = abs(sector_concurrence(cfg.with_n_max(80)).value - conc.value)
+        for tol in CERTIFICATE_TOLS:
+            bound = dicke_module._cutoff_certificate(cfg, vectors, tol)
+            if bound is None:
+                continue
+            assert measured <= tol, (cfg, tol)
+            assert measured <= bound + NOISE, (cfg, tol)
+            assert bound <= tol - NOISE
+            certified += tol == 1e-6
+    assert certified >= CERTIFIED_AT_LEAST[grid]
+
+
+def no_certificate(monkeypatch):
+    monkeypatch.setattr(dicke_module, "_cutoff_certificate", lambda *_: None)
+
+
+@pytest.mark.parametrize("tol", CERTIFICATE_TOLS)
+def test_a_sweep_writes_the_doublings_bytes_at_every_tolerance(tol, monkeypatch, tmp_path):
+    # the rows a certificate decides are the rows the doubling decides
+    kappas = parse_grid_spec("0:1.2:7")
+    written = {}
+    for name in ("certified", "doubled"):
+        if name == "doubled":
+            no_certificate(monkeypatch)
+        for variant in VARIANTS:
+            path = tmp_path / f"{name}-{variant}.csv"
+            dicke_sweep(DickeConfig(variant=variant, kappa=0.0), kappas, [1.0], convergence_tol=tol).write_csv(path)
+            written[name, variant] = path.read_bytes()
+    assert all(written["certified", v] == written["doubled", v] for v in VARIANTS)
+
+
+@pytest.mark.parametrize("variant, kappa", [("h1", 1.0), ("h2", 0.6), ("h3", 0.6), ("h3", 1.0)])
+def test_the_certificate_straddles_its_bound(variant, kappa):
+    # accepted at the least tolerance that leaves NOISE above the bound,
+    # declined at the float below it, with the bound the same
+    cfg = DickeConfig(variant=variant, kappa=kappa)
+    vectors, _ = start_level(cfg)
+    bound = dicke_module._cutoff_certificate(cfg, vectors, 1e-6)
+    assert bound is not None
+    tol = bound + NOISE
+    while tol - NOISE < bound:
+        tol = np.nextafter(tol, np.inf)
+    while np.nextafter(tol, 0.0) - NOISE >= bound:
+        tol = np.nextafter(tol, 0.0)
+    assert dicke_module._cutoff_certificate(cfg, vectors, tol) == bound
+    assert dicke_module._cutoff_certificate(cfg, vectors, np.nextafter(tol, 0.0)) is None
+
+
+@pytest.mark.parametrize("tol", [0.0, NOISE / 2, NOISE])
+def test_tolerances_at_or_below_the_noise_never_certify(tol, monkeypatch):
+    # so they report the doubling's point, bit for bit, delta included
+    for cfg in (DickeConfig(variant="h1", kappa=0.3), DickeConfig(variant="h2", kappa=0.6)):
+        vectors, _ = start_level(cfg)
+        assert dicke_module._cutoff_certificate(cfg, vectors, tol) is None
+        point = dicke_ground_point(cfg, convergence_tol=tol)
+        assert not point.certified
+        with monkeypatch.context() as patched:
+            no_certificate(patched)
+            reference = dicke_ground_point(cfg, convergence_tol=tol)
+        assert_same_report(point, reference)
+        assert point.convergence_delta.hex() == reference.convergence_delta.hex()
+
+
+def test_a_degenerate_start_level_declines():
+    # h1 at kappa = 1/sqrt(2) exactly: two members, from N = 0 and N = 1
+    cfg = DickeConfig(variant="h1", kappa=H1_FIRST_CROSSING)
+    vectors, conc = start_level(cfg)
+    assert vectors.shape[1] == 2 and conc.degenerate_ground
+    assert dicke_module._cutoff_certificate(cfg, vectors, 1e-6) is None
+    point = dicke_ground_point(cfg)
+    assert (point.certified, point.converged, point.nmax_used) == (False, True, 40)
+
+
+def test_a_certified_point_reports_its_bound():
+    point = dicke_ground_point(DickeConfig(variant="h2", kappa=0.9))
+    vectors, _ = start_level(point.config)
+    assert point.certified
+    assert point.convergence_delta == dicke_module._cutoff_certificate(point.config, vectors, 1e-6)
+
+
+def collective_matrix(cfg):
+    """``cfg``'s Hamiltonian in the collective basis, assembled from its sector blocks."""
+    coefficients = np.array([_dicke_coefficients(cfg)])
+    h = np.zeros((cfg.dim, cfg.dim))
+    for group in _sector_blocks(cfg.n_max, "collective", coefficients.shape[1]):
+        for sector, block in zip(group[0], linalg._block_stack(group, coefficients)):
+            h[np.ix_(sector, sector)] = block
+    return h
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_max", [1, 2, 7, 40])
+def test_the_doubled_cutoff_below_the_start_is_the_start_but_its_diagonal(variant, n_max):
+    # what the split's A half is solved from: the doubled cutoff's
+    # Hamiltonian on the states m <= n is the start cutoff's, entry for entry,
+    # off its diagonal
+    cfg = DickeConfig(variant, 0.83, lam_tilde=0.7, omega_a=1.3, omega_f=0.9, n_max=n_max)
+    doubled = collective_matrix(cfg.with_n_max(2 * n_max))
+    keep = [atom * (2 * n_max + 1) + m for atom in range(4) for m in range(n_max + 1)]
+    difference = doubled[np.ix_(keep, keep)] - collective_matrix(cfg)
+    assert not (difference - np.diag(np.diag(difference))).any()
+
+
+def exact_doubled_spectra(cfg):
+    """Every eigenvalue of every collective sector block at twice ``cfg``'s
+    cutoff, and the start ground vector's weight in each, per block."""
+    n, coefficients = cfg.n_max, np.array([_dicke_coefficients(cfg)])
+    vectors, _ = start_level(cfg)
+    start = COLLECTIVE_TO_PRODUCT.T @ vectors[:, 0].real.reshape(4, n + 1)
+    padded = np.zeros((4, 2 * n + 1))
+    padded[:, : n + 1] = start
+    spectra, weights = [], []
+    for group in _sector_blocks(2 * n, "collective", coefficients.shape[1]):
+        spectra.extend(np.linalg.eigvalsh(linalg._block_stack(group, coefficients)))
+        weights.extend((padded.ravel()[group[0]] ** 2).sum(axis=1))
+    return spectra, np.array(weights) / sum(weights), vectors
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(VARIANTS),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    # small cutoffs, where the split at n carries most weight, and the start's
+    st.sampled_from([1, 2, 3, 5, 8, 40]),
+)
+@example("h3", 3.0, 2.0, 0.5, 0.5, 1)
+@example("h2", 2.5, 1.0, 1.0, 1.0, 2)
+@example("h1", 0.5, 0.0, 0.5, 0.5, 1)
+@example("h1", 0.3, 1.0, 1.0, 1.0, 40)
+def test_the_padded_ground_bounds_hold(variant, kappa, lam_tilde, omega_a, omega_f, n_max):
+    # what the certificate's proof takes from the split, against every
+    # eigenvalue of the doubled cutoff's blocks
+    cfg = DickeConfig(variant, kappa, omega_a=omega_a, omega_f=omega_f, lam_tilde=lam_tilde, n_max=n_max)
+    spectra, weights, vectors = exact_doubled_spectra(cfg)
+    ground = dicke_module._padded_ground(cfg, vectors)
+    if vectors.shape[1] > 1:
+        assert ground is None
+        return
+    b0 = int(weights.argmax())
+    scale = 1e-12 * max(1.0, max(abs(w).max() for w in spectra))
+    inside = spectra[b0]
+    assert inside[0] <= ground.rho + scale
+    assert ground.nu0 <= (inside[1] if len(inside) > 1 else np.inf) + scale
+    assert ground.nu1 <= min((w[0] for b, w in enumerate(spectra) if b != b0), default=np.inf) + scale
+    assert ground.spread >= max(w[-1] for w in spectra) - min(w[0] for w in spectra) - scale
+    assert ground.off == pytest.approx(np.sqrt(max(1.0 - weights[b0], 0.0)), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 41]), st.floats(1e-12, 1.0))
+def test_the_concurrence_is_8_lipschitz_in_the_global_vector(seed, d_b, scale):
+    # Wootters' lambdas are the singular values of X^T (s2 x s2) X, X the
+    # vector as (atoms) x (rest), and the concurrence moves by at most 8
+    # times the vector's change, within the kernel's rounding
+    rng = np.random.default_rng(seed)
+    flip = np.kron(dicke_module.SIGMA_2, dicke_module.SIGMA_2)
+    psi, phi = (rng.normal(size=4 * d_b) + 1j * rng.normal(size=4 * d_b) for _ in range(2))
+    psi /= np.linalg.norm(psi)
+    phi = psi + scale * phi / np.linalg.norm(phi)
+    phi /= np.linalg.norm(phi)
+    c = [ground_level_concurrence(v[:, np.newaxis], 1, (2, 2, d_b), (0, 1)) for v in (psi, phi)]
+    x = psi.reshape(4, d_b)
+    singular = np.linalg.svd(x.T @ flip @ x, compute_uv=False)[:4]
+    assert np.abs(np.pad(singular, (0, 4 - len(singular))) ** 2 - c[0].tilde_lambdas**2).max() <= 1e-12
+    assert abs(c[0].value - c[1].value) <= 8 * np.linalg.norm(psi - phi) + NOISE

@@ -14,6 +14,9 @@ ALLOWED_SITES = {
     "linalg._density_stack",  # the PSD check of every density matrix
     "linalg._schmidt_stack",  # every Schmidt decomposition, after its norm check
     "entanglement.concurrence_stack",  # the spin-flip spectrum of checked density matrices
+    # lower bounds of the Fock-cutoff certificate, used with a margin over
+    # their rounding; no eigenvector is kept
+    "dicke._padded_ground",
 }
 
 
